@@ -23,8 +23,6 @@ from .groups import DEFAULT_CAP, CayleyGraph, XGroup, cayley_graph, diagonal_sub
 from .extensions import (
     ExtensionChain,
     build_extension,
-    cayley_graph_ext,
-    evaluate_word_ext,
     iterated_extension,
     signed_traversals,
     traversal_element,
@@ -51,7 +49,7 @@ __all__ = [
     "expand_to_cover", "enumerate_expansions", "transition_group",
     "XGroup", "CayleyGraph", "cayley_graph", "diagonal_subgroup", "DEFAULT_CAP",
     "ExtensionChain", "build_extension", "iterated_extension",
-    "evaluate_word_ext", "signed_traversals", "traversal_element", "cayley_graph_ext",
+    "signed_traversals", "traversal_element",
     "product_automaton", "cancellation_closure", "member_product",
     "SeparatorWitness", "Factorization",
     "hall_separator", "product_separator", "factorize",

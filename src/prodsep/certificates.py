@@ -169,8 +169,11 @@ def parse_certificate(text):
         return tuple(out)
 
     if kind == "hall":
+        subgroups = subgroup_rows()
+        if not subgroups:
+            raise ProblemParseError(0, "missing field 'subgroup H1'")
         carrier = int(one("carrier"))
-        return HallCertificate(alphabet, subgroup_rows()[0], word, carrier,
+        return HallCertificate(alphabet, subgroups[0], word, carrier,
                                int(one("base")), perm_rows(carrier))
     if kind == "product-separator":
         carrier = int(one("carrier"))
@@ -228,7 +231,7 @@ def verify_certificate(cert, cap=DEFAULT_CAP):
             actual = tuple(len(img) for img in images)
             if actual != cert.image_sizes:
                 return False, [f"stated image sizes {cert.image_sizes} != {actual}"]
-        member = _product_member(top, images, target, cap)
+        member = _product_member(top, images, target, cap) is not None
         if cert.status == "excluded" and member:
             return False, ["word image found inside the image product"]
         if cert.status == "member" and not member:

@@ -22,49 +22,23 @@ graph one level down.
 import math
 
 from .errors import CapExceeded
-from .graphs import LabeledGraph
-from .groups import DEFAULT_CAP, CayleyGraph, XGroup
-
-
-class BaseLevel:
-    """Level 0 of an extension tower: a plain permutation group."""
-
-    index = 0
-
-    def __init__(self, group):
-        self.group = group
-        self.alphabet = group.alphabet
-
-    @property
-    def identity(self):
-        return self.group.identity
-
-    def gen(self, letter):
-        return self.group.perm(letter)
-
-    def mult(self, a, b):
-        return self.group.mult(a, b)
-
-    def inv(self, a):
-        return self.group.inv(a)
-
-    def evaluate(self, word):
-        return self.group.evaluate(word)
-
-    def __repr__(self):
-        return f"BaseLevel({self.group!r})"
+from .groups import DEFAULT_CAP, closure
 
 
 class ExtensionLevel:
-    """The universal p-elementary extension of the level below."""
+    """The universal p-elementary extension of the level below.
+
+    The level below is an ``XGroup`` (level 0 of a chain) or another
+    extension; both offer identity, gen, mult, inv, evaluate, order and
+    elements.
+    """
 
     def __init__(self, below, prime):
-        if prime < 2 or any(prime % d == 0 for d in range(2, int(prime ** 0.5) + 1)):
+        if prime < 2 or any(prime % d == 0 for d in range(2, math.isqrt(prime) + 1)):
             raise ValueError(f"{prime} is not a prime")
         self.below = below
         self.prime = prime
         self.alphabet = below.alphabet
-        self.index = below.index + 1
         self._gens = {}
 
     @property
@@ -109,15 +83,44 @@ class ExtensionLevel:
             out = self.mult(out, self.gen(l))
         return out
 
+    def order(self, cap=DEFAULT_CAP):
+        """Exact order, or raise if it exceeds the cap.
+
+        The kernel of the projection is the mod-p cycle space of the Cayley
+        graph below, so each level multiplies the order by p^((|X|-1)*n + 1)
+        where n is the order below.
+        """
+        below = self.below.order(cap=cap)
+        k = (self.alphabet.size - 1) * below + 1
+        if math.log(below) + k * math.log(self.prime) > math.log(cap) + 1e-9:
+            raise CapExceeded(
+                f"extension order {below} * {self.prime}^{k} exceeds cap {cap}",
+                limit=cap)
+        order = below * self.prime ** k
+        if order > cap:
+            raise CapExceeded(
+                f"extension order {order} = {below} * {self.prime}^{k} exceeds cap {cap}",
+                limit=cap)
+        return order
+
+    def elements(self, cap=DEFAULT_CAP):
+        """All elements, in BFS discovery order from the identity."""
+        self.order(cap=cap)
+        gens = [self.gen(l) for l in self.alphabet.letters()]
+        return list(closure(self.identity, gens, self.mult, cap, "extension"))
+
     def __repr__(self):
         return f"ExtensionLevel(p={self.prime}, over {self.below!r})"
 
 
 class ExtensionChain:
-    """An iterated tower of p-elementary extensions over a base group."""
+    """An iterated tower of p-elementary extensions over a base group.
+
+    Level 0 is the group itself.
+    """
 
     def __init__(self, group, primes):
-        levels = [BaseLevel(group)]
+        levels = [group]
         for p in primes:
             levels.append(ExtensionLevel(levels[-1], p))
         self.levels = levels
@@ -146,13 +149,9 @@ class ExtensionChain:
         return f"ExtensionChain(primes={self.primes}, base={self.group!r})"
 
 
-def as_level(group_or_level):
-    return BaseLevel(group_or_level) if isinstance(group_or_level, XGroup) else group_or_level
-
-
 def build_extension(group, prime):
     """The p-elementary extension of a permutation group, as a symbolic handle."""
-    return ExtensionLevel(as_level(group), prime)
+    return ExtensionLevel(group, prime)
 
 
 def iterated_extension(group, primes):
@@ -160,11 +159,7 @@ def iterated_extension(group, primes):
     return ExtensionChain(group, primes)
 
 
-def evaluate_word_ext(level, word):
-    return level.evaluate(word)
-
-
-def signed_traversals(group_or_level, word):
+def signed_traversals(level, word):
     """Net signed crossing count of each positive Cayley edge by the word's path.
 
     Walks the Cayley graph from the identity: a positive letter x at h
@@ -172,7 +167,6 @@ def signed_traversals(group_or_level, word):
     crosses (h * x^-1, x) backwards (-1).  Entries that cancel to zero are
     dropped.
     """
-    level = as_level(group_or_level)
     counts = {}
     cur = level.identity
     for l in word:
@@ -202,59 +196,3 @@ def traversal_element(level, word):
     counts = signed_traversals(level.below, word)
     vec = {k: c % level.prime for k, c in counts.items() if c % level.prime}
     return (tuple(sorted(vec.items())), level.below.evaluate(word))
-
-
-def level_order_bound(level, cap=DEFAULT_CAP):
-    """Exact order of an extension level, or raise if it exceeds the cap.
-
-    The kernel of the projection is the mod-p cycle space of the Cayley
-    graph below, so each level multiplies the order by p^((|X|-1)*n + 1)
-    where n is the order below.
-    """
-    if isinstance(level, BaseLevel):
-        return level.group.order(cap=cap)
-    below = level_order_bound(level.below, cap=cap)
-    k = (level.alphabet.size - 1) * below + 1
-    if math.log(below) + k * math.log(level.prime) > math.log(cap) + 1e-9:
-        raise CapExceeded(
-            f"extension order {below} * {level.prime}^{k} exceeds cap {cap}",
-            limit=cap)
-    order = below * level.prime ** k
-    if order > cap:
-        raise CapExceeded(
-            f"extension order {order} = {below} * {level.prime}^{k} exceeds cap {cap}",
-            limit=cap)
-    return order
-
-
-def materialize_level(level, cap=DEFAULT_CAP):
-    """BFS enumeration of an extension level's elements, in discovery order."""
-    level_order_bound(level, cap=cap)
-    gens = [level.gen(l) for l in level.alphabet.letters()]
-    first = level.identity
-    seen = {first}
-    order = [first]
-    queue = [first]
-    while queue:
-        cur = queue.pop(0)
-        for g in gens:
-            nxt = level.mult(cur, g)
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(f"extension has more than {cap} elements",
-                                      limit=cap)
-                seen.add(nxt)
-                order.append(nxt)
-                queue.append(nxt)
-    return order
-
-
-def cayley_graph_ext(level, cap=DEFAULT_CAP):
-    """Materialize the level and build its Cayley graph on the elements."""
-    elems = materialize_level(level, cap=cap)
-    index = {e: i for i, e in enumerate(elems)}
-    edges = []
-    for i, e in enumerate(elems):
-        for x in level.alphabet.positive_letters():
-            edges.append((i, index[level.mult(e, level.gen(x))], x))
-    return CayleyGraph(LabeledGraph(level.alphabet, len(elems), edges), 0, tuple(elems))

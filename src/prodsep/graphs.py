@@ -9,6 +9,8 @@ Graphs are value types: every operation returns a new graph and nothing
 mutates one after construction.
 """
 
+from collections import deque
+
 from .words import free_reduce, letter_sort_key
 
 
@@ -200,31 +202,32 @@ class LabeledGraph:
 
     # -- canonical forms ------------------------------------------------------
 
-    def bfs_order(self, root):
-        """Vertex -> discovery index for a BFS from root, letters in canonical order.
+    def bfs_tree(self, root):
+        """BFS spanning tree: vertex -> dart used to enter it (root -> None).
 
-        In an immersion this labeling is unique, which makes the derived
+        Letters go in canonical order and the dict is in discovery order; in
+        an immersion the induced numbering is unique, which makes the derived
         canonical form a complete isomorphism invariant of the component.
         """
-        order = {root: 0}
-        queue = [root]
+        tree = {root: None}
+        queue = deque([root])
         letters = self.alphabet.letters()
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             for l in letters:
                 d = self.out_dart(v, l)
                 if d is not None:
                     w = self.dst(d)
-                    if w not in order:
-                        order[w] = len(order)
+                    if w not in tree:
+                        tree[w] = d
                         queue.append(w)
-        return order
+        return tree
 
     def canonical_form(self, root):
         """Canonical form of the component of root (immersions only)."""
         if not self.is_immersion():
             raise ValueError("canonical_form requires an immersion")
-        order = self.bfs_order(root)
+        order = {v: i for i, v in enumerate(self.bfs_tree(root))}
         edges = sorted((order[s], order[d], l)
                        for s, d, l in self.geometric_edges()
                        if s in order and d in order)
@@ -247,7 +250,7 @@ class LabeledGraph:
         root = base if base is not None else 0
         if self.num_vertices == 0:
             return "digraph {\n}\n"
-        order = self.bfs_order(root)
+        order = {v: i for i, v in enumerate(self.bfs_tree(root))}
         for v in range(self.num_vertices):  # unreachable vertices keep id order
             if v not in order:
                 order[v] = len(order)

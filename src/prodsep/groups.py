@@ -6,6 +6,7 @@ evaluate(v)).
 """
 
 import re
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapExceeded
@@ -61,22 +62,7 @@ class XGroup:
         """All elements, in BFS discovery order from the identity."""
         if self._elements is None or len(self._elements) > cap:
             gens = [self.perm(l) for l in self.alphabet.letters()]
-            first = self.identity
-            seen = {first}
-            order = [first]
-            queue = [first]
-            while queue:
-                cur = queue.pop(0)
-                for p in gens:
-                    nxt = tuple(p[x] for x in cur)
-                    if nxt not in seen:
-                        if len(seen) >= cap:
-                            raise CapExceeded(
-                                f"group has more than {cap} elements", limit=cap)
-                        seen.add(nxt)
-                        order.append(nxt)
-                        queue.append(nxt)
-            self._elements = order
+            self._elements = list(closure(self.identity, gens, self.mult, cap, "group"))
         return self._elements
 
     def order(self, cap=DEFAULT_CAP):
@@ -107,14 +93,35 @@ class CayleyGraph:
     elements: tuple
 
 
-def cayley_graph(group, cap=DEFAULT_CAP):
-    elems = group.elements(cap=cap)
+def cayley_graph(level, cap=DEFAULT_CAP):
+    """Materialize a chain level (a group or an extension) and its Cayley graph."""
+    elems = level.elements(cap=cap)
     index = {e: i for i, e in enumerate(elems)}
     edges = []
     for i, e in enumerate(elems):
-        for x in group.alphabet.positive_letters():
-            edges.append((i, index[group.mult(e, group.perm(x))], x))
-    return CayleyGraph(LabeledGraph(group.alphabet, len(elems), edges), 0, tuple(elems))
+        for x in level.alphabet.positive_letters():
+            edges.append((i, index[level.mult(e, level.gen(x))], x))
+    return CayleyGraph(LabeledGraph(level.alphabet, len(elems), edges), 0, tuple(elems))
+
+
+def closure(first, steps, mult, cap, what):
+    """Capped BFS closure of first under right multiplication by the steps.
+
+    Returns {element: (parent, step index)} in discovery order, with first
+    mapped to None; raises CapExceeded, naming what, past cap elements.
+    """
+    tree = {first: None}
+    queue = deque([first])
+    while queue:
+        cur = queue.popleft()
+        for i, step in enumerate(steps):
+            nxt = mult(cur, step)
+            if nxt not in tree:
+                if len(tree) >= cap:
+                    raise CapExceeded(f"{what} has more than {cap} elements", limit=cap)
+                tree[nxt] = (cur, i)
+                queue.append(nxt)
+    return tree
 
 
 def diagonal_subgroup(groups):

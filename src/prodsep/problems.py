@@ -110,9 +110,15 @@ def parse_group_spec(text):
             raise ProblemParseError(line_no, f"expected 'key: value', got {line!r}")
         key, value = (part.strip() for part in line.split(":", 1))
         if key == "alphabet":
-            alphabet = Alphabet(value)
+            try:
+                alphabet = Alphabet(value)
+            except ValueError as exc:
+                raise ProblemParseError(line_no, str(exc)) from None
         elif key == "carrier":
-            carrier = int(value)
+            try:
+                carrier = int(value)
+            except ValueError:
+                raise ProblemParseError(line_no, f"malformed carrier {value!r}") from None
         else:
             if alphabet is None or carrier is None:
                 raise ProblemParseError(line_no, "alphabet and carrier must come first")

@@ -19,13 +19,14 @@ done symbolically on traced paths, so the recursion never materializes an
 extension level.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 from .covers import expand_to_cover, transition_group
 from .errors import CapExceeded, InternalInvariantError
 from .extensions import ExtensionChain
 from .graphs import reduce_path
-from .groups import DEFAULT_CAP, diagonal_subgroup
+from .groups import DEFAULT_CAP, XGroup, closure, diagonal_subgroup
 from .stallings import attach_word, contains, stallings_graph
 from .words import free_reduce, invert, is_reduced, letter_sort_key
 
@@ -117,9 +118,9 @@ def _bfs_path(level, vertices, edges, start, end):
     for v in adj:
         adj[v].sort(key=lambda step: (letter_sort_key(step[0]), step[1]))
     back = {start: None}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         if u == end:
             break
         for l, v in adj[u]:
@@ -231,12 +232,8 @@ def project_path(eta, eta_prime, gamma_prime):
 # -- image subgroups ----------------------------------------------------------
 
 
-def image_subgroup(level, generators, cap=DEFAULT_CAP):
-    """BFS closure of the generator images, each element with a witness word.
-
-    The witness words are reduced products of the given generators and
-    their inverses, so they all lie in the subgroup the generators define.
-    """
+def _generator_steps(level, generators):
+    """(image, word) for each nontrivial generator and for its inverse."""
     steps = []
     for g in generators:
         w = free_reduce(g)
@@ -245,19 +242,26 @@ def image_subgroup(level, generators, cap=DEFAULT_CAP):
         img = level.evaluate(w)
         steps.append((img, w))
         steps.append((level.inv(img), invert(w)))
-    out = {level.identity: ()}
-    queue = [level.identity]
-    while queue:
-        cur = queue.pop(0)
-        for img, w in steps:
-            nxt = level.mult(cur, img)
-            if nxt not in out:
-                if len(out) >= cap:
-                    raise CapExceeded(
-                        f"subgroup image has more than {cap} elements", limit=cap)
-                out[nxt] = free_reduce(out[cur] + w)
-                queue.append(nxt)
-    return out
+    return steps
+
+
+def image_subgroup(level, generators, cap=DEFAULT_CAP):
+    """BFS closure of the generator images, each element with a witness word.
+
+    The witness words are reduced products of the given generators and
+    their inverses, so they all lie in the subgroup the generators define.
+    """
+    steps = _generator_steps(level, generators)
+    tree = closure(level.identity, [img for img, _ in steps], level.mult, cap,
+                   "subgroup image")
+    words = {}
+    for elem, link in tree.items():
+        if link is None:
+            words[elem] = ()
+        else:
+            parent, i = link
+            words[elem] = free_reduce(words[parent] + steps[i][1])
+    return words
 
 
 def _product_with_witness(level, images, cap):
@@ -308,36 +312,18 @@ def image_subgroup_order(level, generators, cap=DEFAULT_CAP):
     |image below| * p^rank.  The coset walk below is still explicit, but
     its elements live one level down; orders above the cap raise early.
     """
-    steps = []
-    for g in generators:
-        w = free_reduce(g)
-        if not w:
-            continue
-        img = level.evaluate(w)
-        steps.append(img)
-        steps.append(level.inv(img))
-    if not hasattr(level, "prime"):  # base of the chain
-        seen = {level.identity}
-        queue = [level.identity]
-        while queue:
-            cur = queue.pop(0)
-            for img in steps:
-                nxt = level.mult(cur, img)
-                if nxt not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"image order exceeds {cap}", limit=cap)
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return len(seen)
+    steps = [img for img, _ in _generator_steps(level, generators)]
+    if isinstance(level, XGroup):
+        return len(closure(level.identity, steps, level.mult, cap, "subgroup image"))
     below = level.below
     prime = level.prime
     # walk the image one level down carrying a chosen lift vector per
     # element; edges that close a cycle contribute Schreier kernel vectors
     lifts = {below.identity: {}}
     basis = {}
-    queue = [below.identity]
+    queue = deque([below.identity])
     while queue:
-        b = queue.pop(0)
+        b = queue.popleft()
         vb = lifts[b]
         for vec, g in steps:
             nb = below.mult(b, g)
@@ -385,8 +371,9 @@ class SeparatorWitness:
     For the one-subgroup (Hall) case the quotient is a transition group
     and the certificate is base-vertex motion; for products it is an
     extension chain and the certificate is exclusion from the image
-    product.  ``excluded`` is None when image enumeration hit the cap
-    (the witness is then marked partial).
+    product.  ``excluded`` is None when image enumeration hit the cap, so
+    exclusion is undecided; ``product_image_size`` is None when the image
+    product was not sized because its bound exceeds the cap.
     """
     kind: str
     alphabet: object
@@ -401,7 +388,6 @@ class SeparatorWitness:
     factor_image_sizes: tuple = None
     product_image_size: int = None
     excluded: bool = None
-    partial: bool = False
 
 
 @dataclass(frozen=True)
@@ -494,8 +480,8 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
     """The extension-chain quotient for a product coset, with its certificate.
 
     The certificate is completed (``excluded`` set) when every factor's
-    image subgroup enumerates under the cap; otherwise the witness is
-    returned marked partial.
+    image subgroup enumerates under the cap; otherwise it is returned with
+    ``excluded`` None.
     """
     ctx = _build_context(alphabet, subgroups, word, primes)
     top = ctx.chain.top
@@ -510,34 +496,29 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
         sizes = tuple(image_subgroup_order(top, gens, cap) for gens in ctx.subgroups)
         images = [image_subgroup(top, gens, cap) for gens in ctx.subgroups]
     except CapExceeded:
-        witness.partial = True
         return witness
     if tuple(len(img) for img in images) != sizes:
         raise InternalInvariantError("image enumeration disagrees with its order")
     witness.factor_image_sizes = sizes
-    witness.excluded = not _product_member(top, images, word_image, cap)
+    witness.excluded = _product_member(top, images, word_image, cap) is None
     size = 1
     for img in images:
         size *= len(img)
-    if size <= cap:
-        try:
-            witness.product_image_size = len(_product_with_witness(top, images, cap))
-        except CapExceeded:
-            pass
-    else:
-        witness.partial = True
+    if size <= cap:  # every partial product is then under the cap as well
+        witness.product_image_size = len(_product_with_witness(top, images, cap))
     return witness
 
 
 def _product_member(level, images, target, cap):
-    """Meet in the middle: is target in the set product of the images?"""
+    """Meet in the middle: one witness per factor whose product is target, or None."""
     mid = max(1, len(images) // 2)
     left = _product_with_witness(level, images[:mid], cap)
     right = _product_with_witness(level, images[mid:], cap)
-    for l in left:
-        if level.mult(level.inv(l), target) in right:
-            return True
-    return False
+    for l, lwits in left.items():
+        rwits = right.get(level.mult(level.inv(l), target))
+        if rwits is not None:
+            return lwits + rwits
+    return None
 
 
 # -- factorization ------------------------------------------------------------
@@ -615,18 +596,10 @@ def _search_seeds(ctx, word_image, cap, stats):
         for gens in ctx.subgroups:
             image_subgroup_order(top, gens, cap)  # fail fast on hopeless images
         images = [image_subgroup(top, gens, cap) for gens in ctx.subgroups]
-        mid = max(1, len(images) // 2)
-        left = _product_with_witness(top, images[:mid], cap)
-        right = _product_with_witness(top, images[mid:], cap)
+        return _product_member(top, images, word_image, cap)
     except CapExceeded:
         stats.capped_search = True
         return None
-    for l, lwits in left.items():
-        r = top.mult(top.inv(l), word_image)
-        rwits = right.get(r)
-        if rwits is not None:
-            return lwits + rwits
-    return None
 
 
 def _pinch(chain, items, stats):
@@ -660,7 +633,7 @@ def _pinch(chain, items, stats):
     if m == 2:
         spine = common_spine(span_of(etas[0]), span_of(etas[1]),
                              mid.identity, etas[0].end,
-                             prime=getattr(top, "prime", None))
+                             prime=top.prime)
         if isinstance(spine, SpineCertificate):
             raise InternalInvariantError("no common spine despite the premise")
         stats.spines += 1
@@ -735,10 +708,10 @@ def kernel_loop_word(h, level, cap=20000):
     g = h.graph
     start = (h.base, level.identity)
     witness = {start: ()}
-    queue = [start]
+    queue = deque([start])
     letters = sorted(g.alphabet.letters(), key=letter_sort_key)
     while queue:
-        state = queue.pop(0)
+        state = queue.popleft()
         v, k = state
         for l in letters:
             d = g.out_dart(v, l)

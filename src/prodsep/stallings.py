@@ -91,27 +91,6 @@ def attach_word(h, word):
     return AttachedImmersion(folded, vmap[h.base], vmap[nv])
 
 
-def spanning_tree(graph, root):
-    """BFS spanning tree: vertex -> dart used to enter it (root -> None).
-
-    Exploration follows the canonical letter order, so the tree, and
-    everything derived from it, is deterministic.
-    """
-    tree = {root: None}
-    queue = [root]
-    letters = graph.alphabet.letters()
-    while queue:
-        v = queue.pop(0)
-        for l in letters:
-            d = graph.out_dart(v, l)
-            if d is not None:
-                w = graph.dst(d)
-                if w not in tree:
-                    tree[w] = d
-                    queue.append(w)
-    return tree
-
-
 def _word_to(graph, tree, v):
     letters = []
     while tree[v] is not None:
@@ -124,7 +103,7 @@ def _word_to(graph, tree, v):
 def subgroup_basis(h):
     """A free basis of the subgroup: one word per non-tree geometric edge."""
     g = h.graph
-    tree = spanning_tree(g, h.base)
+    tree = g.bfs_tree(h.base)
     tree_edges = {d >> 1 for d in tree.values() if d is not None}
     basis = []
     for k, (s, d, l) in enumerate(g.geometric_edges()):

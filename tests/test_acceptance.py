@@ -13,7 +13,6 @@ from prodsep.covers import enumerate_expansions, expand_to_cover, transition_gro
 from prodsep.errors import CapExceeded
 from prodsep.extensions import (
     build_extension,
-    level_order_bound,
     traversal_element,
 )
 from prodsep.rational import member_product
@@ -213,7 +212,7 @@ def test_criterion_7_three_factor_smoke():
         parts = [subgroup_word(rng, gens, 3) for gens in subgroups]
         w = free_reduce(parts[0] + parts[1] + parts[2])
         ctx = _build_context(A, subgroups, w, None)
-        assert level_order_bound(ctx.chain.level(1), cap=10 ** 6) <= 10 ** 6
+        assert ctx.chain.level(1).order(cap=10 ** 6) <= 10 ** 6
         stats = FactorizeStats()
         result = factorize(A, subgroups, w, seeds=parts, stats=stats)
         assert result is not None

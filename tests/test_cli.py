@@ -88,6 +88,12 @@ class TestGroupSpec:
         for x in A.positive_letters():
             assert back.perm(x) == g.perm(x)
 
+    def test_bad_carrier_and_alphabet_name_their_line(self):
+        with pytest.raises(ProblemParseError, match="line 2"):
+            parse_group_spec("alphabet: x\ncarrier: two\nx: (0 1)\n")
+        with pytest.raises(ProblemParseError, match="line 1"):
+            parse_group_spec("alphabet: X\ncarrier: 2\nX: (0 1)\n")
+
 
 class TestCertificates:
     def test_hall_round_trip(self):
@@ -180,6 +186,7 @@ class TestCliCommands:
         assert "group part" in capsys.readouterr().out
         assert main(["ext", "check-star", str(spec_path), "--count", "25"]) == 0
         assert "25/25 passed" in capsys.readouterr().out
+        assert main(["ext", "eval", str(spec_path), "x", "--prime", "1" + "0" * 400]) == 3
 
     def test_separate_hall_verify_loop(self, hall_file, tmp_path, capsys):
         cert = tmp_path / "hall.cert"
@@ -187,6 +194,14 @@ class TestCliCommands:
         capsys.readouterr()
         assert main(["verify", str(cert)]) == 0
         assert "verified" in capsys.readouterr().out
+
+    def test_verify_hall_without_subgroup_is_input_error(self, tmp_path, capsys):
+        text = emit_certificate(hall_separator(A, [A.parse("x")], A.parse("y")))
+        cert = tmp_path / "hall.cert"
+        cert.write_text("".join(l for l in text.splitlines(keepends=True)
+                                if not l.startswith("subgroup ")))
+        assert main(["verify", str(cert)]) == 3
+        assert "subgroup" in capsys.readouterr().err
 
     def test_separate_product_verify_loop(self, product_file, tmp_path, capsys):
         cert = tmp_path / "prod.cert"

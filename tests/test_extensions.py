@@ -5,16 +5,12 @@ import pytest
 from prodsep.covers import expand_to_cover, transition_group
 from prodsep.errors import CapExceeded
 from prodsep.extensions import (
-    BaseLevel,
     build_extension,
-    cayley_graph_ext,
     iterated_extension,
-    level_order_bound,
-    materialize_level,
     signed_traversals,
     traversal_element,
 )
-from prodsep.groups import XGroup
+from prodsep.groups import XGroup, cayley_graph
 from prodsep.stallings import stallings_graph
 from prodsep.words import Alphabet, free_reduce, invert
 
@@ -47,7 +43,7 @@ class TestBuildExtension:
         g = ext.gen(1)
         assert g != ext.identity
         assert ext.mult(g, g) == ext.identity
-        assert len(materialize_level(ext)) == 2
+        assert len(ext.elements()) == 2
 
     def test_generators_project_to_group_generators(self):
         ext = build_extension(KLEIN, 2)
@@ -65,6 +61,8 @@ class TestBuildExtension:
     def test_rejects_non_prime(self):
         with pytest.raises(ValueError):
             build_extension(KLEIN, 4)
+        with pytest.raises(ValueError):  # too large for a float square root
+            build_extension(Z2, 10 ** 400)
 
 
 class TestSignedTraversals:
@@ -139,7 +137,7 @@ class TestTraversalIdentity:
 class TestIteratedExtension:
     def test_empty_chain_is_the_group(self):
         chain = iterated_extension(KLEIN, [])
-        assert isinstance(chain.top, BaseLevel)
+        assert chain.top is KLEIN
         assert chain.evaluate(A.parse("xy")) == KLEIN.evaluate(A.parse("xy"))
 
     def test_single_prime_matches_build_extension(self):
@@ -169,27 +167,27 @@ class TestMaterialization:
     def test_order_formula_exact(self):
         for group, p in [(Z2, 2), (Z2, 3), (KLEIN, 2)]:
             ext = build_extension(group, p)
-            expected = level_order_bound(ext, cap=10 ** 7)
-            assert len(materialize_level(ext, cap=10 ** 7)) == expected
+            expected = ext.order(cap=10 ** 7)
+            assert len(ext.elements(cap=10 ** 7)) == expected
 
     def test_order_divides_bound(self):
         # |G^(p)| divides |G| * p^(|X| * |G|)
         ext = build_extension(KLEIN, 2)
-        n = len(materialize_level(ext, cap=10 ** 7))
+        n = len(ext.elements(cap=10 ** 7))
         assert (KLEIN.order() * 2 ** (A.size * KLEIN.order())) % n == 0
 
     def test_cap_exceeded_mentions_computed_order(self):
         ext = build_extension(KLEIN, 2)
         with pytest.raises(CapExceeded) as info:
-            materialize_level(ext, cap=10)
+            ext.elements(cap=10)
         assert "128" in str(info.value) or "2^" in str(info.value)
 
     def test_cayley_graph_of_extension(self):
         ext = build_extension(Z2, 2)
-        cg = cayley_graph_ext(ext, cap=1000)
+        cg = cayley_graph(ext, cap=1000)
         assert cg.graph.is_covering()
         assert cg.graph.is_connected()
-        assert cg.graph.num_vertices == level_order_bound(ext, cap=1000)
+        assert cg.graph.num_vertices == ext.order(cap=1000)
         # tracing a word lands on its symbolic value
         w = Ax.parse("xxX")
         path = cg.graph.trace(cg.base, w)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from prodsep.certificates import emit_certificate, parse_certificate, verify_certificate
 from prodsep.errors import CapExceeded
 from prodsep.extensions import iterated_extension
 from prodsep.groups import XGroup
@@ -187,7 +188,7 @@ class TestProductSeparator:
     def test_non_member_excluded(self):
         wit = product_separator(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xy"))
         assert wit.excluded is True
-        assert not wit.partial
+        assert wit.product_image_size is not None
 
     def test_member_not_excluded(self):
         wit = product_separator(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xxyy"))
@@ -201,8 +202,20 @@ class TestProductSeparator:
     def test_partial_when_capped(self):
         wit = product_separator(A, [[A.parse("x"), A.parse("y")], [A.parse("yy")]],
                                 A.parse("xy"), cap=8)
-        assert wit.partial
+        assert wit.product_image_size is None
         assert wit.excluded is None
+
+    def test_excluded_with_product_too_large_to_size(self):
+        # the images enumerate under the cap but their product bound does not
+        wit = product_separator(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xy"),
+                                cap=3)
+        assert wit.excluded is True
+        assert wit.product_image_size is None
+        text = emit_certificate(wit)
+        assert "status: excluded" in text
+        assert "product size:" not in text
+        ok, _ = verify_certificate(parse_certificate(text))
+        assert ok
 
     def test_prime_list_length_enforced(self):
         with pytest.raises(ValueError):
