@@ -15,6 +15,7 @@ from .separators import (
     Factorization,
     SeparatorWitness,
     _product_member,
+    _product_with_witness,
     image_subgroup,
 )
 from .stallings import contains, stallings_graph
@@ -121,6 +122,9 @@ def emit_certificate(obj, alphabet=None, subgroups=None, word=None):
     return "\n".join(lines) + "\n"
 
 
+STATUSES = ("excluded", "member", "partial")
+
+
 def parse_certificate(text):
     rows = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -132,7 +136,7 @@ def parse_certificate(text):
         key, value = (part.strip() for part in line.split(":", 1))
         rows.append((line_no, key, value))
     if not rows or rows[0][1] != "certificate":
-        raise ProblemParseError(rows[0][0] if rows else 0,
+        raise ProblemParseError(rows[0][0] if rows else None,
                                 "certificate files start with 'certificate: <kind>'")
     kind = rows[0][2]
     fields = {}
@@ -141,58 +145,60 @@ def parse_certificate(text):
         fields.setdefault(key, []).append((line_no, value))
         order.append(key)
 
-    def one(key, required=True):
+    def one(key, convert=str, required=True):
+        """The field's first value through convert; errors name its line."""
         if key not in fields:
             if required:
-                raise ProblemParseError(0, f"missing field {key!r}")
+                raise ProblemParseError(None, f"missing field {key!r}")
             return None
-        return fields[key][0][1]
+        line_no, value = fields[key][0]
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise ProblemParseError(line_no, f"bad {key}: {exc}") from None
 
-    alphabet = Alphabet(one("alphabet"))
-    word = alphabet.parse(one("word"))
+    def words(value):
+        return tuple(alphabet.parse(tok) for tok in value.split(","))
+
+    def integers(value):
+        return tuple(int(tok) for tok in value.split(",") if tok.strip())
+
+    alphabet = one("alphabet", Alphabet)
+    word = one("word", alphabet.parse)
 
     def subgroup_rows():
-        out = []
-        for key in dict.fromkeys(order):
-            if key.startswith("subgroup "):
-                value = fields[key][0][1]
-                out.append(tuple(alphabet.parse(tok) for tok in value.split(",")))
-        return tuple(out)
+        return tuple(one(key, words) for key in dict.fromkeys(order)
+                     if key.startswith("subgroup "))
 
     def perm_rows(carrier):
-        out = []
-        for s in alphabet.symbols:
-            key = f"perm {s}"
-            if key not in fields:
-                raise ProblemParseError(0, f"missing field {key!r}")
-            out.append(parse_perm(fields[key][0][1], carrier))
-        return tuple(out)
+        return tuple(one(f"perm {s}", lambda value: parse_perm(value, carrier))
+                     for s in alphabet.symbols)
 
     if kind == "hall":
         subgroups = subgroup_rows()
         if not subgroups:
-            raise ProblemParseError(0, "missing field 'subgroup H1'")
-        carrier = int(one("carrier"))
+            raise ProblemParseError(None, "missing field 'subgroup H1'")
+        carrier = one("carrier", int)
         return HallCertificate(alphabet, subgroups[0], word, carrier,
-                               int(one("base")), perm_rows(carrier))
+                               one("base", int), perm_rows(carrier))
     if kind == "product-separator":
-        carrier = int(one("carrier"))
-        primes = tuple(int(tok) for tok in one("primes").split(",") if tok.strip())
-        sizes = []
-        for key in order:
-            if key.startswith("image size "):
-                sizes.append(int(fields[key][0][1]))
-        product_size = one("product size", required=False)
+        carrier = one("carrier", int)
+        primes = one("primes", integers)
+
+        def status(value):
+            if value not in STATUSES:
+                raise ValueError(f"{value!r} is not one of {', '.join(STATUSES)}")
+            return value
+
+        sizes = tuple(one(key, int) for key in order if key.startswith("image size "))
         return ProductCertificate(
             alphabet, subgroup_rows(), word, primes, carrier, perm_rows(carrier),
-            one("status"), tuple(sizes) if sizes else None,
-            int(product_size) if product_size is not None else None)
+            one("status", status), sizes or None,
+            one("product size", int, required=False))
     if kind == "factorization":
-        factors = []
-        for key in order:
-            if key.startswith("factor "):
-                factors.append(alphabet.parse(fields[key][0][1]))
-        return FactorizationCertificate(alphabet, subgroup_rows(), word, tuple(factors))
+        factors = tuple(one(key, alphabet.parse) for key in order
+                        if key.startswith("factor "))
+        return FactorizationCertificate(alphabet, subgroup_rows(), word, factors)
     raise ProblemParseError(rows[0][0], f"unknown certificate kind {kind!r}")
 
 
@@ -231,6 +237,17 @@ def verify_certificate(cert, cap=DEFAULT_CAP):
             actual = tuple(len(img) for img in images)
             if actual != cert.image_sizes:
                 return False, [f"stated image sizes {cert.image_sizes} != {actual}"]
+        if cert.product_size is not None:
+            if len(images) == 2:
+                common = len(images[0].keys() & images[1].keys())
+                size = len(images[0]) * len(images[1]) // common
+            else:
+                try:
+                    size = len(_product_with_witness(top, images, cap))
+                except CapExceeded:
+                    return False, ["image product exceeded the cap during verification"]
+            if size != cert.product_size:
+                return False, [f"stated product size {cert.product_size} != {size}"]
         member = _product_member(top, images, target, cap) is not None
         if cert.status == "excluded" and member:
             return False, ["word image found inside the image product"]

@@ -36,7 +36,7 @@ def _problem(path):
 def _first_subgroup(problem):
     groups = problem.subgroup_list()
     if not groups:
-        raise ProblemParseError(0, "the file declares no subgroup")
+        raise ProblemParseError(None, "the file declares no subgroup")
     return groups[0]
 
 
@@ -44,7 +44,7 @@ def _the_word(problem, arg):
     if arg is not None:
         return problem.alphabet.parse(arg)
     if problem.word is None:
-        raise ProblemParseError(0, "no word given on the command line or in the file")
+        raise ProblemParseError(None, "no word given on the command line or in the file")
     return problem.word
 
 

@@ -22,8 +22,10 @@ from .words import Alphabet
 
 
 class ProblemParseError(ValueError):
+    """Malformed input; line_no is None when no single line is at fault."""
+
     def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -85,7 +87,7 @@ def parse_problem(text):
             subgroups[key] = [_parse_word(alphabet, tok, line_no)
                               for tok in value.split(",")]
     if alphabet is None:
-        raise ProblemParseError(0, "missing alphabet declaration")
+        raise ProblemParseError(None, "missing alphabet declaration")
     return Problem(alphabet, {name: tuple(gens) for name, gens in subgroups.items()},
                    word, primes)
 
@@ -129,10 +131,10 @@ def parse_group_spec(text):
             except ValueError as exc:
                 raise ProblemParseError(line_no, str(exc)) from None
     if alphabet is None or carrier is None:
-        raise ProblemParseError(0, "missing alphabet or carrier")
+        raise ProblemParseError(None, "missing alphabet or carrier")
     missing = [s for s in alphabet.symbols if s not in perms]
     if missing:
-        raise ProblemParseError(0, f"missing permutation for {missing[0]!r}")
+        raise ProblemParseError(None, f"missing permutation for {missing[0]!r}")
     return XGroup(alphabet, [perms[s] for s in alphabet.symbols])
 
 

@@ -19,6 +19,7 @@ done symbolically on traced paths, so the recursion never materializes an
 extension level.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -266,8 +267,12 @@ def image_subgroup(level, generators, cap=DEFAULT_CAP):
 
 def _product_with_witness(level, images, cap):
     """Image of the set product, each element with one witness per factor."""
-    out = {level.identity: ()}
-    for img in images:
+    if not images:
+        return {level.identity: ()}
+    if len(images[0]) > cap:
+        raise CapExceeded(f"product image has more than {cap} elements", limit=cap)
+    out = {e: (w,) for e, w in images[0].items()}
+    for img in images[1:]:
         nxt = {}
         for pe, pw in out.items():
             for ae, aw in img.items():
@@ -304,8 +309,45 @@ def _row_reduce(vec, basis, prime):
     return None
 
 
-def image_subgroup_order(level, generators, cap=DEFAULT_CAP):
-    """Exact order of the image subgroup, without enumerating it.
+def _subtract(vec, other, prime):
+    """vec -= other over GF(p), in place on the dict vec."""
+    for k, v in other.items():
+        n = (vec.get(k, 0) - v) % prime
+        if n:
+            vec[k] = n
+        elif k in vec:
+            del vec[k]
+
+
+@dataclass(frozen=True)
+class ImageStructure:
+    """The image of a subgroup at a chain level, held without enumerating it.
+
+    At an extension level the image is {(lifts[b] + k, b)}: b runs over the
+    image one level down, lifts[b] is the vector of one chosen lift of b,
+    and k runs over the GF(p) span of the pivot-keyed kernel rows in
+    ``basis``.  At level 0 (a permutation group) ``lifts`` is the closure
+    itself, ``basis`` is empty and ``prime`` is None.
+    """
+    lifts: dict
+    basis: dict
+    prime: int
+    order: int
+
+    def __contains__(self, elem):
+        if self.prime is None:
+            return elem in self.lifts
+        vec, b = elem
+        lift = self.lifts.get(b)
+        if lift is None:
+            return False
+        diff = dict(vec)
+        _subtract(diff, lift, self.prime)
+        return _row_reduce(diff, self.basis, self.prime) is None
+
+
+def image_structure(level, generators, cap=DEFAULT_CAP):
+    """The image subgroup's structure, with its exact order.
 
     At an extension level the image is an extension of the image one level
     down by the span of its Schreier-generator vectors, so the order is
@@ -314,7 +356,8 @@ def image_subgroup_order(level, generators, cap=DEFAULT_CAP):
     """
     steps = [img for img, _ in _generator_steps(level, generators)]
     if isinstance(level, XGroup):
-        return len(closure(level.identity, steps, level.mult, cap, "subgroup image"))
+        tree = closure(level.identity, steps, level.mult, cap, "subgroup image")
+        return ImageStructure(tree, {}, None, len(tree))
     below = level.below
     prime = level.prime
     # walk the image one level down carrying a chosen lift vector per
@@ -342,12 +385,7 @@ def image_subgroup_order(level, generators, cap=DEFAULT_CAP):
                 lifts[nb] = nvec
                 queue.append(nb)
             else:
-                for k, v in known.items():
-                    n = (nvec.get(k, 0) - v) % prime
-                    if n:
-                        nvec[k] = n
-                    elif k in nvec:
-                        del nvec[k]
+                _subtract(nvec, known, prime)
                 added = _row_reduce(nvec, basis, prime)
                 if added is not None:
                     basis[added[0]] = added[1]
@@ -358,7 +396,12 @@ def image_subgroup_order(level, generators, cap=DEFAULT_CAP):
     order = len(lifts) * prime ** len(basis)
     if order > cap:
         raise CapExceeded(f"image order {order} exceeds {cap}", limit=cap)
-    return order
+    return ImageStructure(lifts, basis, prime, order)
+
+
+def image_subgroup_order(level, generators, cap=DEFAULT_CAP):
+    """Exact order of the image subgroup, without enumerating it."""
+    return image_structure(level, generators, cap).order
 
 
 # -- witnesses ----------------------------------------------------------------
@@ -480,8 +523,8 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
     """The extension-chain quotient for a product coset, with its certificate.
 
     The certificate is completed (``excluded`` set) when every factor's
-    image subgroup enumerates under the cap; otherwise it is returned with
-    ``excluded`` None.
+    image subgroup, and for three or more factors their set product,
+    stays under the cap; otherwise it is returned with ``excluded`` None.
     """
     ctx = _build_context(alphabet, subgroups, word, primes)
     top = ctx.chain.top
@@ -493,32 +536,91 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
         word_image=word_image, generator_images=gen_images)
     try:
         # exact orders first: proves cap-exceedance without enumerating
-        sizes = tuple(image_subgroup_order(top, gens, cap) for gens in ctx.subgroups)
-        images = [image_subgroup(top, gens, cap) for gens in ctx.subgroups]
+        structures = [image_structure(top, gens, cap) for gens in ctx.subgroups]
+        if len(structures) == 2:
+            excluded, size = _two_factor_product(top, ctx.subgroups, structures,
+                                                 word_image, cap)
+        else:
+            excluded, size = _set_product(top, ctx.subgroups, structures,
+                                          word_image, cap)
     except CapExceeded:
         return witness
-    if tuple(len(img) for img in images) != sizes:
-        raise InternalInvariantError("image enumeration disagrees with its order")
-    witness.factor_image_sizes = sizes
-    witness.excluded = _product_member(top, images, word_image, cap) is None
-    size = 1
-    for img in images:
-        size *= len(img)
-    if size <= cap:  # every partial product is then under the cap as well
-        witness.product_image_size = len(_product_with_witness(top, images, cap))
+    witness.factor_image_sizes = tuple(st.order for st in structures)
+    witness.excluded = excluded
+    witness.product_image_size = size
     return witness
 
 
+def _enumerate_image(level, generators, structure, cap):
+    image = image_subgroup(level, generators, cap)
+    if len(image) != structure.order:
+        raise InternalInvariantError("image enumeration disagrees with its order")
+    return image
+
+
+def _two_factor_product(level, subgroups, structures, target, cap):
+    """(excluded, product size or None) for two factors, enumerating one image.
+
+    Only the smaller image S (the first on a tie) is enumerated; the larger
+    image L is tested through its structure.  S is a subgroup, so the
+    target lies in S*L iff s*target lies in L for some s in S, and in L*S
+    iff target*s does.  The product has |S| |L| / |S & L| elements; it is
+    sized only when |S| |L| is within the cap.
+    """
+    first = structures[0].order <= structures[1].order
+    i = 0 if first else 1
+    small = _enumerate_image(level, subgroups[i], structures[i], cap)
+    large = structures[1 - i]
+    if first:
+        excluded = not any(level.mult(s, target) in large for s in small)
+    else:
+        excluded = not any(level.mult(target, s) in large for s in small)
+    size = None
+    bound = structures[0].order * structures[1].order
+    if bound <= cap:
+        size = bound // sum(1 for s in small if s in large)
+    return excluded, size
+
+
+def _set_product(level, subgroups, structures, target, cap):
+    """(excluded, product size or None) by enumerating every image."""
+    images = [_enumerate_image(level, gens, st, cap)
+              for gens, st in zip(subgroups, structures)]
+    excluded = _product_member(level, images, target, cap) is None
+    size = None
+    if math.prod(st.order for st in structures) <= cap:
+        # every partial product is then under the cap as well
+        size = len(_product_with_witness(level, images, cap))
+    return excluded, size
+
+
 def _product_member(level, images, target, cap):
-    """Meet in the middle: one witness per factor whose product is target, or None."""
+    """Meet in the middle: one witness per factor whose product is target, or None.
+
+    The witness is the hit earliest in the left side's order, whichever
+    side the search loops over.
+    """
     mid = max(1, len(images) // 2)
     left = _product_with_witness(level, images[:mid], cap)
     right = _product_with_witness(level, images[mid:], cap)
-    for l, lwits in left.items():
-        rwits = right.get(level.mult(level.inv(l), target))
-        if rwits is not None:
-            return lwits + rwits
-    return None
+    if len(left) <= len(right):
+        for l, lwits in left.items():
+            rwits = right.get(level.mult(level.inv(l), target))
+            if rwits is not None:
+                return lwits + rwits
+        return None
+    hits = {}
+    for r, rwits in right.items():
+        l = level.mult(target, level.inv(r))
+        if l in left:
+            hits[l] = rwits
+    if not hits:
+        return None
+    if len(hits) > 1:
+        l = next(e for e in left if e in hits)
+    else:
+        (l,) = hits
+    return left[l] + hits[l]
 
 
 # -- factorization ------------------------------------------------------------

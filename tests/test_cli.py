@@ -93,6 +93,8 @@ class TestGroupSpec:
             parse_group_spec("alphabet: x\ncarrier: two\nx: (0 1)\n")
         with pytest.raises(ProblemParseError, match="line 1"):
             parse_group_spec("alphabet: X\ncarrier: 2\nX: (0 1)\n")
+        with pytest.raises(ProblemParseError, match="^missing alphabet or carrier$"):
+            parse_group_spec("alphabet: x\n")
 
 
 class TestCertificates:
@@ -151,6 +153,65 @@ class TestCertificates:
         ok, _ = verify_certificate(parse_certificate(mutated))
         assert not ok
 
+    def test_tampered_product_size_rejected(self):
+        wit = product_separator(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xy"))
+        text = emit_certificate(wit)
+        assert "product size: 4" in text
+        for repl in ["product size: 999", "product size: 2", "product size: 8"]:
+            mutated = text.replace("product size: 4", repl)
+            ok, _ = verify_certificate(parse_certificate(mutated))
+            assert not ok, repl
+
+    def test_tampered_three_factor_product_size_rejected(self):
+        wit = product_separator(A, [[A.parse("xx")], [A.parse("yy")], [A.parse("xx")]],
+                                A.parse("xy"))
+        text = emit_certificate(wit)
+        line = next(l for l in text.splitlines() if l.startswith("product size: "))
+        size = int(line.split(":")[1])
+        ok, _ = verify_certificate(parse_certificate(text))
+        assert ok
+        mutated = text.replace(line, f"product size: {size + 1}")
+        ok, _ = verify_certificate(parse_certificate(mutated))
+        assert not ok
+
+    def test_unknown_status_is_a_parse_error(self):
+        text = emit_certificate(
+            product_separator(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xy")))
+        line_no = text.splitlines().index("status: excluded") + 1
+        with pytest.raises(ProblemParseError, match=f"line {line_no}: .*'bogus'"):
+            parse_certificate(text.replace("status: excluded", "status: bogus"))
+
+    def test_parse_errors_name_their_line(self):
+        text = emit_certificate(
+            product_separator(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xy")))
+        lines = text.splitlines()
+        for key, bad in [("carrier", "two"), ("primes", "2, x"),
+                         ("image size 1", "2.5"), ("product size", "four"),
+                         ("perm x", "(0 1"), ("word", "xz")]:
+            line_no = next(i for i, l in enumerate(lines, start=1)
+                           if l.startswith(key + ":"))
+            mutated = "\n".join(
+                f"{key}: {bad}" if i == line_no else l
+                for i, l in enumerate(lines, start=1)) + "\n"
+            with pytest.raises(ProblemParseError, match=f"^line {line_no}: "):
+                parse_certificate(mutated)
+        hall = emit_certificate(hall_separator(A, [A.parse("x")], A.parse("y")))
+        base_line = next(l for l in hall.splitlines() if l.startswith("base:"))
+        line_no = hall.splitlines().index(base_line) + 1
+        with pytest.raises(ProblemParseError, match=f"^line {line_no}: "):
+            parse_certificate(hall.replace(base_line, "base: zero"))
+
+    def test_missing_field_names_no_line(self):
+        text = emit_certificate(
+            product_separator(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xy")))
+        for key in ["carrier", "status", "perm y", "word"]:
+            cut = "".join(l for l in text.splitlines(keepends=True)
+                          if not l.startswith(key + ":"))
+            with pytest.raises(ProblemParseError) as info:
+                parse_certificate(cut)
+            assert str(info.value) == f"missing field {key!r}"
+            assert info.value.line_no is None
+
 
 class TestCliCommands:
     def test_build_and_dot(self, hall_file, tmp_path, capsys):
@@ -208,6 +269,34 @@ class TestCliCommands:
         assert main(["separate", "product", product_file, "--out", str(cert)]) == 0
         capsys.readouterr()
         assert main(["verify", str(cert)]) == 0
+
+    def test_verify_unknown_status_is_input_error(self, product_file, tmp_path, capsys):
+        cert = tmp_path / "prod.cert"
+        assert main(["separate", "product", product_file, "--out", str(cert)]) == 0
+        cert.write_text(cert.read_text().replace("status: excluded", "status: bogus"))
+        capsys.readouterr()
+        assert main(["verify", str(cert)]) == 3
+        assert "bogus" in capsys.readouterr().err
+
+    def test_verify_malformed_number_is_input_error(self, product_file, tmp_path, capsys):
+        cert = tmp_path / "prod.cert"
+        assert main(["separate", "product", product_file, "--out", str(cert)]) == 0
+        lines = cert.read_text().splitlines(keepends=True)
+        line_no = next(i for i, l in enumerate(lines, start=1) if l.startswith("carrier:"))
+        lines[line_no - 1] = "carrier: two\n"
+        cert.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["verify", str(cert)]) == 3
+        assert f"line {line_no}: bad carrier: " in capsys.readouterr().err
+
+    def test_three_factor_product_cap_is_partial(self, tmp_path, capsys):
+        # the meet-in-the-middle product set outgrows the cap although
+        # every factor image fits under it
+        path = tmp_path / "three.txt"
+        path.write_text("alphabet: xy\nH1: X\nH2: Yx\nH3: x\nword: XY\n")
+        assert main(["separate", "product", str(path), "--cap", "20"]) == 2
+        out = capsys.readouterr().out
+        assert "partial" in out and "status: partial" in out
 
     def test_factorize_verify_loop(self, product_file, tmp_path, capsys):
         cert = tmp_path / "f.cert"

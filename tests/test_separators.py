@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -11,9 +13,12 @@ from prodsep.separators import (
     FactorizeStats,
     SpineCertificate,
     _build_context,
+    _product_member,
+    _product_with_witness,
     common_spine,
     factorize,
     hall_separator,
+    image_structure,
     image_subgroup,
     kernel_loop_word,
     product_separator,
@@ -217,6 +222,17 @@ class TestProductSeparator:
         ok, _ = verify_certificate(parse_certificate(text))
         assert ok
 
+    def test_three_factor_product_over_cap_is_undecided(self):
+        # every image fits under the cap, the meet-in-the-middle product set does not
+        H = [[A.parse("X")], [A.parse("Yx")], [A.parse("x")]]
+        wit = product_separator(A, H, A.parse("XY"), cap=20)
+        assert wit.excluded is None
+        assert wit.product_image_size is None
+        text = emit_certificate(wit)
+        assert "status: partial" in text
+        ok, _ = verify_certificate(parse_certificate(text))
+        assert ok
+
     def test_prime_list_length_enforced(self):
         with pytest.raises(ValueError):
             product_separator(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xy"),
@@ -389,3 +405,143 @@ def test_three_factor_scramble_stress_exercises_both_eta_branches():
     assert total.cuts == 60
     assert total.prefix_spines > 0
     assert total.bfs_spines > 0
+
+
+def reference_product(level, images):
+    """The set product by the plain loop, each element with its factor witnesses."""
+    out = {level.identity: ()}
+    for img in images:
+        nxt = {}
+        for pe, pw in out.items():
+            for ae, aw in img.items():
+                nxt.setdefault(level.mult(pe, ae), pw + (aw,))
+        out = nxt
+    return out
+
+
+def reference_member(level, images, target):
+    """The meet-in-the-middle witness by the plain left-side loop."""
+    mid = max(1, len(images) // 2)
+    left = reference_product(level, images[:mid])
+    right = reference_product(level, images[mid:])
+    for l, lwits in left.items():
+        rwits = right.get(level.mult(level.inv(l), target))
+        if rwits is not None:
+            return lwits + rwits
+    return None
+
+
+def chain_levels():
+    """Every level of 1- and 2-prime chains over two small groups, p in {2, 3}."""
+    z2 = XGroup(A, [(1, 0), (1, 0)])
+    out = []
+    for base in (KLEIN, z2):
+        for primes in ((2,), (3,), (2, 2), (3, 2), (2, 3)):
+            out.extend(iterated_extension(base, primes).levels)
+    return out
+
+
+class TestImageStructure:
+    """The structure against the enumerated image, which is the reference."""
+
+    def test_order_and_membership_match_enumeration(self):
+        rng = random.Random(307)
+        checked = outside = 0
+        for level in chain_levels():
+            for _ in range(6):
+                gens = random_gens(rng, max_gens=2, max_len=4)
+                try:
+                    image = image_subgroup(level, gens, cap=1500)
+                except CapExceeded:
+                    with pytest.raises(CapExceeded):
+                        image_structure(level, gens, cap=1500)
+                    continue
+                st = image_structure(level, gens, cap=1500)
+                assert st.order == len(image)
+                assert all(elem in st for elem in image)
+                for _ in range(40):
+                    if rng.random() < 0.3:
+                        w = subgroup_word(rng, gens, 4)
+                    else:
+                        w = random_reduced(rng, 0, 8)
+                    elem = level.evaluate(w)
+                    assert (elem in st) == (elem in image)
+                    outside += elem not in image
+                checked += 1
+        assert checked >= 40
+        assert outside > 100
+
+    def test_base_level_structure_is_the_closure(self):
+        st = image_structure(KLEIN, [A.parse("x")])
+        assert st.basis == {} and st.prime is None
+        assert set(st.lifts) == set(image_subgroup(KLEIN, [A.parse("x")]))
+        assert KLEIN.evaluate(A.parse("X")) in st
+        assert KLEIN.evaluate(A.parse("y")) not in st
+
+    def test_cap(self):
+        level = iterated_extension(KLEIN, [2]).top
+        with pytest.raises(CapExceeded):
+            image_structure(level, [A.parse("x"), A.parse("y")], cap=100)
+
+
+class TestProductAgainstEnumeration:
+    """product_separator's two-factor route against the set-product route."""
+
+    def test_two_factor_exclusion_and_size(self):
+        rng = random.Random(311)
+        decided = sized = 0
+        seen = set()
+        for _ in range(120):
+            g1 = random_gens(rng, max_gens=2, max_len=4)
+            g2 = random_gens(rng, max_gens=2, max_len=4)
+            w = random_reduced(rng, 0, 6)
+            wit = product_separator(A, [g1, g2], w, cap=4096)
+            if wit.excluded is None:
+                continue
+            top = wit.chain.top
+            images = [image_subgroup(top, g, cap=4096) for g in (g1, g2)]
+            assert wit.factor_image_sizes == tuple(len(img) for img in images)
+            member = _product_member(top, images, wit.word_image, 10 ** 6)
+            assert wit.excluded == (member is None)
+            decided += 1
+            seen.add((wit.excluded, len(images[0]) <= len(images[1])))
+            if wit.product_image_size is not None:
+                assert wit.product_image_size == len(
+                    _product_with_witness(top, images, 10 ** 6))
+                sized += 1
+        assert decided >= 80 and sized >= 60
+        # members and non-members, with the smaller image first and second
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_product_member_witness_matches_reference(self):
+        rng = random.Random(313)
+        branches = set()
+        for n in (2, 2, 3) * 12:
+            subgroups = [random_gens(rng, max_gens=2, max_len=3) for _ in range(n)]
+            parts = [subgroup_word(rng, gens, 2) for gens in subgroups]
+            w = free_reduce(sum(parts, ()))
+            if rng.random() < 0.3:
+                w = random_reduced(rng, 0, 5)
+            ctx = _build_context(A, subgroups, w, None)
+            top = ctx.chain.top
+            try:
+                images = [image_subgroup(top, g, cap=1000) for g in ctx.subgroups]
+            except CapExceeded:
+                continue
+            target = top.evaluate(ctx.word)
+            got = _product_member(top, images, target, 10 ** 6)
+            assert got == reference_member(top, images, target)
+            mid = max(1, n // 2)
+            left = reduce(mul, (len(img) for img in images[:mid]), 1)
+            right = reduce(mul, (len(img) for img in images[mid:]), 1)
+            branches.add((left <= right, got is None))
+        assert branches == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_product_with_witness_matches_reference(self):
+        level = iterated_extension(KLEIN, [2, 2]).top
+        rng = random.Random(317)
+        for _ in range(10):
+            images = [image_subgroup(level, random_gens(rng, 1, 3), cap=500)
+                      for _ in range(rng.randint(0, 3))]
+            assert _product_with_witness(level, images, 10 ** 6) == \
+                reference_product(level, images)
