@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .errors import CapExceeded
 from .extensions import ExtensionChain
 from .groups import DEFAULT_CAP, XGroup, fmt_perm, parse_perm
-from .problems import ProblemParseError
+from .problems import ProblemParseError, convert, parse_integers, parse_words, read_rows
 from .separators import (
     Factorization,
     SeparatorWitness,
@@ -126,49 +126,28 @@ STATUSES = ("excluded", "member", "partial")
 
 
 def parse_certificate(text):
-    rows = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise ProblemParseError(line_no, f"expected 'key: value', got {line!r}")
-        key, value = (part.strip() for part in line.split(":", 1))
-        rows.append((line_no, key, value))
+    rows = list(read_rows(text, unique=True))
     if not rows or rows[0][1] != "certificate":
         raise ProblemParseError(rows[0][0] if rows else None,
                                 "certificate files start with 'certificate: <kind>'")
     kind = rows[0][2]
-    fields = {}
-    order = []
-    for line_no, key, value in rows[1:]:
-        fields.setdefault(key, []).append((line_no, value))
-        order.append(key)
+    fields = {key: (line_no, value) for line_no, key, value in rows[1:]}
 
-    def one(key, convert=str, required=True):
-        """The field's first value through convert; errors name its line."""
+    def one(key, parse=str, required=True):
+        """The field's value through parse; errors name its line."""
         if key not in fields:
             if required:
                 raise ProblemParseError(None, f"missing field {key!r}")
             return None
-        line_no, value = fields[key][0]
-        try:
-            return convert(value)
-        except ValueError as exc:
-            raise ProblemParseError(line_no, f"bad {key}: {exc}") from None
-
-    def words(value):
-        return tuple(alphabet.parse(tok) for tok in value.split(","))
-
-    def integers(value):
-        return tuple(int(tok) for tok in value.split(",") if tok.strip())
+        line_no, value = fields[key]
+        return convert(line_no, key, value, parse)
 
     alphabet = one("alphabet", Alphabet)
     word = one("word", alphabet.parse)
 
     def subgroup_rows():
-        return tuple(one(key, words) for key in dict.fromkeys(order)
-                     if key.startswith("subgroup "))
+        return tuple(one(key, lambda value: parse_words(alphabet, value))
+                     for key in fields if key.startswith("subgroup "))
 
     def perm_rows(carrier):
         return tuple(one(f"perm {s}", lambda value: parse_perm(value, carrier))
@@ -183,20 +162,20 @@ def parse_certificate(text):
                                one("base", int), perm_rows(carrier))
     if kind == "product-separator":
         carrier = one("carrier", int)
-        primes = one("primes", integers)
+        primes = one("primes", parse_integers)
 
         def status(value):
             if value not in STATUSES:
                 raise ValueError(f"{value!r} is not one of {', '.join(STATUSES)}")
             return value
 
-        sizes = tuple(one(key, int) for key in order if key.startswith("image size "))
+        sizes = tuple(one(key, int) for key in fields if key.startswith("image size "))
         return ProductCertificate(
             alphabet, subgroup_rows(), word, primes, carrier, perm_rows(carrier),
             one("status", status), sizes or None,
             one("product size", int, required=False))
     if kind == "factorization":
-        factors = tuple(one(key, alphabet.parse) for key in order
+        factors = tuple(one(key, alphabet.parse) for key in fields
                         if key.startswith("factor "))
         return FactorizationCertificate(alphabet, subgroup_rows(), word, factors)
     raise ProblemParseError(rows[0][0], f"unknown certificate kind {kind!r}")

@@ -13,7 +13,13 @@ from .covers import enumerate_expansions, expand_to_cover, transition_group
 from .errors import CapExceeded
 from .extensions import ExtensionChain, traversal_element
 from .groups import DEFAULT_CAP, cayley_graph, fmt_perm
-from .problems import ProblemParseError, parse_group_spec, parse_problem
+from .problems import (
+    ProblemParseError,
+    parse_group_spec,
+    parse_integers,
+    parse_problem,
+    parse_words,
+)
 from .rational import member_product
 from .separators import factorize, hall_separator, product_separator
 from .stallings import contains, stallings_graph
@@ -51,6 +57,14 @@ def _the_word(problem, arg):
 def _emit_dot(args, graph, base=None):
     if getattr(args, "dot", None):
         _write(args.dot, graph.to_dot(base=base))
+
+
+def _emit_certificate(args, obj, **context):
+    """Print the certificate block, and write it to --out when given."""
+    block = emit_certificate(obj, **context)
+    print(block, end="")
+    if args.out:
+        _write(args.out, block)
 
 
 def cmd_stallings_build(args):
@@ -112,7 +126,7 @@ def cmd_group_cayley(args):
 
 def cmd_ext_eval(args):
     group = parse_group_spec(_read(args.spec))
-    chain = ExtensionChain(group, _parse_primes(args.primes))
+    chain = ExtensionChain(group, parse_integers(args.primes))
     word = group.alphabet.parse(args.word)
     elem = chain.evaluate(word)
     for lvl in range(len(chain.levels) - 1, 0, -1):
@@ -149,17 +163,14 @@ def cmd_separate_hall(args):
     witness = hall_separator(problem.alphabet, gens, word)
     print(f"separating quotient on {witness.group.carrier} vertices, "
           f"base vertex {witness.base_vertex} moved by the word")
-    block = emit_certificate(witness)
-    print(block, end="")
-    if args.out:
-        _write(args.out, block)
+    _emit_certificate(args, witness)
     return 0
 
 
 def cmd_separate_product(args):
     problem = _problem(args.file)
     word = _the_word(problem, args.word)
-    primes = _parse_primes(args.primes) if args.primes else problem.primes
+    primes = parse_integers(args.primes) if args.primes else problem.primes
     witness = product_separator(problem.alphabet, problem.subgroup_list(), word,
                                 primes=primes, cap=args.cap)
     if witness.excluded is None:
@@ -168,10 +179,7 @@ def cmd_separate_product(args):
         print("separated: the word's image avoids the image product")
     else:
         print("not separated: the word's image lies in the image product")
-    block = emit_certificate(witness)
-    print(block, end="")
-    if args.out:
-        _write(args.out, block)
+    _emit_certificate(args, witness)
     if witness.excluded is None:
         return 2
     return 0 if witness.excluded else 1
@@ -180,21 +188,18 @@ def cmd_separate_product(args):
 def cmd_factorize(args):
     problem = _problem(args.file)
     word = _the_word(problem, args.word)
-    primes = _parse_primes(args.primes) if args.primes else problem.primes
+    primes = parse_integers(args.primes) if args.primes else problem.primes
     seeds = None
     if args.seeds:
-        seeds = tuple(problem.alphabet.parse(tok) for tok in args.seeds.split(","))
+        seeds = parse_words(problem.alphabet, args.seeds)
     result = factorize(problem.alphabet, problem.subgroup_list(), word,
                        seeds=seeds, primes=primes, cap=args.cap)
     if result is None:
         print("no factorization found")
         return 1
     print("factors: " + " * ".join(problem.alphabet.format(f) for f in result.factors))
-    block = emit_certificate(result, alphabet=problem.alphabet,
-                             subgroups=problem.subgroup_list(), word=word)
-    print(block, end="")
-    if args.out:
-        _write(args.out, block)
+    _emit_certificate(args, result, alphabet=problem.alphabet,
+                      subgroups=problem.subgroup_list(), word=word)
     return 0
 
 
@@ -214,12 +219,6 @@ def cmd_verify(args):
         print(message)
     print("verified" if ok else "REJECTED")
     return 0 if ok else 1
-
-
-def _parse_primes(text):
-    if text is None:
-        return None
-    return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
 
 
 def build_parser():

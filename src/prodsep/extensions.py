@@ -125,10 +125,6 @@ class ExtensionChain:
             levels.append(ExtensionLevel(levels[-1], p))
         self.levels = levels
         self.primes = tuple(primes)
-        self.group = group
-
-    def level(self, i):
-        return self.levels[i]
 
     @property
     def top(self):
@@ -146,7 +142,7 @@ class ExtensionChain:
         return elem
 
     def __repr__(self):
-        return f"ExtensionChain(primes={self.primes}, base={self.group!r})"
+        return f"ExtensionChain(primes={self.primes}, base={self.levels[0]!r})"
 
 
 def build_extension(group, prime):

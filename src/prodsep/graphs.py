@@ -81,17 +81,7 @@ class LabeledGraph:
         return self.num_geometric_edges - self.num_vertices + 1
 
     def component_of(self, v):
-        seen = {v}
-        queue = [v]
-        while queue:
-            u = queue.pop()
-            for e in range(self.num_darts):
-                if self._src[e] == u:
-                    w = self.dst(e)
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-        return seen
+        return set(self.bfs_tree(v))
 
     def is_connected(self):
         if self.num_vertices == 0:
@@ -205,19 +195,21 @@ class LabeledGraph:
     def bfs_tree(self, root):
         """BFS spanning tree: vertex -> dart used to enter it (root -> None).
 
-        Letters go in canonical order and the dict is in discovery order; in
-        an immersion the induced numbering is unique, which makes the derived
-        canonical form a complete isomorphism invariant of the component.
+        Letters go in canonical order, every dart of a (vertex, letter) star
+        bucket in dart order, and the dict is in discovery order; its keys
+        are the component of root.  In an immersion the induced numbering is
+        unique, which makes the derived canonical form a complete
+        isomorphism invariant of the component.
         """
         tree = {root: None}
         queue = deque([root])
         letters = self.alphabet.letters()
+        star = self.star()
         while queue:
             v = queue.popleft()
             for l in letters:
-                d = self.out_dart(v, l)
-                if d is not None:
-                    w = self.dst(d)
+                for d in star.get((v, l), ()):
+                    w = self._src[d ^ 1]
                     if w not in tree:
                         tree[w] = d
                         queue.append(w)

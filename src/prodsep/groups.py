@@ -71,15 +71,8 @@ class XGroup:
     def is_transitive(self):
         if self.carrier == 0:
             return True
-        seen = {0}
-        queue = [0]
-        while queue:
-            v = queue.pop()
-            for p in self._perms + self._inv:
-                if p[v] not in seen:
-                    seen.add(p[v])
-                    queue.append(p[v])
-        return len(seen) == self.carrier
+        orbit = closure(0, self._perms, lambda v, p: p[v], self.carrier, "orbit")
+        return len(orbit) == self.carrier
 
     def __repr__(self):
         return f"XGroup(carrier={self.carrier}, gens={[fmt_perm(p) for p in self._perms]})"

@@ -43,11 +43,13 @@ class Problem:
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
 
-def parse_problem(text):
-    alphabet = None
-    subgroups = {}
-    word = None
-    primes = None
+def read_rows(text, unique=False):
+    """(line number, key, value) for each line that is not blank or a comment.
+
+    Comments run from ``#`` to the end of the line.  With unique, a key
+    that appears a second time is an error naming that line.
+    """
+    seen = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -55,48 +57,64 @@ def parse_problem(text):
         if ":" not in line:
             raise ProblemParseError(line_no, f"expected 'key: value', got {line!r}")
         key, value = (part.strip() for part in line.split(":", 1))
+        if unique and key in seen:
+            raise ProblemParseError(line_no, f"{key} declared twice")
+        seen.add(key)
+        yield line_no, key, value
+
+
+def convert(line_no, key, value, parse):
+    """parse(value), with a ValueError reported as 'bad <key>: ...' on its line."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ProblemParseError(line_no, f"bad {key}: {exc}") from None
+
+
+def parse_integers(text):
+    """Comma-separated integers; empty items are skipped."""
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+def parse_words(alphabet, text):
+    """Comma-separated words over the alphabet."""
+    return tuple(alphabet.parse(tok) for tok in text.split(","))
+
+
+def parse_problem(text):
+    alphabet = None
+    subgroups = {}
+    word = None
+    primes = None
+    for line_no, key, value in read_rows(text):
         if key == "alphabet":
             if alphabet is not None:
                 raise ProblemParseError(line_no, "alphabet declared twice")
-            try:
-                alphabet = Alphabet(value)
-            except ValueError as exc:
-                raise ProblemParseError(line_no, str(exc)) from None
+            alphabet = convert(line_no, key, value, Alphabet)
             continue
         if alphabet is None:
             raise ProblemParseError(line_no, "alphabet must be declared first")
         if key == "word":
             if word is not None:
                 raise ProblemParseError(line_no, "word declared twice")
-            word = _parse_word(alphabet, value, line_no)
+            word = convert(line_no, key, value, alphabet.parse)
         elif key == "primes":
             if primes is not None:
                 raise ProblemParseError(line_no, "primes declared twice")
-            try:
-                primes = tuple(int(tok) for tok in value.split(",") if tok.strip())
-            except ValueError:
-                raise ProblemParseError(line_no, f"malformed primes {value!r}") from None
+            primes = convert(line_no, key, value, parse_integers)
         elif key == "gen":
-            subgroups.setdefault("H", [])
-            subgroups["H"].append(_parse_word(alphabet, value, line_no))
+            subgroups.setdefault("H", ())
+            subgroups["H"] += (convert(line_no, key, value, alphabet.parse),)
         else:
             if not _NAME_RE.match(key):
                 raise ProblemParseError(line_no, f"bad subgroup name {key!r}")
             if key in subgroups:
                 raise ProblemParseError(line_no, f"duplicate subgroup name {key!r}")
-            subgroups[key] = [_parse_word(alphabet, tok, line_no)
-                              for tok in value.split(",")]
+            subgroups[key] = convert(line_no, key, value,
+                                     lambda v: parse_words(alphabet, v))
     if alphabet is None:
         raise ProblemParseError(None, "missing alphabet declaration")
-    return Problem(alphabet, {name: tuple(gens) for name, gens in subgroups.items()},
-                   word, primes)
-
-
-def _parse_word(alphabet, token, line_no):
-    try:
-        return alphabet.parse(token)
-    except ValueError as exc:
-        raise ProblemParseError(line_no, str(exc)) from None
+    return Problem(alphabet, subgroups, word, primes)
 
 
 def parse_group_spec(text):
@@ -104,32 +122,17 @@ def parse_group_spec(text):
     alphabet = None
     carrier = None
     perms = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise ProblemParseError(line_no, f"expected 'key: value', got {line!r}")
-        key, value = (part.strip() for part in line.split(":", 1))
+    for line_no, key, value in read_rows(text, unique=True):
         if key == "alphabet":
-            try:
-                alphabet = Alphabet(value)
-            except ValueError as exc:
-                raise ProblemParseError(line_no, str(exc)) from None
+            alphabet = convert(line_no, key, value, Alphabet)
         elif key == "carrier":
-            try:
-                carrier = int(value)
-            except ValueError:
-                raise ProblemParseError(line_no, f"malformed carrier {value!r}") from None
+            carrier = convert(line_no, key, value, int)
         else:
             if alphabet is None or carrier is None:
                 raise ProblemParseError(line_no, "alphabet and carrier must come first")
             if key not in alphabet.symbols:
                 raise ProblemParseError(line_no, f"unknown generator {key!r}")
-            try:
-                perms[key] = parse_perm(value, carrier)
-            except ValueError as exc:
-                raise ProblemParseError(line_no, str(exc)) from None
+            perms[key] = convert(line_no, key, value, lambda v: parse_perm(v, carrier))
     if alphabet is None or carrier is None:
         raise ProblemParseError(None, "missing alphabet or carrier")
     missing = [s for s in alphabet.symbols if s not in perms]

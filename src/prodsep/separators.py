@@ -92,53 +92,38 @@ def span_of(path):
     return PathSpan(vertices, edges, path)
 
 
-def _component(vertices, edges, start):
-    """Component of start in the subgraph; returns (vertex set, edge dict)."""
+def _search(edges, start):
+    """BFS of the subgraph spanned by edges: vertex -> (previous vertex, letter).
+
+    start maps to None and the keys are the component of start.  Steps go
+    in canonical letter order, so the path _path_to reads back is a
+    deterministic shortest path.
+    """
     adj = {}
-    for key, (u, v) in edges.items():
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    comp = {start}
-    queue = [start]
-    while queue:
-        u = queue.pop()
-        for v in adj.get(u, ()):
-            if v not in comp:
-                comp.add(v)
-                queue.append(v)
-    kept = {key: ends for key, ends in edges.items() if ends[0] in comp}
-    return comp, kept
-
-
-def _bfs_path(level, vertices, edges, start, end):
-    """Deterministic shortest path inside the subgraph, as a CayleyPath."""
-    adj = {v: [] for v in vertices}
-    for (src, x), (u, v) in edges.items():
-        adj[u].append((x, v))
-        adj[v].append((-x, u))
-    for v in adj:
-        adj[v].sort(key=lambda step: (letter_sort_key(step[0]), step[1]))
+    for (_, x), (u, v) in edges.items():
+        adj.setdefault(u, []).append((x, v))
+        adj.setdefault(v, []).append((-x, u))
     back = {start: None}
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        if u == end:
-            break
-        for l, v in adj[u]:
+        for l, v in sorted(adj.get(u, ()),
+                           key=lambda step: (letter_sort_key(step[0]), step[1])):
             if v not in back:
                 back[v] = (u, l)
                 queue.append(v)
-    if end not in back:
-        return None
+    return back
+
+
+def _path_to(level, back, end):
+    """The search's path to end, as a CayleyPath."""
     letters = []
     verts = [end]
-    cur = end
-    while back[cur] is not None:
-        prev, l = back[cur]
+    while back[verts[-1]] is not None:
+        prev, l = back[verts[-1]]
         letters.append(l)
         verts.append(prev)
-        cur = prev
-    return CayleyPath(level, start, tuple(reversed(letters)), tuple(reversed(verts)))
+    return CayleyPath(level, verts[-1], tuple(reversed(letters)), tuple(reversed(verts)))
 
 
 # -- common spine -------------------------------------------------------------
@@ -167,14 +152,9 @@ def common_spine(delta1, delta2, start, end, prime=None):
     the second span whose net traversal count is nonzero mod p.
     """
     common_edges = {k: ends for k, ends in delta1.edges.items() if k in delta2.edges}
-    common_vertices = delta1.vertices & delta2.vertices
-    level = delta1.path.level
-    omega, omega_edges = _component(common_vertices, common_edges, start)
+    omega = _search(common_edges, start)
     if end in omega:
-        spine = _bfs_path(level, omega, omega_edges, start, end)
-        if spine is None:
-            raise InternalInvariantError("end in component but no path found")
-        return spine
+        return _path_to(delta1.path.level, omega, end)
     path = delta1.path
     in_idx, out_idx = [], []
     for i in range(len(path.word)):
@@ -494,25 +474,25 @@ def _build_context(alphabet, subgroups, word, primes):
 
 
 def hall_separator(alphabet, generators, word):
-    """A finite quotient separating a non-member word from one subgroup."""
-    h = stallings_graph(alphabet, generators)
-    w = free_reduce(word)
-    if contains(h, w):
+    """A finite quotient separating a non-member word from one subgroup.
+
+    This is the construction for n = 1: the chain is the transition group
+    of the cover of S(H) with the word attached.
+    """
+    ctx = _build_context(alphabet, [generators], word, ())
+    base = ctx.attached.omega
+    if ctx.attached.alpha == base:
         raise ValueError("the word lies in the subgroup; nothing separates it")
-    att = attach_word(h, w)
-    cover = expand_to_cover(att.graph)
-    group = transition_group(cover)
-    base = att.omega
-    gens = tuple(free_reduce(g) for g in generators)
-    word_image = group.evaluate(w)
-    gen_images = tuple(group.evaluate(g) for g in gens)
+    group = ctx.chain.top
+    word_image = group.evaluate(ctx.word)
+    gen_images = tuple(group.evaluate(g) for g in ctx.subgroups[0])
     if word_image[base] == base:
         raise InternalInvariantError("word image fixes the base vertex")
     if any(img[base] != base for img in gen_images):
         raise InternalInvariantError("a generator image moves the base vertex")
     return SeparatorWitness(
-        kind="hall", alphabet=alphabet, subgroups=(gens,), word=w, primes=(),
-        group=group, base_vertex=base, word_image=word_image,
+        kind="hall", alphabet=alphabet, subgroups=ctx.subgroups, word=ctx.word,
+        primes=(), group=group, base_vertex=base, word_image=word_image,
         generator_images=(gen_images,), excluded=True)
 
 
@@ -719,10 +699,10 @@ def _pinch(chain, items, stats):
     total = ()
     for lab in labels:
         total += lab
-    top = chain.level(m - 1)
+    top = chain.levels[m - 1]
     if top.evaluate(total) != top.identity:
         raise InternalInvariantError("pinch premise fails at the chain level")
-    mid = chain.level(m - 2)
+    mid = chain.levels[m - 2]
     etas = []
     cur = mid.identity
     for lab in labels:
@@ -746,25 +726,23 @@ def _pinch(chain, items, stats):
     else:
         spans = [span_of(eta) for eta in etas]
         inter_edges = {k: e for k, e in spans[0].edges.items() if k in spans[-1].edges}
-        inter_vertices = spans[0].vertices & spans[-1].vertices
-        omega, omega_edges = _component(inter_vertices, inter_edges, mid.identity)
+        omega = _search(inter_edges, mid.identity)
         j = None
         for cand in range(1, m - 1):
-            if spans[cand].vertices & omega:
+            if omega.keys() & spans[cand].vertices:
                 j = cand
                 break
         if j is None:
             raise InternalInvariantError("no middle span meets the identity component")
-        g = min(spans[j].vertices & omega)
+        g = min(omega.keys() & spans[j].vertices)
         stats.cuts += 1
-        eta = _prefix_in(etas[0], g, omega_edges)
+        # a prefix from the identity inside the intersection stays in omega
+        eta = _prefix_in(etas[0], g, inter_edges)
         if eta is not None:
             stats.prefix_spines += 1
         else:
-            eta = _bfs_path(mid, omega, omega_edges, mid.identity, g)
+            eta = _path_to(mid, omega, g)
             stats.bfs_spines += 1
-            if eta is None:
-                raise InternalInvariantError("cut vertex unreachable inside component")
         zeta = etas[j].prefix(etas[j].vertices.index(g))
         delta_j1 = project_path(zeta, etas[j], items[j])
         beta_first = project_path(eta, etas[0], items[0])

@@ -212,7 +212,7 @@ def test_criterion_7_three_factor_smoke():
         parts = [subgroup_word(rng, gens, 3) for gens in subgroups]
         w = free_reduce(parts[0] + parts[1] + parts[2])
         ctx = _build_context(A, subgroups, w, None)
-        assert ctx.chain.level(1).order(cap=10 ** 6) <= 10 ** 6
+        assert ctx.chain.levels[1].order(cap=10 ** 6) <= 10 ** 6
         stats = FactorizeStats()
         result = factorize(A, subgroups, w, seeds=parts, stats=stats)
         assert result is not None

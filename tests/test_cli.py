@@ -96,6 +96,13 @@ class TestGroupSpec:
         with pytest.raises(ProblemParseError, match="^missing alphabet or carrier$"):
             parse_group_spec("alphabet: x\n")
 
+    def test_repeated_key_names_its_line(self):
+        for text, line_no in [("alphabet: x\ncarrier: 2\nx: (0 1)\nx: ()\n", 4),
+                              ("alphabet: x\ncarrier: 2\ncarrier: 3\nx: (0 1)\n", 3),
+                              ("alphabet: x\nalphabet: xy\ncarrier: 2\nx: (0 1)\n", 2)]:
+            with pytest.raises(ProblemParseError, match=f"^line {line_no}: .*twice"):
+                parse_group_spec(text)
+
 
 class TestCertificates:
     def test_hall_round_trip(self):
@@ -263,6 +270,20 @@ class TestCliCommands:
                                 if not l.startswith("subgroup ")))
         assert main(["verify", str(cert)]) == 3
         assert "subgroup" in capsys.readouterr().err
+
+    def test_verify_repeated_key_is_input_error(self, tmp_path, capsys):
+        hall = emit_certificate(hall_separator(A, [A.parse("x")], A.parse("y")))
+        excluded = emit_certificate(
+            product_separator(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xy")))
+        cert = tmp_path / "dup.cert"
+        for text, extra in [(hall, ["word: x"]),
+                            (excluded, ["status: member", "product size: 999"])]:
+            assert verify_certificate(parse_certificate(text))[0]
+            line_no = len(text.splitlines()) + 1
+            cert.write_text(text + "".join(l + "\n" for l in extra))
+            capsys.readouterr()
+            assert main(["verify", str(cert)]) == 3
+            assert f"line {line_no}: " in capsys.readouterr().err
 
     def test_separate_product_verify_loop(self, product_file, tmp_path, capsys):
         cert = tmp_path / "prod.cert"

@@ -103,3 +103,9 @@ class TestTransitionGroup:
         h = stallings_graph(A, [A.parse("xyXY"), A.parse("yy")])
         with pytest.raises(ValueError):
             transition_group(h.graph)
+
+    def test_rejects_disconnected_covering(self):
+        g = LabeledGraph(A, 2, [(0, 0, 1), (0, 0, 2), (1, 1, 1), (1, 1, 2)])
+        assert g.is_covering()
+        with pytest.raises(ValueError, match="connected"):
+            transition_group(g)

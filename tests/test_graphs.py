@@ -206,3 +206,25 @@ class TestCanonicalForm:
         h = stallings_graph(A, [A.parse("xyXY"), A.parse("yxY")])
         assert h.graph.to_dot(base=h.base) == h.graph.to_dot(base=h.base)
         assert "doublecircle" in h.graph.to_dot(base=h.base)
+
+
+class TestComponents:
+    def test_component_follows_every_dart_of_a_bucket(self):
+        # not an immersion: both x-edges leave vertex 0
+        g = LabeledGraph(A, 3, [(0, 1, 1), (0, 2, 1)])
+        assert g.component_of(0) == {0, 1, 2}
+        assert g.component_of(2) == {0, 1, 2}
+        assert g.is_connected()
+
+    def test_two_components(self):
+        g = LabeledGraph(A, 4, [(0, 1, 1), (2, 3, 2)])
+        assert g.component_of(0) == {0, 1}
+        assert not g.is_connected()
+
+    def test_canonical_key_of_two_components(self):
+        g1 = LabeledGraph(A, 3, [(0, 0, 1), (1, 2, 2)])
+        g2 = LabeledGraph(A, 3, [(0, 1, 2), (2, 2, 1)])
+        assert g1.canonical_key() == g2.canonical_key()
+        assert len(g1.canonical_key()) == 2
+        g3 = LabeledGraph(A, 3, [(0, 0, 2), (1, 2, 2)])
+        assert g3.canonical_key() != g1.canonical_key()

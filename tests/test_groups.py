@@ -54,6 +54,17 @@ class TestElements:
         assert KLEIN.elements() == XGroup(A, [(1, 0, 2, 3), (0, 1, 3, 2)]).elements()
 
 
+class TestTransitive:
+    def test_two_orbits(self):
+        assert not KLEIN.is_transitive()  # (0 1) and (2 3)
+
+    def test_one_orbit(self):
+        assert XGroup(A, [(1, 2, 0, 3), (0, 1, 3, 2)]).is_transitive()
+
+    def test_empty_carrier(self):
+        assert XGroup(Alphabet("x"), [()]).is_transitive()
+
+
 class TestCayleyGraph:
     def test_trivial_group_gives_rose(self):
         g = XGroup(A, [(0,), (0,)])
