@@ -5,16 +5,23 @@ dataclass; ``verify`` re-checks each claim using only word, graph, and
 group primitives, never trusting the construction that produced it.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import CapExceeded
 from .extensions import ExtensionChain
 from .groups import DEFAULT_CAP, XGroup, fmt_perm, parse_perm
-from .problems import ProblemParseError, convert, parse_integers, parse_words, read_rows
+from .problems import (
+    ProblemParseError,
+    convert,
+    parse_carrier,
+    parse_integers,
+    parse_words,
+    read_rows,
+)
 from .separators import (
     Factorization,
     SeparatorWitness,
-    _product_member,
     _product_with_witness,
     image_subgroup,
 )
@@ -145,9 +152,25 @@ def parse_certificate(text):
     alphabet = one("alphabet", Alphabet)
     word = one("word", alphabet.parse)
 
+    def indexed(prefix, parse):
+        """The values of the '<prefix><i>' lines, placed by their index i.
+
+        Every key that starts with the prefix's first word is such a line;
+        with n of them, each i must lie in 1..n and appear once.
+        """
+        keys = [key for key in fields if key.startswith(prefix.split()[0] + " ")]
+        values = {}
+        for key in keys:
+            digits = key[len(prefix):] if key.startswith(prefix) else ""
+            i = int(digits) if digits.isdecimal() else 0
+            if not 1 <= i <= len(keys) or i in values:
+                raise ProblemParseError(fields[key][0], f"{key}: expected "
+                                        f"'{prefix}<i>', each i in 1..{len(keys)} once")
+            values[i] = one(key, parse)
+        return tuple(values[i] for i in range(1, len(keys) + 1))
+
     def subgroup_rows():
-        return tuple(one(key, lambda value: parse_words(alphabet, value))
-                     for key in fields if key.startswith("subgroup "))
+        return indexed("subgroup H", lambda value: parse_words(alphabet, value))
 
     def perm_rows(carrier):
         return tuple(one(f"perm {s}", lambda value: parse_perm(value, carrier))
@@ -157,11 +180,11 @@ def parse_certificate(text):
         subgroups = subgroup_rows()
         if not subgroups:
             raise ProblemParseError(None, "missing field 'subgroup H1'")
-        carrier = one("carrier", int)
+        carrier = one("carrier", parse_carrier)
         return HallCertificate(alphabet, subgroups[0], word, carrier,
                                one("base", int), perm_rows(carrier))
     if kind == "product-separator":
-        carrier = one("carrier", int)
+        carrier = one("carrier", parse_carrier)
         primes = one("primes", parse_integers)
 
         def status(value):
@@ -169,20 +192,63 @@ def parse_certificate(text):
                 raise ValueError(f"{value!r} is not one of {', '.join(STATUSES)}")
             return value
 
-        sizes = tuple(one(key, int) for key in fields if key.startswith("image size "))
+        sizes = indexed("image size ", int)
         return ProductCertificate(
             alphabet, subgroup_rows(), word, primes, carrier, perm_rows(carrier),
             one("status", status), sizes or None,
             one("product size", int, required=False))
     if kind == "factorization":
-        factors = tuple(one(key, alphabet.parse) for key in fields
-                        if key.startswith("factor "))
-        return FactorizationCertificate(alphabet, subgroup_rows(), word, factors)
+        subgroups = subgroup_rows()
+        return FactorizationCertificate(alphabet, subgroups, word,
+                                        indexed("factor ", alphabet.parse))
     raise ProblemParseError(rows[0][0], f"unknown certificate kind {kind!r}")
 
 
+def _product_member(level, images, target, cap):
+    """Meet in the middle: one witness per factor whose product is target, or None.
+
+    The verifier's own search, apart from the construction's.  The witness
+    is the hit earliest in the left side's order, whichever side the search
+    loops over.
+    """
+    mid = max(1, len(images) // 2)
+    left = _product_with_witness(level, images[:mid], cap)
+    right = _product_with_witness(level, images[mid:], cap)
+    if len(left) <= len(right):
+        for l, lwits in left.items():
+            rwits = right.get(level.mult(level.inv(l), target))
+            if rwits is not None:
+                return lwits + rwits
+        return None
+    hits = {}
+    for r, rwits in right.items():
+        l = level.mult(target, level.inv(r))
+        if l in left:
+            hits[l] = rwits
+    if not hits:
+        return None
+    if len(hits) > 1:
+        l = next(e for e in left if e in hits)
+    else:
+        (l,) = hits
+    return left[l] + hits[l]
+
+
+@contextmanager
+def _stage(name):
+    """Re-raise a cap hit as CapExceeded naming the verification stage."""
+    try:
+        yield
+    except CapExceeded as exc:
+        raise CapExceeded(f"verify, {name}: {exc}", limit=exc.limit) from None
+
+
 def verify_certificate(cert, cap=DEFAULT_CAP):
-    """Re-check every claim; returns (ok, messages)."""
+    """Re-check every claim; returns (ok, messages).
+
+    A cap hit raises CapExceeded: a claim that was not checked is never
+    rejected.
+    """
     if isinstance(cert, str):
         cert = parse_certificate(cert)
     messages = []
@@ -208,10 +274,8 @@ def verify_certificate(cert, cap=DEFAULT_CAP):
         if cert.status == "partial":
             messages.append("partial certificate: exclusion claim not checked")
             return True, messages
-        try:
+        with _stage("image enumeration"):
             images = [image_subgroup(top, gens, cap) for gens in cert.subgroups]
-        except CapExceeded:
-            return False, ["image enumeration exceeded the cap during verification"]
         if cert.image_sizes is not None:
             actual = tuple(len(img) for img in images)
             if actual != cert.image_sizes:
@@ -221,13 +285,12 @@ def verify_certificate(cert, cap=DEFAULT_CAP):
                 common = len(images[0].keys() & images[1].keys())
                 size = len(images[0]) * len(images[1]) // common
             else:
-                try:
+                with _stage("product size"):
                     size = len(_product_with_witness(top, images, cap))
-                except CapExceeded:
-                    return False, ["image product exceeded the cap during verification"]
             if size != cert.product_size:
                 return False, [f"stated product size {cert.product_size} != {size}"]
-        member = _product_member(top, images, target, cap) is not None
+        with _stage("product membership"):
+            member = _product_member(top, images, target, cap) is not None
         if cert.status == "excluded" and member:
             return False, ["word image found inside the image product"]
         if cert.status == "member" and not member:

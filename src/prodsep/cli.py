@@ -156,11 +156,14 @@ def cmd_separate_hall(args):
     problem = _problem(args.file)
     word = _the_word(problem, args.word)
     gens = _first_subgroup(problem)
-    h = stallings_graph(problem.alphabet, gens)
-    if contains(h, word):
+    try:
+        witness = hall_separator(problem.alphabet, gens, word)
+    except ValueError:
+        # fold S(H) again only to tell a member word from other bad input
+        if not contains(stallings_graph(problem.alphabet, gens), word):
+            raise
         print("the word lies in the subgroup; no separator exists")
         return 1
-    witness = hall_separator(problem.alphabet, gens, word)
     print(f"separating quotient on {witness.group.carrier} vertices, "
           f"base vertex {witness.base_vertex} moved by the word")
     _emit_certificate(args, witness)

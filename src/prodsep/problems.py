@@ -17,7 +17,7 @@ the end of the line.
 import re
 from dataclasses import dataclass
 
-from .groups import XGroup, fmt_perm, parse_perm
+from .groups import DEFAULT_CAP, XGroup, fmt_perm, parse_perm
 from .words import Alphabet
 
 
@@ -76,6 +76,14 @@ def parse_integers(text):
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
+def parse_carrier(text):
+    """A carrier size in 0..DEFAULT_CAP, checked before any point is allocated."""
+    n = int(text)
+    if not 0 <= n <= DEFAULT_CAP:
+        raise ValueError(f"{text} is not in 0..{DEFAULT_CAP}")
+    return n
+
+
 def parse_words(alphabet, text):
     """Comma-separated words over the alphabet."""
     return tuple(alphabet.parse(tok) for tok in text.split(","))
@@ -126,7 +134,7 @@ def parse_group_spec(text):
         if key == "alphabet":
             alphabet = convert(line_no, key, value, Alphabet)
         elif key == "carrier":
-            carrier = convert(line_no, key, value, int)
+            carrier = convert(line_no, key, value, parse_carrier)
         else:
             if alphabet is None or carrier is None:
                 raise ProblemParseError(line_no, "alphabet and carrier must come first")

@@ -502,9 +502,10 @@ def hall_separator(alphabet, generators, word):
 def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
     """The extension-chain quotient for a product coset, with its certificate.
 
-    The certificate is completed (``excluded`` set) when every factor's
-    image subgroup, and for three or more factors their set product,
-    stays under the cap; otherwise it is returned with ``excluded`` None.
+    _end_factor_search decides ``excluded`` for every factor count; it is
+    None when an image, or the product of the images other than the end
+    factor, outgrows the cap.  The image product is sized when the product
+    of the image orders is within the cap.
     """
     ctx = _build_context(alphabet, subgroups, word, primes)
     top = ctx.chain.top
@@ -517,90 +518,47 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
     try:
         # exact orders first: proves cap-exceedance without enumerating
         structures = [image_structure(top, gens, cap) for gens in ctx.subgroups]
-        if len(structures) == 2:
-            excluded, size = _two_factor_product(top, ctx.subgroups, structures,
-                                                 word_image, cap)
-        else:
-            excluded, size = _set_product(top, ctx.subgroups, structures,
-                                          word_image, cap)
+        end, rest, hit = _end_factor_search(top, ctx.subgroups, structures,
+                                            word_image, cap)
     except CapExceeded:
         return witness
+    size = None
+    bound = math.prod(st.order for st in structures)
+    if bound <= cap:
+        if len(structures) <= 2:  # |A| |B| / |A & B|
+            size = bound // sum(1 for q in rest if q in structures[end])
+        else:
+            # every partial product is then under the cap as well
+            images = [image_subgroup(top, gens, cap) for gens in ctx.subgroups]
+            size = len(_product_with_witness(top, images, cap))
     witness.factor_image_sizes = tuple(st.order for st in structures)
-    witness.excluded = excluded
+    witness.excluded = hit is None
     witness.product_image_size = size
     return witness
 
 
-def _enumerate_image(level, generators, structure, cap):
-    image = image_subgroup(level, generators, cap)
-    if len(image) != structure.order:
+def _end_factor_search(level, subgroups, structures, target, cap):
+    """(end, rest, hit) deciding whether target lies in A_1 ... A_n.
+
+    E = A_end, the image of the larger end factor (the last on a tie), is
+    tested through its structure.  The other images are multiplied in
+    reverse order; being subgroups, their product ``rest`` lists the
+    inverses q of the other factors' product, each with its witness words
+    in reverse order.  hit is (q, e) for the first q whose e = q*target
+    (E last) or e = target*q (E first) lies in E, or None.
+    """
+    n = len(subgroups)
+    end = 0 if structures[0].order > structures[-1].order else n - 1
+    others = [i for i in reversed(range(n)) if i != end]
+    images = [image_subgroup(level, subgroups[i], cap) for i in others]
+    if [len(image) for image in images] != [structures[i].order for i in others]:
         raise InternalInvariantError("image enumeration disagrees with its order")
-    return image
-
-
-def _two_factor_product(level, subgroups, structures, target, cap):
-    """(excluded, product size or None) for two factors, enumerating one image.
-
-    Only the smaller image S (the first on a tie) is enumerated; the larger
-    image L is tested through its structure.  S is a subgroup, so the
-    target lies in S*L iff s*target lies in L for some s in S, and in L*S
-    iff target*s does.  The product has |S| |L| / |S & L| elements; it is
-    sized only when |S| |L| is within the cap.
-    """
-    first = structures[0].order <= structures[1].order
-    i = 0 if first else 1
-    small = _enumerate_image(level, subgroups[i], structures[i], cap)
-    large = structures[1 - i]
-    if first:
-        excluded = not any(level.mult(s, target) in large for s in small)
-    else:
-        excluded = not any(level.mult(target, s) in large for s in small)
-    size = None
-    bound = structures[0].order * structures[1].order
-    if bound <= cap:
-        size = bound // sum(1 for s in small if s in large)
-    return excluded, size
-
-
-def _set_product(level, subgroups, structures, target, cap):
-    """(excluded, product size or None) by enumerating every image."""
-    images = [_enumerate_image(level, gens, st, cap)
-              for gens, st in zip(subgroups, structures)]
-    excluded = _product_member(level, images, target, cap) is None
-    size = None
-    if math.prod(st.order for st in structures) <= cap:
-        # every partial product is then under the cap as well
-        size = len(_product_with_witness(level, images, cap))
-    return excluded, size
-
-
-def _product_member(level, images, target, cap):
-    """Meet in the middle: one witness per factor whose product is target, or None.
-
-    The witness is the hit earliest in the left side's order, whichever
-    side the search loops over.
-    """
-    mid = max(1, len(images) // 2)
-    left = _product_with_witness(level, images[:mid], cap)
-    right = _product_with_witness(level, images[mid:], cap)
-    if len(left) <= len(right):
-        for l, lwits in left.items():
-            rwits = right.get(level.mult(level.inv(l), target))
-            if rwits is not None:
-                return lwits + rwits
-        return None
-    hits = {}
-    for r, rwits in right.items():
-        l = level.mult(target, level.inv(r))
-        if l in left:
-            hits[l] = rwits
-    if not hits:
-        return None
-    if len(hits) > 1:
-        l = next(e for e in left if e in hits)
-    else:
-        (l,) = hits
-    return left[l] + hits[l]
+    rest = _product_with_witness(level, images, cap)
+    for q in rest:
+        e = level.mult(q, target) if end else level.mult(target, q)
+        if e in structures[end]:
+            return end, rest, (q, e)
+    return end, rest, None
 
 
 # -- factorization ------------------------------------------------------------
@@ -673,15 +631,24 @@ def _check_factorization(ctx, factors):
 
 
 def _search_seeds(ctx, word_image, cap, stats):
+    """Words h_i in H_i whose images multiply to word_image, or None.
+
+    The end factor's image is enumerated only on a hit, to read one word.
+    """
     top = ctx.chain.top
     try:
-        for gens in ctx.subgroups:
-            image_subgroup_order(top, gens, cap)  # fail fast on hopeless images
-        images = [image_subgroup(top, gens, cap) for gens in ctx.subgroups]
-        return _product_member(top, images, word_image, cap)
+        structures = [image_structure(top, gens, cap) for gens in ctx.subgroups]
+        end, rest, hit = _end_factor_search(top, ctx.subgroups, structures,
+                                            word_image, cap)
+        if hit is None:
+            return None
+        words = image_subgroup(top, ctx.subgroups[end], cap)
     except CapExceeded:
         stats.capped_search = True
         return None
+    q, e = hit
+    others = tuple(invert(w) for w in reversed(rest[q]))
+    return others + (words[e],) if end else (words[e],) + others
 
 
 def _pinch(chain, items, stats):

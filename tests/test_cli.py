@@ -1,3 +1,9 @@
+import tempfile
+from functools import cache
+from pathlib import Path
+
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 from prodsep.certificates import (
@@ -7,6 +13,9 @@ from prodsep.certificates import (
     verify_certificate,
 )
 from prodsep.cli import main
+from prodsep.errors import CapExceeded
+from prodsep.graphs import LabeledGraph
+from prodsep.groups import DEFAULT_CAP
 from prodsep.problems import (
     ProblemParseError,
     format_group_spec,
@@ -95,6 +104,19 @@ class TestGroupSpec:
             parse_group_spec("alphabet: X\ncarrier: 2\nX: (0 1)\n")
         with pytest.raises(ProblemParseError, match="^missing alphabet or carrier$"):
             parse_group_spec("alphabet: x\n")
+
+    def test_huge_carrier_is_an_input_error(self, tmp_path, capsys):
+        # rejected on its line before a point is allocated
+        spec = tmp_path / "spec.txt"
+        for carrier in (10 ** 50, DEFAULT_CAP + 1, -1):
+            text = f"alphabet: x\ncarrier: {carrier}\nx: (0 1)\n"
+            with pytest.raises(ProblemParseError, match="^line 2: bad carrier: "):
+                parse_group_spec(text)
+            spec.write_text(text)
+            capsys.readouterr()
+            assert main(["group", "cayley", str(spec)]) == 3
+            assert "line 2: bad carrier: " in capsys.readouterr().err
+        assert parse_group_spec("alphabet: x\ncarrier: 2\nx: (0 1)\n").carrier == 2
 
     def test_repeated_key_names_its_line(self):
         for text, line_no in [("alphabet: x\ncarrier: 2\nx: (0 1)\nx: ()\n", 4),
@@ -219,6 +241,48 @@ class TestCertificates:
             assert str(info.value) == f"missing field {key!r}"
             assert info.value.line_no is None
 
+    def test_huge_carrier_in_certificate_is_an_input_error(self, tmp_path, capsys):
+        text = emit_certificate(hall_separator(A, [A.parse("x")], A.parse("y")))
+        assert "carrier: 2\n" in text
+        line_no = text.splitlines().index("carrier: 2") + 1
+        cert = tmp_path / "hall.cert"
+        for carrier in (10 ** 50, DEFAULT_CAP + 1):
+            cert.write_text(text.replace("carrier: 2\n", f"carrier: {carrier}\n"))
+            capsys.readouterr()
+            assert main(["verify", str(cert)]) == 3
+            assert f"line {line_no}: bad carrier: " in capsys.readouterr().err
+
+    def test_lines_are_placed_by_their_index(self, tmp_path, capsys):
+        # yyxx is not in <xx><yy>: read in file order, the swapped lines
+        # would claim the factorization yy * xx of <yy><xx>
+        swapped = ("certificate: factorization\nalphabet: xy\n"
+                   "subgroup H2: yy\nsubgroup H1: xx\nword: yyxx\n"
+                   "factor 2: yy\nfactor 1: xx\n")
+        cert = parse_certificate(swapped)
+        assert cert.subgroups == ((A.parse("xx"),), (A.parse("yy"),))
+        assert cert.factors == (A.parse("xx"), A.parse("yy"))
+        path = tmp_path / "f.cert"
+        path.write_text(swapped)
+        assert main(["verify", str(path)]) == 1
+        assert "REJECTED" in capsys.readouterr().out
+        text = emit_certificate(
+            product_separator(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xy")))
+        moved = text.replace("image size 1:", "image size 9:")
+        assert parse_certificate(text.replace("image size 1: 2\nimage size 2: 2",
+                                              "image size 2: 2\nimage size 1: 2")) == \
+            parse_certificate(text)
+        for bad, line_no in [
+                (swapped.replace("H2", "H7").replace("factor 2", "factor 9"), 3),
+                (swapped.replace("factor 2", "factor 9"), 6),
+                (swapped.replace("factor 2", "factor 01"), 7),
+                (swapped.replace("subgroup H1", "subgroup K1"), 4),
+                (swapped.replace("factor 2", "factor x"), 6),
+                (moved, moved.splitlines().index("image size 9: 2") + 1)]:
+            path.write_text(bad)
+            capsys.readouterr()
+            assert main(["verify", str(path)]) == 3
+            assert f"line {line_no}: " in capsys.readouterr().err
+
 
 class TestCliCommands:
     def test_build_and_dot(self, hall_file, tmp_path, capsys):
@@ -262,6 +326,20 @@ class TestCliCommands:
         capsys.readouterr()
         assert main(["verify", str(cert)]) == 0
         assert "verified" in capsys.readouterr().out
+
+    def test_separate_hall_folds_the_subgroup_once(self, hall_file, monkeypatch, capsys):
+        calls = []
+        fold = LabeledGraph.fold_all_tracked
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return fold(self, *args, **kwargs)
+
+        monkeypatch.setattr(LabeledGraph, "fold_all_tracked", counted)
+        assert main(["separate", "hall", hall_file]) == 0
+        assert len(calls) == 2  # S(H), then the attached word
+        assert main(["separate", "hall", hall_file, "yy"]) == 1
+        assert "the word lies in the subgroup" in capsys.readouterr().out
 
     def test_verify_hall_without_subgroup_is_input_error(self, tmp_path, capsys):
         text = emit_certificate(hall_separator(A, [A.parse("x")], A.parse("y")))
@@ -319,6 +397,31 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "partial" in out and "status: partial" in out
 
+    def test_verify_cap_hits_exit_2_naming_the_stage(self, tmp_path, capsys):
+        # images of orders 4, 4 and 12, product 132; a claim that the cap
+        # kept from being checked is never rejected
+        path = tmp_path / "three.txt"
+        path.write_text("alphabet: xy\nH1: yyy\nH2: x\nH3: Y\nword: YYY\n")
+        cert = tmp_path / "three.cert"
+        assert main(["separate", "product", str(path), "--cap", "20",
+                     "--out", str(cert)]) == 1
+        assert "status: member" in cert.read_text()
+        full = tmp_path / "full.cert"
+        assert main(["separate", "product", str(path), "--out", str(full)]) == 1
+        assert "product size: 132" in full.read_text()
+        for text, cap, stage in [(full.read_text(), "10", "image enumeration"),
+                                 (full.read_text(), "20", "product size"),
+                                 (cert.read_text(), "20", "product membership")]:
+            cert.write_text(text)
+            with pytest.raises(CapExceeded, match=f"^verify, {stage}: "):
+                verify_certificate(parse_certificate(text), cap=int(cap))
+            capsys.readouterr()
+            assert main(["verify", str(cert), "--cap", cap]) == 2
+            captured = capsys.readouterr()
+            assert f"verify, {stage}: " in captured.err
+            assert "REJECTED" not in captured.out
+        assert main(["verify", str(cert)]) == 0
+
     def test_factorize_verify_loop(self, product_file, tmp_path, capsys):
         cert = tmp_path / "f.cert"
         assert main(["factorize", product_file, "xxyy", "--out", str(cert)]) == 0
@@ -348,3 +451,45 @@ class TestFactorizeSeeds:
 
     def test_cli_bad_seeds(self, product_file, capsys):
         assert main(["factorize", product_file, "xxyy", "--seeds", "x,yy"]) == 3
+
+
+@cache
+def valid_certificates():
+    """A hall, a product and a factorization certificate, each verifying."""
+    subgroups = [[A.parse("xx")], [A.parse("yy")]]
+    return (
+        emit_certificate(hall_separator(A, [A.parse("xyXY"), A.parse("yy")],
+                                        A.parse("xyX"))),
+        emit_certificate(product_separator(A, subgroups, A.parse("xy"))),
+        emit_certificate(factorize(A, subgroups, A.parse("xxyy")), alphabet=A,
+                         subgroups=subgroups, word=A.parse("xxyy")))
+
+
+values = st.one_of(
+    st.sampled_from([str(10 ** 50), str(DEFAULT_CAP + 1), "", "1", "xX", "yyxx",
+                     "(0 1)", "(0 1)(2 3)", "()", "2, 3", "2", "3", "excluded",
+                     "member", "partial", "H1", "H3", "subgroup H3", "factor 2"]),
+    st.integers(-3, 40).map(str),
+    # no digits: a long digit run as a carrier would allocate gigabytes on a
+    # build without the carrier bound
+    st.text(st.characters(blacklist_categories=("Nd",)), max_size=12))
+
+
+class TestCertificateFuzz:
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.integers(0, 2), st.integers(0, 20),
+                      st.sampled_from(["delete", "repeat", "value", "key", "line"]),
+                      values)
+    def test_one_line_mutation_exits_cleanly(self, which, index, how, value):
+        # verified, rejected, cap exceeded or input error; never a traceback
+        lines = valid_certificates()[which].splitlines()
+        i = index % len(lines)
+        key, _, old = lines[i].partition(":")
+        mutated = {"delete": [], "repeat": [lines[i], lines[i]],
+                   "value": [f"{key}: {value}"], "key": [f"{value}:{old}"],
+                   "line": [value]}[how]
+        text = "\n".join(lines[:i] + mutated + lines[i + 1:]) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutated.cert"
+            path.write_text(text, encoding="utf-8")
+            assert main(["verify", str(path), "--cap", "2000"]) in (0, 1, 2, 3)

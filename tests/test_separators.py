@@ -4,7 +4,13 @@ from operator import mul
 
 import pytest
 
-from prodsep.certificates import emit_certificate, parse_certificate, verify_certificate
+from prodsep import separators
+from prodsep.certificates import (
+    _product_member,
+    emit_certificate,
+    parse_certificate,
+    verify_certificate,
+)
 from prodsep.errors import CapExceeded
 from prodsep.extensions import iterated_extension
 from prodsep.groups import XGroup
@@ -13,7 +19,6 @@ from prodsep.separators import (
     FactorizeStats,
     SpineCertificate,
     _build_context,
-    _product_member,
     _product_with_witness,
     common_spine,
     factorize,
@@ -233,6 +238,29 @@ class TestProductSeparator:
         ok, _ = verify_certificate(parse_certificate(text))
         assert ok
 
+    def test_only_images_other_than_the_larger_end_factor_are_enumerated(self,
+                                                                          monkeypatch):
+        enumerated = []
+
+        def recorded(level, generators, cap):
+            enumerated.append(tuple(generators))
+            return image_subgroup(level, generators, cap)
+
+        monkeypatch.setattr(separators, "image_subgroup", recorded)
+        x, y, xx, yy = (A.parse(t) for t in ("x", "y", "xx", "yy"))
+        # image orders (4, 2), (2, 16), (2, 2), (4, 12, 8) and (8, 16, 4)
+        for subgroups, rest in [([[x], [xx]], [(xx,)]),
+                                ([[xx], [x, y]], [(xx,)]),
+                                ([[xx], [yy]], [(xx,)]),  # a tie: the last is held
+                                ([[xx], [y], [x]], [(xx,), (y,)]),
+                                ([[x], [y], [xx]], [(y,), (xx,)])]:
+            enumerated.clear()
+            # under this cap no three-factor product is sized, which would
+            # enumerate every image
+            assert product_separator(A, subgroups, A.parse("xy"),
+                                     cap=300).excluded is not None
+            assert sorted(enumerated) == sorted(rest)
+
     def test_prime_list_length_enforced(self):
         with pytest.raises(ValueError):
             product_separator(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xy"),
@@ -332,6 +360,26 @@ class TestFactorize:
                 if not stats.capped_search:
                     assert not member_product(hs, w)
             agree += 1
+        # three factors, unseeded: the search enumerates the product of the
+        # two images other than the larger end factor
+        outcomes = set()
+        for _ in range(24):
+            subgroups = [random_gens(rng, max_gens=2, max_len=3) for _ in range(3)]
+            w = random_reduced(rng, 0, 6)
+            if rng.random() < 0.5:
+                w = free_reduce(sum((subgroup_word(rng, g, 2) for g in subgroups), ()))
+            hs = [stallings_graph(A, g) for g in subgroups]
+            stats = FactorizeStats()
+            f = factorize(A, subgroups, w, cap=2000, stats=stats)
+            if f is not None:
+                assert member_product(hs, w)
+                assert free_reduce(sum(f.factors, ())) == w
+                assert all(contains(h, x) for h, x in zip(hs, f.factors))
+                outcomes.add("found")
+            elif not stats.capped_search:
+                assert not member_product(hs, w)
+                outcomes.add("exhausted")
+        assert outcomes == {"found", "exhausted"}
 
 
 class TestKernelLoopWord:
@@ -485,33 +533,52 @@ class TestImageStructure:
 
 
 class TestProductAgainstEnumeration:
-    """product_separator's two-factor route against the set-product route."""
+    """product_separator's end-factor search against the set-product route."""
 
-    def test_two_factor_exclusion_and_size(self):
-        rng = random.Random(311)
+    @staticmethod
+    def against_enumeration(rng, n, count, cap, max_len):
+        """Decided and sized counts, and the (excluded, end factor first) pairs."""
         decided = sized = 0
         seen = set()
-        for _ in range(120):
-            g1 = random_gens(rng, max_gens=2, max_len=4)
-            g2 = random_gens(rng, max_gens=2, max_len=4)
+        for _ in range(count):
+            subgroups = [random_gens(rng, max_gens=2, max_len=max_len) for _ in range(n)]
             w = random_reduced(rng, 0, 6)
-            wit = product_separator(A, [g1, g2], w, cap=4096)
+            wit = product_separator(A, subgroups, w, cap=cap)
             if wit.excluded is None:
                 continue
             top = wit.chain.top
-            images = [image_subgroup(top, g, cap=4096) for g in (g1, g2)]
+            images = [image_subgroup(top, g, cap=cap) for g in subgroups]
             assert wit.factor_image_sizes == tuple(len(img) for img in images)
             member = _product_member(top, images, wit.word_image, 10 ** 6)
             assert wit.excluded == (member is None)
             decided += 1
-            seen.add((wit.excluded, len(images[0]) <= len(images[1])))
+            seen.add((wit.excluded, len(images[0]) > len(images[-1])))
             if wit.product_image_size is not None:
                 assert wit.product_image_size == len(
                     _product_with_witness(top, images, 10 ** 6))
                 sized += 1
+        return decided, sized, seen
+
+    def test_two_factor_exclusion_and_size(self):
+        decided, sized, seen = self.against_enumeration(random.Random(311), 2, 120,
+                                                        4096, 4)
         assert decided >= 80 and sized >= 60
-        # members and non-members, with the smaller image first and second
+        # members and non-members, with the larger image first and second
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("n, count, cap, min_decided, min_sized",
+                             [(1, 100, 4096, 90, 90), (3, 80, 300, 30, 8)],
+                             ids=["n1", "n3"])
+    def test_one_and_three_factor_exclusion_and_size(self, n, count, cap,
+                                                     min_decided, min_sized):
+        # the end-factor search with an empty product in front (n = 1) and
+        # with the product of two enumerated images (n = 3)
+        decided, sized, seen = self.against_enumeration(random.Random(330 + n), n,
+                                                        count, cap, 3)
+        assert decided >= min_decided and sized >= min_sized
+        # members and non-members; for n = 3 the end factor first and last
+        firsts = (False,) if n == 1 else (True, False)
+        assert seen == {(e, first) for e in (True, False) for first in firsts}
 
     def test_product_member_witness_matches_reference(self):
         rng = random.Random(313)
