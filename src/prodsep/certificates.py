@@ -234,6 +234,13 @@ def _product_member(level, images, target, cap):
     return left[l] + hits[l]
 
 
+def _point_image(group, point, word):
+    """Where the word sends one point: its letters act on the right."""
+    for l in word:
+        point = group.perm(l)[point]
+    return point
+
+
 @contextmanager
 def _stage(name):
     """Re-raise a cap hit as CapExceeded naming the verification stage."""
@@ -258,9 +265,9 @@ def verify_certificate(cert, cap=DEFAULT_CAP):
         if not 0 <= cert.base < group.carrier:
             return False, ["base vertex out of range"]
         for g in cert.generators:
-            if group.evaluate(free_reduce(g))[cert.base] != cert.base:
+            if _point_image(group, cert.base, free_reduce(g)) != cert.base:
                 return False, [f"generator {a.format(g)} moves the base vertex"]
-        if group.evaluate(free_reduce(cert.word))[cert.base] == cert.base:
+        if _point_image(group, cert.base, free_reduce(cert.word)) == cert.base:
             return False, ["word image fixes the base vertex; nothing is separated"]
         messages.append("base vertex fixed by all generators, moved by the word")
         return True, messages

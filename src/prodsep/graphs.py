@@ -7,6 +7,10 @@ Vertices are dense integers 0..num_vertices-1.
 
 Graphs are value types: every operation returns a new graph and nothing
 mutates one after construction.
+
+Folding to an immersion (``fold_all_tracked``) is one union-find pass,
+near-linear in the size of the graph; ``fold`` and ``fold_tracked`` fold
+a single admissible pair.
 """
 
 from collections import deque
@@ -180,15 +184,70 @@ class LabeledGraph:
         return self.fold_all_tracked(policy=policy)[0]
 
     def fold_all_tracked(self, policy="least"):
-        """Fold until no admissible pair remains; returns (graph, vertex map)."""
-        g = self
-        total = list(range(self.num_vertices))
-        while True:
-            pair = g.find_admissible_pair(policy=policy)
-            if pair is None:
-                return g, total
-            g, vmap = g.fold_tracked(pair)
-            total = [vmap[t] for t in total]
+        """Fold until no admissible pair remains; returns (graph, vertex map).
+
+        One pass with union-find over vertices and over geometric edges,
+        each class rooted at its least id, as in Touikan's folding
+        algorithm.  Every vertex root keeps a star, signed letter -> one
+        dart.  Two darts colliding in a star with different edge classes
+        are one fold: their edge classes unite and their targets are queued
+        for merging; a merge moves the larger root's star into the smaller
+        one, where each dart may collide again.  The policy orders that
+        queue, "least" first in first out and "greatest" last in first out;
+        the folded graph does not depend on it.
+
+        The quotient is built once.  Vertices are numbered in the order of
+        the least original vertex of each class, and each edge class keeps
+        its least edge, in edge order.  That is exactly the graph and map
+        that folding one admissible pair at a time gives, since every such
+        fold keeps the least vertex id and drops the later edge.
+        """
+        if policy not in ("least", "greatest"):
+            raise ValueError(f"unknown policy {policy!r}")
+        src, label = self._src, self._label
+        vparent = list(range(self.num_vertices))
+        eparent = list(range(self.num_geometric_edges))
+
+        def find(parent, x):
+            root = x
+            while parent[root] != root:
+                root = parent[root]
+            while parent[x] != root:
+                parent[x], x = root, parent[x]
+            return root
+
+        pending = deque()
+
+        def insert(star, d):
+            other = star.setdefault(label[d], d)
+            if other != d:
+                a, b = find(eparent, other >> 1), find(eparent, d >> 1)
+                if a != b:
+                    eparent[max(a, b)] = min(a, b)
+                    pending.append((src[other ^ 1], src[d ^ 1]))
+
+        stars = [{} for _ in range(self.num_vertices)]
+        for d in range(self.num_darts):
+            insert(stars[src[d]], d)
+        take = pending.popleft if policy == "least" else pending.pop
+        while pending:
+            a, b = take()
+            a, b = find(vparent, a), find(vparent, b)
+            if a == b:
+                continue
+            lo, hi = min(a, b), max(a, b)
+            vparent[hi] = lo
+            star = stars[lo]
+            for d in stars[hi].values():
+                insert(star, d)
+            stars[hi] = None
+
+        roots = [v for v in range(self.num_vertices) if vparent[v] == v]
+        new_id = {r: i for i, r in enumerate(roots)}
+        vmap = [new_id[find(vparent, v)] for v in range(self.num_vertices)]
+        edges = [(vmap[src[2 * k]], vmap[src[2 * k + 1]], label[2 * k])
+                 for k in range(self.num_geometric_edges) if eparent[k] == k]
+        return LabeledGraph(self.alphabet, len(roots), edges), vmap
 
     # -- canonical forms ------------------------------------------------------
 

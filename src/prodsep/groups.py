@@ -55,7 +55,7 @@ class XGroup:
         """The value of the word: the product of its letter permutations."""
         out = self.identity
         for l in word:
-            out = tuple(self.perm(l)[x] for x in out)
+            out = tuple(map(self.perm(l).__getitem__, out))
         return out
 
     def elements(self, cap=DEFAULT_CAP):
@@ -168,15 +168,17 @@ def parse_perm(text, n):
     text = text.strip()
     if not re.fullmatch(r"(\(\s*(\d+(\s+\d+)*)?\s*\)\s*)+", text):
         raise ValueError(f"malformed permutation {text!r}")
-    out = tuple(range(n))
+    # cycles compose left to right; where[v] is the point now sent to v
+    out = list(range(n))
+    where = list(range(n))
     for body in re.findall(r"\(([^)]*)\)", text):
         cycle = [int(t) for t in body.split()]
         if any(i >= n for i in cycle):
             raise ValueError(f"point out of range in {text!r}")
         if len(set(cycle)) != len(cycle):
             raise ValueError(f"repeated point in cycle {text!r}")
-        cperm = list(range(n))
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            cperm[a] = b
-        out = tuple(cperm[x] for x in out)
-    return out
+        sources = [where[a] for a in cycle]
+        for x, b in zip(sources, cycle[1:] + cycle[:1]):
+            out[x] = b
+            where[b] = x
+    return tuple(out)

@@ -518,8 +518,8 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
     try:
         # exact orders first: proves cap-exceedance without enumerating
         structures = [image_structure(top, gens, cap) for gens in ctx.subgroups]
-        end, rest, hit = _end_factor_search(top, ctx.subgroups, structures,
-                                            word_image, cap)
+        end, images, rest, hit = _end_factor_search(top, ctx.subgroups, structures,
+                                                    word_image, cap)
     except CapExceeded:
         return witness
     size = None
@@ -528,9 +528,11 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
         if len(structures) <= 2:  # |A| |B| / |A & B|
             size = bound // sum(1 for q in rest if q in structures[end])
         else:
-            # every partial product is then under the cap as well
-            images = [image_subgroup(top, gens, cap) for gens in ctx.subgroups]
-            size = len(_product_with_witness(top, images, cap))
+            # every partial product is then under the cap as well; the
+            # search enumerated every image but the end factor's
+            images[end] = image_subgroup(top, ctx.subgroups[end], cap)
+            ordered = [images[i] for i in range(len(structures))]
+            size = len(_product_with_witness(top, ordered, cap))
     witness.factor_image_sizes = tuple(st.order for st in structures)
     witness.excluded = hit is None
     witness.product_image_size = size
@@ -538,27 +540,28 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
 
 
 def _end_factor_search(level, subgroups, structures, target, cap):
-    """(end, rest, hit) deciding whether target lies in A_1 ... A_n.
+    """(end, images, rest, hit) deciding whether target lies in A_1 ... A_n.
 
     E = A_end, the image of the larger end factor (the last on a tie), is
-    tested through its structure.  The other images are multiplied in
-    reverse order; being subgroups, their product ``rest`` lists the
-    inverses q of the other factors' product, each with its witness words
-    in reverse order.  hit is (q, e) for the first q whose e = q*target
-    (E last) or e = target*q (E first) lies in E, or None.
+    tested through its structure.  The other images are enumerated, into
+    ``images`` by factor index, and multiplied in reverse order; being
+    subgroups, their product ``rest`` lists the inverses q of the other
+    factors' product, each with its witness words in reverse order.  hit
+    is (q, e) for the first q whose e = q*target (E last) or e = target*q
+    (E first) lies in E, or None.
     """
     n = len(subgroups)
     end = 0 if structures[0].order > structures[-1].order else n - 1
     others = [i for i in reversed(range(n)) if i != end]
-    images = [image_subgroup(level, subgroups[i], cap) for i in others]
-    if [len(image) for image in images] != [structures[i].order for i in others]:
+    images = {i: image_subgroup(level, subgroups[i], cap) for i in others}
+    if any(len(images[i]) != structures[i].order for i in others):
         raise InternalInvariantError("image enumeration disagrees with its order")
-    rest = _product_with_witness(level, images, cap)
+    rest = _product_with_witness(level, [images[i] for i in others], cap)
     for q in rest:
         e = level.mult(q, target) if end else level.mult(target, q)
         if e in structures[end]:
-            return end, rest, (q, e)
-    return end, rest, None
+            return end, images, rest, (q, e)
+    return end, images, rest, None
 
 
 # -- factorization ------------------------------------------------------------
@@ -638,8 +641,8 @@ def _search_seeds(ctx, word_image, cap, stats):
     top = ctx.chain.top
     try:
         structures = [image_structure(top, gens, cap) for gens in ctx.subgroups]
-        end, rest, hit = _end_factor_search(top, ctx.subgroups, structures,
-                                            word_image, cap)
+        end, _, rest, hit = _end_factor_search(top, ctx.subgroups, structures,
+                                               word_image, cap)
         if hit is None:
             return None
         words = image_subgroup(top, ctx.subgroups[end], cap)

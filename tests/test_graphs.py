@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 
 from prodsep.graphs import LabeledGraph, reduce_path
-from prodsep.stallings import build_wedge, stallings_graph
-from prodsep.words import Alphabet
+from prodsep.stallings import attach_word, build_wedge, stallings_graph
+from prodsep.words import Alphabet, free_reduce
 
 A = Alphabet("xy")
 
@@ -24,6 +25,42 @@ def random_graph(rng, alphabet, max_words=3, max_len=6, extra_edges=2):
         edges.append((rng.randrange(g.num_vertices), rng.randrange(g.num_vertices),
                       rng.choice(alphabet.positive_letters())))
     return LabeledGraph(alphabet, g.num_vertices, edges)
+
+
+def step_fold_all_tracked(g, policy="least"):
+    """The fold oracle: one admissible pair at a time, composing vertex maps."""
+    total = list(range(g.num_vertices))
+    while True:
+        pair = g.find_admissible_pair(policy=policy)
+        if pair is None:
+            return g, total
+        g, vmap = g.fold_tracked(pair)
+        total = [vmap[t] for t in total]
+
+
+def random_reduced(rng, alphabet, n):
+    word = []
+    while len(word) < n:
+        l = rng.choice(alphabet.letters())
+        if not word or word[-1] != -l:
+            word.append(l)
+    return tuple(word)
+
+
+def shared_prefix_words(rng, alphabet, prefix_len, count, suffix_len):
+    """Generators with one random shared prefix, as in the hall workload."""
+    prefix = random_reduced(rng, alphabet, prefix_len)
+    return [free_reduce(prefix + random_reduced(rng, alphabet, suffix_len))
+            for _ in range(count)]
+
+
+def assert_folds_like_oracle(g):
+    for policy in ("least", "greatest"):
+        folded, vmap = g.fold_all_tracked(policy=policy)
+        expected, expected_vmap = step_fold_all_tracked(g, policy=policy)
+        assert folded.num_vertices == expected.num_vertices
+        assert folded.geometric_edges() == expected.geometric_edges()
+        assert vmap == expected_vmap
 
 
 class TestStructure:
@@ -126,6 +163,63 @@ class TestFoldAll:
             a = g.fold_all(policy="least")
             b = g.fold_all(policy="greatest")
             assert a.canonical_key() == b.canonical_key()
+
+    def test_unknown_policy(self):
+        with pytest.raises(ValueError):
+            rose(A).fold_all(policy="random")
+
+
+class TestFoldAgainstStepLoop:
+    """The one-pass fold gives exactly the graph and map of the step loop."""
+
+    def test_random_graphs(self):
+        rng = random.Random(2024)
+        for alphabet in (A, Alphabet("xyz")):
+            for _ in range(1000):
+                assert_folds_like_oracle(random_graph(rng, alphabet, max_words=4,
+                                                      max_len=8, extra_edges=4))
+
+    def test_shared_prefix_wedges(self):
+        rng = random.Random(48)
+        for prefix_len in (0, 1, 5, 12, 24, 48):
+            for count in (1, 2, 3, 4):
+                words = shared_prefix_words(rng, A, prefix_len, count, rng.randint(1, 12))
+                assert_folds_like_oracle(build_wedge(A, words))
+
+    def test_stallings_and_attached_graphs(self, monkeypatch):
+        unfolded = []
+        fold = LabeledGraph.fold_all_tracked
+
+        def recorded(self, *args, **kwargs):
+            unfolded.append(self)
+            return fold(self, *args, **kwargs)
+
+        monkeypatch.setattr(LabeledGraph, "fold_all_tracked", recorded)
+        rng = random.Random(7)
+        attached = 0
+        for _ in range(60):
+            gens = shared_prefix_words(rng, A, rng.randint(0, 16), rng.randint(1, 3),
+                                       rng.randint(1, 8))
+            h = stallings_graph(A, gens)
+            # a subgroup word with its first letters replaced, so the path
+            # folds in from the base and its free end may stay outside
+            word = free_reduce(random_reduced(rng, A, rng.randint(1, 3)) + gens[0][3:])
+            attach_word(h, word)
+            attached += bool(word)
+        monkeypatch.undo()
+        assert attached > 50
+        assert len(unfolded) == 60 + attached
+        for g in unfolded:
+            assert_folds_like_oracle(g)
+
+    def test_long_shared_prefix_folds_fast(self):
+        rng = random.Random(400)
+        g = build_wedge(A, shared_prefix_words(rng, A, 400, 4, 12))
+        t0 = time.perf_counter()
+        folded = g.fold_all()
+        elapsed = time.perf_counter() - t0
+        assert folded.is_immersion()
+        assert elapsed < 0.5, f"{elapsed:.3f} s"
 
 
 class TestImmersionCovering:

@@ -140,6 +140,35 @@ class TestCycleNotation:
         for p in [(0, 1, 2), (1, 0, 2), (1, 2, 0), (2, 1, 0)]:
             assert parse_perm(fmt_perm(p), 3) == p
 
+    def test_round_trip_random(self):
+        rng = random.Random(5)
+        for n in (1, 2, 5, 17, 200):
+            for _ in range(20):
+                p = list(range(n))
+                rng.shuffle(p)
+                p = tuple(p)
+                assert parse_perm(fmt_perm(p), n) == p
+
+    def test_overlapping_cycles_compose_left_to_right(self):
+        def composed(cycles, n):
+            # every cycle as a full permutation, applied one after another
+            out = tuple(range(n))
+            for cycle in cycles:
+                cperm = list(range(n))
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    cperm[a] = b
+                out = tuple(cperm[x] for x in out)
+            return out
+
+        assert parse_perm("(0 1)(1 2)", 3) == composed([[0, 1], [1, 2]], 3) == (2, 0, 1)
+        rng = random.Random(9)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            cycles = [rng.sample(range(n), rng.randint(1, n))
+                      for _ in range(rng.randint(1, 5))]
+            text = "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+            assert parse_perm(text, n) == composed(cycles, n)
+
     def test_identity(self):
         assert fmt_perm((0, 1, 2)) == "()"
         assert parse_perm("()", 3) == (0, 1, 2)

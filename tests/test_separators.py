@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from functools import reduce
 from operator import mul
@@ -6,7 +7,9 @@ import pytest
 
 from prodsep import separators
 from prodsep.certificates import (
+    _point_image,
     _product_member,
+    certificate_of,
     emit_certificate,
     parse_certificate,
     verify_certificate,
@@ -87,6 +90,25 @@ class TestHallSeparator:
             for img in wit.generator_images[0]:
                 assert img[wit.base_vertex] == wit.base_vertex
             done += 1
+
+    def test_certificate_checks_follow_the_base_vertex(self):
+        gens = [A.parse("xyXY"), A.parse("yy")]
+        word = A.parse("xyX")
+        cert = certificate_of(hall_separator(A, gens, word))
+        assert verify_certificate(cert) == (
+            True, ["base vertex fixed by all generators, moved by the word"])
+        moved = dataclasses.replace(cert, generators=tuple(gens) + (word,))
+        assert verify_certificate(moved) == (
+            False, ["generator xyX moves the base vertex"])
+        fixed = dataclasses.replace(cert, word=A.parse("yyxyXY"))
+        assert verify_certificate(fixed) == (
+            False, ["word image fixes the base vertex; nothing is separated"])
+        group = XGroup(A, cert.perms)
+        rng = random.Random(17)
+        for _ in range(200):
+            w = random_reduced(rng, 0, 12)
+            point = rng.randrange(group.carrier)
+            assert _point_image(group, point, w) == group.evaluate(w)[point]
 
 
 class TestProjectPath:
@@ -260,6 +282,24 @@ class TestProductSeparator:
             assert product_separator(A, subgroups, A.parse("xy"),
                                      cap=300).excluded is not None
             assert sorted(enumerated) == sorted(rest)
+
+    def test_sizing_three_factors_enumerates_each_image_once(self, monkeypatch):
+        enumerated = []
+
+        def recorded(level, generators, cap):
+            enumerated.append(tuple(generators))
+            return image_subgroup(level, generators, cap)
+
+        monkeypatch.setattr(separators, "image_subgroup", recorded)
+        x, y, xx = (A.parse(t) for t in ("x", "y", "xx"))
+        # image orders 4, 12 and 8: the search enumerates 12 and 4, sizing 8
+        wit = product_separator(A, [[xx], [y], [x]], A.parse("xy"))
+        assert enumerated == [(y,), (xx,), (x,)]
+        monkeypatch.undo()
+        top = wit.chain.top
+        images = [image_subgroup(top, g) for g in ([xx], [y], [x])]
+        assert wit.factor_image_sizes == (4, 12, 8)
+        assert wit.product_image_size == len(reference_product(top, images))
 
     def test_prime_list_length_enforced(self):
         with pytest.raises(ValueError):
