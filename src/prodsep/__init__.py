@@ -22,7 +22,7 @@ from .covers import (
 from .groups import DEFAULT_CAP, CayleyGraph, XGroup, cayley_graph, diagonal_subgroup
 from .extensions import (
     ExtensionChain,
-    build_extension,
+    ExtensionLevel,
     iterated_extension,
     signed_traversals,
     traversal_element,
@@ -48,7 +48,7 @@ __all__ = [
     "CoveringExpansion", "ExpansionEnumeration",
     "expand_to_cover", "enumerate_expansions", "transition_group",
     "XGroup", "CayleyGraph", "cayley_graph", "diagonal_subgroup", "DEFAULT_CAP",
-    "ExtensionChain", "build_extension", "iterated_extension",
+    "ExtensionChain", "ExtensionLevel", "iterated_extension",
     "signed_traversals", "traversal_element",
     "product_automaton", "cancellation_closure", "member_product",
     "SeparatorWitness", "Factorization",

@@ -15,6 +15,7 @@ from .extensions import ExtensionChain, traversal_element
 from .groups import DEFAULT_CAP, cayley_graph, fmt_perm
 from .problems import (
     ProblemParseError,
+    format_group_spec,
     parse_group_spec,
     parse_integers,
     parse_problem,
@@ -107,10 +108,7 @@ def cmd_cover_group(args):
     problem = _problem(args.file)
     h = stallings_graph(problem.alphabet, _first_subgroup(problem))
     group = transition_group(expand_to_cover(h.graph))
-    print(f"alphabet: {''.join(problem.alphabet.symbols)}")
-    print(f"carrier: {group.carrier}")
-    for s, x in zip(problem.alphabet.symbols, problem.alphabet.positive_letters()):
-        print(f"{s}: {fmt_perm(group.perm(x))}")
+    print(format_group_spec(group), end="")
     print(f"# order: {group.order(cap=args.cap)}")
     return 0
 
@@ -128,7 +126,7 @@ def cmd_ext_eval(args):
     group = parse_group_spec(_read(args.spec))
     chain = ExtensionChain(group, parse_integers(args.primes))
     word = group.alphabet.parse(args.word)
-    elem = chain.evaluate(word)
+    elem = chain.top.evaluate(word)
     for lvl in range(len(chain.levels) - 1, 0, -1):
         vec, elem = elem
         print(f"level {lvl} vector ({len(vec)} edges):")

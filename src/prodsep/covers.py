@@ -20,11 +20,6 @@ class CoveringExpansion:
     graph: LabeledGraph
     original_count: int
 
-    def restriction(self):
-        """The source immersion: same vertices, original edges only."""
-        return LabeledGraph(self.graph.alphabet, self.graph.num_vertices,
-                            self.graph.geometric_edges()[:self.original_count])
-
 
 @dataclass(frozen=True)
 class ExpansionEnumeration:
@@ -57,7 +52,9 @@ def enumerate_expansions(graph, cap=1000):
     """All covering expansions, unless there are more than cap of them.
 
     The result's ``complete`` flag distinguishes exhaustion from hitting
-    the cap; the listed prefix is deterministic either way.
+    the cap; the listed prefix is deterministic either way.  Pairings are
+    generated lazily, so the work stops at the cap.  Distinct pairings add
+    distinct edges, so no expansion is listed twice.
     """
     if not graph.is_immersion():
         raise ValueError("enumerate_expansions requires an immersion")
@@ -67,26 +64,26 @@ def enumerate_expansions(graph, cap=1000):
         no_out, no_in = _missing(graph, x)
         total *= math.factorial(len(no_out))
         per_letter.append((x, no_out, no_in))
-    base = list(graph.geometric_edges())
+    base = graph.geometric_edges()
     out = []
-    seen = set()
-    choices = [
-        [list(zip(no_out, perm)) for perm in itertools.permutations(no_in)]
-        for x, no_out, no_in in per_letter
-    ]
-    for combo in itertools.product(*choices):
-        edges = list(base)
-        for (x, _, _), pairs in zip(per_letter, combo):
-            edges.extend((s, d, x) for s, d in pairs)
-        g = LabeledGraph(graph.alphabet, graph.num_vertices, edges)
-        key = tuple(sorted(g.geometric_edges()))
-        if key in seen:
-            continue
-        seen.add(key)
+    for added in _pairings(per_letter):
+        g = LabeledGraph(graph.alphabet, graph.num_vertices, base + added)
         out.append(CoveringExpansion(g, len(base)))
         if len(out) >= cap and total > cap:
             return ExpansionEnumeration(tuple(out), False)
     return ExpansionEnumeration(tuple(out), True)
+
+
+def _pairings(per_letter):
+    """The added edges of each expansion, the last letter's pairing varying fastest."""
+    if not per_letter:
+        yield ()
+        return
+    (x, no_out, no_in), rest = per_letter[0], per_letter[1:]
+    for perm in itertools.permutations(no_in):
+        pairs = tuple((s, d, x) for s, d in zip(no_out, perm))
+        for tail in _pairings(rest):
+            yield pairs + tail
 
 
 def transition_group(cover):

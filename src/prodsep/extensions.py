@@ -73,10 +73,6 @@ class ExtensionLevel:
         acc = {(self.below.mult(gi, src), x): (-c) % self.prime for (src, x), c in v}
         return (tuple(sorted(acc.items())), gi)
 
-    def project(self, elem):
-        """Drop the vector: the image under the quotient onto the level below."""
-        return elem[1]
-
     def evaluate(self, word):
         out = self.identity
         for l in word:
@@ -130,24 +126,8 @@ class ExtensionChain:
     def top(self):
         return self.levels[-1]
 
-    def evaluate(self, word, level=None):
-        lvl = self.top if level is None else self.levels[level]
-        return lvl.evaluate(word)
-
-    def project_to_base(self, elem, level=None):
-        i = len(self.levels) - 1 if level is None else level
-        while i > 0:
-            elem = elem[1]
-            i -= 1
-        return elem
-
     def __repr__(self):
         return f"ExtensionChain(primes={self.primes}, base={self.levels[0]!r})"
-
-
-def build_extension(group, prime):
-    """The p-elementary extension of a permutation group, as a symbolic handle."""
-    return ExtensionLevel(group, prime)
 
 
 def iterated_extension(group, primes):

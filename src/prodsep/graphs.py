@@ -9,8 +9,9 @@ Graphs are value types: every operation returns a new graph and nothing
 mutates one after construction.
 
 Folding to an immersion (``fold_all_tracked``) is one union-find pass,
-near-linear in the size of the graph; ``fold`` and ``fold_tracked`` fold
-a single admissible pair.
+near-linear in the size of the graph.  ``fold`` and ``fold_tracked`` fold
+the single admissible pair that ``find_admissible_pair`` picks; folding
+one pair at a time is the reference the one-pass fold is tested against.
 """
 
 from collections import deque
@@ -180,10 +181,10 @@ class LabeledGraph:
                  for k, (s, d, l) in enumerate(self.geometric_edges()) if k != drop]
         return LabeledGraph(self.alphabet, len(reps), edges), vmap
 
-    def fold_all(self, policy="least"):
-        return self.fold_all_tracked(policy=policy)[0]
+    def fold_all(self):
+        return self.fold_all_tracked()[0]
 
-    def fold_all_tracked(self, policy="least"):
+    def fold_all_tracked(self):
         """Fold until no admissible pair remains; returns (graph, vertex map).
 
         One pass with union-find over vertices and over geometric edges,
@@ -192,9 +193,8 @@ class LabeledGraph:
         dart.  Two darts colliding in a star with different edge classes
         are one fold: their edge classes unite and their targets are queued
         for merging; a merge moves the larger root's star into the smaller
-        one, where each dart may collide again.  The policy orders that
-        queue, "least" first in first out and "greatest" last in first out;
-        the folded graph does not depend on it.
+        one, where each dart may collide again.  The queue is first in
+        first out; the folded graph does not depend on its order.
 
         The quotient is built once.  Vertices are numbered in the order of
         the least original vertex of each class, and each edge class keeps
@@ -202,8 +202,6 @@ class LabeledGraph:
         that folding one admissible pair at a time gives, since every such
         fold keeps the least vertex id and drops the later edge.
         """
-        if policy not in ("least", "greatest"):
-            raise ValueError(f"unknown policy {policy!r}")
         src, label = self._src, self._label
         vparent = list(range(self.num_vertices))
         eparent = list(range(self.num_geometric_edges))
@@ -229,9 +227,8 @@ class LabeledGraph:
         stars = [{} for _ in range(self.num_vertices)]
         for d in range(self.num_darts):
             insert(stars[src[d]], d)
-        take = pending.popleft if policy == "least" else pending.pop
         while pending:
-            a, b = take()
+            a, b = pending.popleft()
             a, b = find(vparent, a), find(vparent, b)
             if a == b:
                 continue
@@ -336,12 +333,6 @@ class Path:
 
     def label(self):
         return tuple(self.graph.label(d) for d in self.darts)
-
-    def vertices(self):
-        out = [self.start]
-        for d in self.darts:
-            out.append(self.graph.dst(d))
-        return tuple(out)
 
     def reversed(self):
         return Path(self.graph, self.end, tuple(d ^ 1 for d in reversed(self.darts)))

@@ -41,13 +41,6 @@ class Nfa:
         return {q: frozenset(s) for q, s in fw.items()}
 
 
-def subgroup_automaton(h):
-    """The Stallings graph as an automaton accepting the loop labels at base."""
-    g = h.graph
-    edges = [(g.src(e), g.label(e), g.dst(e)) for e in range(g.num_darts)]
-    return Nfa(g.num_vertices, edges, (), h.base, {h.base})
-
-
 def product_automaton(hs):
     """Chain the subgroup automata base-to-base with epsilon transitions.
 

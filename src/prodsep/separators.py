@@ -391,12 +391,15 @@ def image_subgroup_order(level, generators, cap=DEFAULT_CAP):
 class SeparatorWitness:
     """A finite quotient with the data showing it separates the word.
 
-    For the one-subgroup (Hall) case the quotient is a transition group
-    and the certificate is base-vertex motion; for products it is an
-    extension chain and the certificate is exclusion from the image
-    product.  ``excluded`` is None when image enumeration hit the cap, so
-    exclusion is undecided; ``product_image_size`` is None when the image
-    product was not sized because its bound exceeds the cap.
+    ``group`` is the permutation group the certificate states.  For the
+    one-subgroup (Hall) case it is the quotient itself, the transition
+    group, and ``base_vertex`` is the point the word moves while every
+    generator fixes it.  For products ``chain`` is the extension chain
+    over ``group``, ``factor_image_sizes`` are the orders of the
+    subgroups' images at its top, and ``excluded`` says whether the word's
+    image avoids their product; it is None when image enumeration hit the
+    cap, so exclusion is undecided.  ``product_image_size`` is None when
+    the image product was not sized because its bound exceeds the cap.
     """
     kind: str
     alphabet: object
@@ -406,8 +409,6 @@ class SeparatorWitness:
     group: object
     chain: object = None
     base_vertex: int = None
-    word_image: object = None
-    generator_images: tuple = ()
     factor_image_sizes: tuple = None
     product_image_size: int = None
     excluded: bool = None
@@ -442,9 +443,7 @@ class _Context:
     gammas: tuple        # the immersions Gamma_i actually used
     starts: tuple        # base of Gamma_i (omega for the last)
     ends: tuple          # expected path targets (base, resp. alpha)
-    groups: tuple        # transition groups of the covering expansions
-    diagonal: object
-    chain: ExtensionChain
+    chain: ExtensionChain  # level 0 is the diagonal of the transition groups
 
 
 def _build_context(alphabet, subgroups, word, primes):
@@ -464,10 +463,9 @@ def _build_context(alphabet, subgroups, word, primes):
     starts = tuple(h.base for h in pointed[:-1]) + (attached.omega,)
     ends = tuple(h.base for h in pointed[:-1]) + (attached.alpha,)
     groups = tuple(transition_group(expand_to_cover(g)) for g in gammas)
-    diagonal = diagonal_subgroup(groups)
-    chain = ExtensionChain(diagonal, primes)
+    chain = ExtensionChain(diagonal_subgroup(groups), primes)
     return _Context(alphabet, subgroups, word, pointed, attached, gammas,
-                    starts, ends, groups, diagonal, chain)
+                    starts, ends, chain)
 
 
 # -- Hall separator -----------------------------------------------------------
@@ -484,16 +482,20 @@ def hall_separator(alphabet, generators, word):
     if ctx.attached.alpha == base:
         raise ValueError("the word lies in the subgroup; nothing separates it")
     group = ctx.chain.top
-    word_image = group.evaluate(ctx.word)
-    gen_images = tuple(group.evaluate(g) for g in ctx.subgroups[0])
-    if word_image[base] == base:
+
+    def image_of_base(word):
+        point = base
+        for l in word:
+            point = group.perm(l)[point]
+        return point
+
+    if image_of_base(ctx.word) == base:
         raise InternalInvariantError("word image fixes the base vertex")
-    if any(img[base] != base for img in gen_images):
+    if any(image_of_base(g) != base for g in ctx.subgroups[0]):
         raise InternalInvariantError("a generator image moves the base vertex")
     return SeparatorWitness(
         kind="hall", alphabet=alphabet, subgroups=ctx.subgroups, word=ctx.word,
-        primes=(), group=group, base_vertex=base, word_image=word_image,
-        generator_images=(gen_images,), excluded=True)
+        primes=(), group=group, base_vertex=base, excluded=True)
 
 
 # -- product separator --------------------------------------------------------
@@ -509,17 +511,14 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
     """
     ctx = _build_context(alphabet, subgroups, word, primes)
     top = ctx.chain.top
-    word_image = top.evaluate(ctx.word)
-    gen_images = tuple(tuple(top.evaluate(g) for g in gens) for gens in ctx.subgroups)
     witness = SeparatorWitness(
         kind="product", alphabet=alphabet, subgroups=ctx.subgroups, word=ctx.word,
-        primes=ctx.chain.primes, group=ctx.diagonal, chain=ctx.chain,
-        word_image=word_image, generator_images=gen_images)
+        primes=ctx.chain.primes, group=ctx.chain.levels[0], chain=ctx.chain)
     try:
         # exact orders first: proves cap-exceedance without enumerating
         structures = [image_structure(top, gens, cap) for gens in ctx.subgroups]
         end, images, rest, hit = _end_factor_search(top, ctx.subgroups, structures,
-                                                    word_image, cap)
+                                                    top.evaluate(ctx.word), cap)
     except CapExceeded:
         return witness
     size = None
@@ -745,36 +744,4 @@ def _prefix_in(eta, g, allowed_edges):
             continue
         if all(eta.step_key(i) in allowed_edges for i in range(k)):
             return eta.prefix(k)
-    return None
-
-
-def kernel_loop_word(h, level, cap=20000):
-    """A nonempty subgroup word with trivial image at the chain level, or None.
-
-    BFS over (graph vertex, image element) states from (base, identity);
-    the first nonempty reduced cycle word is returned.  Used to scramble
-    otherwise-true seeds in tests.
-    """
-    g = h.graph
-    start = (h.base, level.identity)
-    witness = {start: ()}
-    queue = deque([start])
-    letters = sorted(g.alphabet.letters(), key=letter_sort_key)
-    while queue:
-        state = queue.popleft()
-        v, k = state
-        for l in letters:
-            d = g.out_dart(v, l)
-            if d is None:
-                continue
-            nxt = (g.dst(d), level.mult(k, level.gen(l)))
-            if nxt not in witness:
-                if len(witness) >= cap:
-                    return None
-                witness[nxt] = witness[state] + (l,)
-                queue.append(nxt)
-            else:
-                cycle = free_reduce(witness[state] + (l,) + invert(witness[nxt]))
-                if cycle:
-                    return cycle
     return None

@@ -8,7 +8,7 @@ vertex.
 from dataclasses import dataclass
 
 from .graphs import LabeledGraph
-from .words import free_reduce, invert, letter_sort_key
+from .words import free_reduce, invert
 
 
 @dataclass(frozen=True)
@@ -112,32 +112,3 @@ def subgroup_basis(h):
         word = _word_to(g, tree, s) + (l,) + invert(_word_to(g, tree, d))
         basis.append(free_reduce(word))
     return basis
-
-
-def loop_words_up_to(h, max_len):
-    """All nonempty reduced words of the subgroup with length <= max_len.
-
-    Deterministic DFS over reduced loops at the base; exponential in
-    max_len, intended as a small-scale oracle for tests.
-    """
-    g = h.graph
-    out = []
-    letters = sorted(g.alphabet.letters(), key=letter_sort_key)
-
-    def walk(v, word):
-        if len(word) >= max_len:
-            return
-        for l in letters:
-            if word and l == -word[-1]:
-                continue
-            d = g.out_dart(v, l)
-            if d is None:
-                continue
-            w = g.dst(d)
-            nxt = word + (l,)
-            if w == h.base:
-                out.append(nxt)
-            walk(w, nxt)
-
-    walk(h.base, ())
-    return out

@@ -9,8 +9,6 @@ per generator and the corresponding uppercase letter for its inverse, so
 
 import string
 
-Word = tuple
-
 
 class Alphabet:
     """An ordered set of distinct generator symbols.

@@ -1,0 +1,66 @@
+"""Test-only helpers: small-scale word generators over subgroup graphs."""
+
+from collections import deque
+
+from prodsep.words import free_reduce, invert, letter_sort_key
+
+
+def loop_words_up_to(h, max_len):
+    """All nonempty reduced words of the subgroup with length <= max_len.
+
+    Deterministic DFS over reduced loops at the base; exponential in
+    max_len, intended as a small-scale oracle for tests.
+    """
+    g = h.graph
+    out = []
+    letters = sorted(g.alphabet.letters(), key=letter_sort_key)
+
+    def walk(v, word):
+        if len(word) >= max_len:
+            return
+        for l in letters:
+            if word and l == -word[-1]:
+                continue
+            d = g.out_dart(v, l)
+            if d is None:
+                continue
+            w = g.dst(d)
+            nxt = word + (l,)
+            if w == h.base:
+                out.append(nxt)
+            walk(w, nxt)
+
+    walk(h.base, ())
+    return out
+
+
+def kernel_loop_word(h, level, cap=20000):
+    """A nonempty subgroup word with trivial image at the chain level, or None.
+
+    BFS over (graph vertex, image element) states from (base, identity);
+    the first nonempty reduced cycle word is returned.  Used to scramble
+    otherwise-true seeds in tests.
+    """
+    g = h.graph
+    start = (h.base, level.identity)
+    witness = {start: ()}
+    queue = deque([start])
+    letters = sorted(g.alphabet.letters(), key=letter_sort_key)
+    while queue:
+        state = queue.popleft()
+        v, k = state
+        for l in letters:
+            d = g.out_dart(v, l)
+            if d is None:
+                continue
+            nxt = (g.dst(d), level.mult(k, level.gen(l)))
+            if nxt not in witness:
+                if len(witness) >= cap:
+                    return None
+                witness[nxt] = witness[state] + (l,)
+                queue.append(nxt)
+            else:
+                cycle = free_reduce(witness[state] + (l,) + invert(witness[nxt]))
+                if cycle:
+                    return cycle
+    return None

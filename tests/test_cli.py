@@ -13,6 +13,7 @@ from prodsep.certificates import (
     verify_certificate,
 )
 from prodsep.cli import main
+from prodsep.covers import expand_to_cover, transition_group
 from prodsep.errors import CapExceeded
 from prodsep.graphs import LabeledGraph
 from prodsep.groups import DEFAULT_CAP
@@ -23,6 +24,7 @@ from prodsep.problems import (
     parse_problem,
 )
 from prodsep.separators import factorize, hall_separator, product_separator
+from prodsep.stallings import stallings_graph
 from prodsep.words import Alphabet
 
 A = Alphabet("xy")
@@ -306,6 +308,10 @@ class TestCliCommands:
     def test_group_cayley_from_cover_group_output(self, hall_file, tmp_path, capsys):
         assert main(["cover", "group", hall_file]) == 0
         spec = capsys.readouterr().out
+        problem = parse_problem(HALL_INSTANCE)
+        h = stallings_graph(problem.alphabet, problem.subgroup_list()[0])
+        group = transition_group(expand_to_cover(h.graph))
+        assert spec == format_group_spec(group) + f"# order: {group.order()}\n"
         spec_path = tmp_path / "spec.txt"
         spec_path.write_text(spec)
         assert main(["group", "cayley", str(spec_path)]) == 0

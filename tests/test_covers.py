@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+import time
 
 import pytest
 
@@ -27,7 +30,8 @@ class TestExpandToCover:
         cover = expand_to_cover(h.graph)
         assert cover.graph.is_covering()
         assert cover.graph.num_vertices == h.graph.num_vertices
-        assert cover.restriction().geometric_edges() == h.graph.geometric_edges()
+        original = cover.graph.geometric_edges()[:cover.original_count]
+        assert original == h.graph.geometric_edges()
 
     def test_rejects_non_immersion(self):
         g = LabeledGraph(A, 3, [(0, 1, 1), (0, 2, 1)])
@@ -59,6 +63,63 @@ class TestEnumerateExpansions:
         assert not enum.complete
         assert len(enum.expansions) == 5
         assert enumerate_expansions(g, cap=24).complete
+
+    def test_cap_stops_the_work(self):
+        # 12! pairings of the missing x-edges; only the first five are made
+        h = stallings_graph(A, [A.parse("y" * 12)])
+        t0 = time.perf_counter()
+        enum = enumerate_expansions(h.graph, cap=5)
+        elapsed = time.perf_counter() - t0
+        assert not enum.complete
+        assert len(enum.expansions) == 5
+        assert elapsed < 0.5, f"{elapsed:.3f} s"
+
+    def test_matches_eager_enumeration(self):
+        rng = random.Random(37)
+        letters = A.letters()
+        listed = capped = 0
+        for _ in range(60):
+            gens = [tuple(rng.choice(letters) for _ in range(rng.randint(1, 5)))
+                    for _ in range(rng.randint(1, 2))]
+            h = stallings_graph(A, gens)
+            for cap in (1, 3, 24, 1000):
+                enum = enumerate_expansions(h.graph, cap=cap)
+                expected, complete = eager_expansions(h.graph, cap)
+                assert enum.complete == complete
+                assert [e.graph.geometric_edges() for e in enum.expansions] == expected
+                assert all(e.original_count == h.graph.num_geometric_edges
+                           for e in enum.expansions)
+                listed += len(expected)
+                capped += not complete
+        assert listed > 300 and capped > 20
+
+
+def eager_expansions(graph, cap):
+    """Reference: every pairing built up front, duplicates skipped, then capped."""
+    per_letter = []
+    total = 1
+    for x in graph.alphabet.positive_letters():
+        star = graph.star()
+        no_out = [v for v in range(graph.num_vertices) if (v, x) not in star]
+        no_in = [v for v in range(graph.num_vertices) if (v, -x) not in star]
+        total *= math.factorial(len(no_out))
+        per_letter.append((x, no_out, no_in))
+    choices = [[list(zip(no_out, perm)) for perm in itertools.permutations(no_in)]
+               for x, no_out, no_in in per_letter]
+    out = []
+    seen = set()
+    for combo in itertools.product(*choices):
+        edges = list(graph.geometric_edges())
+        for (x, _, _), pairs in zip(per_letter, combo):
+            edges.extend((s, d, x) for s, d in pairs)
+        key = tuple(sorted(edges))
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(tuple(edges))
+        if len(out) >= cap and total > cap:
+            return out, False
+    return out, True
 
 
 class TestTransitionGroup:

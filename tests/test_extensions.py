@@ -5,7 +5,7 @@ import pytest
 from prodsep.covers import expand_to_cover, transition_group
 from prodsep.errors import CapExceeded
 from prodsep.extensions import (
-    build_extension,
+    ExtensionLevel,
     iterated_extension,
     signed_traversals,
     traversal_element,
@@ -39,19 +39,19 @@ def random_cover_group(rng, max_order=24):
 
 class TestBuildExtension:
     def test_trivial_group_one_letter_gives_z2(self):
-        ext = build_extension(TRIVIAL_X, 2)
+        ext = ExtensionLevel(TRIVIAL_X, 2)
         g = ext.gen(1)
         assert g != ext.identity
         assert ext.mult(g, g) == ext.identity
         assert len(ext.elements()) == 2
 
     def test_generators_project_to_group_generators(self):
-        ext = build_extension(KLEIN, 2)
+        ext = ExtensionLevel(KLEIN, 2)
         for l in A.letters():
-            assert ext.project(ext.gen(l)) == KLEIN.perm(l)
+            assert ext.gen(l)[1] == KLEIN.perm(l)
 
     def test_generator_squared_multiplication_law(self):
-        ext = build_extension(KLEIN, 2)
+        ext = ExtensionLevel(KLEIN, 2)
         gx = ext.gen(1)
         sq = ext.mult(gx, gx)
         x = KLEIN.perm(1)
@@ -60,9 +60,9 @@ class TestBuildExtension:
 
     def test_rejects_non_prime(self):
         with pytest.raises(ValueError):
-            build_extension(KLEIN, 4)
+            ExtensionLevel(KLEIN, 4)
         with pytest.raises(ValueError):  # too large for a float square root
-            build_extension(Z2, 10 ** 400)
+            ExtensionLevel(Z2, 10 ** 400)
 
 
 class TestSignedTraversals:
@@ -83,7 +83,7 @@ class TestSignedTraversals:
 
 class TestTraversalIdentity:
     def test_commutator_in_klein(self):
-        ext = build_extension(KLEIN, 2)
+        ext = ExtensionLevel(KLEIN, 2)
         w = A.parse("xyXY")
         vec, g = ext.evaluate(w)
         assert g == KLEIN.identity  # the commutator survives only in the vector
@@ -92,7 +92,7 @@ class TestTraversalIdentity:
         assert (vec, g) == traversal_element(ext, w)
 
     def test_empty_and_cancelling_words(self):
-        ext = build_extension(KLEIN, 2)
+        ext = ExtensionLevel(KLEIN, 2)
         assert ext.evaluate(()) == ext.identity
         assert ext.evaluate(A.parse("xX")) == ext.identity
 
@@ -102,13 +102,13 @@ class TestTraversalIdentity:
         for _ in range(60):
             group = random_cover_group(rng)
             p = rng.choice([2, 3, 5])
-            ext = build_extension(group, p)
+            ext = ExtensionLevel(group, p)
             w = tuple(rng.choice(letters) for _ in range(rng.randrange(31)))
             assert ext.evaluate(w) == traversal_element(ext, w)
 
     def test_well_defined_under_free_reduction(self):
         rng = random.Random(103)
-        ext = build_extension(KLEIN, 3)
+        ext = ExtensionLevel(KLEIN, 3)
         letters = A.letters()
         for _ in range(50):
             w = tuple(rng.choice(letters) for _ in range(rng.randrange(25)))
@@ -117,7 +117,7 @@ class TestTraversalIdentity:
     def test_kernel_is_abelian(self):
         # words trivial in G commute in the extension
         rng = random.Random(107)
-        ext = build_extension(KLEIN, 2)
+        ext = ExtensionLevel(KLEIN, 2)
         trivial = [A.parse("xx"), A.parse("yy"), A.parse("xyXY"), A.parse("xyxY")]
         for u in trivial:
             assert KLEIN.evaluate(u) == KLEIN.identity
@@ -127,25 +127,25 @@ class TestTraversalIdentity:
 
     def test_projection_is_a_homomorphism_onto_g(self):
         rng = random.Random(109)
-        ext = build_extension(KLEIN, 5)
+        ext = ExtensionLevel(KLEIN, 5)
         letters = A.letters()
         for _ in range(50):
             w = tuple(rng.choice(letters) for _ in range(rng.randrange(20)))
-            assert ext.project(ext.evaluate(w)) == KLEIN.evaluate(w)
+            assert ext.evaluate(w)[1] == KLEIN.evaluate(w)
 
 
 class TestIteratedExtension:
     def test_empty_chain_is_the_group(self):
         chain = iterated_extension(KLEIN, [])
         assert chain.top is KLEIN
-        assert chain.evaluate(A.parse("xy")) == KLEIN.evaluate(A.parse("xy"))
+        assert chain.top.evaluate(A.parse("xy")) == KLEIN.evaluate(A.parse("xy"))
 
-    def test_single_prime_matches_build_extension(self):
+    def test_single_prime_matches_extension_level(self):
         chain = iterated_extension(KLEIN, [2])
-        ext = build_extension(KLEIN, 2)
+        ext = ExtensionLevel(KLEIN, 2)
         for text in ["xyXY", "xxY", "yxyx"]:
             w = A.parse(text)
-            assert chain.evaluate(w) == ext.evaluate(w)
+            assert chain.top.evaluate(w) == ext.evaluate(w)
 
     def test_two_level_projection(self):
         chain = iterated_extension(KLEIN, [2, 3])
@@ -153,37 +153,37 @@ class TestIteratedExtension:
         letters = A.letters()
         for _ in range(25):
             w = tuple(rng.choice(letters) for _ in range(rng.randrange(15)))
-            assert chain.project_to_base(chain.evaluate(w)) == KLEIN.evaluate(w)
+            assert chain.top.evaluate(w)[1][1] == KLEIN.evaluate(w)
 
     def test_traversal_identity_at_level_two(self):
         chain = iterated_extension(Z2, [2, 2])
         rng = random.Random(127)
         for _ in range(15):
             w = tuple(rng.choice((1, -1)) for _ in range(rng.randrange(12)))
-            assert chain.evaluate(w) == traversal_element(chain.top, w)
+            assert chain.top.evaluate(w) == traversal_element(chain.top, w)
 
 
 class TestMaterialization:
     def test_order_formula_exact(self):
         for group, p in [(Z2, 2), (Z2, 3), (KLEIN, 2)]:
-            ext = build_extension(group, p)
+            ext = ExtensionLevel(group, p)
             expected = ext.order(cap=10 ** 7)
             assert len(ext.elements(cap=10 ** 7)) == expected
 
     def test_order_divides_bound(self):
         # |G^(p)| divides |G| * p^(|X| * |G|)
-        ext = build_extension(KLEIN, 2)
+        ext = ExtensionLevel(KLEIN, 2)
         n = len(ext.elements(cap=10 ** 7))
         assert (KLEIN.order() * 2 ** (A.size * KLEIN.order())) % n == 0
 
     def test_cap_exceeded_mentions_computed_order(self):
-        ext = build_extension(KLEIN, 2)
+        ext = ExtensionLevel(KLEIN, 2)
         with pytest.raises(CapExceeded) as info:
             ext.elements(cap=10)
         assert "128" in str(info.value) or "2^" in str(info.value)
 
     def test_cayley_graph_of_extension(self):
-        ext = build_extension(Z2, 2)
+        ext = ExtensionLevel(Z2, 2)
         cg = cayley_graph(ext, cap=1000)
         assert cg.graph.is_covering()
         assert cg.graph.is_connected()
@@ -197,7 +197,7 @@ class TestMaterialization:
 class TestInverses:
     def test_inverse_law(self):
         rng = random.Random(131)
-        ext = build_extension(KLEIN, 3)
+        ext = ExtensionLevel(KLEIN, 3)
         letters = A.letters()
         for _ in range(40):
             w = tuple(rng.choice(letters) for _ in range(rng.randrange(12)))

@@ -84,7 +84,7 @@ class TestMemberProduct:
                 assert member_product([h], w) == contains(h, w)
 
     def test_agrees_with_exhaustive_factor_search(self):
-        from prodsep.stallings import loop_words_up_to
+        from tests.helpers import loop_words_up_to
         rng = random.Random(71)
         for _ in range(25):
             g1 = free_reduce(random_word(rng, 4)) or A.parse("x")

@@ -28,7 +28,6 @@ from prodsep.separators import (
     hall_separator,
     image_structure,
     image_subgroup,
-    kernel_loop_word,
     product_separator,
     project_path,
     span_of,
@@ -36,6 +35,7 @@ from prodsep.separators import (
 )
 from prodsep.stallings import contains, stallings_graph
 from prodsep.words import Alphabet, free_reduce, invert
+from tests.helpers import kernel_loop_word
 
 A = Alphabet("xy")
 KLEIN = XGroup(A, [(1, 0, 2, 3), (0, 1, 3, 2)])
@@ -63,18 +63,33 @@ class TestHallSeparator:
     def test_known_instance(self):
         wit = hall_separator(A, [A.parse("xyXY"), A.parse("yy")], A.parse("xyX"))
         assert wit.excluded
-        assert wit.word_image[wit.base_vertex] != wit.base_vertex
-        for img in wit.generator_images[0]:
-            assert img[wit.base_vertex] == wit.base_vertex
+        assert wit.group.evaluate(wit.word)[wit.base_vertex] != wit.base_vertex
+        for g in wit.subgroups[0]:
+            assert wit.group.evaluate(g)[wit.base_vertex] == wit.base_vertex
 
     def test_rank_one_instance(self):
         wit = hall_separator(A, [A.parse("x")], A.parse("y"))
         assert wit.group.carrier == 2
-        assert wit.word_image[wit.base_vertex] != wit.base_vertex
+        assert wit.group.evaluate(wit.word)[wit.base_vertex] != wit.base_vertex
 
     def test_rejects_member_word(self):
         with pytest.raises(ValueError):
             hall_separator(A, [A.parse("x"), A.parse("y")], A.parse("xy"))
+
+    def test_follows_the_base_vertex_only(self, monkeypatch):
+        # the certificate is where the base vertex goes, so no word is
+        # evaluated on the whole carrier
+        calls = []
+        evaluate = XGroup.evaluate
+
+        def counted(self, word):
+            calls.append(word)
+            return evaluate(self, word)
+
+        monkeypatch.setattr(XGroup, "evaluate", counted)
+        wit = hall_separator(A, [A.parse("xyXY"), A.parse("yy")], A.parse("xyX"))
+        assert wit.excluded
+        assert calls == []
 
     def test_random_instances(self):
         rng = random.Random(201)
@@ -86,9 +101,9 @@ class TestHallSeparator:
             if not w or contains(h, w):
                 continue
             wit = hall_separator(A, gens, w)
-            assert wit.word_image[wit.base_vertex] != wit.base_vertex
-            for img in wit.generator_images[0]:
-                assert img[wit.base_vertex] == wit.base_vertex
+            assert wit.group.evaluate(wit.word)[wit.base_vertex] != wit.base_vertex
+            for g in wit.subgroups[0]:
+                assert wit.group.evaluate(g)[wit.base_vertex] == wit.base_vertex
             done += 1
 
     def test_certificate_checks_follow_the_base_vertex(self):
@@ -589,7 +604,7 @@ class TestProductAgainstEnumeration:
             top = wit.chain.top
             images = [image_subgroup(top, g, cap=cap) for g in subgroups]
             assert wit.factor_image_sizes == tuple(len(img) for img in images)
-            member = _product_member(top, images, wit.word_image, 10 ** 6)
+            member = _product_member(top, images, top.evaluate(wit.word), 10 ** 6)
             assert wit.excluded == (member is None)
             decided += 1
             seen.add((wit.excluded, len(images[0]) > len(images[-1])))

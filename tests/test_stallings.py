@@ -1,13 +1,8 @@
 import random
 
-from prodsep.stallings import (
-    attach_word,
-    contains,
-    loop_words_up_to,
-    stallings_graph,
-    subgroup_basis,
-)
+from prodsep.stallings import attach_word, contains, stallings_graph, subgroup_basis
 from prodsep.words import Alphabet, free_reduce, invert
+from tests.helpers import loop_words_up_to
 
 A = Alphabet("xy")
 
