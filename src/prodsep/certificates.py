@@ -3,13 +3,23 @@
 Every certificate is a line-oriented block that parses back to a small
 dataclass; ``verify`` re-checks each claim using only word, graph, and
 group primitives, never trusting the construction that produced it.
+
+A product certificate with one or two factors is re-checked through the
+pullback graphs S(H_i) x Cay(G), G the permutation group it states: one
+walk per factor yields the image one level down, the tree vectors over
+it and the span of the cycle vectors, from which image orders, the
+product size and membership follow by GF(p) elimination; no image is
+enumerated, and the cap bounds the base fibre of each walk.  Stated
+sizes are checked whatever the status.  Three or more factors still
+enumerate every image and meet in the middle (``_product_member``).
 """
 
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import CapExceeded
-from .extensions import ExtensionChain
+from .extensions import ExtensionChain, traversal_element
 from .groups import DEFAULT_CAP, XGroup, fmt_perm, parse_perm
 from .problems import (
     ProblemParseError,
@@ -250,6 +260,234 @@ def _stage(name):
         raise CapExceeded(f"verify, {name}: {exc}", limit=exc.limit) from None
 
 
+PARTIAL = "partial certificate: exclusion claim not checked"
+
+
+def _membership_verdict(status, member):
+    """(ok, messages) for a status claim, given the re-checked membership."""
+    if status == "excluded" and member:
+        return False, ["word image found inside the image product"]
+    if status == "member" and not member:
+        return False, ["word image not found in the image product"]
+    return True, [f"image product membership re-checked: {member}"]
+
+
+# -- pullback graphs: one and two factors -------------------------------------
+#
+# Let G be chain level 0 and P = S(H) x Cay(G) the pullback of the Stallings
+# graph and the Cayley graph: vertices (s, g), and for each dart of S(H)
+# from s to s' with label l an edge (s, g) -> (s', g*l).  The loops of S(H)
+# at its base are the words of H, so the image of H in G is the base fibre
+# {g : (base, g) lies in the component of (base, 1)}.  One level up, by the
+# traversal identity, a word's image is (its signed Cayley-edge traversal
+# vector mod p, its value in G); over the base fibre these vectors are the
+# spanning-tree vectors T(g) plus the span Z of the component's cycle
+# vectors, so the image is {(T(g) + z, g)} and has |fibre| * p^dim Z
+# elements (Stallings, "Topology of finite graphs", 1983; Kapovich and
+# Myasnikov, "Stallings foldings and subgroups of free groups", 2002).
+
+
+@dataclass
+class _Pullback:
+    """The base fibre of a walk of S(H) x Cay(G), with the cycle span.
+
+    ``fibre`` maps each g with (base, g) in the component to its tree
+    vector (None without a prime); ``rows`` is the cycle span, row-reduced
+    and keyed by pivot.
+    """
+    fibre: dict
+    rows: dict
+    prime: int
+
+    @property
+    def order(self):
+        return len(self.fibre) * (self.prime or 1) ** len(self.rows)
+
+
+def _walk(group, h, prime, cap):
+    """BFS of S(H) x Cay(G) from (base, 1); CapExceeded past cap fibre points.
+
+    S(H) is connected, so the component meets every vertex's fibre in as
+    many points as the base fibre: it outgrows |V(S)| * cap points
+    exactly when the base fibre outgrows cap.
+    """
+    graph, base = h.graph, h.base
+    darts = [[] for _ in range(graph.num_vertices)]
+    for d in range(graph.num_darts):
+        darts[graph.src(d)].append((d, graph.label(d), graph.dst(d)))
+    steps = {l: group.gen(l) for l in group.alphabet.letters()}
+    limit = graph.num_vertices * cap
+    root = (base, group.identity)
+    vectors = {root: {}}
+    links = {root: None}  # vertex -> (tree parent, dart from it)
+    rows = {}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        s, g = u
+        tu = vectors.get(u)
+        for d, l, t in darts[s]:
+            hg = group.mult(g, steps[l])
+            w = (t, hg)
+            if w not in links:
+                if len(links) >= limit:
+                    raise CapExceeded(f"pullback base fibre has more than {cap} "
+                                      f"elements", limit=cap)
+                links[w] = (u, d)
+                queue.append(w)
+                if prime is not None:
+                    vectors[w] = _step(tu, g, l, hg, prime)
+            elif prime is not None and l > 0 and links[u] != (w, d ^ 1):
+                # a non-tree edge, met once from its positive end
+                cycle = _step(tu, g, l, hg, prime)
+                _add(cycle, vectors[w], -1, prime)
+                _insert(cycle, rows, prime)
+    fibre = {g: vectors.get((s, g)) if prime else None for s, g in links if s == base}
+    return _Pullback(fibre, rows, prime)
+
+
+def _step(vec, g, l, hg, prime):
+    """A copy of vec after crossing the Cayley edge of letter l from g to hg."""
+    key, c = ((g, l), 1) if l > 0 else ((hg, -l), -1)
+    out = dict(vec)
+    _add(out, {key: c}, 1, prime)
+    return out
+
+
+def _add(vec, other, scale, prime):
+    """vec += scale * other over GF(p), in place."""
+    for k, c in other.items():
+        n = (vec.get(k, 0) + scale * c) % prime
+        if n:
+            vec[k] = n
+        else:
+            vec.pop(k, None)
+
+
+def _reduce(vec, rows, prime):
+    """vec reduced in place until its least key is no pivot; empty iff in the span."""
+    while vec:
+        pivot = min(vec)
+        row = rows.get(pivot)
+        if row is None:
+            return vec
+        _add(vec, row, -vec[pivot], prime)
+    return vec
+
+
+def _insert(vec, rows, prime):
+    """Add vec to the span; rows keep their least key as pivot, with coefficient 1."""
+    if _reduce(vec, rows, prime):
+        pivot = min(vec)
+        scale = pow(vec[pivot], -1, prime)
+        rows[pivot] = {k: c * scale % prime for k, c in vec.items()}
+
+
+def _translate(vec, group, g):
+    """g acting on a vector over Cayley edges: the edge (h, x) goes to (g*h, x)."""
+    return {(group.mult(g, h), x): c for (h, x), c in vec.items()}
+
+
+def _span(*row_sets, prime):
+    """The sum of the spans, row-reduced."""
+    rows = {}
+    for row_set in row_sets:
+        for row in row_set.values():
+            _insert(dict(row), rows, prime)
+    return rows
+
+
+def _product_size(walks):
+    """|A_1 A_2| = |A_1| |A_2| / |A_1 & A_2|; with one factor, |A_1|.
+
+    (v, a) lies in both images when a lies in both fibres and v in both
+    cosets T_i(a) + Z_i, which meet exactly when T_1(a) - T_2(a) lies in
+    Z_1 + Z_2, and then in p^dim(Z_1 & Z_2) vectors.
+    """
+    if len(walks) == 1:
+        return walks[0].order
+    one, two = walks
+    prime = one.prime
+    both = _span(one.rows, two.rows, prime=prime)
+    meet = 0
+    for a, t1 in one.fibre.items():
+        t2 = two.fibre.get(a)
+        if t2 is not None:
+            diff = dict(t1)
+            _add(diff, t2, -1, prime)
+            meet += not _reduce(diff, both, prime)
+    common = meet * prime ** (len(one.rows) + len(two.rows) - len(both))
+    return one.order * two.order // common
+
+
+def _pullback_member(group, walks, target):
+    """Does target lie in the image product?
+
+    With one factor, when its G-part lies in the fibre.  With two and
+    target (v, g): a_1 a_2 = target for a_1 = (T_1(a) + z_1, a) and a_2 over
+    a^-1 g exactly when a lies in both the first fibre and g times the
+    second, and v - T_1(a) + g T_2(g^-1 a) lies in Z_1 + g Z_2 (the second
+    walk translated by g starts at (base, g)).
+    """
+    if len(walks) == 1:
+        return target in walks[0].fibre
+    one, two = walks
+    prime = one.prime
+    v, g = target
+    gi = group.inv(g)
+    span = _span(one.rows, {k: _translate(row, group, g) for k, row in two.rows.items()},
+                 prime=prime)
+    for a, t1 in one.fibre.items():
+        t2 = two.fibre.get(group.mult(gi, a))
+        if t2 is None:
+            continue
+        diff = dict(v)
+        _add(diff, t1, -1, prime)
+        _add(diff, _translate(t2, group, g), 1, prime)
+        if not _reduce(diff, span, prime):
+            return True
+    return False
+
+
+def _decimal(n):
+    """n in decimal, or its bit length past what Python prints (4,300 digits)."""
+    return str(n) if n.bit_length() < 10_000 else f"a {n.bit_length()}-bit number"
+
+
+def _verify_by_pullbacks(cert, chain, cap):
+    """One or two factors: every claim from walks of S(H_i) x Cay(G).
+
+    The stated sizes are checked whatever the status; a partial
+    certificate that states none walks nothing.
+    """
+    group = chain.levels[0]
+    prime = chain.primes[0] if chain.primes else None
+    if cert.image_sizes is None and cert.product_size is None and \
+            cert.status == "partial":
+        return True, [PARTIAL]
+    with _stage("pullback walk"):
+        walks = [_walk(group, stallings_graph(cert.alphabet, gens), prime, cap)
+                 for gens in cert.subgroups]
+    if cert.image_sizes is not None:
+        actual = tuple(walk.order for walk in walks)
+        if actual != cert.image_sizes:
+            shown = ", ".join(map(_decimal, actual)) + ("," if len(actual) == 1 else "")
+            return False, [f"stated image sizes {cert.image_sizes} != ({shown})"]
+    if cert.product_size is not None:
+        size = _product_size(walks)
+        if size != cert.product_size:
+            return False, [f"stated product size {cert.product_size} != {_decimal(size)}"]
+    if cert.status == "partial":
+        return True, [PARTIAL]
+    word = free_reduce(cert.word)
+    if prime is None:
+        target = group.evaluate(word)
+    else:
+        vec, g = traversal_element(chain.top, word)
+        target = (dict(vec), g)
+    return _membership_verdict(cert.status, _pullback_member(group, walks, target))
+
+
 def verify_certificate(cert, cap=DEFAULT_CAP):
     """Re-check every claim; returns (ok, messages).
 
@@ -276,10 +514,12 @@ def verify_certificate(cert, cap=DEFAULT_CAP):
         if len(cert.primes) != len(cert.subgroups) - 1:
             return False, ["prime list length does not match the subgroup count"]
         chain = ExtensionChain(group, cert.primes)
+        if len(cert.subgroups) <= 2:
+            return _verify_by_pullbacks(cert, chain, cap)
         top = chain.top
         target = top.evaluate(free_reduce(cert.word))
         if cert.status == "partial":
-            messages.append("partial certificate: exclusion claim not checked")
+            messages.append(PARTIAL)
             return True, messages
         with _stage("image enumeration"):
             images = [image_subgroup(top, gens, cap) for gens in cert.subgroups]
@@ -288,22 +528,13 @@ def verify_certificate(cert, cap=DEFAULT_CAP):
             if actual != cert.image_sizes:
                 return False, [f"stated image sizes {cert.image_sizes} != {actual}"]
         if cert.product_size is not None:
-            if len(images) == 2:
-                common = len(images[0].keys() & images[1].keys())
-                size = len(images[0]) * len(images[1]) // common
-            else:
-                with _stage("product size"):
-                    size = len(_product_with_witness(top, images, cap))
+            with _stage("product size"):
+                size = len(_product_with_witness(top, images, cap))
             if size != cert.product_size:
                 return False, [f"stated product size {cert.product_size} != {size}"]
         with _stage("product membership"):
             member = _product_member(top, images, target, cap) is not None
-        if cert.status == "excluded" and member:
-            return False, ["word image found inside the image product"]
-        if cert.status == "member" and not member:
-            return False, ["word image not found in the image product"]
-        messages.append(f"image product membership re-checked: {member}")
-        return True, messages
+        return _membership_verdict(cert.status, member)
     if isinstance(cert, FactorizationCertificate):
         if len(cert.factors) != len(cert.subgroups):
             return False, ["factor count does not match the subgroup count"]

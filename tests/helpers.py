@@ -1,7 +1,11 @@
-"""Test-only helpers: small-scale word generators over subgroup graphs."""
+"""Test-only helpers: small-scale word generators over subgroup graphs, and
+the enumeration oracle for product certificate claims."""
 
 from collections import deque
 
+from prodsep.certificates import _product_member, image_subgroup
+from prodsep.extensions import ExtensionChain
+from prodsep.separators import image_subgroup_order
 from prodsep.words import free_reduce, invert, letter_sort_key
 
 
@@ -64,3 +68,23 @@ def kernel_loop_word(h, level, cap=20000):
                 if cycle:
                     return cycle
     return None
+
+
+def enumerated_claims(group, primes, subgroups, word, cap):
+    """(image orders, product size, member) of a one- or two-factor product.
+
+    Every image is listed (`image_subgroup`), membership is the
+    meet-in-the-middle (`_product_member`) and two images are sized by
+    the intersection of their key sets.  The construction's exact order
+    refuses an image above the cap, with CapExceeded, before it is listed.
+    """
+    top = ExtensionChain(group, primes).top
+    for gens in subgroups:
+        image_subgroup_order(top, gens, cap)
+    images = [image_subgroup(top, gens, cap) for gens in subgroups]
+    if len(images) == 1:
+        size = len(images[0])
+    else:
+        size = len(images[0]) * len(images[1]) // len(images[0].keys() & images[1].keys())
+    member = _product_member(top, images, top.evaluate(free_reduce(word)), cap) is not None
+    return tuple(len(img) for img in images), size, member

@@ -1,0 +1,187 @@
+"""The pullback route of `verify` for one- and two-factor product certificates.
+
+The oracle is `tests.helpers.enumerated_claims`, which lists every image
+as `verify` still does for three factors.
+"""
+
+import dataclasses
+import inspect
+import random
+
+import pytest
+
+from prodsep import separators
+from prodsep.certificates import (
+    ProductCertificate,
+    _decimal,
+    certificate_of,
+    emit_certificate,
+    parse_certificate,
+    verify_certificate,
+)
+from prodsep.cli import main
+from prodsep.errors import CapExceeded
+from prodsep.extensions import ExtensionLevel
+from prodsep.groups import XGroup
+from prodsep.words import Alphabet, free_reduce, invert
+from tests.helpers import enumerated_claims
+
+A = Alphabet("xy")
+CAP = 4096
+
+
+def random_word(rng, lo, hi):
+    return free_reduce(tuple(rng.choice(A.letters()) for _ in range(rng.randint(lo, hi))))
+
+
+def random_gens(rng):
+    gens = [random_word(rng, 1, 4) for _ in range(rng.randint(1, 2))]
+    return tuple(g for g in gens if g) or ((1,),)
+
+
+def random_group(rng):
+    carrier = rng.randint(2, 4)
+    perms = []
+    for _ in A.positive_letters():
+        p = list(range(carrier))
+        rng.shuffle(p)
+        perms.append(tuple(p))
+    return XGroup(A, perms)
+
+
+def certificate(group, primes, subgroups, word, claims):
+    orders, size, member = claims
+    return ProductCertificate(
+        alphabet=A, subgroups=tuple(subgroups), word=free_reduce(word), primes=primes,
+        carrier=group.carrier, perms=tuple(group.perm(x) for x in A.positive_letters()),
+        status="member" if member else "excluded", image_sizes=orders, product_size=size)
+
+
+class TestAgainstEnumeration:
+    @pytest.mark.parametrize("prime", [2, 3, 5])
+    def test_random_instances(self, prime):
+        rng = random.Random(f"pullback/{prime}")
+        decided, seen = 0, set()
+        while decided < 300:
+            group = random_group(rng)
+            n = 1 if decided % 4 == 0 else 2
+            primes = (prime,) * (n - 1)
+            subgroups = [random_gens(rng) for _ in range(n)]
+            if rng.random() < 0.5:
+                parts = []
+                for gens in subgroups:
+                    g = rng.choice(gens)
+                    parts += g if rng.random() < 0.5 else invert(g)
+                word = free_reduce(tuple(parts))
+            else:
+                word = random_word(rng, 0, 6)
+            try:
+                claims = enumerated_claims(group, primes, subgroups, word, CAP)
+            except CapExceeded:
+                continue
+            decided += 1
+            seen.add((n, claims[2]))
+            # the oracle's orders, product size and membership verify, and
+            # none of them can change without a rejection
+            cert = certificate(group, primes, subgroups, word, claims)
+            assert verify_certificate(cert, cap=CAP) == (
+                True, [f"image product membership re-checked: {claims[2]}"]), cert
+            flipped = "excluded" if claims[2] else "member"
+            i = rng.randrange(n)
+            sizes = tuple(s + (k == i) for k, s in enumerate(claims[0]))
+            for tampered in (dataclasses.replace(cert, status=flipped),
+                             dataclasses.replace(cert, image_sizes=sizes),
+                             dataclasses.replace(cert, product_size=claims[1] + 1),
+                             dataclasses.replace(cert, product_size=claims[1] - 1)):
+                assert not verify_certificate(tampered, cap=CAP)[0], tampered
+        # members and non-members, with one factor and with two
+        assert seen == {(n, m) for n in (1, 2) for m in (True, False)}
+
+    def test_cap_counts_the_base_fibre(self):
+        # over G = Z/2 at p = 2, <x, y> is the whole extension, 2 * 2^3
+        # elements, and <x> has 4; each base fibre is G itself
+        group = XGroup(A, [(1, 0), (1, 0)])
+        subgroups = [(A.parse("x"), A.parse("y")), (A.parse("x"),)]
+        word = A.parse("xy")
+        claims = enumerated_claims(group, (2,), subgroups, word, CAP)
+        assert claims[0] == (16, 4)
+        cert = certificate(group, (2,), subgroups, word, claims)
+        assert verify_certificate(cert, cap=2)[0]
+        with pytest.raises(CapExceeded, match="^verify, pullback walk: "):
+            verify_certificate(cert, cap=1)
+
+
+def test_orders_too_long_to_print_show_their_bit_length():
+    # a walk of rank 15,000 or more has an order Python refuses to print
+    assert _decimal(2 ** 9997 * 3) == str(2 ** 9997 * 3)
+    assert _decimal(2 ** 15134 * 30) == "a 15139-bit number"
+
+
+PARTIAL_REPRO = {"status: excluded": "status: partial",
+                 "image size 1: 2": "image size 1: 9992",
+                 "product size: 4": "product size: 74"}
+
+
+class TestPartialCertificates:
+    def test_stated_sizes_are_checked(self, tmp_path, capsys):
+        text = emit_certificate(separators.product_separator(
+            A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xy")))
+        for old, new in PARTIAL_REPRO.items():
+            assert old in text
+            text = text.replace(old, new)
+        assert verify_certificate(parse_certificate(text)) == (
+            False, ["stated image sizes (9992, 2) != (2, 2)"])
+        path = tmp_path / "partial.cert"
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 1
+        assert "REJECTED" in capsys.readouterr().out
+        # only the product size wrong
+        text = text.replace("image size 1: 9992", "image size 1: 2")
+        assert verify_certificate(parse_certificate(text)) == (
+            False, ["stated product size 74 != 4"])
+
+    def test_honest_partial_certificate_verifies(self):
+        # the construction states no sizes when the cap kept it from deciding
+        wit = separators.product_separator(A, [[A.parse("xx")], [A.parse("yy")]],
+                                           A.parse("xy"), cap=1)
+        cert = certificate_of(wit)
+        assert cert.status == "partial" and cert.image_sizes is None
+        assert verify_certificate(cert, cap=1) == (
+            True, ["partial certificate: exclusion claim not checked"])
+        sized = dataclasses.replace(cert, image_sizes=(2, 2), product_size=4)
+        assert verify_certificate(sized) == (
+            True, ["partial certificate: exclusion claim not checked"])
+
+
+class TestIndependence:
+    def test_verify_needs_no_construction_code(self, monkeypatch):
+        # one- and two-factor claims are re-checked without the separator
+        # machinery and without extension products
+        certs = [
+            emit_certificate(separators.product_separator(
+                A, [[A.parse(g) for g in gens] for gens in subgroups], A.parse(w)))
+            for subgroups, w in [([["xx"], ["yy"]], "xy"),
+                                 ([["xx"], ["yy"]], "xxyy"),
+                                 ([["xyX", "yy"]], "xx"),
+                                 ([["xyX", "yy"]], "xyyX"),
+                                 ([["xyxY"], ["yyx", "xY"]], "xyY")]]
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"verify called {name}")
+            return call
+
+        from prodsep import certificates
+        for name, fn in vars(separators).items():
+            if inspect.isfunction(fn) and fn.__module__ == separators.__name__:
+                monkeypatch.setattr(separators, name, forbidden(name))
+                if getattr(certificates, name, None) is fn:
+                    monkeypatch.setattr(certificates, name, forbidden(name))
+        monkeypatch.setattr(ExtensionLevel, "mult", forbidden("ExtensionLevel.mult"))
+        kinds = []
+        for text in certs:
+            cert = parse_certificate(text)
+            assert verify_certificate(cert)[0]
+            kinds.append((len(cert.subgroups), cert.status, cert.product_size))
+        assert kinds == [(2, "excluded", 4), (2, "member", 8), (1, "excluded", 2),
+                         (1, "member", 2), (2, "excluded", 768)]

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 
 from prodsep.certificates import (
+    ProductCertificate,
     certificate_of,
     emit_certificate,
     parse_certificate,
@@ -16,7 +17,7 @@ from prodsep.cli import main
 from prodsep.covers import expand_to_cover, transition_group
 from prodsep.errors import CapExceeded
 from prodsep.graphs import LabeledGraph
-from prodsep.groups import DEFAULT_CAP
+from prodsep.groups import DEFAULT_CAP, XGroup
 from prodsep.problems import (
     ProblemParseError,
     format_group_spec,
@@ -26,6 +27,7 @@ from prodsep.problems import (
 from prodsep.separators import factorize, hall_separator, product_separator
 from prodsep.stallings import stallings_graph
 from prodsep.words import Alphabet
+from tests.helpers import enumerated_claims
 
 A = Alphabet("xy")
 
@@ -481,21 +483,125 @@ values = st.one_of(
     st.text(st.characters(blacklist_categories=("Nd",)), max_size=12))
 
 
+def mutate(text, index, how, value):
+    """The text with one line deleted, repeated, or given a new value, key or body."""
+    lines = text.splitlines()
+    i = index % len(lines)
+    key, _, old = lines[i].partition(":")
+    mutated = {"delete": [], "repeat": [lines[i], lines[i]],
+               "value": [f"{key}: {value}"], "key": [f"{value}:{old}"],
+               "line": [value]}[how]
+    return "\n".join(lines[:i] + mutated + lines[i + 1:]) + "\n"
+
+
+@cache
+def product_certificates():
+    """Verifying product certificates: two factors excluded and member, one factor."""
+    return tuple(
+        emit_certificate(product_separator(
+            A, [[A.parse(g) for g in gens] for gens in subgroups], A.parse(w)))
+        for subgroups, w in [([["xx"], ["yy"]], "xy"), ([["xx"], ["yy"]], "xxyy"),
+                             ([["xyX", "yy"]], "xx")])
+
+
+HOWS = st.sampled_from(["delete", "repeat", "value", "key", "line"])
+
+
 class TestCertificateFuzz:
     @hypothesis.settings(max_examples=200, deadline=None)
-    @hypothesis.given(st.integers(0, 2), st.integers(0, 20),
-                      st.sampled_from(["delete", "repeat", "value", "key", "line"]),
-                      values)
+    @hypothesis.given(st.integers(0, 2), st.integers(0, 20), HOWS, values)
     def test_one_line_mutation_exits_cleanly(self, which, index, how, value):
         # verified, rejected, cap exceeded or input error; never a traceback
-        lines = valid_certificates()[which].splitlines()
-        i = index % len(lines)
-        key, _, old = lines[i].partition(":")
-        mutated = {"delete": [], "repeat": [lines[i], lines[i]],
-                   "value": [f"{key}: {value}"], "key": [f"{value}:{old}"],
-                   "line": [value]}[how]
-        text = "\n".join(lines[:i] + mutated + lines[i + 1:]) + "\n"
+        text = mutate(valid_certificates()[which], index, how, value)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "mutated.cert"
             path.write_text(text, encoding="utf-8")
             assert main(["verify", str(path), "--cap", "2000"]) in (0, 1, 2, 3)
+
+    @hypothesis.settings(max_examples=1000, deadline=None)
+    @hypothesis.given(st.integers(0, 2), st.integers(0, 20), HOWS, values)
+    def test_accepted_product_mutation_is_true(self, which, index, how, value):
+        # a one-line mutation that verify accepts states only true claims,
+        # by the enumeration oracle
+        text = mutate(product_certificates()[which], index, how, value)
+        try:
+            cert = parse_certificate(text)
+            ok, _ = verify_certificate(cert, cap=2000)
+        except (ValueError, CapExceeded):
+            return
+        if not ok or not isinstance(cert, ProductCertificate) or len(cert.subgroups) > 2:
+            return
+        try:
+            orders, size, member = enumerated_claims(
+                XGroup(cert.alphabet, cert.perms), cert.primes, cert.subgroups,
+                cert.word, 2000)
+        except CapExceeded:
+            return
+        if cert.image_sizes is not None:
+            assert cert.image_sizes == orders
+        if cert.product_size is not None:
+            assert cert.product_size == size
+        if cert.status != "partial":
+            assert (cert.status == "member") == member
+
+
+KEYS = ["alphabet", "H1", "H2", "H", "gen", "word", "primes", "carrier", "x", "y",
+        "1H", "", "# note"]
+WORD_LISTS = st.lists(st.text("xyXY", max_size=5).map(lambda w: w or "1"),
+                      min_size=1, max_size=3).map(", ".join)
+CYCLES = st.sampled_from(["()", "(0 1)", "(0 1 2)", "(0 2)(1 3)", "(1 2)", "(2 0)"])
+
+
+@st.composite
+def input_texts(draw):
+    """A well-formed problem file or group spec, often with one line of any
+    key, any value or junk put in somewhere."""
+    if draw(st.booleans()):
+        lines = ["alphabet: xy"] + [f"H{i}: {gens}" for i, gens in enumerate(
+            draw(st.lists(WORD_LISTS, min_size=1, max_size=3)), start=1)]
+        lines += draw(st.sampled_from([[], ["word: xy"], ["word: yX", "primes: 3"]]))
+    else:
+        lines = ["alphabet: xy", f"carrier: {draw(st.integers(0, 4))}",
+                 f"x: {draw(CYCLES)}", f"y: {draw(CYCLES)}"]
+    if draw(st.booleans()):
+        other = st.one_of(st.builds("{}: {}".format, st.sampled_from(KEYS), values), values)
+        lines.insert(draw(st.integers(0, len(lines))), draw(other))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+# every command that reads a problem file (FILE) or a group spec (SPEC); the
+# caps keep each run small
+READERS = [["stallings", "build", "FILE"], ["stallings", "member", "FILE", "xY"],
+           ["cover", "expand", "FILE", "--cap", "50"],
+           ["cover", "expand", "FILE", "--all", "--cap", "50"],
+           ["cover", "group", "FILE", "--cap", "500"],
+           ["separate", "hall", "FILE"],
+           ["separate", "product", "FILE", "--cap", "200"],
+           ["factorize", "FILE", "--cap", "200"],
+           ["oracle", "member", "FILE", "xy"],
+           ["group", "cayley", "SPEC", "--cap", "500"],
+           ["ext", "eval", "SPEC", "xyX"],
+           ["ext", "check-star", "SPEC", "--count", "5"]]
+
+
+class TestInputFuzz:
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(input_texts())
+    def test_text_parses_or_is_an_input_error(self, text):
+        for parse in (parse_problem, parse_group_spec):
+            try:
+                parse(text)
+            except ProblemParseError:
+                pass
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(input_texts())
+    def test_commands_exit_cleanly(self, text):
+        # every reader exits 0-3; an exception other than an input error or
+        # a cap hit would escape main as a traceback
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.txt"
+            path.write_text(text, encoding="utf-8")
+            for argv in READERS:
+                argv = [str(path) if a in ("FILE", "SPEC") else a for a in argv]
+                assert main(argv) in (0, 1, 2, 3), argv
