@@ -29,8 +29,6 @@ from .extensions import (
 )
 from .rational import cancellation_closure, member_product, product_automaton
 from .separators import (
-    Factorization,
-    SeparatorWitness,
     common_spine,
     factorize,
     hall_separator,
@@ -51,7 +49,6 @@ __all__ = [
     "ExtensionChain", "ExtensionLevel", "iterated_extension",
     "signed_traversals", "traversal_element",
     "product_automaton", "cancellation_closure", "member_product",
-    "SeparatorWitness", "Factorization",
     "hall_separator", "product_separator", "factorize",
     "project_path", "common_spine", "image_subgroup",
 ]

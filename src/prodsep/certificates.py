@@ -1,17 +1,19 @@
-"""Machine-readable certificates and their independent re-verification.
+"""Certificate records, their text form, and their independent re-verification.
 
-Every certificate is a line-oriented block that parses back to a small
-dataclass; ``verify`` re-checks each claim using only word, graph, and
-group primitives, never trusting the construction that produced it.
+The constructions in ``separators`` return these records, and each one
+is a line-oriented block that parses back to the same record.
+``verify`` re-checks every claim with word, graph and group primitives
+and code of its own: nothing here comes from ``separators``.
 
-A product certificate with one or two factors is re-checked through the
-pullback graphs S(H_i) x Cay(G), G the permutation group it states: one
-walk per factor yields the image one level down, the tree vectors over
-it and the span of the cycle vectors, from which image orders, the
-product size and membership follow by GF(p) elimination; no image is
-enumerated, and the cap bounds the base fibre of each walk.  Stated
-sizes are checked whatever the status.  Three or more factors still
-enumerate every image and meet in the middle (``_product_member``).
+A product certificate is re-checked by one claim sequence for every
+factor count (``_verify_product``).  With one or two factors the values
+come from the pullback graphs S(H_i) x Cay(G), G the permutation group
+the certificate states: one walk per factor yields the image one level
+down, the tree vectors over it and the span of the cycle vectors, from
+which image orders, the product size and membership follow by GF(p)
+elimination; no image is enumerated, and the cap bounds the base fibre
+of each walk.  Three or more factors list every image by a capped
+closure and meet in the middle (``_product_member``).
 """
 
 from collections import deque
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded
 from .extensions import ExtensionChain, traversal_element
-from .groups import DEFAULT_CAP, XGroup, fmt_perm, parse_perm
+from .groups import DEFAULT_CAP, XGroup, closure, fmt_perm, parse_perm
 from .problems import (
     ProblemParseError,
     convert,
@@ -29,18 +31,18 @@ from .problems import (
     parse_words,
     read_rows,
 )
-from .separators import (
-    Factorization,
-    SeparatorWitness,
-    _product_with_witness,
-    image_subgroup,
-)
 from .stallings import contains, stallings_graph
 from .words import Alphabet, free_reduce
 
 
+def _stated_group(cert):
+    """The permutation group a certificate states: chain level 0."""
+    return XGroup(cert.alphabet, cert.perms)
+
+
 @dataclass(frozen=True)
 class HallCertificate:
+    """n = 1: every generator fixes ``base`` in the stated group, the word moves it."""
     alphabet: Alphabet
     generators: tuple
     word: tuple
@@ -48,9 +50,16 @@ class HallCertificate:
     base: int
     perms: tuple
 
+    group = property(_stated_group)
+
 
 @dataclass(frozen=True)
 class ProductCertificate:
+    """The extension chain over the stated group, with what it decides.
+
+    The sizes are None when they were not computed; ``partial`` means a
+    cap kept the construction from deciding membership.
+    """
     alphabet: Alphabet
     subgroups: tuple
     word: tuple
@@ -61,46 +70,30 @@ class ProductCertificate:
     image_sizes: tuple = None
     product_size: int = None
 
+    group = property(_stated_group)
+
+    @property
+    def excluded(self):
+        """Whether the word's image avoids the image product; None when partial."""
+        return None if self.status == "partial" else self.status == "excluded"
+
 
 @dataclass(frozen=True)
 class FactorizationCertificate:
+    """Words h_1, ..., h_n with h_i in H_i and h_1 ... h_n = w in F."""
     alphabet: Alphabet
     subgroups: tuple
     word: tuple
     factors: tuple
 
 
-def certificate_of(obj, alphabet=None, subgroups=None, word=None):
-    """Convert a witness or factorization into its certificate dataclass."""
-    if isinstance(obj, SeparatorWitness):
-        if obj.kind == "hall":
-            return HallCertificate(
-                alphabet=obj.alphabet, generators=obj.subgroups[0], word=obj.word,
-                carrier=obj.group.carrier, base=obj.base_vertex,
-                perms=tuple(obj.group.perm(x)
-                            for x in obj.alphabet.positive_letters()))
-        status = "partial" if obj.excluded is None else (
-            "excluded" if obj.excluded else "member")
-        return ProductCertificate(
-            alphabet=obj.alphabet, subgroups=obj.subgroups, word=obj.word,
-            primes=obj.primes, carrier=obj.group.carrier,
-            perms=tuple(obj.group.perm(x) for x in obj.alphabet.positive_letters()),
-            status=status, image_sizes=obj.factor_image_sizes,
-            product_size=obj.product_image_size)
-    if isinstance(obj, Factorization):
-        if alphabet is None or subgroups is None or word is None:
-            raise ValueError("a factorization certificate needs its problem context")
-        return FactorizationCertificate(
-            alphabet=alphabet,
-            subgroups=tuple(tuple(free_reduce(g) for g in gens) for gens in subgroups),
-            word=free_reduce(word), factors=obj.factors)
-    if isinstance(obj, (HallCertificate, ProductCertificate, FactorizationCertificate)):
-        return obj
-    raise TypeError(f"cannot build a certificate from {type(obj).__name__}")
+def emit_certificate(cert, alphabet=None, subgroups=None, word=None):
+    """The certificate's text block.
 
-
-def emit_certificate(obj, alphabet=None, subgroups=None, word=None):
-    cert = certificate_of(obj, alphabet=alphabet, subgroups=subgroups, word=word)
+    ``alphabet``, ``subgroups`` and ``word`` are ignored: the record
+    already holds the reduced values they once supplied.  They stay in
+    the signature because callers still pass them positionally.
+    """
     a = cert.alphabet
     lines = []
     if isinstance(cert, HallCertificate):
@@ -214,34 +207,51 @@ def parse_certificate(text):
     raise ProblemParseError(rows[0][0], f"unknown certificate kind {kind!r}")
 
 
-def _product_member(level, images, target, cap):
-    """Meet in the middle: one witness per factor whose product is target, or None.
+# -- enumeration: three or more factors --------------------------------------
 
-    The verifier's own search, apart from the construction's.  The witness
-    is the hit earliest in the left side's order, whichever side the search
-    loops over.
+
+def image_subgroup(level, generators, cap):
+    """The image subgroup listed by a capped closure: {element: BFS link}."""
+    steps = []
+    for g in generators:
+        img = level.evaluate(free_reduce(g))
+        steps += [img, level.inv(img)]
+    return closure(level.identity, steps, level.mult, cap, "subgroup image")
+
+
+def _product(level, images, cap):
+    """The set of products a_1 ... a_k, a_i from the i-th image, capped."""
+    if not images:
+        return {level.identity}
+    if len(images[0]) > cap:
+        raise CapExceeded(f"product image has more than {cap} elements", limit=cap)
+    out = set(images[0])
+    for img in images[1:]:
+        nxt = set()
+        for a in out:
+            for b in img:
+                e = level.mult(a, b)
+                if e not in nxt:
+                    if len(nxt) >= cap:
+                        raise CapExceeded(
+                            f"product image has more than {cap} elements", limit=cap)
+                    nxt.add(e)
+        out = nxt
+    return out
+
+
+def _product_member(level, images, target, cap):
+    """Does target lie in the product of the images?  Meet in the middle.
+
+    The products of the two halves of the factor list are listed, and
+    the search loops over the smaller one.
     """
     mid = max(1, len(images) // 2)
-    left = _product_with_witness(level, images[:mid], cap)
-    right = _product_with_witness(level, images[mid:], cap)
+    left = _product(level, images[:mid], cap)
+    right = _product(level, images[mid:], cap)
     if len(left) <= len(right):
-        for l, lwits in left.items():
-            rwits = right.get(level.mult(level.inv(l), target))
-            if rwits is not None:
-                return lwits + rwits
-        return None
-    hits = {}
-    for r, rwits in right.items():
-        l = level.mult(target, level.inv(r))
-        if l in left:
-            hits[l] = rwits
-    if not hits:
-        return None
-    if len(hits) > 1:
-        l = next(e for e in left if e in hits)
-    else:
-        (l,) = hits
-    return left[l] + hits[l]
+        return any(level.mult(level.inv(l), target) in right for l in left)
+    return any(level.mult(target, level.inv(r)) in left for r in right)
 
 
 def _point_image(group, point, word):
@@ -454,38 +464,64 @@ def _decimal(n):
     return str(n) if n.bit_length() < 10_000 else f"a {n.bit_length()}-bit number"
 
 
-def _verify_by_pullbacks(cert, chain, cap):
-    """One or two factors: every claim from walks of S(H_i) x Cay(G).
+def _walked_claims(cert, chain, cap):
+    """(orders, size, member) of one or two factors, from one walk per factor.
 
-    The stated sizes are checked whatever the status; a partial
-    certificate that states none walks nothing.
+    The size and the membership are thunks, so a claim the certificate
+    does not make is not computed.
     """
     group = chain.levels[0]
     prime = chain.primes[0] if chain.primes else None
-    if cert.image_sizes is None and cert.product_size is None and \
-            cert.status == "partial":
-        return True, [PARTIAL]
     with _stage("pullback walk"):
         walks = [_walk(group, stallings_graph(cert.alphabet, gens), prime, cap)
                  for gens in cert.subgroups]
-    if cert.image_sizes is not None:
-        actual = tuple(walk.order for walk in walks)
-        if actual != cert.image_sizes:
-            shown = ", ".join(map(_decimal, actual)) + ("," if len(actual) == 1 else "")
-            return False, [f"stated image sizes {cert.image_sizes} != ({shown})"]
+
+    def member():
+        word = free_reduce(cert.word)
+        if prime is None:
+            target = group.evaluate(word)
+        else:
+            vec, g = traversal_element(chain.top, word)
+            target = (dict(vec), g)
+        return _pullback_member(group, walks, target)
+
+    return tuple(walk.order for walk in walks), lambda: _product_size(walks), member
+
+
+def _enumerated_claims(cert, chain, cap):
+    """(orders, size, member) of three or more factors, from every image listed."""
+    top = chain.top
+    with _stage("image enumeration"):
+        images = [image_subgroup(top, gens, cap) for gens in cert.subgroups]
+
+    def size():
+        with _stage("product size"):
+            return len(_product(top, images, cap))
+
+    def member():
+        with _stage("product membership"):
+            return _product_member(top, images, top.evaluate(free_reduce(cert.word)), cap)
+
+    return tuple(len(img) for img in images), size, member
+
+
+def _verify_product(cert, chain, cap):
+    """The claim sequence of a product certificate, for every factor count."""
+    if cert.status == "partial" and cert.image_sizes is None and \
+            cert.product_size is None:
+        return True, [PARTIAL]
+    route = _walked_claims if len(cert.subgroups) <= 2 else _enumerated_claims
+    orders, size, member = route(cert, chain, cap)
+    if cert.image_sizes is not None and orders != cert.image_sizes:
+        shown = ", ".join(map(_decimal, orders)) + ("," if len(orders) == 1 else "")
+        return False, [f"stated image sizes {cert.image_sizes} != ({shown})"]
     if cert.product_size is not None:
-        size = _product_size(walks)
-        if size != cert.product_size:
-            return False, [f"stated product size {cert.product_size} != {_decimal(size)}"]
+        actual = size()
+        if actual != cert.product_size:
+            return False, [f"stated product size {cert.product_size} != {_decimal(actual)}"]
     if cert.status == "partial":
         return True, [PARTIAL]
-    word = free_reduce(cert.word)
-    if prime is None:
-        target = group.evaluate(word)
-    else:
-        vec, g = traversal_element(chain.top, word)
-        target = (dict(vec), g)
-    return _membership_verdict(cert.status, _pullback_member(group, walks, target))
+    return _membership_verdict(cert.status, member())
 
 
 def verify_certificate(cert, cap=DEFAULT_CAP):
@@ -496,10 +532,9 @@ def verify_certificate(cert, cap=DEFAULT_CAP):
     """
     if isinstance(cert, str):
         cert = parse_certificate(cert)
-    messages = []
     a = cert.alphabet
     if isinstance(cert, HallCertificate):
-        group = XGroup(a, cert.perms)
+        group = cert.group
         if not 0 <= cert.base < group.carrier:
             return False, ["base vertex out of range"]
         for g in cert.generators:
@@ -507,34 +542,12 @@ def verify_certificate(cert, cap=DEFAULT_CAP):
                 return False, [f"generator {a.format(g)} moves the base vertex"]
         if _point_image(group, cert.base, free_reduce(cert.word)) == cert.base:
             return False, ["word image fixes the base vertex; nothing is separated"]
-        messages.append("base vertex fixed by all generators, moved by the word")
-        return True, messages
+        return True, ["base vertex fixed by all generators, moved by the word"]
     if isinstance(cert, ProductCertificate):
-        group = XGroup(a, cert.perms)
+        group = cert.group
         if len(cert.primes) != len(cert.subgroups) - 1:
             return False, ["prime list length does not match the subgroup count"]
-        chain = ExtensionChain(group, cert.primes)
-        if len(cert.subgroups) <= 2:
-            return _verify_by_pullbacks(cert, chain, cap)
-        top = chain.top
-        target = top.evaluate(free_reduce(cert.word))
-        if cert.status == "partial":
-            messages.append(PARTIAL)
-            return True, messages
-        with _stage("image enumeration"):
-            images = [image_subgroup(top, gens, cap) for gens in cert.subgroups]
-        if cert.image_sizes is not None:
-            actual = tuple(len(img) for img in images)
-            if actual != cert.image_sizes:
-                return False, [f"stated image sizes {cert.image_sizes} != {actual}"]
-        if cert.product_size is not None:
-            with _stage("product size"):
-                size = len(_product_with_witness(top, images, cap))
-            if size != cert.product_size:
-                return False, [f"stated product size {cert.product_size} != {size}"]
-        with _stage("product membership"):
-            member = _product_member(top, images, target, cap) is not None
-        return _membership_verdict(cert.status, member)
+        return _verify_product(cert, ExtensionChain(group, cert.primes), cap)
     if isinstance(cert, FactorizationCertificate):
         if len(cert.factors) != len(cert.subgroups):
             return False, ["factor count does not match the subgroup count"]
@@ -547,6 +560,5 @@ def verify_certificate(cert, cap=DEFAULT_CAP):
             product += f
         if free_reduce(product) != free_reduce(cert.word):
             return False, ["factor product is not the word"]
-        messages.append("all factors verified and their product equals the word")
-        return True, messages
+        return True, ["all factors verified and their product equals the word"]
     return False, [f"unknown certificate type {type(cert).__name__}"]

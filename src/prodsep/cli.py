@@ -60,9 +60,9 @@ def _emit_dot(args, graph, base=None):
         _write(args.dot, graph.to_dot(base=base))
 
 
-def _emit_certificate(args, obj, **context):
+def _emit_certificate(args, cert):
     """Print the certificate block, and write it to --out when given."""
-    block = emit_certificate(obj, **context)
+    block = emit_certificate(cert)
     print(block, end="")
     if args.out:
         _write(args.out, block)
@@ -155,16 +155,16 @@ def cmd_separate_hall(args):
     word = _the_word(problem, args.word)
     gens = _first_subgroup(problem)
     try:
-        witness = hall_separator(problem.alphabet, gens, word)
+        cert = hall_separator(problem.alphabet, gens, word)
     except ValueError:
         # fold S(H) again only to tell a member word from other bad input
         if not contains(stallings_graph(problem.alphabet, gens), word):
             raise
         print("the word lies in the subgroup; no separator exists")
         return 1
-    print(f"separating quotient on {witness.group.carrier} vertices, "
-          f"base vertex {witness.base_vertex} moved by the word")
-    _emit_certificate(args, witness)
+    print(f"separating quotient on {cert.carrier} vertices, "
+          f"base vertex {cert.base} moved by the word")
+    _emit_certificate(args, cert)
     return 0
 
 
@@ -172,18 +172,18 @@ def cmd_separate_product(args):
     problem = _problem(args.file)
     word = _the_word(problem, args.word)
     primes = parse_integers(args.primes) if args.primes else problem.primes
-    witness = product_separator(problem.alphabet, problem.subgroup_list(), word,
-                                primes=primes, cap=args.cap)
-    if witness.excluded is None:
+    cert = product_separator(problem.alphabet, problem.subgroup_list(), word,
+                             primes=primes, cap=args.cap)
+    if cert.excluded is None:
         print("partial: product image not enumerated (cap)")
-    elif witness.excluded:
+    elif cert.excluded:
         print("separated: the word's image avoids the image product")
     else:
         print("not separated: the word's image lies in the image product")
-    _emit_certificate(args, witness)
-    if witness.excluded is None:
+    _emit_certificate(args, cert)
+    if cert.excluded is None:
         return 2
-    return 0 if witness.excluded else 1
+    return 0 if cert.excluded else 1
 
 
 def cmd_factorize(args):
@@ -199,8 +199,7 @@ def cmd_factorize(args):
         print("no factorization found")
         return 1
     print("factors: " + " * ".join(problem.alphabet.format(f) for f in result.factors))
-    _emit_certificate(args, result, alphabet=problem.alphabet,
-                      subgroups=problem.subgroup_list(), word=word)
+    _emit_certificate(args, result)
     return 0
 
 

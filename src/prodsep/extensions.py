@@ -34,6 +34,9 @@ class ExtensionLevel:
     """
 
     def __init__(self, below, prime):
+        # bounded before trial division, which runs to the square root
+        if prime > DEFAULT_CAP:
+            raise ValueError(f"prime {prime} is outside 2..{DEFAULT_CAP}")
         if prime < 2 or any(prime % d == 0 for d in range(2, math.isqrt(prime) + 1)):
             raise ValueError(f"{prime} is not a prime")
         self.below = below

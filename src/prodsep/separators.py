@@ -14,6 +14,10 @@ The pipeline mirrors the constructive proof it implements:
   free-group identity, witnessing membership; contrapositively, for a
   non-member the K-image stays outside the image product.
 
+Each construction returns its certificate record (``certificates``):
+``hall_separator`` a ``HallCertificate``, ``product_separator`` a
+``ProductCertificate`` and ``factorize`` a ``FactorizationCertificate``.
+
 All Cayley-graph work (path spans, intersection components, spines) is
 done symbolically on traced paths, so the recursion never materializes an
 extension level.
@@ -23,6 +27,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+from .certificates import FactorizationCertificate, HallCertificate, ProductCertificate
 from .covers import expand_to_cover, transition_group
 from .errors import CapExceeded, InternalInvariantError
 from .extensions import ExtensionChain
@@ -384,40 +389,7 @@ def image_subgroup_order(level, generators, cap=DEFAULT_CAP):
     return image_structure(level, generators, cap).order
 
 
-# -- witnesses ----------------------------------------------------------------
-
-
-@dataclass
-class SeparatorWitness:
-    """A finite quotient with the data showing it separates the word.
-
-    ``group`` is the permutation group the certificate states.  For the
-    one-subgroup (Hall) case it is the quotient itself, the transition
-    group, and ``base_vertex`` is the point the word moves while every
-    generator fixes it.  For products ``chain`` is the extension chain
-    over ``group``, ``factor_image_sizes`` are the orders of the
-    subgroups' images at its top, and ``excluded`` says whether the word's
-    image avoids their product; it is None when image enumeration hit the
-    cap, so exclusion is undecided.  ``product_image_size`` is None when
-    the image product was not sized because its bound exceeds the cap.
-    """
-    kind: str
-    alphabet: object
-    subgroups: tuple
-    word: tuple
-    primes: tuple
-    group: object
-    chain: object = None
-    base_vertex: int = None
-    factor_image_sizes: tuple = None
-    product_image_size: int = None
-    excluded: bool = None
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Words h_1, ..., h_n with h_i in H_i and h_1 ... h_n = w in F."""
-    factors: tuple
+# -- factorization counters ---------------------------------------------------
 
 
 @dataclass
@@ -468,6 +440,11 @@ def _build_context(alphabet, subgroups, word, primes):
                     starts, ends, chain)
 
 
+def _perms(group):
+    """The permutation of each positive letter: what a certificate states."""
+    return tuple(group.perm(x) for x in group.alphabet.positive_letters())
+
+
 # -- Hall separator -----------------------------------------------------------
 
 
@@ -493,34 +470,37 @@ def hall_separator(alphabet, generators, word):
         raise InternalInvariantError("word image fixes the base vertex")
     if any(image_of_base(g) != base for g in ctx.subgroups[0]):
         raise InternalInvariantError("a generator image moves the base vertex")
-    return SeparatorWitness(
-        kind="hall", alphabet=alphabet, subgroups=ctx.subgroups, word=ctx.word,
-        primes=(), group=group, base_vertex=base, excluded=True)
+    return HallCertificate(alphabet, ctx.subgroups[0], ctx.word, group.carrier, base,
+                           _perms(group))
 
 
 # -- product separator --------------------------------------------------------
 
 
 def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
-    """The extension-chain quotient for a product coset, with its certificate.
+    """The extension-chain quotient for a product coset, as its certificate.
 
-    _end_factor_search decides ``excluded`` for every factor count; it is
-    None when an image, or the product of the images other than the end
-    factor, outgrows the cap.  The image product is sized when the product
-    of the image orders is within the cap.
+    _end_factor_search decides the status for every factor count; it is
+    partial, with no sizes, when an image, or the product of the images
+    other than the end factor, outgrows the cap.  The image product is
+    sized when the product of the image orders is within the cap.
     """
     ctx = _build_context(alphabet, subgroups, word, primes)
     top = ctx.chain.top
-    witness = SeparatorWitness(
-        kind="product", alphabet=alphabet, subgroups=ctx.subgroups, word=ctx.word,
-        primes=ctx.chain.primes, group=ctx.chain.levels[0], chain=ctx.chain)
+    group = ctx.chain.levels[0]
+
+    def certificate(status, image_sizes=None, product_size=None):
+        return ProductCertificate(alphabet, ctx.subgroups, ctx.word, ctx.chain.primes,
+                                  group.carrier, _perms(group), status, image_sizes,
+                                  product_size)
+
     try:
         # exact orders first: proves cap-exceedance without enumerating
         structures = [image_structure(top, gens, cap) for gens in ctx.subgroups]
         end, images, rest, hit = _end_factor_search(top, ctx.subgroups, structures,
                                                     top.evaluate(ctx.word), cap)
     except CapExceeded:
-        return witness
+        return certificate("partial")
     size = None
     bound = math.prod(st.order for st in structures)
     if bound <= cap:
@@ -532,10 +512,8 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
             images[end] = image_subgroup(top, ctx.subgroups[end], cap)
             ordered = [images[i] for i in range(len(structures))]
             size = len(_product_with_witness(top, ordered, cap))
-    witness.factor_image_sizes = tuple(st.order for st in structures)
-    witness.excluded = hit is None
-    witness.product_image_size = size
-    return witness
+    return certificate("excluded" if hit is None else "member",
+                       tuple(st.order for st in structures), size)
 
 
 def _end_factor_search(level, subgroups, structures, target, cap):
@@ -570,9 +548,10 @@ def factorize(alphabet, subgroups, word, seeds=None, primes=None,
               cap=DEFAULT_CAP, stats=None):
     """Factor the word across the subgroups, or None when out of reach.
 
-    With seeds given (words h_i' in H_i whose K-image product matches the
-    word's), the construction is the recursive cut-and-project argument
-    and cannot fail.  Without seeds, a bounded search over the image
+    The factors come back in a ``FactorizationCertificate``.  With seeds
+    given (words h_i' in H_i whose K-image product matches the word's),
+    the construction is the recursive cut-and-project argument and cannot
+    fail.  Without seeds, a bounded search over the image
     subgroups looks for them first; returning None then means the search
     was exhausted or capped, not that the word is outside the product.
     """
@@ -583,7 +562,7 @@ def factorize(alphabet, subgroups, word, seeds=None, primes=None,
     w = ctx.word
     if n == 1:
         if contains(ctx.pointed[0], w):
-            return Factorization((w,))
+            return FactorizationCertificate(alphabet, ctx.subgroups, w, (w,))
         return None
     top = ctx.chain.top
     word_image = top.evaluate(w)
@@ -617,7 +596,7 @@ def factorize(alphabet, subgroups, word, seeds=None, primes=None,
     factors = tuple(free_reduce(p.label()) for p in out[:-1])
     factors += (free_reduce(out[-1].label() + w),)
     _check_factorization(ctx, factors)
-    return Factorization(factors)
+    return FactorizationCertificate(alphabet, ctx.subgroups, w, factors)
 
 
 def _check_factorization(ctx, factors):

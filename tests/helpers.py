@@ -86,5 +86,5 @@ def enumerated_claims(group, primes, subgroups, word, cap):
         size = len(images[0])
     else:
         size = len(images[0]) * len(images[1]) // len(images[0].keys() & images[1].keys())
-    member = _product_member(top, images, top.evaluate(free_reduce(word)), cap) is not None
+    member = _product_member(top, images, top.evaluate(free_reduce(word)), cap)
     return tuple(len(img) for img in images), size, member

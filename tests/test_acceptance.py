@@ -93,9 +93,9 @@ def test_criterion_3_hall_suite():
     checked = 0
     for gens, w in instances:
         witness = hall_separator(A, gens, w)
-        base = witness.base_vertex
+        base = witness.base
         assert witness.group.evaluate(witness.word)[base] != base
-        for g in witness.subgroups[0]:
+        for g in witness.generators:
             assert witness.group.evaluate(g)[base] == base
         checked += 1
     elapsed = time.perf_counter() - t0

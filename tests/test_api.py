@@ -20,3 +20,19 @@ def test_readme_tour_runs():
     assert ns["ps"].contains(ns["h"], A.parse("xyX")) is False
     assert ns["wit"].excluded is True
     assert ns["f"].factors == (A.parse("xx"), A.parse("yy"))
+
+
+def test_what_the_bench_calls_resolves():
+    # bench/ runs against the package by these names and argument forms
+    from prodsep import certificates, separators
+
+    A = prodsep.Alphabet("xy")
+    subgroups = ([A.parse("xx")], [A.parse("yy")])
+    word = A.parse("xxyy")
+    f = prodsep.factorize(A, subgroups, word, cap=4096,
+                          stats=separators.FactorizeStats())
+    assert certificates.emit_certificate(f, A, subgroups, word) == \
+        certificates.emit_certificate(f)
+    assert prodsep.product_separator(A, subgroups, A.parse("xy"), cap=4096).excluded is True
+    top = prodsep.iterated_extension(prodsep.XGroup(A, [(1, 0), (1, 0)]), (2,)).top
+    assert separators.image_subgroup_order(top, [A.parse("x")], 4096) == 4

@@ -14,7 +14,6 @@ from prodsep import separators
 from prodsep.certificates import (
     ProductCertificate,
     _decimal,
-    certificate_of,
     emit_certificate,
     parse_certificate,
     verify_certificate,
@@ -142,9 +141,8 @@ class TestPartialCertificates:
 
     def test_honest_partial_certificate_verifies(self):
         # the construction states no sizes when the cap kept it from deciding
-        wit = separators.product_separator(A, [[A.parse("xx")], [A.parse("yy")]],
-                                           A.parse("xy"), cap=1)
-        cert = certificate_of(wit)
+        cert = separators.product_separator(A, [[A.parse("xx")], [A.parse("yy")]],
+                                            A.parse("xy"), cap=1)
         assert cert.status == "partial" and cert.image_sizes is None
         assert verify_certificate(cert, cap=1) == (
             True, ["partial certificate: exclusion claim not checked"])
@@ -152,19 +150,55 @@ class TestPartialCertificates:
         assert verify_certificate(sized) == (
             True, ["partial certificate: exclusion claim not checked"])
 
+    def test_three_factor_sizes_are_checked(self):
+        # the same claim sequence as for one and two factors
+        text = emit_certificate(separators.product_separator(
+            A, [[A.parse("xx")], [A.parse("y")], [A.parse("x")]], A.parse("xy")))
+        assert "status: excluded" in text and "image size 1: 4" in text
+        text = text.replace("status: excluded", "status: partial")
+        assert verify_certificate(parse_certificate(text)) == (
+            True, ["partial certificate: exclusion claim not checked"])
+        assert verify_certificate(parse_certificate(
+            text.replace("image size 1: 4", "image size 1: 9992"))) == (
+            False, ["stated image sizes (9992, 12, 8) != (4, 12, 8)"])
+
+
+class TestRecords:
+    def test_the_construction_returns_the_record_its_text_parses_to(self):
+        x, y, xx, yy = (A.parse(t) for t in ("x", "y", "xx", "yy"))
+        records = [
+            separators.hall_separator(A, [A.parse("xyXY"), yy], A.parse("xyX")),
+            separators.product_separator(A, [[A.parse("xyX"), yy]], A.parse("xx")),
+            separators.product_separator(A, [[xx], [yy]], A.parse("xxyy")),
+            separators.product_separator(A, [[xx], [y], [x]], A.parse("xy")),
+            separators.product_separator(A, [[xx], [yy]], A.parse("xy"), cap=1),
+            separators.product_separator(A, [[A.parse("X")], [A.parse("Yx")], [x]],
+                                         A.parse("XY"), cap=20),
+            separators.factorize(A, [[xx], [yy]], A.parse("xxyy")),
+            separators.factorize(A, [[A.parse("xXxx")]], A.parse("xxxx")),
+        ]
+        assert [getattr(c, "status", None) for c in records] == [
+            None, "excluded", "member", "excluded", "partial", "partial", None, None]
+        for cert in records:
+            assert parse_certificate(emit_certificate(cert)) == cert, cert
+
 
 class TestIndependence:
     def test_verify_needs_no_construction_code(self, monkeypatch):
-        # one- and two-factor claims are re-checked without the separator
-        # machinery and without extension products
+        # claims are re-checked without the separator machinery, and one-
+        # and two-factor claims also without extension products
         certs = [
             emit_certificate(separators.product_separator(
-                A, [[A.parse(g) for g in gens] for gens in subgroups], A.parse(w)))
-            for subgroups, w in [([["xx"], ["yy"]], "xy"),
-                                 ([["xx"], ["yy"]], "xxyy"),
-                                 ([["xyX", "yy"]], "xx"),
-                                 ([["xyX", "yy"]], "xyyX"),
-                                 ([["xyxY"], ["yyx", "xY"]], "xyY")]]
+                A, [[A.parse(g) for g in gens] for gens in subgroups], A.parse(w),
+                cap=cap))
+            for subgroups, w, cap in [([["xx"], ["yy"]], "xy", CAP),
+                                      ([["xx"], ["yy"]], "xxyy", CAP),
+                                      ([["xyX", "yy"]], "xx", CAP),
+                                      ([["xyX", "yy"]], "xyyX", CAP),
+                                      ([["xyxY"], ["yyx", "xY"]], "xyY", CAP),
+                                      ([["xx"], ["y"], ["x"]], "xxyx", 300),
+                                      ([["xx"], ["y"], ["x"]], "xy", 300),
+                                      ([["xx"], ["y"], ["x"]], "xy", CAP)]]
 
         def forbidden(name):
             def call(*args, **kwargs):
@@ -172,16 +206,22 @@ class TestIndependence:
             return call
 
         from prodsep import certificates
+        for name, value in vars(certificates).items():
+            assert getattr(value, "__module__", None) != separators.__name__, name
         for name, fn in vars(separators).items():
             if inspect.isfunction(fn) and fn.__module__ == separators.__name__:
                 monkeypatch.setattr(separators, name, forbidden(name))
-                if getattr(certificates, name, None) is fn:
-                    monkeypatch.setattr(certificates, name, forbidden(name))
-        monkeypatch.setattr(ExtensionLevel, "mult", forbidden("ExtensionLevel.mult"))
         kinds = []
-        for text in certs:
+        with monkeypatch.context() as m:
+            m.setattr(ExtensionLevel, "mult", forbidden("ExtensionLevel.mult"))
+            for text in certs[:5]:
+                cert = parse_certificate(text)
+                assert verify_certificate(cert)[0]
+                kinds.append((len(cert.subgroups), cert.status, cert.product_size))
+        for text in certs[5:]:
             cert = parse_certificate(text)
             assert verify_certificate(cert)[0]
             kinds.append((len(cert.subgroups), cert.status, cert.product_size))
         assert kinds == [(2, "excluded", 4), (2, "member", 8), (1, "excluded", 2),
-                         (1, "member", 2), (2, "excluded", 768)]
+                         (1, "member", 2), (2, "excluded", 768), (3, "member", None),
+                         (3, "excluded", None), (3, "excluded", 344)]

@@ -8,7 +8,6 @@ import pytest
 
 from prodsep.certificates import (
     ProductCertificate,
-    certificate_of,
     emit_certificate,
     parse_certificate,
     verify_certificate,
@@ -132,38 +131,33 @@ class TestGroupSpec:
 
 class TestCertificates:
     def test_hall_round_trip(self):
-        wit = hall_separator(A, [A.parse("xyXY"), A.parse("yy")], A.parse("xyX"))
-        cert = certificate_of(wit)
+        cert = hall_separator(A, [A.parse("xyXY"), A.parse("yy")], A.parse("xyX"))
         assert parse_certificate(emit_certificate(cert)) == cert
         ok, _ = verify_certificate(cert)
         assert ok
 
     def test_product_round_trip(self):
-        wit = product_separator(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xy"))
-        cert = certificate_of(wit)
+        cert = product_separator(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xy"))
         assert parse_certificate(emit_certificate(cert)) == cert
         ok, _ = verify_certificate(cert)
         assert ok
 
     def test_member_status_verifies(self):
-        wit = product_separator(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xxyy"))
-        cert = certificate_of(wit)
+        cert = product_separator(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xxyy"))
         assert cert.status == "member"
         ok, _ = verify_certificate(cert)
         assert ok
 
     def test_factorization_round_trip(self):
         subgroups = [[A.parse("xx")], [A.parse("yy")]]
-        f = factorize(A, subgroups, A.parse("xxyy"))
-        cert = certificate_of(f, alphabet=A, subgroups=subgroups, word=A.parse("xxyy"))
+        cert = factorize(A, subgroups, A.parse("xxyy"))
         assert parse_certificate(emit_certificate(cert)) == cert
         ok, _ = verify_certificate(cert)
         assert ok
 
     def test_factor_mutations_rejected(self):
         subgroups = [[A.parse("xx")], [A.parse("yy")]]
-        f = factorize(A, subgroups, A.parse("xxyy"))
-        cert = certificate_of(f, alphabet=A, subgroups=subgroups, word=A.parse("xxyy"))
+        cert = factorize(A, subgroups, A.parse("xxyy"))
         text = emit_certificate(cert)
         line_of_factor = next(l for l in text.splitlines() if l.startswith("factor 1"))
         for repl in ["factor 1: xX", "factor 1: xxx", "factor 1: xy", "factor 1: 1"]:
@@ -255,6 +249,18 @@ class TestCertificates:
             capsys.readouterr()
             assert main(["verify", str(cert)]) == 3
             assert f"line {line_no}: bad carrier: " in capsys.readouterr().err
+
+    def test_prime_outside_the_cap_is_an_input_error(self, tmp_path, capsys):
+        # trial division of 2^61 - 1 would take some 1.5e9 divisions
+        text = emit_certificate(
+            product_separator(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xy")))
+        assert "primes: 2\n" in text
+        cert = tmp_path / "product.cert"
+        for prime in (2 ** 61 - 1, DEFAULT_CAP + 3):
+            cert.write_text(text.replace("primes: 2\n", f"primes: {prime}\n"))
+            capsys.readouterr()
+            assert main(["verify", str(cert)]) == 3
+            assert f"prime {prime} is outside 2..{DEFAULT_CAP}" in capsys.readouterr().err
 
     def test_lines_are_placed_by_their_index(self, tmp_path, capsys):
         # yyxx is not in <xx><yy>: read in file order, the swapped lines
