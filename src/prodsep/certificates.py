@@ -314,12 +314,18 @@ class _Pullback:
         return len(self.fibre) * (self.prime or 1) ** len(self.rows)
 
 
-def _walk(group, h, prime, cap):
+class _SizeRefuted(Exception):
+    """A walk found more image elements than the certificate states."""
+
+
+def _walk(group, h, prime, cap, stated=None):
     """BFS of S(H) x Cay(G) from (base, 1); CapExceeded past cap fibre points.
 
     S(H) is connected, so the component meets every vertex's fibre in as
     many points as the base fibre: it outgrows |V(S)| * cap points
-    exactly when the base fibre outgrows cap.
+    exactly when the base fibre outgrows cap.  Fibre points and the rank
+    of the span only grow, so once (fibre points) * p^rank exceeds a
+    stated order the walk stops with _SizeRefuted.
     """
     graph, base = h.graph, h.base
     darts = [[] for _ in range(graph.num_vertices)]
@@ -331,6 +337,7 @@ def _walk(group, h, prime, cap):
     vectors = {root: {}}
     links = {root: None}  # vertex -> (tree parent, dart from it)
     rows = {}
+    found, scale = 1, 1  # base fibre points so far, p^rank
     queue = deque([root])
     while queue:
         u = queue.popleft()
@@ -347,11 +354,18 @@ def _walk(group, h, prime, cap):
                 queue.append(w)
                 if prime is not None:
                     vectors[w] = _step(tu, g, l, hg, prime)
+                if t == base:
+                    found += 1
+                    if stated is not None and found * scale > stated:
+                        raise _SizeRefuted(found * scale)
             elif prime is not None and l > 0 and links[u] != (w, d ^ 1):
                 # a non-tree edge, met once from its positive end
                 cycle = _step(tu, g, l, hg, prime)
                 _add(cycle, vectors[w], -1, prime)
-                _insert(cycle, rows, prime)
+                if _insert(cycle, rows, prime):
+                    scale *= prime
+                    if stated is not None and found * scale > stated:
+                        raise _SizeRefuted(found * scale)
     fibre = {g: vectors.get((s, g)) if prime else None for s, g in links if s == base}
     return _Pullback(fibre, rows, prime)
 
@@ -386,11 +400,16 @@ def _reduce(vec, rows, prime):
 
 
 def _insert(vec, rows, prime):
-    """Add vec to the span; rows keep their least key as pivot, with coefficient 1."""
-    if _reduce(vec, rows, prime):
-        pivot = min(vec)
-        scale = pow(vec[pivot], -1, prime)
-        rows[pivot] = {k: c * scale % prime for k, c in vec.items()}
+    """Add vec to the span, and say whether it grew.
+
+    Rows keep their least key as pivot, with coefficient 1.
+    """
+    if not _reduce(vec, rows, prime):
+        return False
+    pivot = min(vec)
+    scale = pow(vec[pivot], -1, prime)
+    rows[pivot] = {k: c * scale % prime for k, c in vec.items()}
+    return True
 
 
 def _translate(vec, group, g):
@@ -468,13 +487,24 @@ def _walked_claims(cert, chain, cap):
     """(orders, size, member) of one or two factors, from one walk per factor.
 
     The size and the membership are thunks, so a claim the certificate
-    does not make is not computed.
+    does not make is not computed.  A walk that outgrows its stated image
+    size raises _SizeRefuted with the verdict's message.
     """
     group = chain.levels[0]
     prime = chain.primes[0] if chain.primes else None
+    stated = cert.image_sizes
+    if stated is None or len(stated) != len(cert.subgroups):
+        stated = (None,) * len(cert.subgroups)
+    walks = []
     with _stage("pullback walk"):
-        walks = [_walk(group, stallings_graph(cert.alphabet, gens), prime, cap)
-                 for gens in cert.subgroups]
+        for i, gens in enumerate(cert.subgroups):
+            try:
+                walks.append(_walk(group, stallings_graph(cert.alphabet, gens), prime,
+                                   cap, stated[i]))
+            except _SizeRefuted as exc:
+                raise _SizeRefuted(f"stated image size {i + 1} is {_decimal(stated[i])}, "
+                                   f"but its pullback walk found at least "
+                                   f"{_decimal(exc.args[0])} elements") from None
 
     def member():
         word = free_reduce(cert.word)
@@ -511,7 +541,10 @@ def _verify_product(cert, chain, cap):
             cert.product_size is None:
         return True, [PARTIAL]
     route = _walked_claims if len(cert.subgroups) <= 2 else _enumerated_claims
-    orders, size, member = route(cert, chain, cap)
+    try:
+        orders, size, member = route(cert, chain, cap)
+    except _SizeRefuted as exc:
+        return False, [exc.args[0]]
     if cert.image_sizes is not None and orders != cert.image_sizes:
         shown = ", ".join(map(_decimal, orders)) + ("," if len(orders) == 1 else "")
         return False, [f"stated image sizes {cert.image_sizes} != ({shown})"]

@@ -313,11 +313,19 @@ class ImageStructure:
     and k runs over the GF(p) span of the pivot-keyed kernel rows in
     ``basis``.  At level 0 (a permutation group) ``lifts`` is the closure
     itself, ``basis`` is empty and ``prime`` is None.
+
+    The walk that built it leaves what ``word`` needs: ``links`` maps each b
+    to its BFS tree link (parent, step index) or None, ``words`` holds the
+    step words, and ``cycles`` lists, per kernel row in the order the rows
+    were added, the cycle edge (b, i, nb) with its Schreier vector.
     """
     lifts: dict
     basis: dict
     prime: int
     order: int
+    links: dict
+    words: tuple
+    cycles: tuple
 
     def __contains__(self, elem):
         if self.prime is None:
@@ -330,6 +338,76 @@ class ImageStructure:
         _subtract(diff, lift, self.prime)
         return _row_reduce(diff, self.basis, self.prime) is None
 
+    def _tree_word(self, b):
+        """The step words along the tree path to b: its image is (lifts[b], b)."""
+        steps = []
+        while self.links[b] is not None:
+            b, i = self.links[b]
+            steps.append(self.words[i])
+        return tuple(l for w in reversed(steps) for l in w)
+
+    def word(self, elem):
+        """A reduced word of the subgroup whose image is elem.
+
+        At level 0 it is the closure-tree path.  Above, elem = (v, b) is
+        (k, 1) * (lifts[b], b) with k = v - lifts[b] in the kernel, which is
+        abelian: writing k = sum c_j S_j over the Schreier vectors of the
+        cycle edges gives the word prod S_j-word^c_j * W(b).  A non-member
+        raises InternalInvariantError.
+        """
+        if self.prime is None:
+            if elem not in self.links:
+                raise InternalInvariantError("no word for an element outside the image")
+            return free_reduce(self._tree_word(elem))
+        vec, b = elem
+        if b not in self.lifts:
+            raise InternalInvariantError("no word for an element outside the image")
+        prime = self.prime
+        # rebuild the rank rows, each with its coefficients over the cycles
+        rows = {}
+        for j, (_, _, _, schreier) in enumerate(self.cycles):
+            row = dict(schreier)
+            coefs = {j: 1}
+            _subtract(coefs, _reduce_tracked(row, rows, prime), prime)
+            if not row:
+                raise InternalInvariantError("the kernel rows' Schreier vectors "
+                                             "are dependent")
+            pivot = min(row)
+            inv = pow(row[pivot], -1, prime)
+            rows[pivot] = ({k: c * inv % prime for k, c in row.items()},
+                           {j: c * inv % prime for j, c in coefs.items()})
+        diff = dict(vec)
+        _subtract(diff, self.lifts[b], prime)
+        coefs = _reduce_tracked(diff, rows, prime)
+        if diff:
+            raise InternalInvariantError("no word for an element outside the image")
+        out = ()
+        for j, c in sorted(coefs.items()):
+            src, i, dst, _ = self.cycles[j]
+            loop = self._tree_word(src) + self.words[i] + invert(self._tree_word(dst))
+            out += loop * c
+        return free_reduce(out + self._tree_word(b))
+
+
+def _reduce_tracked(vec, rows, prime):
+    """Reduce vec in place against rows that carry their coefficients.
+
+    rows maps a pivot to (row, coefficients over the Schreier vectors),
+    the row normalized to pivot coefficient 1.  Returns the coefficients
+    of what was subtracted: vec is empty afterwards exactly when they
+    express all of it.
+    """
+    subtracted = {}
+    while vec:
+        pivot = min(vec)
+        if pivot not in rows:
+            break
+        row, coefs = rows[pivot]
+        c = vec[pivot]
+        _subtract(vec, {k: c * v for k, v in row.items()}, prime)
+        _subtract(subtracted, {j: -c * v for j, v in coefs.items()}, prime)
+    return subtracted
+
 
 def image_structure(level, generators, cap=DEFAULT_CAP):
     """The image subgroup's structure, with its exact order.
@@ -339,21 +417,25 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
     |image below| * p^rank.  The coset walk below is still explicit, but
     its elements live one level down; orders above the cap raise early.
     """
-    steps = [img for img, _ in _generator_steps(level, generators)]
+    steps = _generator_steps(level, generators)
+    words = tuple(w for _, w in steps)
+    steps = [img for img, _ in steps]
     if isinstance(level, XGroup):
         tree = closure(level.identity, steps, level.mult, cap, "subgroup image")
-        return ImageStructure(tree, {}, None, len(tree))
+        return ImageStructure(tree, {}, None, len(tree), tree, words, ())
     below = level.below
     prime = level.prime
     # walk the image one level down carrying a chosen lift vector per
     # element; edges that close a cycle contribute Schreier kernel vectors
     lifts = {below.identity: {}}
+    links = {below.identity: None}
     basis = {}
+    cycles = []
     queue = deque([below.identity])
     while queue:
         b = queue.popleft()
         vb = lifts[b]
-        for vec, g in steps:
+        for i, (vec, g) in enumerate(steps):
             nb = below.mult(b, g)
             nvec = dict(vb)
             for (src, x), c in vec:
@@ -368,12 +450,14 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
                 if len(lifts) >= cap:
                     raise CapExceeded(f"image order exceeds {cap}", limit=cap)
                 lifts[nb] = nvec
+                links[nb] = (b, i)
                 queue.append(nb)
             else:
                 _subtract(nvec, known, prime)
                 added = _row_reduce(nvec, basis, prime)
                 if added is not None:
                     basis[added[0]] = added[1]
+                    cycles.append((b, i, nb, nvec))
                     if len(lifts) * prime ** len(basis) > cap:
                         raise CapExceeded(
                             f"image order exceeds {cap}: at least "
@@ -381,7 +465,7 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
     order = len(lifts) * prime ** len(basis)
     if order > cap:
         raise CapExceeded(f"image order {order} exceeds {cap}", limit=cap)
-    return ImageStructure(lifts, basis, prime, order)
+    return ImageStructure(lifts, basis, prime, order, links, words, tuple(cycles))
 
 
 def image_subgroup_order(level, generators, cap=DEFAULT_CAP):
@@ -614,22 +698,23 @@ def _check_factorization(ctx, factors):
 def _search_seeds(ctx, word_image, cap, stats):
     """Words h_i in H_i whose images multiply to word_image, or None.
 
-    The end factor's image is enumerated only on a hit, to read one word.
+    The end factor's word is read from its structure (``ImageStructure.word``),
+    so its image at this level is never enumerated.
     """
     top = ctx.chain.top
     try:
         structures = [image_structure(top, gens, cap) for gens in ctx.subgroups]
         end, _, rest, hit = _end_factor_search(top, ctx.subgroups, structures,
                                                word_image, cap)
-        if hit is None:
-            return None
-        words = image_subgroup(top, ctx.subgroups[end], cap)
     except CapExceeded:
         stats.capped_search = True
         return None
+    if hit is None:
+        return None
     q, e = hit
     others = tuple(invert(w) for w in reversed(rest[q]))
-    return others + (words[e],) if end else (words[e],) + others
+    word = structures[end].word(e)
+    return others + (word,) if end else (word,) + others
 
 
 def _pinch(chain, items, stats):

@@ -7,6 +7,7 @@ as `verify` still does for three factors.
 import dataclasses
 import inspect
 import random
+import time
 
 import pytest
 
@@ -138,6 +139,31 @@ class TestPartialCertificates:
         text = text.replace("image size 1: 9992", "image size 1: 2")
         assert verify_certificate(parse_certificate(text)) == (
             False, ["stated product size 74 != 4"])
+
+    def test_false_sizes_stop_the_walk(self, tmp_path, capsys):
+        # the second image's walk has a base fibre of 15,120 points and a
+        # cycle span of rank 15,121, which takes about 10 s to eliminate to
+        # the end: the time bound shows that each walk stops early
+        cert = separators.product_separator(
+            A, [[A.parse("xxy")], [A.parse("XXYY"), A.parse("yX")]], A.parse("yXXy"),
+            cap=16384)
+        assert cert.status == "partial"
+        text = emit_certificate(cert).replace("status: partial", "status: member")
+        path = tmp_path / "false.cert"
+        path.write_text(text + "image size 1: 16\nimage size 2: 16\n")
+        start = time.perf_counter()
+        assert main(["verify", str(path), "--cap", "16384"]) == 1
+        assert time.perf_counter() - start < 1
+        out = capsys.readouterr().out
+        assert "REJECTED" in out
+        assert "stated image size 1 is 16, but its pullback walk found at least" in out
+        # the first size true (30 = 15 * 2^1): the second walk stops early
+        start = time.perf_counter()
+        assert verify_certificate(text + "image size 1: 30\nimage size 2: 16\n",
+                                  cap=16384) == (
+            False, ["stated image size 2 is 16, but its pullback walk found at least "
+                    "17 elements"])
+        assert time.perf_counter() - start < 1
 
     def test_honest_partial_certificate_verifies(self):
         # the construction states no sizes when the cap kept it from deciding

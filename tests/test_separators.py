@@ -14,7 +14,7 @@ from prodsep.certificates import (
     parse_certificate,
     verify_certificate,
 )
-from prodsep.errors import CapExceeded
+from prodsep.errors import CapExceeded, InternalInvariantError
 from prodsep.extensions import ExtensionChain, iterated_extension
 from prodsep.groups import XGroup
 from prodsep.rational import member_product
@@ -298,6 +298,28 @@ class TestProductSeparator:
                                      cap=300).excluded is not None
             assert sorted(enumerated) == sorted(rest)
 
+    def test_unseeded_factorize_enumerates_only_the_other_factors(self, monkeypatch):
+        enumerated = []
+
+        def recorded(level, generators, cap):
+            enumerated.append(tuple(generators))
+            return image_subgroup(level, generators, cap)
+
+        monkeypatch.setattr(separators, "image_subgroup", recorded)
+        x, y, xx, yy = (A.parse(t) for t in ("x", "y", "xx", "yy"))
+        # every word is a member, so the search hits and reads a word of E
+        for subgroups, w in [([[x], [xx]], "xxx"), ([[xx], [yy]], "xxyy"),
+                             ([[xx], [x, y]], "xxy"), ([[xx], [y], [x]], "xxyx"),
+                             ([[x], [y], [xx]], "xyxx")]:
+            sizes = product_separator(A, subgroups, A.parse(w), cap=300).image_sizes
+            end = 0 if sizes[0] > sizes[-1] else len(sizes) - 1
+            enumerated.clear()
+            cert = factorize(A, subgroups, A.parse(w), cap=300)
+            assert cert is not None
+            assert sorted(enumerated) == sorted(
+                tuple(g) for i, g in enumerate(subgroups) if i != end)
+            assert verify_certificate(cert)[0]
+
     def test_sizing_three_factors_enumerates_each_image_once(self, monkeypatch):
         enumerated = []
 
@@ -573,6 +595,37 @@ class TestImageStructure:
                 checked += 1
         assert checked >= 40
         assert outside > 100
+
+    def test_word_matches_enumeration(self):
+        rng = random.Random(1009)
+        z2 = XGroup(A, [(1, 0), (1, 0)])
+        checked, levels, primes_seen, refused = 0, set(), set(), 0
+        for base in (KLEIN, z2):
+            for primes in ((), (2,), (3,), (5,), (2, 2), (3, 2), (2, 3), (2, 5)):
+                level = iterated_extension(base, primes).top
+                for _ in range(5):
+                    gens = random_gens(rng, max_gens=2, max_len=4)
+                    try:
+                        image = image_subgroup(level, gens, cap=3000)
+                    except CapExceeded:
+                        continue
+                    st = image_structure(level, gens, cap=3000)
+                    h = stallings_graph(A, gens)
+                    for elem in rng.sample(sorted(image, key=repr), min(25, len(image))):
+                        word = st.word(elem)
+                        assert level.evaluate(word) == elem
+                        assert contains(h, word)
+                        checked += 1
+                    levels.add(len(primes))
+                    primes_seen.update(primes)
+                    for _ in range(10):
+                        elem = level.evaluate(random_reduced(rng, 0, 8))
+                        if elem not in image:
+                            with pytest.raises(InternalInvariantError):
+                                st.word(elem)
+                            refused += 1
+        assert levels == {0, 1, 2} and primes_seen == {2, 3, 5}
+        assert checked > 500 and refused > 100
 
     def test_base_level_structure_is_the_closure(self):
         st = image_structure(KLEIN, [A.parse("x")])
