@@ -12,7 +12,8 @@ the certificate states: one walk per factor yields the image one level
 down, the tree vectors over it and the span of the cycle vectors, from
 which image orders, the product size and membership follow by GF(p)
 elimination; no image is enumerated, and the cap bounds the base fibre
-of each walk.  Three or more factors list every image by a capped
+of each walk, and also the image order when the certificate states no
+image sizes.  Three or more factors list every image by a capped
 closure and meet in the middle (``_product_member``).
 """
 
@@ -325,7 +326,9 @@ def _walk(group, h, prime, cap, stated=None):
     many points as the base fibre: it outgrows |V(S)| * cap points
     exactly when the base fibre outgrows cap.  Fibre points and the rank
     of the span only grow, so once (fibre points) * p^rank exceeds a
-    stated order the walk stops with _SizeRefuted.
+    stated order the walk stops with _SizeRefuted.  With no stated order
+    the same product is held to cap, so the rank is bounded too: past it
+    the walk raises CapExceeded.
     """
     graph, base = h.graph, h.base
     darts = [[] for _ in range(graph.num_vertices)]
@@ -338,6 +341,14 @@ def _walk(group, h, prime, cap, stated=None):
     links = {root: None}  # vertex -> (tree parent, dart from it)
     rows = {}
     found, scale = 1, 1  # base fibre points so far, p^rank
+
+    def grown():
+        if stated is not None:
+            if found * scale > stated:
+                raise _SizeRefuted(found * scale)
+        elif found * scale > cap:
+            raise CapExceeded(f"pullback image has more than {cap} elements", limit=cap)
+
     queue = deque([root])
     while queue:
         u = queue.popleft()
@@ -356,16 +367,14 @@ def _walk(group, h, prime, cap, stated=None):
                     vectors[w] = _step(tu, g, l, hg, prime)
                 if t == base:
                     found += 1
-                    if stated is not None and found * scale > stated:
-                        raise _SizeRefuted(found * scale)
+                    grown()
             elif prime is not None and l > 0 and links[u] != (w, d ^ 1):
                 # a non-tree edge, met once from its positive end
                 cycle = _step(tu, g, l, hg, prime)
                 _add(cycle, vectors[w], -1, prime)
                 if _insert(cycle, rows, prime):
                     scale *= prime
-                    if stated is not None and found * scale > stated:
-                        raise _SizeRefuted(found * scale)
+                    grown()
     fibre = {g: vectors.get((s, g)) if prime else None for s, g in links if s == base}
     return _Pullback(fibre, rows, prime)
 

@@ -39,13 +39,12 @@ def expand_to_cover(graph):
     """The canonical covering expansion: pair missing ends positionally by id."""
     if not graph.is_immersion():
         raise ValueError("expand_to_cover requires an immersion")
-    edges = list(graph.geometric_edges())
-    original = len(edges)
+    added = []
     for x in graph.alphabet.positive_letters():
         no_out, no_in = _missing(graph, x)
-        edges.extend((s, d, x) for s, d in zip(no_out, no_in))
-    return CoveringExpansion(LabeledGraph(graph.alphabet, graph.num_vertices, edges),
-                             original)
+        added.extend((s, d, x) for s, d in zip(no_out, no_in))
+    return CoveringExpansion(graph._extended(graph.num_vertices, added),
+                             graph.num_geometric_edges)
 
 
 def enumerate_expansions(graph, cap=1000):
@@ -64,11 +63,10 @@ def enumerate_expansions(graph, cap=1000):
         no_out, no_in = _missing(graph, x)
         total *= math.factorial(len(no_out))
         per_letter.append((x, no_out, no_in))
-    base = graph.geometric_edges()
     out = []
     for added in _pairings(per_letter):
-        g = LabeledGraph(graph.alphabet, graph.num_vertices, base + added)
-        out.append(CoveringExpansion(g, len(base)))
+        out.append(CoveringExpansion(graph._extended(graph.num_vertices, added),
+                                     graph.num_geometric_edges))
         if len(out) >= cap and total > cap:
             return ExpansionEnumeration(tuple(out), False)
     return ExpansionEnumeration(tuple(out), True)
@@ -92,14 +90,23 @@ def transition_group(cover):
     Accepts a CoveringExpansion or a covering LabeledGraph.  For a
     connected covering this is F modulo the normal core of the cover's
     fundamental group; its action on the vertices is transitive.
+
+    One pass over the edges reads each letter's map.  The graph
+    is a covering exactly when every letter has one edge per vertex and
+    its targets are distinct, so each map is a permutation; it is
+    connected exactly when the group they generate is transitive.
     """
     graph = cover.graph if isinstance(cover, CoveringExpansion) else cover
-    if not graph.is_covering():
-        raise ValueError("transition_group requires a covering")
-    if not graph.is_connected():
+    n = graph.num_vertices
+    perms = [[-1] * n for _ in graph.alphabet.positive_letters()]
+    counts = [0] * len(perms)
+    for s, d, x in graph.geometric_edges():
+        perms[x - 1][s] = d
+        counts[x - 1] += 1
+    for perm, count in zip(perms, counts):
+        if count != n or -1 in perm or len(set(perm)) != n:
+            raise ValueError("transition_group requires a covering")
+    group = XGroup(graph.alphabet, perms)
+    if not group.is_transitive():
         raise ValueError("transition_group requires a connected covering")
-    perms = []
-    for x in graph.alphabet.positive_letters():
-        perms.append(tuple(graph.dst(graph.out_dart(v, x))
-                           for v in range(graph.num_vertices)))
-    return XGroup(graph.alphabet, perms)
+    return group

@@ -8,6 +8,14 @@ Vertices are dense integers 0..num_vertices-1.
 Graphs are value types: every operation returns a new graph and nothing
 mutates one after construction.
 
+``LabeledGraph(alphabet, n, edges)`` checks every edge: both ends in
+range, a positive letter of the alphabet.  Every graph built from outside
+input goes through it.  ``LabeledGraph._trusted``, which takes dart
+arrays as they are, and ``_extended``, which appends edges to a graph,
+check nothing.  They are private to the package, for graphs whose edges
+come from an already checked graph: a fold, an attached path, a covering
+expansion, a Cayley graph.
+
 Folding to an immersion (``fold_all_tracked``) is one union-find pass,
 near-linear in the size of the graph.  ``fold`` and ``fold_tracked`` fold
 the single admissible pair that ``find_admissible_pair`` picks; folding
@@ -38,6 +46,33 @@ class LabeledGraph:
         self._src = src
         self._label = label
         self._star = None
+
+    @classmethod
+    def _trusted(cls, alphabet, num_vertices, src, label):
+        """A graph on the given dart arrays, unchecked.
+
+        ``src[e]`` is the source and ``label[e]`` the signed label of dart e;
+        darts 2k and 2k+1 are the two orientations of geometric edge k, the
+        even one positive.  The lists are kept, not copied.
+        """
+        g = cls.__new__(cls)
+        g.alphabet = alphabet
+        g.num_vertices = num_vertices
+        g._src = src
+        g._label = label
+        g._star = None
+        return g
+
+    def _extended(self, num_vertices, edges):
+        """This graph on num_vertices vertices with (src, dst, letter) edges
+        appended, unchecked: callers pass vertex ids below num_vertices and
+        positive letters of the alphabet.  Old vertices and edges keep their
+        ids."""
+        src, label = list(self._src), list(self._label)
+        for s, d, x in edges:
+            src += (s, d)
+            label += (x, -x)
+        return LabeledGraph._trusted(self.alphabet, num_vertices, src, label)
 
     # -- basic structure ----------------------------------------------------
 
@@ -242,9 +277,10 @@ class LabeledGraph:
         roots = [v for v in range(self.num_vertices) if vparent[v] == v]
         new_id = {r: i for i, r in enumerate(roots)}
         vmap = [new_id[find(vparent, v)] for v in range(self.num_vertices)]
-        edges = [(vmap[src[2 * k]], vmap[src[2 * k + 1]], label[2 * k])
-                 for k in range(self.num_geometric_edges) if eparent[k] == k]
-        return LabeledGraph(self.alphabet, len(roots), edges), vmap
+        kept = [k for k in range(self.num_geometric_edges) if eparent[k] == k]
+        new_src = [vmap[src[e]] for k in kept for e in (2 * k, 2 * k + 1)]
+        new_label = [label[e] for k in kept for e in (2 * k, 2 * k + 1)]
+        return LabeledGraph._trusted(self.alphabet, len(roots), new_src, new_label), vmap
 
     # -- canonical forms ------------------------------------------------------
 

@@ -90,11 +90,13 @@ def cayley_graph(level, cap=DEFAULT_CAP):
     """Materialize a chain level (a group or an extension) and its Cayley graph."""
     elems = level.elements(cap=cap)
     index = {e: i for i, e in enumerate(elems)}
-    edges = []
+    src, label = [], []
     for i, e in enumerate(elems):
         for x in level.alphabet.positive_letters():
-            edges.append((i, index[level.mult(e, level.gen(x))], x))
-    return CayleyGraph(LabeledGraph(level.alphabet, len(elems), edges), 0, tuple(elems))
+            src += (i, index[level.mult(e, level.gen(x))])
+            label += (x, -x)
+    graph = LabeledGraph._trusted(level.alphabet, len(elems), src, label)
+    return CayleyGraph(graph, 0, tuple(elems))
 
 
 def closure(first, steps, mult, cap, what):

@@ -70,25 +70,44 @@ def contains(h, word):
 
 
 def attach_word(h, word):
-    """Glue a fresh path labeled by the word so it ends at the base, then fold."""
-    w = free_reduce(word)
-    if not w:
-        return AttachedImmersion(h.graph, h.base, h.base)
+    """Glue a fresh path labeled by the word so it ends at the base, then fold.
+
+    The graph of h must be an immersion, and the glued path is reduced, so
+    every fold happens where the path meets the graph: its last letters
+    fold onto the darts that read the inverse word backwards from the base
+    (Stallings, "Topology of finite graphs", 1983).  So nothing needs a
+    fold: the inverse word is read from the base as far as the graph
+    allows, and only the unread prefix of the path is appended, hanging
+    off the vertex where the reading stopped.  Its vertices keep the ids
+    nv .. nv+k-1 and its edges the order of the word, so this is the graph
+    and the omega and alpha that ``fold_all_tracked`` gives on the whole
+    glued graph: that fold keeps each class's least vertex and least edge,
+    and no two vertices of the immersion ever meet.
+    """
     g = h.graph
+    w = free_reduce(word)
+    size = g.alphabet.size
+    for l in w:
+        if not 1 <= abs(l) <= size:
+            raise ValueError(f"letter {l} is not in the alphabet")
+    if not g.is_immersion():
+        raise ValueError("attach_word requires an immersion")
+    # read invert(w) from the base: w[k:] folds onto the graph, ending at cur
+    k, cur = len(w), h.base
+    while k:
+        d = g.out_dart(cur, -w[k - 1])
+        if d is None:
+            break
+        k -= 1
+        cur = g.dst(d)
+    if not k:
+        return AttachedImmersion(g, h.base, cur)
     nv = g.num_vertices
-    edges = list(g.geometric_edges())
-    # fresh vertices nv .. nv+|w|-1 form the path; its last edge enters base
-    prev = nv
-    for i, l in enumerate(w):
-        nxt = h.base if i == len(w) - 1 else nv + i + 1
-        if l > 0:
-            edges.append((prev, nxt, l))
-        else:
-            edges.append((nxt, prev, -l))
-        prev = nxt
-    attached = LabeledGraph(g.alphabet, nv + len(w), edges)
-    folded, vmap = attached.fold_all_tracked()
-    return AttachedImmersion(folded, vmap[h.base], vmap[nv])
+    # fresh vertices nv .. nv+k-1 form the unread path; its last edge enters cur
+    path = list(range(nv, nv + k)) + [cur]
+    edges = [(path[i], path[i + 1], l) if l > 0 else (path[i + 1], path[i], -l)
+             for i, l in enumerate(w[:k])]
+    return AttachedImmersion(g._extended(nv + k, edges), h.base, nv)
 
 
 def _word_to(graph, tree, v):

@@ -5,8 +5,32 @@ from collections import deque
 
 from prodsep.certificates import _product_member, image_subgroup
 from prodsep.extensions import ExtensionChain
+from prodsep.graphs import LabeledGraph
 from prodsep.separators import image_subgroup_order
+from prodsep.stallings import AttachedImmersion
 from prodsep.words import free_reduce, invert, letter_sort_key
+
+
+def glue_word(h, word):
+    """The attach oracle: glue a fresh path labeled by the word so it ends
+    at the base, then fold the whole glued graph with ``fold_all_tracked``."""
+    w = free_reduce(word)
+    if not w:
+        return AttachedImmersion(h.graph, h.base, h.base)
+    g = h.graph
+    nv = g.num_vertices
+    edges = list(g.geometric_edges())
+    # fresh vertices nv .. nv+|w|-1 form the path; its last edge enters base
+    prev = nv
+    for i, l in enumerate(w):
+        nxt = h.base if i == len(w) - 1 else nv + i + 1
+        if l > 0:
+            edges.append((prev, nxt, l))
+        else:
+            edges.append((nxt, prev, -l))
+        prev = nxt
+    folded, vmap = LabeledGraph(g.alphabet, nv + len(w), edges).fold_all_tracked()
+    return AttachedImmersion(folded, vmap[h.base], vmap[nv])
 
 
 def loop_words_up_to(h, max_len):

@@ -165,6 +165,31 @@ class TestPartialCertificates:
                     "17 elements"])
         assert time.perf_counter() - start < 1
 
+    def test_claims_without_sizes_are_held_to_the_cap(self, tmp_path, capsys):
+        # the instance above with no size lines: with nothing stated to
+        # refute, the walk's fibre points times p^rank are held to the cap
+        cert = separators.product_separator(
+            A, [[A.parse("xxy")], [A.parse("XXYY"), A.parse("yX")]], A.parse("yXXy"),
+            cap=16384)
+        assert cert.image_sizes is None and cert.product_size is None
+        path = tmp_path / "sizeless.cert"
+        path.write_text(emit_certificate(cert).replace("status: partial", "status: member"))
+        start = time.perf_counter()
+        assert main(["verify", str(path), "--cap", "16384"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "verify, pullback walk: pullback image has more than 16384 elements" in \
+            capsys.readouterr().err
+        # below the cap a claim without sizes is still checked either way
+        text = emit_certificate(separators.product_separator(
+            A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xy")))
+        sizeless = "".join(l for l in text.splitlines(keepends=True) if "size" not in l)
+        assert verify_certificate(sizeless) == (
+            True, ["image product membership re-checked: False"])
+        assert verify_certificate(sizeless.replace("excluded", "member")) == (
+            False, ["word image not found in the image product"])
+        with pytest.raises(CapExceeded, match="^verify, pullback walk: "):
+            verify_certificate(sizeless, cap=1)
+
     def test_honest_partial_certificate_verifies(self):
         # the construction states no sizes when the cap kept it from deciding
         cert = separators.product_separator(A, [[A.parse("xx")], [A.parse("yy")]],

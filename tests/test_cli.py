@@ -351,7 +351,7 @@ class TestCliCommands:
 
         monkeypatch.setattr(LabeledGraph, "fold_all_tracked", counted)
         assert main(["separate", "hall", hall_file]) == 0
-        assert len(calls) == 2  # S(H), then the attached word
+        assert len(calls) == 1  # S(H); attaching the word reads, it does not fold
         assert main(["separate", "hall", hall_file, "yy"]) == 1
         assert "the word lies in the subgroup" in capsys.readouterr().out
 

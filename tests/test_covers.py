@@ -122,6 +122,78 @@ def eager_expansions(graph, cap):
     return out, True
 
 
+def random_covering_edges(rng, alphabet, n):
+    """The edges of a random covering on n vertices: one permutation per letter."""
+    edges = []
+    for x in alphabet.positive_letters():
+        targets = list(range(n))
+        rng.shuffle(targets)
+        edges.extend((v, targets[v], x) for v in range(n))
+    return edges
+
+
+def mutated_graph(rng, alphabet, kind):
+    """A random graph of the given kind, most of them near a covering."""
+    n = rng.randint(2 if kind == "two in-edges" else 1, 6)
+    edges = random_covering_edges(rng, alphabet, n)
+    letters = alphabet.positive_letters()
+    if kind == "missing out-edge":
+        edges.pop(rng.randrange(len(edges)))
+    elif kind == "two out-edges":
+        s, _, x = rng.choice(edges)
+        edges.append((s, rng.randrange(n), x))
+    elif kind == "two in-edges":
+        i = rng.randrange(len(edges))
+        s, d, x = edges[i]
+        edges[i] = (s, rng.choice([v for v in range(n) if v != d]), x)
+    elif kind == "disconnected":
+        m = rng.randint(1, 4)
+        edges += [(s + n, d + n, x) for s, d, x in random_covering_edges(rng, alphabet, m)]
+        n += m
+    elif kind == "random":
+        edges = [(rng.randrange(n), rng.randrange(n), rng.choice(letters))
+                 for _ in range(rng.randint(0, 2 * n * len(letters)))]
+    rng.shuffle(edges)
+    return LabeledGraph(alphabet, n, edges)
+
+
+class TestTransitionGroupAgainstGraphChecks:
+    """One pass over the darts decides exactly what is_covering and
+    is_connected decide, with the same messages, and reads the same maps."""
+
+    def test_random_graphs(self):
+        rng = random.Random(41)
+        kinds = ["covering", "missing out-edge", "two out-edges", "two in-edges",
+                 "disconnected", "random"]
+        seen = {}
+        for alphabet in (A, Alphabet("xyz")):
+            for i in range(600):
+                kind = kinds[i % len(kinds)]
+                g = mutated_graph(rng, alphabet, kind)
+                if not g.is_covering():
+                    expected = "transition_group requires a covering"
+                elif not g.is_connected():
+                    expected = "transition_group requires a connected covering"
+                else:
+                    expected = None
+                seen[kind, expected] = seen.get((kind, expected), 0) + 1
+                if expected is not None:
+                    with pytest.raises(ValueError) as exc:
+                        transition_group(g)
+                    assert str(exc.value) == expected
+                    continue
+                group = transition_group(g)
+                for x in alphabet.positive_letters():
+                    assert group.perm(x) == tuple(g.dst(g.out_dart(v, x))
+                                                  for v in range(g.num_vertices))
+        covering = "transition_group requires a covering"
+        for kind in ["missing out-edge", "two out-edges", "two in-edges"]:
+            assert seen[kind, covering] == 200
+        assert ("covering", covering) not in seen
+        assert seen["covering", None] >= 100
+        assert seen["disconnected", "transition_group requires a connected covering"] == 200
+
+
 class TestTransitionGroup:
     def test_rose_gives_trivial_group(self):
         g = LabeledGraph(A, 1, [(0, 0, 1), (0, 0, 2)])

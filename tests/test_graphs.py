@@ -4,8 +4,9 @@ import time
 import pytest
 
 from prodsep.graphs import LabeledGraph, reduce_path
-from prodsep.stallings import attach_word, build_wedge, stallings_graph
-from prodsep.words import Alphabet, free_reduce
+from prodsep.stallings import PointedImmersion, attach_word, build_wedge, stallings_graph
+from prodsep.words import Alphabet, free_reduce, invert
+from tests.helpers import glue_word
 
 A = Alphabet("xy")
 
@@ -63,6 +64,15 @@ def assert_folds_like_oracle(g):
         assert vmap == expected_vmap
 
 
+def assert_attaches_like_glue(h, word, got=None):
+    got = attach_word(h, word) if got is None else got
+    expected = glue_word(h, word)
+    assert got.graph.num_vertices == expected.graph.num_vertices
+    assert got.graph.geometric_edges() == expected.graph.geometric_edges()
+    assert (got.omega, got.alpha) == (expected.omega, expected.alpha)
+    return got
+
+
 class TestStructure:
     def test_reverse_involution(self):
         g = rose(A)
@@ -77,6 +87,14 @@ class TestStructure:
             LabeledGraph(A, 1, [(0, 1, 1)])
         with pytest.raises(ValueError):
             LabeledGraph(A, 1, [(0, 0, 3)])
+
+    def test_hand_built_graphs_are_checked(self):
+        for edges, message in [([(0, 1, 1), (-1, 0, 2)], "out of vertex range"),
+                               ([(0, 1, 1), (1, 2, 1)], "out of vertex range"),
+                               ([(0, 1, 0)], "must be a positive letter"),
+                               ([(0, 1, -1)], "must be a positive letter")]:
+            with pytest.raises(ValueError, match=message):
+                LabeledGraph(A, 2, edges)
 
 
 class TestAdmissiblePairs:
@@ -206,7 +224,10 @@ class TestFoldAgainstStepLoop:
             # a subgroup word with its first letters replaced, so the path
             # folds in from the base and its free end may stay outside
             word = free_reduce(random_reduced(rng, A, rng.randint(1, 3)) + gens[0][3:])
-            attach_word(h, word)
+            before = len(unfolded)
+            got = attach_word(h, word)
+            assert len(unfolded) == before  # attaching reads; it folds nothing
+            assert_attaches_like_glue(h, word, got)  # the glued fold is recorded
             attached += bool(word)
         monkeypatch.undo()
         assert attached > 50
@@ -222,6 +243,69 @@ class TestFoldAgainstStepLoop:
         elapsed = time.perf_counter() - t0
         assert folded.is_immersion()
         assert elapsed < 0.5, f"{elapsed:.3f} s"
+
+
+def random_walk_word(rng, g, v, n):
+    """The label of a random reduced walk of at most n darts from v in g."""
+    word = []
+    for _ in range(n):
+        steps = [l for l in g.alphabet.letters()
+                 if g.out_dart(v, l) is not None and not (word and l == -word[-1])]
+        if not steps:
+            break
+        l = rng.choice(steps)
+        word.append(l)
+        v = g.dst(g.out_dart(v, l))
+    return tuple(word)
+
+
+class TestAttachAgainstGlue:
+    """Reading the word into S(H) gives exactly the glued graph's fold."""
+
+    def test_random_draws(self):
+        rng = random.Random(11)
+        draws = {"empty": 0, "member": 0, "read": 0, "partial": 0}
+        for alphabet in (A, Alphabet("xyz")):
+            for i in range(1200):
+                if i % 3 == 0:
+                    gens = shared_prefix_words(rng, alphabet, rng.randint(0, 24),
+                                               rng.randint(1, 4), rng.randint(1, 8))
+                else:
+                    gens = [random_reduced(rng, alphabet, rng.randint(1, 7))
+                            for _ in range(rng.randint(1, 3))]
+                h = stallings_graph(alphabet, gens)
+                kind = i % 6
+                if kind == 0:
+                    word = ()
+                elif kind == 1:  # a subgroup member: a product of generators
+                    word = free_reduce(sum((rng.choice(gens) for _ in range(
+                        rng.randint(1, 3))), ()))
+                elif kind == 2:  # reads entirely into S(H) from the base
+                    word = invert(random_walk_word(rng, h.graph, h.base, rng.randint(1, 12)))
+                elif kind == 3:  # a generator with its first letters replaced
+                    word = free_reduce(random_reduced(rng, alphabet, rng.randint(1, 3))
+                                       + rng.choice(gens)[rng.randint(0, 4):])
+                else:
+                    word = random_reduced(rng, alphabet, rng.randint(1, 14))
+                got = assert_attaches_like_glue(h, word)
+                w = free_reduce(word)
+                read = h.graph.num_vertices == got.graph.num_vertices
+                draws["empty"] += not w
+                draws["member"] += got.alpha == got.omega
+                draws["read"] += bool(w) and read
+                draws["partial"] += not read
+        assert min(draws.values()) >= 200, draws
+
+    def test_letter_outside_alphabet(self):
+        h = stallings_graph(A, [A.parse("xy")])
+        for word in [(3,), (1, -3), (1, 0)]:
+            with pytest.raises(ValueError, match="not in the alphabet"):
+                attach_word(h, word)
+
+    def test_base_graph_must_be_an_immersion(self):
+        h = PointedImmersion(LabeledGraph(A, 3, [(0, 1, 1), (0, 2, 1)]), 0)
+        with pytest.raises(ValueError, match="requires an immersion"):
+            attach_word(h, A.parse("y"))
 
 
 class TestImmersionCovering:
