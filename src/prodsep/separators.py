@@ -134,52 +134,19 @@ def _path_to(level, back, end):
 # -- common spine -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpineCertificate:
-    """Boundary data produced when no spine exists.
+def common_spine(delta1, delta2, start, end):
+    """A reduced path from start to end inside both spans, or None.
 
-    The first path leaves the component of the start exactly once more
-    than it enters, so some crossing edge is traversed a number of times
-    that no identity in a p-elementary extension could tolerate.
-    """
-    omega: frozenset
-    in_indices: tuple
-    out_indices: tuple
-    witness_edge: object
-
-
-def common_spine(delta1, delta2, start, end, prime=None):
-    """A reduced path from start to end inside both spans, or the counting data.
-
-    The search runs on the intersection subgraph; when it fails, the
-    certificate lists the crossings of the first span's path over the
-    boundary of the start's component, and (given a prime) an edge outside
-    the second span whose net traversal count is nonzero mod p.
+    The search runs on the intersection subgraph.  When the spans' paths
+    agree in the p-elementary extension one level up (the premise of
+    ``_pinch``), the counting argument guarantees a spine, so ``_pinch``
+    treats None as a broken invariant.
     """
     common_edges = {k: ends for k, ends in delta1.edges.items() if k in delta2.edges}
     omega = _search(common_edges, start)
-    if end in omega:
-        return _path_to(delta1.path.level, omega, end)
-    path = delta1.path
-    in_idx, out_idx = [], []
-    for i in range(len(path.word)):
-        u, v = path.vertices[i], path.vertices[i + 1]
-        if (u in omega) and (v not in omega):
-            out_idx.append(i)
-        elif (u not in omega) and (v in omega):
-            in_idx.append(i)
-    witness = None
-    if prime is not None:
-        net = {}
-        for i in range(len(path.word)):
-            key = path.step_key(i)
-            net[key] = net.get(key, 0) + (1 if path.word[i] > 0 else -1)
-        for i in out_idx + in_idx:
-            key = path.step_key(i)
-            if key not in delta2.edges and net[key] % prime != 0:
-                witness = key
-                break
-    return SpineCertificate(frozenset(omega), tuple(in_idx), tuple(out_idx), witness)
+    if end not in omega:
+        return None
+    return _path_to(delta1.path.level, omega, end)
 
 
 # -- path projection ----------------------------------------------------------
@@ -271,29 +238,6 @@ def _product_with_witness(level, images, cap):
     return out
 
 
-def _row_reduce(vec, basis, prime):
-    """Reduce a sparse GF(p) vector against pivot-keyed rows.
-
-    Returns None when the vector is dependent, else the (pivot, row) pair
-    to add; rows are normalized to pivot coefficient 1.
-    """
-    vec = dict(vec)
-    while vec:
-        pivot = min(vec)
-        row = basis.get(pivot)
-        if row is None:
-            inv = pow(vec[pivot], -1, prime)
-            return pivot, {k: (v * inv) % prime for k, v in vec.items()}
-        c = vec[pivot]
-        for k, v in row.items():
-            n = (vec.get(k, 0) - c * v) % prime
-            if n:
-                vec[k] = n
-            elif k in vec:
-                del vec[k]
-    return None
-
-
 def _subtract(vec, other, prime):
     """vec -= other over GF(p), in place on the dict vec."""
     for k, v in other.items():
@@ -304,20 +248,47 @@ def _subtract(vec, other, prime):
             del vec[k]
 
 
+def _reduce(vec, basis, prime):
+    """Reduce vec in place against the rows of basis; return the steps taken.
+
+    basis maps a pivot to (row, coefficients over the Schreier vectors),
+    the row normalized to pivot coefficient 1.  Each step (pivot, c)
+    subtracted c times that row, so vec is empty afterwards exactly when
+    it lies in the rows' span.
+    """
+    steps = []
+    while vec:
+        pivot = min(vec)
+        entry = basis.get(pivot)
+        if entry is None:
+            break
+        c = vec[pivot]
+        for k, v in entry[0].items():
+            n = (vec.get(k, 0) - c * v) % prime
+            if n:
+                vec[k] = n
+            elif k in vec:
+                del vec[k]
+        steps.append((pivot, c))
+    return steps
+
+
 @dataclass(frozen=True)
 class ImageStructure:
     """The image of a subgroup at a chain level, held without enumerating it.
 
     At an extension level the image is {(lifts[b] + k, b)}: b runs over the
     image one level down, lifts[b] is the vector of one chosen lift of b,
-    and k runs over the GF(p) span of the pivot-keyed kernel rows in
-    ``basis``.  At level 0 (a permutation group) ``lifts`` is the closure
-    itself, ``basis`` is empty and ``prime`` is None.
+    and k runs over the GF(p) span of the kernel rows in ``basis``, which
+    maps each pivot to (row, coefs): the row, normalized to pivot
+    coefficient 1, is sum coefs[j] * S_j over the Schreier vectors S_j of
+    the cycle edges.  At level 0 (a permutation group) ``lifts`` is the
+    closure itself, ``basis`` is empty and ``prime`` is None.
 
     The walk that built it leaves what ``word`` needs: ``links`` maps each b
     to its BFS tree link (parent, step index) or None, ``words`` holds the
-    step words, and ``cycles`` lists, per kernel row in the order the rows
-    were added, the cycle edge (b, i, nb) with its Schreier vector.
+    step words, and ``cycles[j]`` is the cycle edge (b, i, nb) whose
+    Schreier vector S_j added the j-th kernel row.
     """
     lifts: dict
     basis: dict
@@ -327,16 +298,21 @@ class ImageStructure:
     words: tuple
     cycles: tuple
 
-    def __contains__(self, elem):
-        if self.prime is None:
-            return elem in self.lifts
+    def _steps(self, elem):
+        """The steps that reduce v - lifts[b] to zero, or None outside the image."""
         vec, b = elem
         lift = self.lifts.get(b)
         if lift is None:
-            return False
+            return None
         diff = dict(vec)
         _subtract(diff, lift, self.prime)
-        return _row_reduce(diff, self.basis, self.prime) is None
+        steps = _reduce(diff, self.basis, self.prime)
+        return None if diff else steps
+
+    def __contains__(self, elem):
+        if self.prime is None:
+            return elem in self.lifts
+        return self._steps(elem) is not None
 
     def _tree_word(self, b):
         """The step words along the tree path to b: its image is (lifts[b], b)."""
@@ -351,62 +327,27 @@ class ImageStructure:
 
         At level 0 it is the closure-tree path.  Above, elem = (v, b) is
         (k, 1) * (lifts[b], b) with k = v - lifts[b] in the kernel, which is
-        abelian: writing k = sum c_j S_j over the Schreier vectors of the
-        cycle edges gives the word prod S_j-word^c_j * W(b).  A non-member
-        raises InternalInvariantError.
+        abelian: one reduction writes k = sum c_j S_j through the rows'
+        coefficients, which gives the word prod S_j-word^c_j * W(b).  A
+        non-member raises InternalInvariantError.
         """
         if self.prime is None:
             if elem not in self.links:
                 raise InternalInvariantError("no word for an element outside the image")
             return free_reduce(self._tree_word(elem))
-        vec, b = elem
-        if b not in self.lifts:
+        steps = self._steps(elem)
+        if steps is None:
             raise InternalInvariantError("no word for an element outside the image")
-        prime = self.prime
-        # rebuild the rank rows, each with its coefficients over the cycles
-        rows = {}
-        for j, (_, _, _, schreier) in enumerate(self.cycles):
-            row = dict(schreier)
-            coefs = {j: 1}
-            _subtract(coefs, _reduce_tracked(row, rows, prime), prime)
-            if not row:
-                raise InternalInvariantError("the kernel rows' Schreier vectors "
-                                             "are dependent")
-            pivot = min(row)
-            inv = pow(row[pivot], -1, prime)
-            rows[pivot] = ({k: c * inv % prime for k, c in row.items()},
-                           {j: c * inv % prime for j, c in coefs.items()})
-        diff = dict(vec)
-        _subtract(diff, self.lifts[b], prime)
-        coefs = _reduce_tracked(diff, rows, prime)
-        if diff:
-            raise InternalInvariantError("no word for an element outside the image")
+        coefs = {}
+        for pivot, c in steps:
+            _subtract(coefs, {j: -c * v for j, v in self.basis[pivot][1].items()},
+                      self.prime)
         out = ()
         for j, c in sorted(coefs.items()):
-            src, i, dst, _ = self.cycles[j]
+            src, i, dst = self.cycles[j]
             loop = self._tree_word(src) + self.words[i] + invert(self._tree_word(dst))
             out += loop * c
-        return free_reduce(out + self._tree_word(b))
-
-
-def _reduce_tracked(vec, rows, prime):
-    """Reduce vec in place against rows that carry their coefficients.
-
-    rows maps a pivot to (row, coefficients over the Schreier vectors),
-    the row normalized to pivot coefficient 1.  Returns the coefficients
-    of what was subtracted: vec is empty afterwards exactly when they
-    express all of it.
-    """
-    subtracted = {}
-    while vec:
-        pivot = min(vec)
-        if pivot not in rows:
-            break
-        row, coefs = rows[pivot]
-        c = vec[pivot]
-        _subtract(vec, {k: c * v for k, v in row.items()}, prime)
-        _subtract(subtracted, {j: -c * v for j, v in coefs.items()}, prime)
-    return subtracted
+        return free_reduce(out + self._tree_word(elem[1]))
 
 
 def image_structure(level, generators, cap=DEFAULT_CAP):
@@ -416,6 +357,8 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
     down by the span of its Schreier-generator vectors, so the order is
     |image below| * p^rank.  The coset walk below is still explicit, but
     its elements live one level down; orders above the cap raise early.
+    Each Schreier vector is reduced once: only one that adds a row turns
+    the reduction's steps into that row's coefficients.
     """
     steps = _generator_steps(level, generators)
     words = tuple(w for _, w in steps)
@@ -452,16 +395,23 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
                 lifts[nb] = nvec
                 links[nb] = (b, i)
                 queue.append(nb)
-            else:
-                _subtract(nvec, known, prime)
-                added = _row_reduce(nvec, basis, prime)
-                if added is not None:
-                    basis[added[0]] = added[1]
-                    cycles.append((b, i, nb, nvec))
-                    if len(lifts) * prime ** len(basis) > cap:
-                        raise CapExceeded(
-                            f"image order exceeds {cap}: at least "
-                            f"{len(lifts)} * {prime}^{len(basis)}", limit=cap)
+                continue
+            _subtract(nvec, known, prime)
+            reduced = _reduce(nvec, basis, prime)
+            if not nvec:
+                continue
+            coefs = {len(cycles): 1}
+            for pivot, c in reduced:
+                _subtract(coefs, {j: c * v for j, v in basis[pivot][1].items()}, prime)
+            pivot = min(nvec)
+            inv = pow(nvec[pivot], -1, prime)
+            basis[pivot] = ({k: v * inv % prime for k, v in nvec.items()},
+                            {j: c * inv % prime for j, c in coefs.items()})
+            cycles.append((b, i, nb))
+            if len(lifts) * prime ** len(basis) > cap:
+                raise CapExceeded(
+                    f"image order exceeds {cap}: at least "
+                    f"{len(lifts)} * {prime}^{len(basis)}", limit=cap)
     order = len(lifts) * prime ** len(basis)
     if order > cap:
         raise CapExceeded(f"image order {order} exceeds {cap}", limit=cap)
@@ -581,8 +531,8 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
     try:
         # exact orders first: proves cap-exceedance without enumerating
         structures = [image_structure(top, gens, cap) for gens in ctx.subgroups]
-        end, images, rest, hit = _end_factor_search(top, ctx.subgroups, structures,
-                                                    top.evaluate(ctx.word), cap)
+        end, rest, hit = _end_factor_search(top, ctx.subgroups, structures,
+                                            top.evaluate(ctx.word), cap)
     except CapExceeded:
         return certificate("partial")
     size = None
@@ -591,38 +541,39 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
         if len(structures) <= 2:  # |A| |B| / |A & B|
             size = bound // sum(1 for q in rest if q in structures[end])
         else:
-            # every partial product is then under the cap as well; the
-            # search enumerated every image but the end factor's
-            images[end] = image_subgroup(top, ctx.subgroups[end], cap)
-            ordered = [images[i] for i in range(len(structures))]
-            size = len(_product_with_witness(top, ordered, cap))
+            # the product's inverse is E * rest (E last) or rest * E (E
+            # first), of the same size; it is under the cap as well
+            image = image_subgroup(top, ctx.subgroups[end], cap)
+            pair = [image, rest] if end else [rest, image]
+            size = len(_product_with_witness(top, pair, cap))
     return certificate("excluded" if hit is None else "member",
                        tuple(st.order for st in structures), size)
 
 
 def _end_factor_search(level, subgroups, structures, target, cap):
-    """(end, images, rest, hit) deciding whether target lies in A_1 ... A_n.
+    """(end, rest, hit) deciding whether target lies in A_1 ... A_n.
 
     E = A_end, the image of the larger end factor (the last on a tie), is
-    tested through its structure.  The other images are enumerated, into
-    ``images`` by factor index, and multiplied in reverse order; being
-    subgroups, their product ``rest`` lists the inverses q of the other
-    factors' product, each with its witness words in reverse order.  hit
-    is (q, e) for the first q whose e = q*target (E last) or e = target*q
-    (E first) lies in E, or None.
+    tested through its structure.  The other images are enumerated and
+    multiplied in reverse order; being subgroups, their product ``rest``
+    lists the inverses q of the other factors' product, each with its
+    witness words in reverse order.  So the image product's inverse is
+    E * rest (E last) or rest * E (E first).  hit is (q, e) for the first
+    q whose e = q*target (E last) or e = target*q (E first) lies in E, or
+    None.
     """
     n = len(subgroups)
     end = 0 if structures[0].order > structures[-1].order else n - 1
     others = [i for i in reversed(range(n)) if i != end]
-    images = {i: image_subgroup(level, subgroups[i], cap) for i in others}
-    if any(len(images[i]) != structures[i].order for i in others):
+    images = [image_subgroup(level, subgroups[i], cap) for i in others]
+    if any(len(img) != structures[i].order for i, img in zip(others, images)):
         raise InternalInvariantError("image enumeration disagrees with its order")
-    rest = _product_with_witness(level, [images[i] for i in others], cap)
+    rest = _product_with_witness(level, images, cap)
     for q in rest:
         e = level.mult(q, target) if end else level.mult(target, q)
         if e in structures[end]:
-            return end, images, rest, (q, e)
-    return end, images, rest, None
+            return end, rest, (q, e)
+    return end, rest, None
 
 
 # -- factorization ------------------------------------------------------------
@@ -644,6 +595,13 @@ def factorize(alphabet, subgroups, word, seeds=None, primes=None,
     n = len(subgroups)
     ctx = _build_context(alphabet, subgroups, word, primes)
     w = ctx.word
+    if seeds is not None:
+        if len(seeds) != n:
+            raise ValueError(f"need {n} seeds, got {len(seeds)}")
+        seeds = tuple(free_reduce(s) for s in seeds)
+        for i, s in enumerate(seeds):
+            if not contains(ctx.pointed[i], s):
+                raise ValueError(f"seed {i + 1} is not in its subgroup")
     if n == 1:
         if contains(ctx.pointed[0], w):
             return FactorizationCertificate(alphabet, ctx.subgroups, w, (w,))
@@ -655,12 +613,6 @@ def factorize(alphabet, subgroups, word, seeds=None, primes=None,
         if seeds is None:
             return None
     else:
-        if len(seeds) != n:
-            raise ValueError(f"need {n} seeds, got {len(seeds)}")
-        seeds = tuple(free_reduce(s) for s in seeds)
-        for i, s in enumerate(seeds):
-            if not contains(ctx.pointed[i], s):
-                raise ValueError(f"seed {i + 1} is not in its subgroup")
         img = top.identity
         for s in seeds:
             img = top.mult(img, top.evaluate(s))
@@ -704,8 +656,8 @@ def _search_seeds(ctx, word_image, cap, stats):
     top = ctx.chain.top
     try:
         structures = [image_structure(top, gens, cap) for gens in ctx.subgroups]
-        end, _, rest, hit = _end_factor_search(top, ctx.subgroups, structures,
-                                               word_image, cap)
+        end, rest, hit = _end_factor_search(top, ctx.subgroups, structures,
+                                            word_image, cap)
     except CapExceeded:
         stats.capped_search = True
         return None
@@ -747,9 +699,8 @@ def _pinch(chain, items, stats):
 
     if m == 2:
         spine = common_spine(span_of(etas[0]), span_of(etas[1]),
-                             mid.identity, etas[0].end,
-                             prime=top.prime)
-        if isinstance(spine, SpineCertificate):
+                             mid.identity, etas[0].end)
+        if spine is None:
             raise InternalInvariantError("no common spine despite the premise")
         stats.spines += 1
         gamma1 = project_path(spine, etas[0], items[0])

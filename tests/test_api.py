@@ -3,7 +3,9 @@ import re
 
 import prodsep
 
-README = pathlib.Path(__file__).parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).parent.parent
+README = ROOT / "README.md"
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def test_public_names_resolve_once():
@@ -36,3 +38,14 @@ def test_what_the_bench_calls_resolves():
     assert prodsep.product_separator(A, subgroups, A.parse("xy"), cap=4096).excluded is True
     top = prodsep.iterated_extension(prodsep.XGroup(A, [(1, 0), (1, 0)]), (2,)).top
     assert separators.image_subgroup_order(top, [A.parse("x")], 4096) == 4
+    # every separators/certificates attribute bench/spans.py wraps names a
+    # traced layer; one that is gone prints "not found" and is not traced
+    modules = {"sep": [separators], "cert": [certificates],
+               "module": [separators, certificates]}
+    wrapped = re.findall(r'tracer\.wrap\((\w+), "(\w+)"', SPANS.read_text())
+    assert len(wrapped) >= 10
+    missing = {f"{m.__name__.rpartition('.')[2]}.{attr}"
+               for key, attr in wrapped for m in modules[key]
+               if not hasattr(m, attr)}
+    # the one known stale entry: the construction no longer has it
+    assert missing == {"separators._product_member"}

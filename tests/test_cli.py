@@ -466,6 +466,13 @@ class TestFactorizeSeeds:
     def test_cli_bad_seeds(self, product_file, capsys):
         assert main(["factorize", product_file, "xxyy", "--seeds", "x,yy"]) == 3
 
+    def test_cli_seeds_checked_with_one_subgroup(self, tmp_path):
+        path = tmp_path / "one.txt"
+        path.write_text("alphabet: xy\nH1: xx\nword: xxxx\n")
+        assert main(["factorize", str(path), "--seeds", "xx"]) == 0
+        assert main(["factorize", str(path), "--seeds", "y,y"]) == 3
+        assert main(["factorize", str(path), "--seeds", "y"]) == 3
+
 
 @cache
 def valid_certificates():
@@ -521,7 +528,8 @@ class TestCertificateFuzz:
         text = mutate(valid_certificates()[which], index, how, value)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "mutated.cert"
-            path.write_text(text, encoding="utf-8")
+            # a lone surrogate drawn into the text makes an undecodable file
+            path.write_bytes(text.encode("utf-8", "surrogatepass"))
             assert main(["verify", str(path), "--cap", "2000"]) in (0, 1, 2, 3)
 
     @hypothesis.settings(max_examples=1000, deadline=None)
@@ -607,7 +615,7 @@ class TestInputFuzz:
         # a cap hit would escape main as a traceback
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "input.txt"
-            path.write_text(text, encoding="utf-8")
+            path.write_bytes(text.encode("utf-8", "surrogatepass"))
             for argv in READERS:
                 argv = [str(path) if a in ("FILE", "SPEC") else a for a in argv]
                 assert main(argv) in (0, 1, 2, 3), argv

@@ -20,7 +20,6 @@ from prodsep.groups import XGroup
 from prodsep.rational import member_product
 from prodsep.separators import (
     FactorizeStats,
-    SpineCertificate,
     _build_context,
     _product_with_witness,
     common_spine,
@@ -181,17 +180,13 @@ class TestCommonSpine:
         spine = common_spine(span_of(p), span_of(p), p.start, p.end)
         assert spine.word == A.parse("xy")
 
-    def test_disjoint_interior_bigon_yields_counting_certificate(self):
+    def test_disjoint_interior_bigon_has_no_spine(self):
         # xy and yx join 1 to the same Klein element along disjoint interiors
         level = iterated_extension(KLEIN, []).top
         p1 = trace_cayley(level, level.identity, A.parse("xy"))
         p2 = trace_cayley(level, level.identity, A.parse("yx"))
         assert p1.end == p2.end
-        cert = common_spine(span_of(p1), span_of(p2), p1.start, p1.end, prime=2)
-        assert isinstance(cert, SpineCertificate)
-        assert len(cert.out_indices) - len(cert.in_indices) == 1
-        assert cert.witness_edge is not None
-        assert cert.witness_edge not in span_of(p2).edges
+        assert common_spine(span_of(p1), span_of(p2), p1.start, p1.end) is None
 
     def test_spine_within_overlapping_spans(self):
         level = iterated_extension(KLEIN, []).top
@@ -362,6 +357,15 @@ class TestFactorize:
         with pytest.raises(ValueError, match="does not match"):
             factorize(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xxyy"),
                       seeds=[A.parse("xxxx"), A.parse("yy")])
+
+    def test_seeds_checked_with_one_subgroup(self):
+        H = [[A.parse("xx")]]
+        w = A.parse("xxxx")
+        assert factorize(A, H, w, seeds=[A.parse("xx")]).factors == (w,)
+        with pytest.raises(ValueError, match="need 1 seeds, got 2"):
+            factorize(A, H, w, seeds=[A.parse("y"), A.parse("y")])
+        with pytest.raises(ValueError, match="not in its subgroup"):
+            factorize(A, H, w, seeds=[A.parse("y")])
 
     def test_scrambled_seeds_still_factor(self):
         H1 = [A.parse("xyXY"), A.parse("yy")]
@@ -627,6 +631,43 @@ class TestImageStructure:
         assert levels == {0, 1, 2} and primes_seen == {2, 3, 5}
         assert checked > 500 and refused > 100
 
+    def test_rows_carry_their_coefficients(self):
+        # each kernel row is sum coefs[j] * S_j, where S_j is the Schreier
+        # vector of the cycle edge cycles[j], rebuilt here by the level's
+        # own arithmetic
+        rng = random.Random(419)
+        structures = rows = 0
+        for level in chain_levels():
+            if isinstance(level, XGroup):
+                continue
+            p = level.prime
+            for _ in range(24):
+                gens = random_gens(rng, max_gens=2, max_len=4)
+                try:
+                    st = image_structure(level, gens, cap=3000)
+                except CapExceeded:
+                    continue
+                schreier = []
+                for src, i, dst in st.cycles:
+                    vec, end = level.mult((st.lifts[src], src),
+                                          level.evaluate(st.words[i]))
+                    assert end == dst
+                    diff = dict(vec)
+                    for k, c in st.lifts[dst].items():
+                        diff[k] = (diff.get(k, 0) - c) % p
+                    schreier.append(diff)
+                assert len(schreier) == len(st.basis)
+                for pivot, (row, coefs) in st.basis.items():
+                    total = {}
+                    for j, c in coefs.items():
+                        for k, v in schreier[j].items():
+                            total[k] = (total.get(k, 0) + c * v) % p
+                    assert {k: v for k, v in total.items() if v} == row
+                    assert min(row) == pivot and row[pivot] == 1
+                    rows += 1
+                structures += 1
+        assert structures >= 300 and rows >= 500
+
     def test_base_level_structure_is_the_closure(self):
         st = image_structure(KLEIN, [A.parse("x")])
         assert st.basis == {} and st.prime is None
@@ -647,7 +688,7 @@ class TestProductAgainstEnumeration:
     def against_enumeration(rng, n, count, cap, max_len):
         """Decided and sized counts, and the (excluded, end factor first) pairs."""
         decided = sized = 0
-        seen = set()
+        seen, sized_firsts = set(), set()
         for _ in range(count):
             subgroups = [random_gens(rng, max_gens=2, max_len=max_len) for _ in range(n)]
             w = random_reduced(rng, 0, 6)
@@ -665,11 +706,12 @@ class TestProductAgainstEnumeration:
                 assert wit.product_size == len(
                     _product_with_witness(top, images, 10 ** 6))
                 sized += 1
-        return decided, sized, seen
+                sized_firsts.add(len(images[0]) > len(images[-1]))
+        return decided, sized, seen, sized_firsts
 
     def test_two_factor_exclusion_and_size(self):
-        decided, sized, seen = self.against_enumeration(random.Random(311), 2, 120,
-                                                        4096, 4)
+        decided, sized, seen, _ = self.against_enumeration(random.Random(311), 2, 120,
+                                                           4096, 4)
         assert decided >= 80 and sized >= 60
         # members and non-members, with the larger image first and second
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
@@ -681,12 +723,15 @@ class TestProductAgainstEnumeration:
                                                      min_decided, min_sized):
         # the end-factor search with an empty product in front (n = 1) and
         # with the product of two enumerated images (n = 3)
-        decided, sized, seen = self.against_enumeration(random.Random(330 + n), n,
-                                                        count, cap, 3)
+        decided, sized, seen, sized_firsts = self.against_enumeration(
+            random.Random(330 + n), n, count, cap, 3)
         assert decided >= min_decided and sized >= min_sized
-        # members and non-members; for n = 3 the end factor first and last
+        # members and non-members; for n = 3 the end factor first and last,
+        # among the sized draws too, so that sizing by E * rest and by
+        # rest * E are each compared with the enumeration
         firsts = (False,) if n == 1 else (True, False)
         assert seen == {(e, first) for e in (True, False) for first in firsts}
+        assert sized_firsts == set(firsts)
 
     def test_product_member_witness_matches_reference(self):
         rng = random.Random(313)
