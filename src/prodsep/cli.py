@@ -5,6 +5,7 @@ Exit codes: 0 verified/true/found, 1 false/none, 2 resource cap exceeded,
 """
 
 import argparse
+import functools
 import random
 import sys
 
@@ -144,7 +145,11 @@ def cmd_ext_check_star(args):
     failures = 0
     for _ in range(args.count):
         word = tuple(rng.choice(letters) for _ in range(rng.randrange(args.max_len + 1)))
-        if chain.top.evaluate(word) != traversal_element(chain.top, word):
+        # ties both the group law and evaluate to the traversal identity
+        expected = traversal_element(chain.top, word)
+        product = functools.reduce(chain.top.mult, map(chain.top.gen, word),
+                                   chain.top.identity)
+        if chain.top.evaluate(word) != expected or product != expected:
             failures += 1
     print(f"traversal identity: {args.count - failures}/{args.count} passed")
     return 0 if failures == 0 else 1

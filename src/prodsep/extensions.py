@@ -10,7 +10,9 @@ An edge key (h, x) names the positive Cayley edge from h to h*x; the group
 acts on keys by left translation.  Element arithmetic is symbolic
 throughout -- materializing the extension is a separate, capped operation,
 because iterated extensions explode while their individual elements stay
-small.
+small.  A word is evaluated in place, not letter by letter through
+``mult``: each letter's generator vector, translated by the running
+element one level down, is added into one vector, sorted once at the end.
 
 The load-bearing identity (tested, and used by the separator machinery):
 the value of a word w at an extension level equals (sum of the signed
@@ -77,10 +79,21 @@ class ExtensionLevel:
         return (tuple(sorted(acc.items())), gi)
 
     def evaluate(self, word):
-        out = self.identity
+        """The product of the letters' generators, accumulated in place."""
+        below = self.below
+        acc = {}
+        cur = below.identity
         for l in word:
-            out = self.mult(out, self.gen(l))
-        return out
+            vec, g = self.gen(l)
+            for (src, x), c in vec:
+                key = (below.mult(cur, src), x)
+                n = (acc.get(key, 0) + c) % self.prime
+                if n:
+                    acc[key] = n
+                elif key in acc:
+                    del acc[key]
+            cur = below.mult(cur, g)
+        return (tuple(sorted(acc.items())), cur)
 
     def order(self, cap=DEFAULT_CAP):
         """Exact order, or raise if it exceeds the cap.

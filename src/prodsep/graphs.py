@@ -46,6 +46,7 @@ class LabeledGraph:
         self._src = src
         self._label = label
         self._star = None
+        self._immersion = None
 
     @classmethod
     def _trusted(cls, alphabet, num_vertices, src, label):
@@ -61,6 +62,7 @@ class LabeledGraph:
         g._src = src
         g._label = label
         g._star = None
+        g._immersion = None
         return g
 
     def _extended(self, num_vertices, edges):
@@ -131,7 +133,9 @@ class LabeledGraph:
     # -- immersion / covering ----------------------------------------------
 
     def is_immersion(self):
-        return all(len(darts) <= 1 for darts in self.star().values())
+        if self._immersion is None:
+            self._immersion = all(len(darts) <= 1 for darts in self.star().values())
+        return self._immersion
 
     def is_covering(self):
         star = self.star()

@@ -8,6 +8,7 @@ evaluate(v)).
 import re
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import CapExceeded
 from .graphs import LabeledGraph
@@ -43,6 +44,8 @@ class XGroup:
 
     def mult(self, a, b):
         """Apply a, then b."""
+        if len(a) > 1:  # itemgetter(i) returns a scalar, itemgetter() raises
+            return itemgetter(*a)(b)
         return tuple(b[x] for x in a)
 
     def inv(self, a):
@@ -55,7 +58,7 @@ class XGroup:
         """The value of the word: the product of its letter permutations."""
         out = self.identity
         for l in word:
-            out = tuple(map(self.perm(l).__getitem__, out))
+            out = self.mult(out, self.perm(l))
         return out
 
     def elements(self, cap=DEFAULT_CAP):

@@ -357,6 +357,10 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
     down by the span of its Schreier-generator vectors, so the order is
     |image below| * p^rank.  The coset walk below is still explicit, but
     its elements live one level down; orders above the cap raise early.
+    Steps come in (generator, inverse) pairs, i and i ^ 1, and the walk
+    meets each edge once, from the end it dequeues first: a step into an
+    element whose steps were all walked is skipped, since that element's
+    step i ^ 1 gave minus this Schreier vector (zero on a tree edge).
     Each Schreier vector is reduced once: only one that adds a row turns
     the reduction's steps into that row's coefficients.
     """
@@ -374,12 +378,15 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
     links = {below.identity: None}
     basis = {}
     cycles = []
+    done = set()
     queue = deque([below.identity])
     while queue:
         b = queue.popleft()
         vb = lifts[b]
         for i, (vec, g) in enumerate(steps):
             nb = below.mult(b, g)
+            if nb in done:
+                continue
             nvec = dict(vb)
             for (src, x), c in vec:
                 key = (below.mult(b, src), x)
@@ -412,6 +419,7 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
                 raise CapExceeded(
                     f"image order exceeds {cap}: at least "
                     f"{len(lifts)} * {prime}^{len(basis)}", limit=cap)
+        done.add(b)
     order = len(lifts) * prime ** len(basis)
     if order > cap:
         raise CapExceeded(f"image order {order} exceeds {cap}", limit=cap)

@@ -1,12 +1,20 @@
-"""Test-only helpers: small-scale word generators over subgroup graphs, and
-the enumeration oracle for product certificate claims."""
+"""Test-only helpers: small-scale word generators over subgroup graphs, the
+enumeration oracle for product certificate claims, and the image walk that
+meets every edge from both ends."""
 
 from collections import deque
 
 from prodsep.certificates import _product_member, image_subgroup
+from prodsep.errors import CapExceeded
 from prodsep.extensions import ExtensionChain
 from prodsep.graphs import LabeledGraph
-from prodsep.separators import image_subgroup_order
+from prodsep.separators import (
+    ImageStructure,
+    _generator_steps,
+    _reduce,
+    _subtract,
+    image_subgroup_order,
+)
 from prodsep.stallings import AttachedImmersion
 from prodsep.words import free_reduce, invert, letter_sort_key
 
@@ -112,3 +120,64 @@ def enumerated_claims(group, primes, subgroups, word, cap):
         size = len(images[0]) * len(images[1]) // len(images[0].keys() & images[1].keys())
     member = _product_member(top, images, top.evaluate(free_reduce(word)), cap)
     return tuple(len(img) for img in images), size, member
+
+
+def two_ended_image_structure(level, generators, cap):
+    """``image_structure`` at an extension level, walking every edge from both ends.
+
+    Each element reduces the Schreier vector of each of its steps, so a
+    non-tree edge is reduced twice and a tree edge once more in reverse;
+    the second reduction of an edge is of minus the first vector, which is
+    already in the span.  The oracle the one-ended walk is tested against.
+    """
+    steps = _generator_steps(level, generators)
+    words = tuple(w for _, w in steps)
+    steps = [img for img, _ in steps]
+    below = level.below
+    prime = level.prime
+    lifts = {below.identity: {}}
+    links = {below.identity: None}
+    basis = {}
+    cycles = []
+    queue = deque([below.identity])
+    while queue:
+        b = queue.popleft()
+        vb = lifts[b]
+        for i, (vec, g) in enumerate(steps):
+            nb = below.mult(b, g)
+            nvec = dict(vb)
+            for (src, x), c in vec:
+                key = (below.mult(b, src), x)
+                n = (nvec.get(key, 0) + c) % prime
+                if n:
+                    nvec[key] = n
+                elif key in nvec:
+                    del nvec[key]
+            known = lifts.get(nb)
+            if known is None:
+                if len(lifts) >= cap:
+                    raise CapExceeded(f"image order exceeds {cap}", limit=cap)
+                lifts[nb] = nvec
+                links[nb] = (b, i)
+                queue.append(nb)
+                continue
+            _subtract(nvec, known, prime)
+            reduced = _reduce(nvec, basis, prime)
+            if not nvec:
+                continue
+            coefs = {len(cycles): 1}
+            for pivot, c in reduced:
+                _subtract(coefs, {j: c * v for j, v in basis[pivot][1].items()}, prime)
+            pivot = min(nvec)
+            inv = pow(nvec[pivot], -1, prime)
+            basis[pivot] = ({k: v * inv % prime for k, v in nvec.items()},
+                            {j: c * inv % prime for j, c in coefs.items()})
+            cycles.append((b, i, nb))
+            if len(lifts) * prime ** len(basis) > cap:
+                raise CapExceeded(
+                    f"image order exceeds {cap}: at least "
+                    f"{len(lifts)} * {prime}^{len(basis)}", limit=cap)
+    order = len(lifts) * prime ** len(basis)
+    if order > cap:
+        raise CapExceeded(f"image order {order} exceeds {cap}", limit=cap)
+    return ImageStructure(lifts, basis, prime, order, links, words, tuple(cycles))

@@ -15,6 +15,7 @@ from prodsep.certificates import (
 from prodsep.cli import main
 from prodsep.covers import expand_to_cover, transition_group
 from prodsep.errors import CapExceeded
+from prodsep.extensions import ExtensionLevel
 from prodsep.graphs import LabeledGraph
 from prodsep.groups import DEFAULT_CAP, XGroup
 from prodsep.problems import (
@@ -333,6 +334,16 @@ class TestCliCommands:
         assert main(["ext", "check-star", str(spec_path), "--count", "25"]) == 0
         assert "25/25 passed" in capsys.readouterr().out
         assert main(["ext", "eval", str(spec_path), "x", "--prime", "1" + "0" * 400]) == 3
+
+    def test_check_star_checks_the_group_law(self, hall_file, tmp_path, capsys,
+                                            monkeypatch):
+        # evaluate does not go through mult, so a broken mult must still fail
+        main(["cover", "group", hall_file])
+        spec_path = tmp_path / "spec.txt"
+        spec_path.write_text(capsys.readouterr().out)
+        monkeypatch.setattr(ExtensionLevel, "mult", lambda self, a, b: a)
+        assert main(["ext", "check-star", str(spec_path), "--count", "25"]) == 1
+        assert "passed" in capsys.readouterr().out
 
     def test_separate_hall_verify_loop(self, hall_file, tmp_path, capsys):
         cert = tmp_path / "hall.cert"

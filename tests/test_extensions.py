@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -105,6 +106,26 @@ class TestTraversalIdentity:
             ext = ExtensionLevel(group, p)
             w = tuple(rng.choice(letters) for _ in range(rng.randrange(31)))
             assert ext.evaluate(w) == traversal_element(ext, w)
+
+    def test_evaluate_matches_the_group_law_at_levels_one_and_two(self):
+        # evaluate accumulates in place; the letter-by-letter product
+        # through mult is the reference, on empty, inverse-letter and
+        # unreduced words
+        rng = random.Random(113)
+        letters = A.letters()
+        checked = set()
+        for _ in range(30):
+            group = random_cover_group(rng, max_order=12)
+            primes = tuple(rng.choice([2, 3, 5]) for _ in range(rng.randint(1, 2)))
+            level = iterated_extension(group, primes).top
+            words = [(), (-1,), (-2, -2), (1, -1, 2, 2, -2)]
+            words += [tuple(rng.choice(letters) for _ in range(rng.randrange(25)))
+                      for _ in range(8)]
+            for w in words:
+                product = functools.reduce(level.mult, map(level.gen, w), level.identity)
+                assert level.evaluate(w) == product
+            checked.add(len(primes))
+        assert checked == {1, 2}
 
     def test_well_defined_under_free_reduction(self):
         rng = random.Random(103)

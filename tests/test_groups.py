@@ -42,6 +42,24 @@ class TestEvaluate:
         assert KLEIN.evaluate(free_reduce(w)) == KLEIN.evaluate(w)
 
 
+class TestMult:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 12])
+    def test_matches_the_pointwise_product_on_every_carrier(self, n):
+        # carriers 0 and 1 take the generator branch (itemgetter() raises,
+        # itemgetter(i) returns a scalar), the rest the itemgetter gather
+        rng = random.Random(n)
+        alphabet = Alphabet("x")
+        group = XGroup(alphabet, [tuple(rng.sample(range(n), n))])
+        for _ in range(20):
+            a = tuple(rng.sample(range(n), n))
+            b = tuple(rng.sample(range(n), n))
+            out = group.mult(a, b)
+            assert type(out) is tuple
+            assert out == tuple(b[x] for x in a)
+        w = (1, 1, -1, 1)
+        assert group.evaluate(w) == group.mult(group.perm(1), group.perm(1))
+
+
 class TestElements:
     def test_klein_order(self):
         assert KLEIN.order() == 4

@@ -34,7 +34,7 @@ from prodsep.separators import (
 )
 from prodsep.stallings import contains, stallings_graph
 from prodsep.words import Alphabet, free_reduce, invert
-from tests.helpers import kernel_loop_word
+from tests.helpers import kernel_loop_word, two_ended_image_structure
 
 A = Alphabet("xy")
 KLEIN = XGroup(A, [(1, 0, 2, 3), (0, 1, 3, 2)])
@@ -679,6 +679,83 @@ class TestImageStructure:
         level = iterated_extension(KLEIN, [2]).top
         with pytest.raises(CapExceeded):
             image_structure(level, [A.parse("x"), A.parse("y")], cap=100)
+
+
+class TestOneEndedWalk:
+    """image_structure meets each edge once; the two-ended walk is the oracle."""
+
+    @staticmethod
+    def draws(rng, count):
+        """(level, generators) at levels 1 and 2 over small groups, p in {2, 3, 5}."""
+        z2 = XGroup(A, [(1, 0), (1, 0)])
+        s3 = XGroup(A, [(1, 0, 2), (0, 2, 1)])
+        for _ in range(count):
+            base = rng.choice((KLEIN, z2, s3))
+            primes = tuple(rng.choice((2, 3, 5)) for _ in range(rng.randint(1, 2)))
+            gens = [random_reduced(rng, 0, 4) for _ in range(rng.randint(1, 3))]
+            yield iterated_extension(base, primes).top, gens
+
+    def test_same_structure_as_the_two_ended_walk(self):
+        rng = random.Random(1201)
+        kinds, checked = set(), 0
+        for level, gens in self.draws(rng, 160):
+            try:
+                st = image_structure(level, gens, cap=3000)
+            except CapExceeded:
+                with pytest.raises(CapExceeded):
+                    two_ended_image_structure(level, gens, cap=3000)
+                continue
+            ref = two_ended_image_structure(level, gens, cap=3000)
+            assert st.lifts == ref.lifts and st.links == ref.links
+            assert st.basis == ref.basis and st.cycles == ref.cycles
+            assert st.order == ref.order
+            kinds.add((level.prime, isinstance(level.below, XGroup), bool(st.basis)))
+            checked += 1
+        assert checked >= 100
+        assert {p for p, _, _ in kinds} == {2, 3, 5}
+        assert {one for _, one, _ in kinds} == {True, False}
+        assert {rows for _, _, rows in kinds} == {True, False}
+
+    def test_same_cap_message_as_the_two_ended_walk(self):
+        rng = random.Random(1213)
+        refused = set()
+        for level, gens in self.draws(rng, 160):
+            cap = rng.choice((4, 16, 64, 256))
+            try:
+                image_structure(level, gens, cap=cap)
+            except CapExceeded as exc:
+                with pytest.raises(CapExceeded) as ref:
+                    two_ended_image_structure(level, gens, cap=cap)
+                assert str(exc) == str(ref.value)
+                refused.add("at least" in str(exc))
+            else:
+                two_ended_image_structure(level, gens, cap=cap)
+        # the rank bound and the lift count each refuse some draw
+        assert refused == {True, False}
+
+    def test_reduces_each_non_tree_edge_once(self, monkeypatch):
+        # k generator pairs over |A'| elements give |A'| k edges; the walk
+        # reduces all but the |A'| - 1 tree edges, and a self-loop edge
+        # from both of its steps
+        calls = []
+        reduce_ = separators._reduce
+        monkeypatch.setattr(separators, "_reduce",
+                            lambda *args: calls.append(1) or reduce_(*args))
+        rng = random.Random(1223)
+        checked = loops_seen = 0
+        for level, gens in self.draws(rng, 160):
+            calls.clear()
+            try:
+                st = image_structure(level, gens, cap=3000)
+            except CapExceeded:
+                continue
+            images = [img for img, _ in separators._generator_steps(level, gens)]
+            n, k = len(st.lifts), len(images) // 2
+            loops = sum(level.below.mult(b, g) == b for b in st.lifts for _, g in images) // 2
+            assert len(calls) == n * k - n + 1 + loops
+            checked += 1
+            loops_seen += loops > 0
+        assert checked >= 100 and loops_seen > 10
 
 
 class TestProductAgainstEnumeration:
