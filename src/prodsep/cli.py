@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 verified/true/found, 1 false/none, 2 resource cap exceeded,
-3 input error.
+3 input error, a malformed command line included (``--help`` exits 0).
 """
 
 import argparse
@@ -226,8 +226,31 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 3, an input error.
+
+    argparse's own code 2 would read as a cap hit.  Subcommand parsers
+    are made of the same class.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _cap(text):
+    """A --cap value: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid cap {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"cap must be positive, got {value}")
+    return value
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prodsep",
         description="Stallings graphs, covering expansions, and separators "
                     "for products of subgroups of free groups.")
@@ -251,12 +274,12 @@ def build_parser():
     p = cv.add_parser("expand", help="expand the subgroup graph to a covering")
     p.add_argument("file")
     p.add_argument("--all", action="store_true", help="enumerate all expansions")
-    p.add_argument("--cap", type=int, default=1000)
+    p.add_argument("--cap", type=_cap, default=1000)
     p.add_argument("--dot")
     p.set_defaults(func=cmd_cover_expand)
     p = cv.add_parser("group", help="transition group of the canonical expansion")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     p.set_defaults(func=cmd_cover_group)
 
     # group
@@ -264,7 +287,7 @@ def build_parser():
         dest="sub", required=True)
     p = gr.add_parser("cayley", help="Cayley graph of a group spec")
     p.add_argument("spec")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     p.add_argument("--dot")
     p.set_defaults(func=cmd_group_cayley)
 
@@ -297,7 +320,7 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("word", nargs="?")
     p.add_argument("--primes")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_separate_product)
 
@@ -307,7 +330,7 @@ def build_parser():
     p.add_argument("word", nargs="?")
     p.add_argument("--seeds", help="comma-separated seed words, one per subgroup")
     p.add_argument("--primes")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_factorize)
 
@@ -322,7 +345,7 @@ def build_parser():
     # verify
     p = sub.add_parser("verify", help="re-check a certificate")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -330,7 +353,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (3)
+        return exc.code
     try:
         return args.func(args)
     except CapExceeded as exc:

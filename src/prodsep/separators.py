@@ -273,6 +273,21 @@ def _reduce(vec, basis, prime):
     return steps
 
 
+def _insert(basis, vec, steps, tag, prime):
+    """Add vec, reduced by steps and nonzero, to basis as a new row.
+
+    tag is the row's second component before the reduction; it goes
+    through the same steps, with the rows' second components, and is
+    normalized with the row to pivot coefficient 1.
+    """
+    for pivot, c in steps:
+        _subtract(tag, {j: c * v for j, v in basis[pivot][1].items()}, prime)
+    pivot = min(vec)
+    inv = pow(vec[pivot], -1, prime)
+    basis[pivot] = ({k: v * inv % prime for k, v in vec.items()},
+                    {j: c * inv % prime for j, c in tag.items()})
+
+
 @dataclass(frozen=True)
 class ImageStructure:
     """The image of a subgroup at a chain level, held without enumerating it.
@@ -407,13 +422,7 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
             reduced = _reduce(nvec, basis, prime)
             if not nvec:
                 continue
-            coefs = {len(cycles): 1}
-            for pivot, c in reduced:
-                _subtract(coefs, {j: c * v for j, v in basis[pivot][1].items()}, prime)
-            pivot = min(nvec)
-            inv = pow(nvec[pivot], -1, prime)
-            basis[pivot] = ({k: v * inv % prime for k, v in nvec.items()},
-                            {j: c * inv % prime for j, c in coefs.items()})
+            _insert(basis, nvec, reduced, {len(cycles): 1}, prime)
             cycles.append((b, i, nb))
             if len(lifts) * prime ** len(basis) > cap:
                 raise CapExceeded(
@@ -429,6 +438,97 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
 def image_subgroup_order(level, generators, cap=DEFAULT_CAP):
     """Exact order of the image subgroup, without enumerating it."""
     return image_structure(level, generators, cap).order
+
+
+# -- products of one or two images, fibre by fibre ----------------------------
+
+
+def _translate(vec, below, g):
+    """g acting on a vector over Cayley edges: the edge (h, x) goes to (g*h, x)."""
+    return {(below.mult(g, h), x): c for (h, x), c in vec.items()}
+
+
+def _joint_basis(one, rows, prime):
+    """The span of one's kernel rows plus rows, as pivot -> (row, part).
+
+    part is the row's component in one's kernel span; each of rows adds
+    none of its own, so a vector reduced to zero by steps (pivot, c) has
+    the component sum c * part in that span.
+    """
+    basis = {pivot: (row, row) for pivot, (row, _) in one.basis.items()}
+    for row in rows:
+        vec = dict(row)
+        steps = _reduce(vec, basis, prime)
+        if vec:
+            _insert(basis, vec, steps, {}, prime)
+    return basis
+
+
+def _fibre_search(level, structures, target):
+    """Elements of one or two images, one per image, multiplying to target, or None.
+
+    With two, A = {(la(α) + k, α)} and B = {(lb(β) + k, β)}, k in the
+    kernel spans K_A and K_B.  For target (v, g), a·b = target with
+    β = α⁻¹g exactly when v − la(α) − α·lb(β) lies in K_A + α·K_B, and
+    α·K_B = g·K_B since β·K_B = K_B.  So W = K_A + g·K_B is eliminated
+    once and the smaller fibre is walked, one reduction per α; nothing at
+    this level is enumerated.  A hit is a = (la(α) + k_A, α), k_A read off
+    W's rows, and b = a⁻¹·target; it is checked against both structures.
+    """
+    if len(structures) == 1:
+        return (target,) if target in structures[0] else None
+    one, two = structures
+    below, prime = level.below, level.prime
+    v, g = target
+    basis = _joint_basis(one, [_translate(row, below, g) for row, _ in two.basis.values()],
+                         prime)
+    if len(one.lifts) <= len(two.lifts):
+        pairs = ((al, below.mult(below.inv(al), g)) for al in one.lifts)
+    else:
+        pairs = ((below.mult(g, below.inv(be)), be) for be in two.lifts)
+    for al, be in pairs:
+        la, lb = one.lifts.get(al), two.lifts.get(be)
+        if la is None or lb is None:
+            continue
+        rest = dict(v)
+        _subtract(rest, la, prime)
+        _subtract(rest, _translate(lb, below, al), prime)
+        steps = _reduce(rest, basis, prime)
+        if rest:
+            continue
+        vec = dict(la)
+        for pivot, c in steps:
+            _subtract(vec, {k: -c * x for k, x in basis[pivot][1].items()}, prime)
+        a = (tuple(sorted(vec.items())), al)
+        b = level.mult(level.inv(a), target)
+        if a not in one or b not in two or level.mult(a, b) != target:
+            raise InternalInvariantError("fibre hit does not factor the target")
+        return a, b
+    return None
+
+
+def _fibre_product_size(structures):
+    """|A| with one image; |A B| = |A| |B| / |A & B| with two.
+
+    (v, α) lies in both images when α lies in both fibres and la(α) − lb(α)
+    in K_A + K_B; then it does for p^dim(K_A & K_B) vectors v.
+    """
+    if len(structures) == 1:
+        return structures[0].order
+    one, two = structures
+    prime = one.prime
+    basis = _joint_basis(one, [row for row, _ in two.basis.values()], prime)
+    small, large = sorted(structures, key=lambda st: len(st.lifts))
+    meet = 0
+    for al, la in small.lifts.items():
+        lb = large.lifts.get(al)
+        if lb is not None:
+            diff = dict(la)
+            _subtract(diff, lb, prime)
+            _reduce(diff, basis, prime)
+            meet += not diff
+    common = meet * prime ** (len(one.basis) + len(two.basis) - len(basis))
+    return one.order * two.order // common
 
 
 # -- factorization counters ---------------------------------------------------
@@ -522,10 +622,13 @@ def hall_separator(alphabet, generators, word):
 def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
     """The extension-chain quotient for a product coset, as its certificate.
 
-    _end_factor_search decides the status for every factor count; it is
-    partial, with no sizes, when an image, or the product of the images
-    other than the end factor, outgrows the cap.  The image product is
-    sized when the product of the image orders is within the cap.
+    One or two factors are decided and sized fibre by fibre from their
+    image structures (_fibre_search, _fibre_product_size), enumerating no
+    image at the top level; three or more by _end_factor_search.  It is
+    partial, with no sizes, when an image, or for three or more factors
+    the product of the images other than the end factor, outgrows the
+    cap.  The image product is sized when the product of the image orders
+    is within the cap.
     """
     ctx = _build_context(alphabet, subgroups, word, primes)
     top = ctx.chain.top
@@ -539,15 +642,18 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
     try:
         # exact orders first: proves cap-exceedance without enumerating
         structures = [image_structure(top, gens, cap) for gens in ctx.subgroups]
-        end, rest, hit = _end_factor_search(top, ctx.subgroups, structures,
-                                            top.evaluate(ctx.word), cap)
+        target = top.evaluate(ctx.word)
+        if len(structures) <= 2:
+            hit = _fibre_search(top, structures, target)
+        else:
+            end, rest, hit = _end_factor_search(top, ctx.subgroups, structures, target,
+                                                cap)
     except CapExceeded:
         return certificate("partial")
     size = None
-    bound = math.prod(st.order for st in structures)
-    if bound <= cap:
-        if len(structures) <= 2:  # |A| |B| / |A & B|
-            size = bound // sum(1 for q in rest if q in structures[end])
+    if math.prod(st.order for st in structures) <= cap:
+        if len(structures) <= 2:
+            size = _fibre_product_size(structures)
         else:
             # the product's inverse is E * rest (E last) or rest * E (E
             # first), of the same size; it is under the cap as well
@@ -559,7 +665,7 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
 
 
 def _end_factor_search(level, subgroups, structures, target, cap):
-    """(end, rest, hit) deciding whether target lies in A_1 ... A_n.
+    """(end, rest, hit) deciding whether target lies in A_1 ... A_n, n >= 3.
 
     E = A_end, the image of the larger end factor (the last on a tie), is
     tested through its structure.  The other images are enumerated and
@@ -568,7 +674,9 @@ def _end_factor_search(level, subgroups, structures, target, cap):
     witness words in reverse order.  So the image product's inverse is
     E * rest (E last) or rest * E (E first).  hit is (q, e) for the first
     q whose e = q*target (E last) or e = target*q (E first) lies in E, or
-    None.
+    None.  One or two factors go fibre by fibre instead (_fibre_search):
+    only with two can fibres reproduce the gate that the other images'
+    product is within the cap.
     """
     n = len(subgroups)
     end = 0 if structures[0].order > structures[-1].order else n - 1
@@ -658,19 +766,27 @@ def _check_factorization(ctx, factors):
 def _search_seeds(ctx, word_image, cap, stats):
     """Words h_i in H_i whose images multiply to word_image, or None.
 
-    The end factor's word is read from its structure (``ImageStructure.word``),
-    so its image at this level is never enumerated.
+    Two factors are searched fibre by fibre (_fibre_search) and both words
+    are read from the image structures (``ImageStructure.word``), so no
+    image at this level is enumerated.  Three or more go through
+    _end_factor_search, which enumerates every image but the end
+    factor's; that one's word is read from its structure.
     """
     top = ctx.chain.top
     try:
         structures = [image_structure(top, gens, cap) for gens in ctx.subgroups]
-        end, rest, hit = _end_factor_search(top, ctx.subgroups, structures,
-                                            word_image, cap)
+        if len(structures) == 2:
+            hit = _fibre_search(top, structures, word_image)
+        else:
+            end, rest, hit = _end_factor_search(top, ctx.subgroups, structures,
+                                                word_image, cap)
     except CapExceeded:
         stats.capped_search = True
         return None
     if hit is None:
         return None
+    if len(structures) == 2:
+        return tuple(st.word(e) for st, e in zip(structures, hit))
     q, e = hit
     others = tuple(invert(w) for w in reversed(rest[q]))
     word = structures[end].word(e)

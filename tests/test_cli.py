@@ -467,6 +467,28 @@ class TestCliCommands:
     def test_cap_exit_code(self, product_file):
         assert main(["separate", "product", product_file, "--cap", "1"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["factorize", "FILE", "--word", "xy"],  # unrecognized arguments
+        ["separate", "product", "FILE", "--cap", "abc"],
+        ["separate", "product", "FILE", "--cap", "0"],
+        ["verify", "FILE", "--cap", "-5"],
+        ["cover", "expand", "FILE", "--all", "--cap", "0"],
+        ["separate", "nothing", "FILE"],
+        [],
+    ], ids=["unknown-option", "cap-abc", "cap-0", "cap-negative", "expand-cap-0",
+            "unknown-command", "no-command"])
+    def test_usage_errors_exit_3(self, product_file, argv, capsys):
+        # argparse's own code 2 would read as a cap hit
+        argv = [product_file if a == "FILE" else a for a in argv]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["separate", "product", "--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
 
 class TestFactorizeSeeds:
     def test_cli_seeds_path(self, product_file, capsys):
