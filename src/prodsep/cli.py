@@ -238,15 +238,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _cap(text):
-    """A --cap value: a positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid cap {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"cap must be positive, got {value}")
-    return value
+def _int_at_least(low, what):
+    """An argparse type: an integer of at least low (0 or 1).  argparse's
+    message names the flag."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
+        if value < low:
+            bound = "positive" if low else "non-negative"
+            raise argparse.ArgumentTypeError(f"{what} must be {bound}, got {value}")
+        return value
+    return parse
+
+
+_cap = _int_at_least(1, "cap")
 
 
 def build_parser():
@@ -303,9 +310,9 @@ def build_parser():
     p = ex.add_parser("check-star", help="spot-check the traversal identity")
     p.add_argument("spec")
     p.add_argument("--prime", type=int, default=2)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_int_at_least(1, "count"), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len", type=int, default=20)
+    p.add_argument("--max-len", type=_int_at_least(0, "length"), default=20)
     p.set_defaults(func=cmd_ext_check_star)
 
     # separate

@@ -27,22 +27,34 @@ class ExpansionEnumeration:
     complete: bool
 
 
-def _missing(graph, x):
-    """Vertices missing an outgoing / incoming x-edge, ascending."""
-    star = graph.star()
-    no_out = [v for v in range(graph.num_vertices) if (v, x) not in star]
-    no_in = [v for v in range(graph.num_vertices) if (v, -x) not in star]
-    return no_out, no_in
+def _missing(graph):
+    """Per positive letter x, (x, vertices missing an outgoing x-edge,
+    vertices missing an incoming x-edge), both ascending; None unless the
+    graph is an immersion.
+
+    One pass over the edges: the graph is an immersion exactly when no two
+    x-edges share a source or a target.
+    """
+    n = graph.num_vertices
+    letters = graph.alphabet.positive_letters()
+    has_out = [bytearray(n) for _ in letters]
+    has_in = [bytearray(n) for _ in letters]
+    src = graph._src
+    for s, d, x in zip(src[0::2], src[1::2], graph._label[0::2]):
+        outs, ins = has_out[x - 1], has_in[x - 1]
+        if outs[s] or ins[d]:
+            return None
+        outs[s] = ins[d] = 1
+    return [(x, [v for v in range(n) if not outs[v]], [v for v in range(n) if not ins[v]])
+            for x, outs, ins in zip(letters, has_out, has_in)]
 
 
 def expand_to_cover(graph):
     """The canonical covering expansion: pair missing ends positionally by id."""
-    if not graph.is_immersion():
+    missing = _missing(graph)
+    if missing is None:
         raise ValueError("expand_to_cover requires an immersion")
-    added = []
-    for x in graph.alphabet.positive_letters():
-        no_out, no_in = _missing(graph, x)
-        added.extend((s, d, x) for s, d in zip(no_out, no_in))
+    added = [(s, d, x) for x, no_out, no_in in missing for s, d in zip(no_out, no_in)]
     return CoveringExpansion(graph._extended(graph.num_vertices, added),
                              graph.num_geometric_edges)
 
@@ -55,14 +67,12 @@ def enumerate_expansions(graph, cap=1000):
     generated lazily, so the work stops at the cap.  Distinct pairings add
     distinct edges, so no expansion is listed twice.
     """
-    if not graph.is_immersion():
+    per_letter = _missing(graph)
+    if per_letter is None:
         raise ValueError("enumerate_expansions requires an immersion")
-    per_letter = []
     total = 1
-    for x in graph.alphabet.positive_letters():
-        no_out, no_in = _missing(graph, x)
+    for _, no_out, _ in per_letter:
         total *= math.factorial(len(no_out))
-        per_letter.append((x, no_out, no_in))
     out = []
     for added in _pairings(per_letter):
         out.append(CoveringExpansion(graph._extended(graph.num_vertices, added),
@@ -100,7 +110,8 @@ def transition_group(cover):
     n = graph.num_vertices
     perms = [[-1] * n for _ in graph.alphabet.positive_letters()]
     counts = [0] * len(perms)
-    for s, d, x in graph.geometric_edges():
+    src = graph._src
+    for s, d, x in zip(src[0::2], src[1::2], graph._label[0::2]):
         perms[x - 1][s] = d
         counts[x - 1] += 1
     for perm, count in zip(perms, counts):

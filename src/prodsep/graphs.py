@@ -17,7 +17,10 @@ come from an already checked graph: a fold, an attached path, a covering
 expansion, a Cayley graph.
 
 Folding to an immersion (``fold_all_tracked``) is one union-find pass,
-near-linear in the size of the graph.  ``fold`` and ``fold_tracked`` fold
+near-linear in the size of the graph.  Subgroup graphs are built by
+reading words into an immersion (``stallings``), so this fold is the
+fallback for a generator whose reading closes inside the graph, and the
+oracle the reading is tested against.  ``fold`` and ``fold_tracked`` fold
 the single admissible pair that ``find_admissible_pair`` picks; folding
 one pair at a time is the reference the one-pass fold is tested against.
 """

@@ -1,8 +1,16 @@
 """Stallings graphs of finitely generated subgroups of a free group.
 
-The graph of H = <w_1, ..., w_m> is the folded wedge of m labeled cycles;
-reduced words of H are exactly the labels of reduced loops at the base
-vertex.
+The graph S(H) of H = <w_1, ..., w_m> is the folded wedge of m labeled
+cycles; reduced words of H are exactly the labels of reduced loops at the
+base vertex.  Every fold happens where a new cycle meets the graph, so
+``stallings_graph`` reads each generator into the immersion built so far
+and appends only its unread middle: a stem for each conjugating letter
+pair, then a path of fresh vertices.  Only a generator whose two readings
+close inside the graph, at distinct vertices, needs a fold; then the raw
+cycles of it and of every later generator are appended and
+``LabeledGraph.fold_all_tracked`` folds once.  ``attach_word`` reads the
+same way.  The result is always the graph the wedge's fold gives
+(``build_wedge``), which the tests keep as the oracle.
 """
 
 from dataclasses import dataclass
@@ -31,36 +39,129 @@ class AttachedImmersion:
     alpha: int
 
 
-def build_wedge(alphabet, words):
-    """The unfolded wedge of labeled cycles, one per word, based at vertex 0."""
-    edges = []
-    nv = 1
+def _check_letters(alphabet, word):
+    size = alphabet.size
+    for l in word:
+        if not 1 <= abs(l) <= size:
+            raise ValueError(f"letter {l} is not in the alphabet")
+
+
+def _append_cycles(src, label, nv, words):
+    """Append one raw cycle per word, based at vertex 0, to the dart arrays.
+
+    Each cycle's inner vertices take the next ids from nv on and its edges
+    follow the word; returns the vertex count after the last cycle.
+    """
     for w in words:
         prev = 0
+        last = len(w) - 1
         for i, l in enumerate(w):
-            nxt = 0 if i == len(w) - 1 else nv
-            if i != len(w) - 1:
+            nxt = 0 if i == last else nv
+            if i != last:
                 nv += 1
             if l > 0:
-                edges.append((prev, nxt, l))
+                src += (prev, nxt)
+                label += (l, -l)
             else:
-                edges.append((nxt, prev, -l))
+                src += (nxt, prev)
+                label += (-l, l)
             prev = nxt
-    return LabeledGraph(alphabet, nv, edges)
+    return nv
+
+
+def _add_edge(src, label, out, a, b, l):
+    """Append an edge from a to b read by the signed letter l, and its darts."""
+    e = len(src)
+    if l > 0:
+        src += (a, b)
+        label += (l, -l)
+        out[a, l] = e
+        out[b, -l] = e + 1
+    else:
+        src += (b, a)
+        label += (-l, l)
+        out[b, -l] = e
+        out[a, l] = e + 1
+
+
+def build_wedge(alphabet, words):
+    """The unfolded wedge of labeled cycles, one per word, based at vertex 0."""
+    for w in words:
+        _check_letters(alphabet, w)
+    src, label = [], []
+    nv = _append_cycles(src, label, 1, words)
+    return LabeledGraph._trusted(alphabet, nv, src, label)
 
 
 def stallings_graph(alphabet, generators):
-    """Fold the wedge of generator cycles down to the subgroup graph."""
+    """S(H), built by reading each generator into the immersion built so far.
+
+    A reduced cycle glued at the base folds only where it meets the graph
+    (Stallings 1983), so a generator w is read forward from the base as far
+    as the graph allows, to u after r letters, and backward, to v at
+    position s >= r.  Then:
+
+    - r == s and u == v: w reads a loop at the base and adds nothing.
+    - r == s and u != v: the reading closes inside the graph, which must
+      identify u and v.  The raw cycles of w and of every later generator
+      are appended and the whole graph is folded once with
+      ``fold_all_tracked``.
+    - otherwise, while u == v and w[r] == -w[s-1] (a conjugating letter),
+      a stem edge labeled w[r] goes from u to a fresh vertex, which becomes
+      u and v, and r and s move inwards.  Then w[r:s] is appended as a path
+      of fresh vertices from u to v.  Both readings stopped at a missing
+      dart and w is reduced, so no two darts collide.
+
+    Fresh vertices and edges are made in the order of their ids in the
+    wedge of the reduced, deduplicated generators, and a fold keeps each
+    class's least vertex and least edge.  So the result is the graph and
+    base (vertex 0) of ``build_wedge(...).fold_all_tracked()``: the same
+    vertex ids, edge order and orientations.
+    """
     words = []
     seen = set()
     for g in generators:
         w = free_reduce(g)
         if w and w not in seen:  # trivial and duplicate generators are inert
+            _check_letters(alphabet, w)
             seen.add(w)
             words.append(w)
-    wedge = build_wedge(alphabet, words)
-    folded, vmap = wedge.fold_all_tracked()
-    return PointedImmersion(folded, vmap[0])
+    src, label = [], []
+    out = {}  # (vertex, signed letter) -> the dart leaving the vertex
+    nv = 1
+    for i, w in enumerate(words):
+        r, u = 0, 0
+        for l in w:
+            d = out.get((u, l))
+            if d is None:
+                break
+            r += 1
+            u = src[d ^ 1]
+        s, v = len(w), 0
+        while s > r:
+            d = out.get((v, -w[s - 1]))
+            if d is None:
+                break
+            s -= 1
+            v = src[d ^ 1]
+        if r == s:
+            if u == v:
+                continue
+            nv = _append_cycles(src, label, nv, words[i:])
+            folded, vmap = LabeledGraph._trusted(alphabet, nv, src, label).fold_all_tracked()
+            return PointedImmersion(folded, vmap[0])
+        while u == v and s - r > 1 and w[r] == -w[s - 1]:
+            _add_edge(src, label, out, u, nv, w[r])
+            u = v = nv
+            nv += 1
+            r += 1
+            s -= 1
+        for l in w[r:s - 1]:
+            _add_edge(src, label, out, u, nv, l)
+            u = nv
+            nv += 1
+        _add_edge(src, label, out, u, v, w[s - 1])
+    return PointedImmersion(LabeledGraph._trusted(alphabet, nv, src, label), 0)
 
 
 def contains(h, word):
@@ -86,10 +187,7 @@ def attach_word(h, word):
     """
     g = h.graph
     w = free_reduce(word)
-    size = g.alphabet.size
-    for l in w:
-        if not 1 <= abs(l) <= size:
-            raise ValueError(f"letter {l} is not in the alphabet")
+    _check_letters(g.alphabet, w)
     if not g.is_immersion():
         raise ValueError("attach_word requires an immersion")
     # read invert(w) from the base: w[k:] folds onto the graph, ending at cur

@@ -15,8 +15,25 @@ from prodsep.separators import (
     _subtract,
     image_subgroup_order,
 )
-from prodsep.stallings import AttachedImmersion
+from prodsep.stallings import AttachedImmersion, PointedImmersion, build_wedge
 from prodsep.words import free_reduce, invert, letter_sort_key
+
+
+def folded_wedge(alphabet, generators):
+    """The S(H) oracle: fold the wedge of the reduced, deduplicated
+    generators with ``fold_all_tracked``."""
+    words = list(dict.fromkeys(w for w in map(free_reduce, generators) if w))
+    folded, vmap = build_wedge(alphabet, words).fold_all_tracked()
+    return PointedImmersion(folded, vmap[0])
+
+
+def assert_same_graph(got, expected):
+    """Two pointed immersions agree byte for byte: vertex count, dart arrays
+    (ids, edge order, orientations) and base."""
+    assert got.graph.num_vertices == expected.graph.num_vertices
+    assert got.graph._src == expected.graph._src
+    assert got.graph._label == expected.graph._label
+    assert got.base == expected.base
 
 
 def glue_word(h, word):

@@ -12,6 +12,7 @@ from prodsep.certificates import (
     parse_certificate,
     verify_certificate,
 )
+from prodsep import cli, separators
 from prodsep.cli import main
 from prodsep.covers import expand_to_cover, transition_group
 from prodsep.errors import CapExceeded
@@ -335,6 +336,19 @@ class TestCliCommands:
         assert "25/25 passed" in capsys.readouterr().out
         assert main(["ext", "eval", str(spec_path), "x", "--prime", "1" + "0" * 400]) == 3
 
+    @pytest.mark.parametrize("flag, value", [("--count", "-1"), ("--count", "0"),
+                                             ("--max-len", "-1")])
+    def test_check_star_rejects_bad_counts(self, hall_file, tmp_path, capsys, flag, value):
+        main(["cover", "group", hall_file])
+        spec_path = tmp_path / "spec.txt"
+        spec_path.write_text(capsys.readouterr().out)
+        assert main(["ext", "check-star", str(spec_path), flag, value]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {flag}:" in err
+        assert main(["ext", "check-star", str(spec_path), "--count", "3",
+                     "--max-len", "0"]) == 0  # empty words only
+        assert "3/3 passed" in capsys.readouterr().out
+
     def test_check_star_checks_the_group_law(self, hall_file, tmp_path, capsys,
                                             monkeypatch):
         # evaluate does not go through mult, so a broken mult must still fail
@@ -352,17 +366,24 @@ class TestCliCommands:
         assert main(["verify", str(cert)]) == 0
         assert "verified" in capsys.readouterr().out
 
-    def test_separate_hall_folds_the_subgroup_once(self, hall_file, monkeypatch, capsys):
-        calls = []
+    def test_separate_hall_builds_the_subgroup_once(self, hall_file, monkeypatch, capsys):
+        builds, folds = [], []
         fold = LabeledGraph.fold_all_tracked
 
-        def counted(self, *args, **kwargs):
-            calls.append(1)
+        def built(*args, **kwargs):
+            builds.append(1)
+            return stallings_graph(*args, **kwargs)
+
+        def folded(self, *args, **kwargs):
+            folds.append(1)
             return fold(self, *args, **kwargs)
 
-        monkeypatch.setattr(LabeledGraph, "fold_all_tracked", counted)
+        for module in (cli, separators):
+            monkeypatch.setattr(module, "stallings_graph", built)
+        monkeypatch.setattr(LabeledGraph, "fold_all_tracked", folded)
         assert main(["separate", "hall", hall_file]) == 0
-        assert len(calls) == 1  # S(H); attaching the word reads, it does not fold
+        assert len(builds) == 1  # S(H) once; attaching the word reads
+        assert not folds  # both generators read into the graph, no fold
         assert main(["separate", "hall", hall_file, "yy"]) == 1
         assert "the word lies in the subgroup" in capsys.readouterr().out
 

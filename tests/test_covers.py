@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from prodsep.covers import enumerate_expansions, expand_to_cover, transition_group
+from prodsep.covers import _missing, enumerate_expansions, expand_to_cover, transition_group
 from prodsep.graphs import LabeledGraph
 from prodsep.stallings import attach_word, stallings_graph
 from prodsep.words import Alphabet
@@ -94,16 +94,19 @@ class TestEnumerateExpansions:
         assert listed > 300 and capped > 20
 
 
+def star_missing(graph):
+    """The reference for ``_missing``: one star probe per vertex and letter."""
+    star = graph.star()
+    n = graph.num_vertices
+    return [(x, [v for v in range(n) if (v, x) not in star],
+             [v for v in range(n) if (v, -x) not in star])
+            for x in graph.alphabet.positive_letters()]
+
+
 def eager_expansions(graph, cap):
     """Reference: every pairing built up front, duplicates skipped, then capped."""
-    per_letter = []
-    total = 1
-    for x in graph.alphabet.positive_letters():
-        star = graph.star()
-        no_out = [v for v in range(graph.num_vertices) if (v, x) not in star]
-        no_in = [v for v in range(graph.num_vertices) if (v, -x) not in star]
-        total *= math.factorial(len(no_out))
-        per_letter.append((x, no_out, no_in))
+    per_letter = star_missing(graph)
+    total = math.prod(math.factorial(len(no_out)) for _, no_out, _ in per_letter)
     choices = [[list(zip(no_out, perm)) for perm in itertools.permutations(no_in)]
                for x, no_out, no_in in per_letter]
     out = []
@@ -192,6 +195,56 @@ class TestTransitionGroupAgainstGraphChecks:
         assert ("covering", covering) not in seen
         assert seen["covering", None] >= 100
         assert seen["disconnected", "transition_group requires a connected covering"] == 200
+
+
+class TestCoverArraysAgainstStar:
+    """The one-pass missing ends are the star probes', and the expansion
+    pairs them positionally after the immersion's own edges."""
+
+    def test_random_immersions(self):
+        rng = random.Random(43)
+        for alphabet in (A, Alphabet("xyz")):
+            letters = alphabet.letters()
+            for _ in range(300):
+                gens = [tuple(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+                        for _ in range(rng.randint(1, 3))]
+                h = stallings_graph(alphabet, gens)
+                word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+                for g in (h.graph, attach_word(h, word).graph):
+                    missing = _missing(g)
+                    assert missing == star_missing(g)
+                    cover = expand_to_cover(g)
+                    assert cover.graph.is_covering()
+                    assert cover.original_count == g.num_geometric_edges
+                    edges = cover.graph.geometric_edges()
+                    assert edges[:cover.original_count] == g.geometric_edges()
+                    assert edges[cover.original_count:] == tuple(
+                        (s, d, x) for x, no_out, no_in in missing
+                        for s, d in zip(no_out, no_in))
+                    first = enumerate_expansions(g, cap=1).expansions[0]
+                    assert first.graph.geometric_edges() == edges
+                    assert first.original_count == cover.original_count
+                    group = transition_group(cover)
+                    c = cover.graph
+                    for x in alphabet.positive_letters():
+                        assert group.perm(x) == tuple(c.dst(c.out_dart(v, x))
+                                                      for v in range(c.num_vertices))
+
+    def test_random_graphs(self):
+        rng = random.Random(47)
+        immersions = 0
+        for alphabet in (A, Alphabet("xyz")):
+            for i in range(400):
+                g = mutated_graph(rng, alphabet, ("random", "missing out-edge")[i % 2])
+                missing = _missing(g)
+                assert (missing is not None) == g.is_immersion()
+                if missing is not None:
+                    assert missing == star_missing(g)
+                    immersions += 1
+                else:
+                    with pytest.raises(ValueError, match="requires an immersion"):
+                        expand_to_cover(g)
+        assert immersions >= 100 and 800 - immersions >= 100
 
 
 class TestTransitionGroup:

@@ -6,7 +6,7 @@ import pytest
 from prodsep.graphs import LabeledGraph, reduce_path
 from prodsep.stallings import PointedImmersion, attach_word, build_wedge, stallings_graph
 from prodsep.words import Alphabet, free_reduce, invert
-from tests.helpers import glue_word
+from tests.helpers import assert_same_graph, folded_wedge, glue_word
 
 A = Alphabet("xy")
 
@@ -207,33 +207,31 @@ class TestFoldAgainstStepLoop:
                 assert_folds_like_oracle(build_wedge(A, words))
 
     def test_stallings_and_attached_graphs(self, monkeypatch):
-        unfolded = []
         fold = LabeledGraph.fold_all_tracked
-
-        def recorded(self, *args, **kwargs):
-            unfolded.append(self)
-            return fold(self, *args, **kwargs)
-
-        monkeypatch.setattr(LabeledGraph, "fold_all_tracked", recorded)
         rng = random.Random(7)
         attached = 0
         for _ in range(60):
             gens = shared_prefix_words(rng, A, rng.randint(0, 16), rng.randint(1, 3),
                                        rng.randint(1, 8))
             h = stallings_graph(A, gens)
+            # S(H) is the wedge's fold, which is the step loop's
+            assert_same_graph(h, folded_wedge(A, gens))
+            words = list(dict.fromkeys(w for w in map(free_reduce, gens) if w))
+            assert_folds_like_oracle(build_wedge(A, words))
             # a subgroup word with its first letters replaced, so the path
             # folds in from the base and its free end may stay outside
             word = free_reduce(random_reduced(rng, A, rng.randint(1, 3)) + gens[0][3:])
-            before = len(unfolded)
-            got = attach_word(h, word)
-            assert len(unfolded) == before  # attaching reads; it folds nothing
-            assert_attaches_like_glue(h, word, got)  # the glued fold is recorded
-            attached += bool(word)
-        monkeypatch.undo()
+            glued = []
+            with monkeypatch.context() as m:
+                m.setattr(LabeledGraph, "fold_all_tracked",
+                          lambda self: glued.append(self) or fold(self))
+                got = attach_word(h, word)
+                assert not glued  # attaching reads; it folds nothing
+                assert_attaches_like_glue(h, word, got)
+            for g in glued:  # the glued fold is the step loop's
+                assert_folds_like_oracle(g)
+            attached += len(glued)
         assert attached > 50
-        assert len(unfolded) == 60 + attached
-        for g in unfolded:
-            assert_folds_like_oracle(g)
 
     def test_long_shared_prefix_folds_fast(self):
         rng = random.Random(400)

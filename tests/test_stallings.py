@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
+from prodsep.graphs import LabeledGraph
 from prodsep.stallings import attach_word, contains, stallings_graph, subgroup_basis
 from prodsep.words import Alphabet, free_reduce, invert
-from tests.helpers import loop_words_up_to
+from tests.helpers import assert_same_graph, folded_wedge, loop_words_up_to
 
 A = Alphabet("xy")
 
@@ -41,6 +44,95 @@ class TestStallingsGraph:
             assert h.graph.is_immersion()
             for g in gens:
                 assert contains(h, g)
+
+
+def random_generators(rng, alphabet):
+    """1-4 generators mixing shared prefixes, conjugates c u c^-1, repeats,
+    inverses and products of earlier ones (which read as loops)."""
+    prefix = random_word(rng, 6, alphabet)
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(6)
+        if kind == 0:
+            w = prefix + random_word(rng, 6, alphabet)
+        elif kind == 1:
+            c = random_word(rng, 4, alphabet)
+            w = c + random_word(rng, 5, alphabet) + invert(c)
+        elif kind == 2 and gens:
+            w = rng.choice(gens)
+        elif kind == 3 and gens:
+            w = invert(rng.choice(gens))
+        elif kind == 4 and gens:
+            w = rng.choice(gens) + rng.choice(gens)
+        else:
+            w = random_word(rng, 7, alphabet)
+        gens.append(w)
+    return gens
+
+
+class TestReadAgainstFold:
+    """Reading each generator in gives the wedge's fold, byte for byte."""
+
+    def test_random_subgroups(self, monkeypatch):
+        folds = []
+        fold = LabeledGraph.fold_all_tracked
+        rng = random.Random(15)
+        read = fallback = loops = 0
+        for alphabet in (A, Alphabet("xyz")):
+            for _ in range(1500):
+                gens = random_generators(rng, alphabet)
+                with monkeypatch.context() as m:
+                    m.setattr(LabeledGraph, "fold_all_tracked",
+                              lambda self: folds.append(1) or fold(self))
+                    h = stallings_graph(alphabet, gens)
+                if folds:
+                    fallback += 1
+                    folds.clear()
+                else:
+                    read += 1
+                assert_same_graph(h, folded_wedge(alphabet, gens))
+                assert h.base == 0
+                words = [free_reduce(w) for w in gens]
+                loops += any(w and w not in words[:k]
+                             and contains(stallings_graph(alphabet, gens[:k]), w)
+                             for k, w in enumerate(words))
+        assert read >= 100 and fallback >= 100
+        assert loops >= 100  # a new generator already in the subgroup is skipped
+
+    def test_collapsing_generators_fold(self):
+        h = stallings_graph(A, [A.parse("xx"), A.parse("xxx")])
+        assert (h.graph.num_vertices, h.graph.geometric_edges()) == (1, ((0, 0, 1),))
+        h = stallings_graph(A, [A.parse("yyyx"), A.parse("y")])
+        assert h.graph.geometric_edges() == ((0, 0, 2), (0, 0, 1))
+
+    def test_bad_letter_is_rejected(self):
+        for bad in ((1, 3), (-3,), (0, 1)):
+            with pytest.raises(ValueError, match="not in the alphabet"):
+                stallings_graph(A, [A.parse("xy"), bad])
+
+    def test_shared_prefix_subgroup_reads_without_folding(self, monkeypatch):
+        # shaped like the hall workload: three generators, a 48-letter prefix
+        rng = random.Random(48)
+        letters = A.letters()
+
+        def reduced(n, after=0):
+            word = []
+            while len(word) < n:
+                l = rng.choice(letters)
+                if l != -(word[-1] if word else after):
+                    word.append(l)
+            return tuple(word)
+
+        prefix = reduced(48)
+        gens = [prefix + reduced(n, prefix[-1]) for n in (24, 32, 40)]
+        folds = []
+        fold = LabeledGraph.fold_all_tracked
+        monkeypatch.setattr(LabeledGraph, "fold_all_tracked",
+                            lambda self: folds.append(1) or fold(self))
+        h = stallings_graph(A, gens)
+        assert not folds
+        monkeypatch.undo()
+        assert_same_graph(h, folded_wedge(A, gens))
 
 
 class TestContains:
