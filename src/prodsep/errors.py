@@ -18,3 +18,7 @@ class InternalInvariantError(AssertionError):
 
     Raising this means the implementation is wrong, not the input.
     """
+
+
+class WordInSubgroup(ValueError):
+    """The word lies in the subgroup, so no quotient separates it."""

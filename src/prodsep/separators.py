@@ -12,7 +12,9 @@ The pipeline mirrors the constructive proof it implements:
   K-image factors through the subgroups' K-images, the factorization
   machinery pinches the resulting Cayley-graph loop down to a genuine
   free-group identity, witnessing membership; contrapositively, for a
-  non-member the K-image stays outside the image product.
+  non-member the K-image stays outside the image product.  Whether it
+  factors is decided for every n by one search over the fibres one level
+  down (``_fibre_search``), which lists no image.
 
 Each construction returns its certificate record (``certificates``):
 ``hall_separator`` a ``HallCertificate``, ``product_separator`` a
@@ -23,13 +25,15 @@ done symbolically on traced paths, so the recursion never materializes an
 extension level.
 """
 
+import functools
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
 
 from .certificates import FactorizationCertificate, HallCertificate, ProductCertificate
 from .covers import expand_to_cover, transition_group
-from .errors import CapExceeded, InternalInvariantError
+from .errors import CapExceeded, InternalInvariantError, WordInSubgroup
 from .extensions import ExtensionChain
 from .graphs import reduce_path
 from .groups import DEFAULT_CAP, XGroup, closure, diagonal_subgroup
@@ -199,49 +203,35 @@ def _generator_steps(level, generators):
 
 
 def image_subgroup(level, generators, cap=DEFAULT_CAP):
-    """BFS closure of the generator images, each element with a witness word.
-
-    The witness words are reduced products of the given generators and
-    their inverses, so they all lie in the subgroup the generators define.
-    """
-    steps = _generator_steps(level, generators)
-    tree = closure(level.identity, [img for img, _ in steps], level.mult, cap,
-                   "subgroup image")
-    words = {}
-    for elem, link in tree.items():
-        if link is None:
-            words[elem] = ()
-        else:
-            parent, i = link
-            words[elem] = free_reduce(words[parent] + steps[i][1])
-    return words
+    """The image subgroup listed by a capped closure: {element: BFS link}."""
+    steps = [img for img, _ in _generator_steps(level, generators)]
+    return closure(level.identity, steps, level.mult, cap, "subgroup image")
 
 
-def _product_with_witness(level, images, cap):
-    """Image of the set product, each element with one witness per factor."""
-    if not images:
-        return {level.identity: ()}
-    if len(images[0]) > cap:
-        raise CapExceeded(f"product image has more than {cap} elements", limit=cap)
-    out = {e: (w,) for e, w in images[0].items()}
-    for img in images[1:]:
-        nxt = {}
-        for pe, pw in out.items():
-            for ae, aw in img.items():
-                e = level.mult(pe, ae)
-                if e not in nxt:
-                    if len(nxt) >= cap:
-                        raise CapExceeded(
-                            f"product image has more than {cap} elements", limit=cap)
-                    nxt[e] = pw + (aw,)
-        out = nxt
+def _image_product(level, subgroups, cap):
+    """The set A_1 ... A_k of the subgroups' images, capped: P A_i is the
+    closure of P under A_i's generator images, whose vectors are short."""
+    out = {level.identity}
+    for gens in subgroups:
+        steps = [img for img, _ in _generator_steps(level, gens)]
+        queue = deque(out)
+        while queue:
+            a = queue.popleft()
+            for step in steps:
+                e = level.mult(a, step)
+                if e not in out:
+                    if len(out) >= cap:
+                        raise CapExceeded(f"product image has more than {cap} elements",
+                                          limit=cap)
+                    out.add(e)
+                    queue.append(e)
     return out
 
 
-def _subtract(vec, other, prime):
-    """vec -= other over GF(p), in place on the dict vec."""
+def _subtract(vec, other, prime, c=1):
+    """vec -= c * other over GF(p), in place on the dict vec."""
     for k, v in other.items():
-        n = (vec.get(k, 0) - v) % prime
+        n = (vec.get(k, 0) - c * v) % prime
         if n:
             vec[k] = n
         elif k in vec:
@@ -251,8 +241,8 @@ def _subtract(vec, other, prime):
 def _reduce(vec, basis, prime):
     """Reduce vec in place against the rows of basis; return the steps taken.
 
-    basis maps a pivot to (row, coefficients over the Schreier vectors),
-    the row normalized to pivot coefficient 1.  Each step (pivot, c)
+    basis maps a pivot to (row, tag), the row normalized to pivot
+    coefficient 1 and the tag its coefficients over the source rows.  Each step (pivot, c)
     subtracted c times that row, so vec is empty afterwards exactly when
     it lies in the rows' span.
     """
@@ -281,7 +271,7 @@ def _insert(basis, vec, steps, tag, prime):
     normalized with the row to pivot coefficient 1.
     """
     for pivot, c in steps:
-        _subtract(tag, {j: c * v for j, v in basis[pivot][1].items()}, prime)
+        _subtract(tag, basis[pivot][1], prime, c)
     pivot = min(vec)
     inv = pow(vec[pivot], -1, prime)
     basis[pivot] = ({k: v * inv % prime for k, v in vec.items()},
@@ -355,8 +345,7 @@ class ImageStructure:
             raise InternalInvariantError("no word for an element outside the image")
         coefs = {}
         for pivot, c in steps:
-            _subtract(coefs, {j: -c * v for j, v in self.basis[pivot][1].items()},
-                      self.prime)
+            _subtract(coefs, self.basis[pivot][1], self.prime, -c)
         out = ()
         for j, c in sorted(coefs.items()):
             src, i, dst = self.cycles[j]
@@ -440,7 +429,7 @@ def image_subgroup_order(level, generators, cap=DEFAULT_CAP):
     return image_structure(level, generators, cap).order
 
 
-# -- products of one or two images, fibre by fibre ----------------------------
+# -- products of images, fibre by fibre --------------------------------------
 
 
 def _translate(vec, below, g):
@@ -448,63 +437,105 @@ def _translate(vec, below, g):
     return {(below.mult(g, h), x): c for (h, x), c in vec.items()}
 
 
-def _joint_basis(one, rows, prime):
-    """The span of one's kernel rows plus rows, as pivot -> (row, part).
+def _tagged(st, i):
+    """The i-th image's kernel rows, each tagged {(i, its pivot): 1}."""
+    return [({(i, pivot): 1}, row) for pivot, (row, _) in st.basis.items()]
 
-    part is the row's component in one's kernel span; each of rows adds
-    none of its own, so a vector reduced to zero by steps (pivot, c) has
-    the component sum c * part in that span.
+
+def _extend(basis, rows, prime):
+    """Insert each (tag, row) that is new to the span, the tag reduced alongside.
+
+    A tag maps source rows (factor, pivot) to coefficients, so a vector
+    reduced to zero by steps (pivot, c) is sum c * tag in the source rows.
     """
-    basis = {pivot: (row, row) for pivot, (row, _) in one.basis.items()}
-    for row in rows:
+    for tag, row in rows:
         vec = dict(row)
         steps = _reduce(vec, basis, prime)
         if vec:
-            _insert(basis, vec, steps, {}, prime)
-    return basis
+            _insert(basis, vec, steps, dict(tag), prime)
 
 
 def _fibre_search(level, structures, target):
-    """Elements of one or two images, one per image, multiplying to target, or None.
+    """Elements of the images, one per image, multiplying to target, or None.
 
-    With two, A = {(la(α) + k, α)} and B = {(lb(β) + k, β)}, k in the
-    kernel spans K_A and K_B.  For target (v, g), a·b = target with
-    β = α⁻¹g exactly when v − la(α) − α·lb(β) lies in K_A + α·K_B, and
-    α·K_B = g·K_B since β·K_B = K_B.  So W = K_A + g·K_B is eliminated
-    once and the smaller fibre is walked, one reduction per α; nothing at
-    this level is enumerated.  A hit is a = (la(α) + k_A, α), k_A read off
-    W's rows, and b = a⁻¹·target; it is checked against both structures.
+    The i-th image is A_i = {(l_i(α) + k, α)}, k in its kernel span K_i,
+    and the target is (v, g).  With h_i = α_1 ... α_{i-1}, a_1 ... a_n is
+    (sum h_i·(l_i(α_i) + k_i), h_{n+1}); α_i fixes K_i, so
+    h_i·K_i = h_{i+1}·K_i and h_n·K_n = g·K_n.  For each prefix
+    (α_1, ..., α_{n-2}) of lifts one level down, with h = h_{n-1}, the span
+    sum_{i<n-1} h⁻¹h_{i+1}·K_i + K_{n-1} + h⁻¹g·K_n is eliminated once:
+    the last two factors are then the two-factor case for the target
+    translated by h⁻¹, and the smaller of their fibres is walked, one
+    reduction per element.  Nothing at this level is enumerated.  The rows
+    of K_{n-2} and K_{n-1} are the same for every prefix; with two factors
+    the prefix is empty and only g·K_n is translated.
     """
     if len(structures) == 1:
         return (target,) if target in structures[0] else None
-    one, two = structures
     below, prime = level.below, level.prime
+    *firsts, one, two = structures
+    m = len(firsts)
     v, g = target
-    basis = _joint_basis(one, [_translate(row, below, g) for row, _ in two.basis.values()],
-                         prime)
-    if len(one.lifts) <= len(two.lifts):
-        pairs = ((al, below.mult(below.inv(al), g)) for al in one.lifts)
-    else:
-        pairs = ((below.mult(g, below.inv(be)), be) for be in two.lifts)
-    for al, be in pairs:
-        la, lb = one.lifts.get(al), two.lifts.get(be)
-        if la is None or lb is None:
-            continue
-        rest = dict(v)
-        _subtract(rest, la, prime)
-        _subtract(rest, _translate(lb, below, al), prime)
-        steps = _reduce(rest, basis, prime)
-        if rest:
-            continue
-        vec = dict(la)
-        for pivot, c in steps:
-            _subtract(vec, {k: -c * x for k, x in basis[pivot][1].items()}, prime)
-        a = (tuple(sorted(vec.items())), al)
-        b = level.mult(level.inv(a), target)
-        if a not in one or b not in two or level.mult(a, b) != target:
-            raise InternalInvariantError("fibre hit does not factor the target")
-        return a, b
+    base = {pivot: (row, {(m, pivot): 1}) for pivot, (row, _) in one.basis.items()}
+    if firsts:
+        _extend(base, _tagged(firsts[-1], m - 1), prime)
+    for prefix in itertools.product(*(st.lifts for st in firsts)):
+        u, gh, basis = v, g, base
+        if prefix:
+            u, h, hs = dict(v), below.identity, []
+            for st, al in zip(firsts, prefix):
+                _subtract(u, _translate(st.lifts[al], below, h), prime)
+                h = below.mult(h, al)
+                hs.append(h)
+            hinv = below.inv(h)
+            u, gh, basis = _translate(u, below, hinv), below.mult(hinv, g), dict(base)
+            _extend(basis, [(tag, _translate(row, below, below.mult(hinv, hs[i])))
+                            for i in range(m - 1) for tag, row in _tagged(firsts[i], i)],
+                    prime)
+        # the last factor's rows carry no tag: its element is read off the rest
+        _extend(basis, [({}, _translate(row, below, gh)) for row, _ in two.basis.values()],
+                prime)
+        if len(one.lifts) <= len(two.lifts):
+            pairs = ((al, below.mult(below.inv(al), gh)) for al in one.lifts)
+        else:
+            pairs = ((below.mult(gh, below.inv(be)), be) for be in two.lifts)
+        for al, be in pairs:
+            la, lb = one.lifts.get(al), two.lifts.get(be)
+            if la is None or lb is None:
+                continue
+            rest = dict(u)
+            _subtract(rest, la, prime)
+            _subtract(rest, _translate(lb, below, al), prime)
+            steps = _reduce(rest, basis, prime)
+            if not rest:
+                return _read_hit(level, structures, prefix + (al,), basis, steps, target)
     return None
+
+
+def _read_hit(level, structures, alphas, basis, steps, target):
+    """The factors of a fibre hit, each checked against its structure.
+
+    The steps' tags give k_i = sum c * K_i[pivot].  A prefix row stood for
+    h_{i+1}·K_i, so there a_i = (l_i(α_i) + α_i·k_i, α_i); the next factor
+    is (l_{n-1}(α) + k_{n-1}, α), and the last (a_1 ... a_{n-1})⁻¹·target.
+    """
+    coefs = {}
+    for pivot, c in steps:
+        _subtract(coefs, basis[pivot][1], level.prime, -c)
+    m = len(alphas) - 1
+    vecs = [{} for _ in range(m)] + [dict(structures[m].lifts[alphas[m]])]
+    for (i, pivot), c in coefs.items():
+        _subtract(vecs[i], structures[i].basis[pivot][0], level.prime, -c)
+    for i, al in enumerate(alphas[:m]):
+        vecs[i] = _translate(vecs[i], level.below, al)
+        _subtract(vecs[i], structures[i].lifts[al], level.prime, -1)
+    factors = [(tuple(sorted(vec.items())), al) for vec, al in zip(vecs, alphas)]
+    head = functools.reduce(level.mult, factors)
+    last = level.mult(level.inv(head), target)
+    if not all(a in st for a, st in zip(factors + [last], structures)) or \
+            level.mult(head, last) != target:
+        raise InternalInvariantError("fibre hit does not factor the target")
+    return tuple(factors) + (last,)
 
 
 def _fibre_product_size(structures):
@@ -517,7 +548,8 @@ def _fibre_product_size(structures):
         return structures[0].order
     one, two = structures
     prime = one.prime
-    basis = _joint_basis(one, [row for row, _ in two.basis.values()], prime)
+    basis = dict(one.basis)
+    _extend(basis, [({}, row) for row, _ in two.basis.values()], prime)
     small, large = sorted(structures, key=lambda st: len(st.lifts))
     meet = 0
     for al, la in small.lifts.items():
@@ -529,6 +561,25 @@ def _fibre_product_size(structures):
             meet += not diff
     common = meet * prime ** (len(one.basis) + len(two.basis) - len(basis))
     return one.order * two.order // common
+
+
+def _images_and_hit(level, subgroups, word, cap):
+    """The images' structures and the search's hit for the word, or CapExceeded.
+
+    With three or more factors the product of the images other than the
+    larger end factor (the last on a tie) must also be within the cap:
+    sized fibre by fibre for three, listed in reverse order for more.
+    """
+    structures = [image_structure(level, gens, cap) for gens in subgroups]
+    n = len(structures)
+    if n >= 3:
+        end = 0 if structures[0].order > structures[-1].order else n - 1
+        others = [i for i in reversed(range(n)) if i != end]
+        if n > 3:
+            _image_product(level, [subgroups[i] for i in others], cap)
+        elif _fibre_product_size([structures[i] for i in others]) > cap:
+            raise CapExceeded(f"product image has more than {cap} elements", limit=cap)
+    return structures, _fibre_search(level, structures, level.evaluate(word))
 
 
 # -- factorization counters ---------------------------------------------------
@@ -599,7 +650,7 @@ def hall_separator(alphabet, generators, word):
     ctx = _build_context(alphabet, [generators], word, ())
     base = ctx.attached.omega
     if ctx.attached.alpha == base:
-        raise ValueError("the word lies in the subgroup; nothing separates it")
+        raise WordInSubgroup("the word lies in the subgroup; nothing separates it")
     group = ctx.chain.top
 
     def image_of_base(word):
@@ -622,13 +673,12 @@ def hall_separator(alphabet, generators, word):
 def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
     """The extension-chain quotient for a product coset, as its certificate.
 
-    One or two factors are decided and sized fibre by fibre from their
-    image structures (_fibre_search, _fibre_product_size), enumerating no
-    image at the top level; three or more by _end_factor_search.  It is
-    partial, with no sizes, when an image, or for three or more factors
-    the product of the images other than the end factor, outgrows the
-    cap.  The image product is sized when the product of the image orders
-    is within the cap.
+    Every factor count is decided by one search over the image
+    structures (_fibre_search), which lists no image.  It is partial, with
+    no sizes, when an image, or for three or more factors the product of
+    the images other than the larger end factor, outgrows the cap.  The
+    image product is sized when the product of the image orders is within
+    the cap: fibre by fibre for one or two factors, listed for more.
     """
     ctx = _build_context(alphabet, subgroups, word, primes)
     top = ctx.chain.top
@@ -640,14 +690,7 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
                                   product_size)
 
     try:
-        # exact orders first: proves cap-exceedance without enumerating
-        structures = [image_structure(top, gens, cap) for gens in ctx.subgroups]
-        target = top.evaluate(ctx.word)
-        if len(structures) <= 2:
-            hit = _fibre_search(top, structures, target)
-        else:
-            end, rest, hit = _end_factor_search(top, ctx.subgroups, structures, target,
-                                                cap)
+        structures, hit = _images_and_hit(top, ctx.subgroups, ctx.word, cap)
     except CapExceeded:
         return certificate("partial")
     size = None
@@ -655,41 +698,9 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
         if len(structures) <= 2:
             size = _fibre_product_size(structures)
         else:
-            # the product's inverse is E * rest (E last) or rest * E (E
-            # first), of the same size; it is under the cap as well
-            image = image_subgroup(top, ctx.subgroups[end], cap)
-            pair = [image, rest] if end else [rest, image]
-            size = len(_product_with_witness(top, pair, cap))
+            size = len(_image_product(top, ctx.subgroups, cap))
     return certificate("excluded" if hit is None else "member",
                        tuple(st.order for st in structures), size)
-
-
-def _end_factor_search(level, subgroups, structures, target, cap):
-    """(end, rest, hit) deciding whether target lies in A_1 ... A_n, n >= 3.
-
-    E = A_end, the image of the larger end factor (the last on a tie), is
-    tested through its structure.  The other images are enumerated and
-    multiplied in reverse order; being subgroups, their product ``rest``
-    lists the inverses q of the other factors' product, each with its
-    witness words in reverse order.  So the image product's inverse is
-    E * rest (E last) or rest * E (E first).  hit is (q, e) for the first
-    q whose e = q*target (E last) or e = target*q (E first) lies in E, or
-    None.  One or two factors go fibre by fibre instead (_fibre_search):
-    only with two can fibres reproduce the gate that the other images'
-    product is within the cap.
-    """
-    n = len(subgroups)
-    end = 0 if structures[0].order > structures[-1].order else n - 1
-    others = [i for i in reversed(range(n)) if i != end]
-    images = [image_subgroup(level, subgroups[i], cap) for i in others]
-    if any(len(img) != structures[i].order for i, img in zip(others, images)):
-        raise InternalInvariantError("image enumeration disagrees with its order")
-    rest = _product_with_witness(level, images, cap)
-    for q in rest:
-        e = level.mult(q, target) if end else level.mult(target, q)
-        if e in structures[end]:
-            return end, rest, (q, e)
-    return end, rest, None
 
 
 # -- factorization ------------------------------------------------------------
@@ -723,16 +734,15 @@ def factorize(alphabet, subgroups, word, seeds=None, primes=None,
             return FactorizationCertificate(alphabet, ctx.subgroups, w, (w,))
         return None
     top = ctx.chain.top
-    word_image = top.evaluate(w)
     if seeds is None:
-        seeds = _search_seeds(ctx, word_image, cap, stats)
+        seeds = _search_seeds(ctx, cap, stats)
         if seeds is None:
             return None
     else:
         img = top.identity
         for s in seeds:
             img = top.mult(img, top.evaluate(s))
-        if img != word_image:
+        if img != top.evaluate(w):
             raise ValueError("seed product does not match the word in the quotient")
     items = []
     for i in range(n - 1):
@@ -763,34 +773,20 @@ def _check_factorization(ctx, factors):
         raise InternalInvariantError("factor product differs from the word")
 
 
-def _search_seeds(ctx, word_image, cap, stats):
-    """Words h_i in H_i whose images multiply to word_image, or None.
+def _search_seeds(ctx, cap, stats):
+    """Words h_i in H_i whose images multiply to the word's, or None.
 
-    Two factors are searched fibre by fibre (_fibre_search) and both words
-    are read from the image structures (``ImageStructure.word``), so no
-    image at this level is enumerated.  Three or more go through
-    _end_factor_search, which enumerates every image but the end
-    factor's; that one's word is read from its structure.
+    The hit of product_separator's search, each element's word read from
+    its image structure (``ImageStructure.word``); None when capped.
     """
-    top = ctx.chain.top
     try:
-        structures = [image_structure(top, gens, cap) for gens in ctx.subgroups]
-        if len(structures) == 2:
-            hit = _fibre_search(top, structures, word_image)
-        else:
-            end, rest, hit = _end_factor_search(top, ctx.subgroups, structures,
-                                                word_image, cap)
+        structures, hit = _images_and_hit(ctx.chain.top, ctx.subgroups, ctx.word, cap)
     except CapExceeded:
         stats.capped_search = True
         return None
     if hit is None:
         return None
-    if len(structures) == 2:
-        return tuple(st.word(e) for st, e in zip(structures, hit))
-    q, e = hit
-    others = tuple(invert(w) for w in reversed(rest[q]))
-    word = structures[end].word(e)
-    return others + (word,) if end else (word,) + others
+    return tuple(st.word(e) for st, e in zip(structures, hit))
 
 
 def _pinch(chain, items, stats):

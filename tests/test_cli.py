@@ -384,8 +384,10 @@ class TestCliCommands:
         assert main(["separate", "hall", hall_file]) == 0
         assert len(builds) == 1  # S(H) once; attaching the word reads
         assert not folds  # both generators read into the graph, no fold
+        builds.clear()
         assert main(["separate", "hall", hall_file, "yy"]) == 1
         assert "the word lies in the subgroup" in capsys.readouterr().out
+        assert len(builds) == 1  # a member word is told apart without a rebuild
 
     def test_verify_hall_without_subgroup_is_input_error(self, tmp_path, capsys):
         text = emit_certificate(hall_separator(A, [A.parse("x")], A.parse("y")))

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from functools import reduce
 from operator import mul
 
@@ -9,19 +10,20 @@ from prodsep import separators
 from prodsep.certificates import (
     HallCertificate,
     _point_image,
+    _product,
     _product_member,
     emit_certificate,
+    image_subgroup as listed_image,
     parse_certificate,
     verify_certificate,
 )
 from prodsep.errors import CapExceeded, InternalInvariantError
-from prodsep.extensions import ExtensionChain, iterated_extension
+from prodsep.extensions import ExtensionChain, ExtensionLevel, iterated_extension
 from prodsep.groups import XGroup
 from prodsep.rational import member_product
 from prodsep.separators import (
     FactorizeStats,
     _build_context,
-    _product_with_witness,
     common_spine,
     factorize,
     hall_separator,
@@ -200,19 +202,7 @@ class TestImageSubgroup:
     def test_no_generators(self):
         level = iterated_extension(KLEIN, []).top
         img = image_subgroup(level, [])
-        assert img == {level.identity: ()}
-
-    def test_witnesses_reevaluate(self):
-        rng = random.Random(211)
-        level = iterated_extension(KLEIN, [2]).top
-        gens = [A.parse("xx"), A.parse("xyX")]
-        img = image_subgroup(level, gens)
-        for elem, word in img.items():
-            assert level.evaluate(word) == elem
-        # witnesses stay inside the subgroup
-        h = stallings_graph(A, gens)
-        for word in img.values():
-            assert contains(h, word)
+        assert img == {level.identity: None}
 
     def test_trivial_image_collapses(self):
         group = XGroup(A, [(1, 0), (0, 1)])  # x swap, y trivial
@@ -272,75 +262,81 @@ class TestProductSeparator:
 
     @staticmethod
     def record_enumeration(monkeypatch):
-        """The generators of each image_subgroup call, and the factor counts
-        of each _product_with_witness call, as the construction makes them."""
+        """The generators of each image_subgroup call, and the subgroups of
+        each _image_product call, as the construction makes them."""
         enumerated, products = [], []
+        image_product = separators._image_product
 
         def recorded(level, generators, cap):
             enumerated.append(tuple(generators))
             return image_subgroup(level, generators, cap)
 
-        def multiplied(level, images, cap):
-            products.append(len(images))
-            return _product_with_witness(level, images, cap)
+        def multiplied(level, subgroups, cap):
+            products.append([tuple(g) for g in subgroups])
+            return image_product(level, subgroups, cap)
 
         monkeypatch.setattr(separators, "image_subgroup", recorded)
-        monkeypatch.setattr(separators, "_product_with_witness", multiplied)
+        monkeypatch.setattr(separators, "_image_product", multiplied)
         return enumerated, products
 
-    def test_only_images_other_than_the_larger_end_factor_are_enumerated(self,
-                                                                          monkeypatch):
+    def test_the_search_enumerates_no_image(self, monkeypatch):
         enumerated, products = self.record_enumeration(monkeypatch)
         x, y, xx, yy = (A.parse(t) for t in ("x", "y", "xx", "yy"))
-        # image orders (2,), (4, 2), (2, 16), (2, 2), (4, 12, 8) and (8, 16, 4):
-        # one or two factors go fibre by fibre and enumerate nothing
-        for subgroups, rest in [([[x]], []),
-                                ([[x], [xx]], []),
-                                ([[xx], [x, y]], []),
-                                ([[xx], [yy]], []),
-                                ([[xx], [y], [x]], [(xx,), (y,)]),
-                                ([[x], [y], [xx]], [(y,), (xx,)])]:
-            enumerated.clear()
+        # image orders (2,), (4, 2), (2, 16), (2, 2), (4, 12, 8) and (8, 16, 4);
+        # under this cap no three-factor product is sized, which would list it
+        for subgroups in ([[x]], [[x], [xx]], [[xx], [x, y]], [[xx], [yy]],
+                          [[xx], [y], [x]], [[x], [y], [xx]]):
             products.clear()
-            # under this cap no three-factor product is sized, which would
-            # enumerate every image
             assert product_separator(A, subgroups, A.parse("xy"),
                                      cap=300).excluded is not None
-            assert sorted(enumerated) == sorted(rest)
-            assert products == ([2] if rest else [])
+            assert products == []
+        # with four, the gate lists the product of the images other than the
+        # larger end factor (the last on a tie), in reverse order
+        for subgroups, status, others in [([[x], [y], [xx], [yy]], "member",
+                                           [(yy,), (xx,), (y,)]),
+                                          ([[xx], [y], [x], [yy]], "excluded",
+                                           [(x,), (y,), (xx,)])]:
+            products.clear()
+            wit = product_separator(A, subgroups, A.parse("xy"), cap=4096)
+            assert wit.status == status and wit.product_size is None
+            assert products == [others]
+        assert enumerated == []
 
-    def test_unseeded_factorize_enumerates_only_the_other_factors(self, monkeypatch):
+    def test_unseeded_factorize_enumerates_no_image(self, monkeypatch):
         enumerated, products = self.record_enumeration(monkeypatch)
         x, y, xx, yy = (A.parse(t) for t in ("x", "y", "xx", "yy"))
-        # every word is a member, so the search hits and reads its words from
-        # the structures: all of them with two factors, E's with three
+        # every word is a member, so the search hits and reads every word
+        # from its image structure
         for subgroups, w in [([[x], [xx]], "xxx"), ([[xx], [yy]], "xxyy"),
                              ([[xx], [x, y]], "xxy"), ([[xx], [y], [x]], "xxyx"),
                              ([[x], [y], [xx]], "xyxx")]:
-            sizes = product_separator(A, subgroups, A.parse(w), cap=300).image_sizes
-            end = 0 if sizes[0] > sizes[-1] else len(sizes) - 1
-            enumerated.clear()
-            products.clear()
             cert = factorize(A, subgroups, A.parse(w), cap=300)
             assert cert is not None
-            if len(subgroups) == 2:
-                assert enumerated == [] and products == []
-            else:
-                assert sorted(enumerated) == sorted(
-                    tuple(g) for i, g in enumerate(subgroups) if i != end)
             assert verify_certificate(cert)[0]
+        assert enumerated == [] and products == []
 
     def test_sizing_three_factors_enumerates_each_image_once(self, monkeypatch):
-        enumerated, _ = self.record_enumeration(monkeypatch)
+        enumerated, products = self.record_enumeration(monkeypatch)
         x, y, xx = (A.parse(t) for t in ("x", "y", "xx"))
-        # image orders 4, 12 and 8: the search enumerates 12 and 4, sizing 8
+        # image orders 4, 12 and 8: the gate sizes 12 * 4 fibre by fibre, and
+        # sizing walks the product through each image's generators once
         wit = product_separator(A, [[xx], [y], [x]], A.parse("xy"))
-        assert enumerated == [(y,), (xx,), (x,)]
+        assert enumerated == [] and products == [[(xx,), (y,), (x,)]]
         monkeypatch.undo()
         top = ExtensionChain(wit.group, wit.primes).top
         images = [image_subgroup(top, g) for g in ([xx], [y], [x])]
         assert wit.image_sizes == (4, 12, 8)
         assert wit.product_size == len(reference_product(top, images))
+
+    def test_three_one_generator_factors_excluded_quickly(self):
+        # each image lists under a second, but their product's level-2
+        # elements are long: enumerating it took over a minute
+        H = [[A.parse("Y")], [A.parse("yxxy")], [A.parse("yyx")]]
+        start = time.perf_counter()
+        wit = product_separator(A, H, A.parse("Xy"), cap=4096)
+        assert time.perf_counter() - start < 10
+        assert emit_certificate(wit).endswith(
+            "status: excluded\nimage size 1: 80\nimage size 2: 60\nimage size 3: 48\n")
 
     def test_prime_list_length_enforced(self):
         with pytest.raises(ValueError):
@@ -768,29 +764,39 @@ class TestOneEndedWalk:
 
 
 class TestProductAgainstEnumeration:
-    """product_separator's fibre and end-factor searches against the set-product route."""
+    """product_separator's fibre search against the verifier's enumeration."""
 
     @staticmethod
-    def against_enumeration(rng, n, count, cap, max_len, prime=2):
-        """Decided and sized counts, and the (excluded, end factor first) pairs."""
+    def against_enumeration(rng, n, count, cap, max_len, prime=2, members=False):
+        """Decided and sized counts, and the (excluded, end factor first) pairs.
+
+        Every image is listed and multiplied by the verifier's code
+        (``certificates``).  With three or more factors, unseeded
+        ``factorize`` must find every member, and its factorization verify.
+        With members, every other word is a product of subgroup words.
+        """
         decided = sized = 0
         seen, sized_firsts = set(), set()
         for _ in range(count):
             subgroups = [random_gens(rng, max_gens=2, max_len=max_len) for _ in range(n)]
             w = random_reduced(rng, 0, 6)
+            if members and rng.random() < 0.5:
+                w = free_reduce(sum((subgroup_word(rng, g, 1) for g in subgroups), ()))
             wit = product_separator(A, subgroups, w, primes=(prime,) * (n - 1), cap=cap)
             if wit.excluded is None:
                 continue
             top = ExtensionChain(wit.group, wit.primes).top
-            images = [image_subgroup(top, g, cap=cap) for g in subgroups]
+            images = [listed_image(top, g, cap) for g in subgroups]
             assert wit.image_sizes == tuple(len(img) for img in images)
             member = _product_member(top, images, top.evaluate(wit.word), 10 ** 6)
             assert wit.excluded == (not member)
+            if member and n >= 3:
+                cert = factorize(A, subgroups, w, primes=wit.primes, cap=cap)
+                assert cert is not None and verify_certificate(cert)[0]
             decided += 1
             seen.add((wit.excluded, len(images[0]) > len(images[-1])))
             if wit.product_size is not None:
-                assert wit.product_size == len(
-                    _product_with_witness(top, images, 10 ** 6))
+                assert wit.product_size == len(_product(top, images, 10 ** 6))
                 sized += 1
                 sized_firsts.add(len(images[0]) > len(images[-1]))
         return decided, sized, seen, sized_firsts
@@ -825,17 +831,74 @@ class TestProductAgainstEnumeration:
                              ids=["n1", "n3"])
     def test_one_and_three_factor_exclusion_and_size(self, n, count, cap,
                                                      min_decided, min_sized):
-        # the membership test t in A (n = 1) and the end-factor search with
-        # the product of two enumerated images (n = 3)
+        # the membership test t in A (n = 1) and the search over prefixes
+        # (n = 3)
         decided, sized, seen, sized_firsts = self.against_enumeration(
             random.Random(330 + n), n, count, cap, 3)
         assert decided >= min_decided and sized >= min_sized
-        # members and non-members; for n = 3 the end factor first and last,
+        # members and non-members; for n >= 3 the end factor first and last,
         # among the sized draws too, so that sizing by E * rest and by
         # rest * E are each compared with the enumeration
         firsts = (False,) if n == 1 else (True, False)
         assert seen == {(e, first) for e in (True, False) for first in firsts}
         assert sized_firsts == set(firsts)
+
+    @pytest.mark.parametrize("n, prime, cap, max_len, min_decided",
+                             [(3, 3, 2000, 2, 15), (3, 5, 2000, 2, 8), (4, 2, 512, 1, 6)],
+                             ids=["n3p3", "n3p5", "n4"])
+    def test_prefix_search_against_enumeration(self, n, prime, cap, max_len, min_decided):
+        # at p = 2 a sign slip in the search cancels; 3 and 5 expose it.  With
+        # four factors the prefix is a pair and the first kernel is translated
+        decided, _, seen, _ = self.against_enumeration(
+            random.Random(330 + n + 10 * prime), n, 40 if n == 4 else 60, cap, max_len,
+            prime, members=True)
+        assert decided >= min_decided
+        assert {excluded for excluded, _ in seen} == {True, False}
+
+    @pytest.mark.parametrize("n, prime, count, cap", [(3, 3, 30, 400), (4, 2, 60, 64)])
+    def test_prefix_search_finds_every_member(self, n, prime, count, cap):
+        # a product of subgroup words is a member: the search, run on the
+        # image structures without the cap gate, must factor its image
+        rng = random.Random(350 + 10 * n + prime)
+        searched = 0
+        for _ in range(count):
+            subgroups = [random_gens(rng, max_gens=2, max_len=2) for _ in range(n)]
+            w = free_reduce(sum((subgroup_word(rng, g, 2) for g in subgroups), ()))
+            top = _build_context(A, subgroups, w, (prime,) * (n - 1)).chain.top
+            try:
+                structures = [image_structure(top, g, cap) for g in subgroups]
+            except CapExceeded:
+                continue
+            target = top.evaluate(w)
+            hit = separators._fibre_search(top, structures, target)
+            assert hit is not None and reduce(top.mult, hit) == target
+            assert all(a in st for a, st in zip(hit, structures))
+            searched += 1
+        assert searched >= 10
+
+    def test_four_factor_search_one_level_up(self):
+        # the search at the first extension level over the diagonal group of
+        # two covers, where four images stay small and the prefix's
+        # translated kernel is seen: translating it wrongly fails here
+        rng = random.Random(5)
+        decided = set()
+        for _ in range(300):
+            subgroups = [random_gens(rng, max_gens=2, max_len=5) for _ in range(4)]
+            w = free_reduce(sum((subgroup_word(rng, g, 2) for g in subgroups), ()))
+            if rng.random() < 0.5:
+                w = random_reduced(rng, 0, 8)
+            group = _build_context(A, subgroups[:2], w, (2,)).chain.levels[0]
+            level = ExtensionLevel(group, 2)
+            try:
+                structures = [image_structure(level, g, 2000) for g in subgroups]
+            except CapExceeded:
+                continue
+            target = level.evaluate(w)
+            images = [listed_image(level, g, 2000) for g in subgroups]
+            hit = separators._fibre_search(level, structures, target)
+            assert (hit is not None) == _product_member(level, images, target, 10 ** 6)
+            decided.add(hit is not None)
+        assert decided == {True, False}
 
     def test_product_member_witness_matches_reference(self):
         rng = random.Random(313)
@@ -860,12 +923,3 @@ class TestProductAgainstEnumeration:
             right = reduce(mul, (len(img) for img in images[mid:]), 1)
             branches.add((left <= right, got))
         assert branches == {(True, True), (True, False), (False, True), (False, False)}
-
-    def test_product_with_witness_matches_reference(self):
-        level = iterated_extension(KLEIN, [2, 2]).top
-        rng = random.Random(317)
-        for _ in range(10):
-            images = [image_subgroup(level, random_gens(rng, 1, 3), cap=500)
-                      for _ in range(rng.randint(0, 3))]
-            assert _product_with_witness(level, images, 10 ** 6) == \
-                reference_product(level, images)
