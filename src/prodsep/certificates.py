@@ -28,6 +28,7 @@ from .problems import (
     ProblemParseError,
     convert,
     parse_carrier,
+    parse_int,
     parse_integers,
     parse_words,
     read_rows,
@@ -166,7 +167,7 @@ def parse_certificate(text):
         values = {}
         for key in keys:
             digits = key[len(prefix):] if key.startswith(prefix) else ""
-            i = int(digits) if digits.isdecimal() else 0
+            i = int(digits) if digits.isascii() and digits.isdecimal() else 0
             if not 1 <= i <= len(keys) or i in values:
                 raise ProblemParseError(fields[key][0], f"{key}: expected "
                                         f"'{prefix}<i>', each i in 1..{len(keys)} once")
@@ -186,7 +187,7 @@ def parse_certificate(text):
             raise ProblemParseError(None, "missing field 'subgroup H1'")
         carrier = one("carrier", parse_carrier)
         return HallCertificate(alphabet, subgroups[0], word, carrier,
-                               one("base", int), perm_rows(carrier))
+                               one("base", parse_int), perm_rows(carrier))
     if kind == "product-separator":
         carrier = one("carrier", parse_carrier)
         primes = one("primes", parse_integers)
@@ -196,11 +197,11 @@ def parse_certificate(text):
                 raise ValueError(f"{value!r} is not one of {', '.join(STATUSES)}")
             return value
 
-        sizes = indexed("image size ", int)
+        sizes = indexed("image size ", parse_int)
         return ProductCertificate(
             alphabet, subgroup_rows(), word, primes, carrier, perm_rows(carrier),
             one("status", status), sizes or None,
-            one("product size", int, required=False))
+            one("product size", parse_int, required=False))
     if kind == "factorization":
         subgroups = subgroup_rows()
         return FactorizationCertificate(alphabet, subgroups, word,
@@ -257,8 +258,9 @@ def _product_member(level, images, target, cap):
 
 def _point_image(group, point, word):
     """Where the word sends one point: its letters act on the right."""
+    perm = group._by_letter
     for l in word:
-        point = group.perm(l)[point]
+        point = perm[l][point]
     return point
 
 

@@ -27,26 +27,40 @@ class ExpansionEnumeration:
     complete: bool
 
 
-def _missing(graph):
-    """Per positive letter x, (x, vertices missing an outgoing x-edge,
-    vertices missing an incoming x-edge), both ascending; None unless the
-    graph is an immersion.
+def _letter_maps(graph):
+    """Per positive letter x, the partial maps of its edges, forward and
+    backward: out[s] = d and back[d] = s for each x-edge s -> d, -1 where
+    there is none; None unless the graph is an immersion.
 
     One pass over the edges: the graph is an immersion exactly when no two
     x-edges share a source or a target.
     """
     n = graph.num_vertices
-    letters = graph.alphabet.positive_letters()
-    has_out = [bytearray(n) for _ in letters]
-    has_in = [bytearray(n) for _ in letters]
+    maps = [([-1] * n, [-1] * n) for _ in graph.alphabet.positive_letters()]
     src = graph._src
     for s, d, x in zip(src[0::2], src[1::2], graph._label[0::2]):
-        outs, ins = has_out[x - 1], has_in[x - 1]
-        if outs[s] or ins[d]:
+        out, back = maps[x - 1]
+        if out[s] >= 0 or back[d] >= 0:
             return None
-        outs[s] = ins[d] = 1
-    return [(x, [v for v in range(n) if not outs[v]], [v for v in range(n) if not ins[v]])
-            for x, outs, ins in zip(letters, has_out, has_in)]
+        out[s] = d
+        back[d] = s
+    return maps
+
+
+def _gaps(partial):
+    """The points a partial map leaves undefined, ascending."""
+    return [v for v, image in enumerate(partial) if image < 0]
+
+
+def _missing(graph):
+    """Per positive letter x, (x, vertices missing an outgoing x-edge,
+    vertices missing an incoming x-edge), both ascending; None unless the
+    graph is an immersion."""
+    maps = _letter_maps(graph)
+    if maps is None:
+        return None
+    return [(x, _gaps(out), _gaps(back))
+            for x, (out, back) in zip(graph.alphabet.positive_letters(), maps)]
 
 
 def expand_to_cover(graph):
@@ -101,23 +115,38 @@ def transition_group(cover):
     connected covering this is F modulo the normal core of the cover's
     fundamental group; its action on the vertices is transitive.
 
-    One pass over the edges reads each letter's map.  The graph
-    is a covering exactly when every letter has one edge per vertex and
-    its targets are distinct, so each map is a permutation; it is
-    connected exactly when the group they generate is transitive.
+    One pass over the edges reads each letter's map.  The graph is a
+    covering exactly when it is an immersion whose maps are defined at
+    every vertex, so each map is a permutation; it is connected exactly
+    when the group they generate is transitive.
     """
     graph = cover.graph if isinstance(cover, CoveringExpansion) else cover
-    n = graph.num_vertices
-    perms = [[-1] * n for _ in graph.alphabet.positive_letters()]
-    counts = [0] * len(perms)
-    src = graph._src
-    for s, d, x in zip(src[0::2], src[1::2], graph._label[0::2]):
-        perms[x - 1][s] = d
-        counts[x - 1] += 1
-    for perm, count in zip(perms, counts):
-        if count != n or -1 in perm or len(set(perm)) != n:
-            raise ValueError("transition_group requires a covering")
-    group = XGroup(graph.alphabet, perms)
+    maps = _letter_maps(graph)
+    if maps is None or any(-1 in out for out, _ in maps):
+        raise ValueError("transition_group requires a covering")
+    group = XGroup(graph.alphabet, [out for out, _ in maps])
     if not group.is_transitive():
         raise ValueError("transition_group requires a connected covering")
     return group
+
+
+def _cover_group(graph):
+    """``transition_group(expand_to_cover(graph))`` for a connected
+    immersion, read without building the covering.
+
+    Each letter's map is completed as the expansion completes it: its
+    missing sources go to its missing targets, paired in id order.  The
+    expansion adds no vertex, so the covering of a connected immersion is
+    connected and the group is transitive by construction; the
+    constructions call this on the connected immersions they build, and
+    nothing is re-checked.
+    """
+    maps = _letter_maps(graph)
+    if maps is None:
+        raise ValueError("the covering expansion requires an immersion")
+    perms = []
+    for out, back in maps:
+        for s, d in zip(_gaps(out), _gaps(back)):
+            out[s] = d
+        perms.append(out)
+    return XGroup(graph.alphabet, perms)

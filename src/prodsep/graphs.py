@@ -16,6 +16,16 @@ check nothing.  They are private to the package, for graphs whose edges
 come from an already checked graph: a fold, an attached path, a covering
 expansion, a Cayley graph.
 
+Reading a word needs one table, the dart table (source vertex, signed
+letter) -> dart, which is the whole state of a fold (Touikan 2006).
+``out_dart``, ``trace`` and ``is_immersion`` read it: a graph is an
+immersion exactly when the table has one entry per dart.  The table is
+handed to ``_trusted`` by the Stallings reader, which builds it as it
+goes, or built once from the dart arrays, the least dart of each (vertex,
+letter) winning.  ``star``, which lists every dart of each pair, is for
+graphs that may not be immersions: folding, covering checks, spanning
+trees.
+
 Folding to an immersion (``fold_all_tracked``) is one union-find pass,
 near-linear in the size of the graph.  Subgroup graphs are built by
 reading words into an immersion (``stallings``), so this fold is the
@@ -49,15 +59,17 @@ class LabeledGraph:
         self._src = src
         self._label = label
         self._star = None
-        self._immersion = None
+        self._out = None
 
     @classmethod
-    def _trusted(cls, alphabet, num_vertices, src, label):
+    def _trusted(cls, alphabet, num_vertices, src, label, out=None):
         """A graph on the given dart arrays, unchecked.
 
         ``src[e]`` is the source and ``label[e]`` the signed label of dart e;
         darts 2k and 2k+1 are the two orientations of geometric edge k, the
-        even one positive.  The lists are kept, not copied.
+        even one positive.  ``out``, when given, is the graph's dart table,
+        (src[e], label[e]) -> e for every dart e, so the graph is an
+        immersion.  The lists and the table are kept, not copied.
         """
         g = cls.__new__(cls)
         g.alphabet = alphabet
@@ -65,7 +77,7 @@ class LabeledGraph:
         g._src = src
         g._label = label
         g._star = None
-        g._immersion = None
+        g._out = out
         return g
 
     def _extended(self, num_vertices, edges):
@@ -116,10 +128,18 @@ class LabeledGraph:
             self._star = star
         return self._star
 
+    def _dart_table(self):
+        """(vertex, signed letter) -> the least dart with that source and label."""
+        if self._out is None:
+            out = {}
+            for e, key in enumerate(zip(self._src, self._label)):
+                out.setdefault(key, e)
+            self._out = out
+        return self._out
+
     def out_dart(self, v, letter):
         """The unique dart at v with the given label, or None (immersions)."""
-        darts = self.star().get((v, letter))
-        return darts[0] if darts else None
+        return self._dart_table().get((v, letter))
 
     def rank(self):
         """Cycle rank |geometric edges| - |vertices| + 1 (connected graphs)."""
@@ -136,9 +156,7 @@ class LabeledGraph:
     # -- immersion / covering ----------------------------------------------
 
     def is_immersion(self):
-        if self._immersion is None:
-            self._immersion = all(len(darts) <= 1 for darts in self.star().values())
-        return self._immersion
+        return len(self._dart_table()) == len(self._src)
 
     def is_covering(self):
         star = self.star()
@@ -152,14 +170,15 @@ class LabeledGraph:
         """The unique path from v labeled by word, or None if it cannot be read."""
         if not self.is_immersion():
             raise ValueError("trace requires an immersion")
+        out, src = self._dart_table(), self._src
         darts = []
         cur = v
         for l in word:
-            d = self.out_dart(cur, l)
+            d = out.get((cur, l))
             if d is None:
                 return None
             darts.append(d)
-            cur = self.dst(d)
+            cur = src[d ^ 1]
         return Path(self, v, tuple(darts))
 
     # -- folding -------------------------------------------------------------

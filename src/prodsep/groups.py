@@ -33,6 +33,9 @@ class XGroup:
         self.carrier = n
         self._perms = tuple(fixed)
         self._inv = tuple(inv_perm(p) for p in fixed)
+        # signed letter -> its permutation, for reading words point by point
+        self._by_letter = {l: self._perms[l - 1] if l > 0 else self._inv[-l - 1]
+                           for l in alphabet.letters()}
         self._elements = None
 
     @property
@@ -40,7 +43,7 @@ class XGroup:
         return tuple(range(self.carrier))
 
     def perm(self, letter):
-        return self._perms[letter - 1] if letter > 0 else self._inv[-letter - 1]
+        return self._by_letter[letter]
 
     def mult(self, a, b):
         """Apply a, then b."""
@@ -126,13 +129,16 @@ def diagonal_subgroup(groups):
     """The subgroup of the direct product generated letterwise.
 
     Acts on the disjoint union of the carriers; the letter x acts as each
-    group's x-generator on its own block.
+    group's x-generator on its own block.  The diagonal of one group is
+    that group itself.
     """
     if not groups:
         raise ValueError("need at least one group")
     alphabet = groups[0].alphabet
     if any(g.alphabet != alphabet for g in groups):
         raise ValueError("groups must share the alphabet")
+    if len(groups) == 1:
+        return groups[0]
     perms = []
     for x in alphabet.positive_letters():
         block = []
@@ -169,9 +175,9 @@ def fmt_perm(p):
 
 
 def parse_perm(text, n):
-    """Parse cycle notation into an image tuple on 0..n-1."""
+    """Parse cycle notation, points in ASCII digits, into an image tuple on 0..n-1."""
     text = text.strip()
-    if not re.fullmatch(r"(\(\s*(\d+(\s+\d+)*)?\s*\)\s*)+", text):
+    if not re.fullmatch(r"(\(\s*([0-9]+(\s+[0-9]+)*)?\s*\)\s*)+", text):
         raise ValueError(f"malformed permutation {text!r}")
     # cycles compose left to right; where[v] is the point now sent to v
     out = list(range(n))

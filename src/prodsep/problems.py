@@ -71,14 +71,29 @@ def convert(line_no, key, value, parse):
         raise ProblemParseError(line_no, f"bad {key}: {exc}") from None
 
 
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text):
+    """An integer in ASCII digits, with an optional sign.
+
+    ``int`` alone also reads the decimal digits of other scripts, which no
+    emitted file contains.
+    """
+    text = text.strip()
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def parse_integers(text):
     """Comma-separated integers; empty items are skipped."""
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    return tuple(parse_int(tok) for tok in text.split(",") if tok.strip())
 
 
 def parse_carrier(text):
     """A carrier size in 0..DEFAULT_CAP, checked before any point is allocated."""
-    n = int(text)
+    n = parse_int(text)
     if not 0 <= n <= DEFAULT_CAP:
         raise ValueError(f"{text} is not in 0..{DEFAULT_CAP}")
     return n

@@ -31,13 +31,14 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .certificates import FactorizationCertificate, HallCertificate, ProductCertificate
-from .covers import expand_to_cover, transition_group
+from .certificates import (FactorizationCertificate, HallCertificate, ProductCertificate,
+                           _point_image)
+from .covers import _cover_group
 from .errors import CapExceeded, InternalInvariantError, WordInSubgroup
 from .extensions import ExtensionChain
 from .graphs import reduce_path
 from .groups import DEFAULT_CAP, XGroup, closure, diagonal_subgroup
-from .stallings import attach_word, contains, stallings_graph
+from .stallings import _attach, _read_graph, contains
 from .words import free_reduce, invert, is_reduced, letter_sort_key
 
 
@@ -612,6 +613,13 @@ class _Context:
 
 
 def _build_context(alphabet, subgroups, word, primes):
+    """S(H_i), the word attached to S(H_n), and the chain over the diagonal
+    of the covers' transition groups.
+
+    Every generator and the word are free-reduced once, here; the readers
+    take the reduced words, and the groups are read from the package's own
+    connected immersions without the public checks (``covers._cover_group``).
+    """
     n = len(subgroups)
     if n < 1:
         raise ValueError("need at least one subgroup")
@@ -622,12 +630,12 @@ def _build_context(alphabet, subgroups, word, primes):
     primes = tuple(primes)
     if len(primes) != n - 1:
         raise ValueError(f"need {n - 1} primes for {n} subgroups, got {len(primes)}")
-    pointed = tuple(stallings_graph(alphabet, gens) for gens in subgroups)
-    attached = attach_word(pointed[-1], word)
+    pointed = tuple(_read_graph(alphabet, gens) for gens in subgroups)
+    attached = _attach(pointed[-1], word)
     gammas = tuple(h.graph for h in pointed[:-1]) + (attached.graph,)
     starts = tuple(h.base for h in pointed[:-1]) + (attached.omega,)
     ends = tuple(h.base for h in pointed[:-1]) + (attached.alpha,)
-    groups = tuple(transition_group(expand_to_cover(g)) for g in gammas)
+    groups = tuple(_cover_group(g) for g in gammas)
     chain = ExtensionChain(diagonal_subgroup(groups), primes)
     return _Context(alphabet, subgroups, word, pointed, attached, gammas,
                     starts, ends, chain)
@@ -652,16 +660,9 @@ def hall_separator(alphabet, generators, word):
     if ctx.attached.alpha == base:
         raise WordInSubgroup("the word lies in the subgroup; nothing separates it")
     group = ctx.chain.top
-
-    def image_of_base(word):
-        point = base
-        for l in word:
-            point = group.perm(l)[point]
-        return point
-
-    if image_of_base(ctx.word) == base:
+    if _point_image(group, base, ctx.word) == base:
         raise InternalInvariantError("word image fixes the base vertex")
-    if any(image_of_base(g) != base for g in ctx.subgroups[0]):
+    if any(_point_image(group, base, g) != base for g in ctx.subgroups[0]):
         raise InternalInvariantError("a generator image moves the base vertex")
     return HallCertificate(alphabet, ctx.subgroups[0], ctx.word, group.carrier, base,
                            _perms(group))

@@ -11,6 +11,14 @@ cycles of it and of every later generator are appended and
 ``LabeledGraph.fold_all_tracked`` folds once.  ``attach_word`` reads the
 same way.  The result is always the graph the wedge's fold gives
 (``build_wedge``), which the tests keep as the oracle.
+
+The reader's state is the dart table, (vertex, signed letter) -> the dart
+leaving the vertex with that label.  A graph the reader builds keeps its
+table (``LabeledGraph._trusted``), so reading the word into it for
+``attach_word``, and every later ``trace``, looks darts up in that table
+and lists no star.  The public entries free-reduce their words; the
+constructions, which reduce every word once up front, call the readers
+``_read_graph`` and ``_attach`` on reduced words directly.
 """
 
 from dataclasses import dataclass
@@ -94,7 +102,13 @@ def build_wedge(alphabet, words):
 
 
 def stallings_graph(alphabet, generators):
-    """S(H), built by reading each generator into the immersion built so far.
+    """S(H) for H generated by the generators, based at vertex 0: the reduced
+    generators read by ``_read_graph``."""
+    return _read_graph(alphabet, [free_reduce(g) for g in generators])
+
+
+def _read_graph(alphabet, words):
+    """S(H) for reduced generators, read one by one into the immersion so far.
 
     A reduced cycle glued at the base folds only where it meets the graph
     (Stallings 1983), so a generator w is read forward from the base as far
@@ -118,16 +132,11 @@ def stallings_graph(alphabet, generators):
     base (vertex 0) of ``build_wedge(...).fold_all_tracked()``: the same
     vertex ids, edge order and orientations.
     """
-    words = []
-    seen = set()
-    for g in generators:
-        w = free_reduce(g)
-        if w and w not in seen:  # trivial and duplicate generators are inert
-            _check_letters(alphabet, w)
-            seen.add(w)
-            words.append(w)
+    words = [w for w in dict.fromkeys(words) if w]  # trivial and duplicate words are inert
+    for w in words:
+        _check_letters(alphabet, w)
     src, label = [], []
-    out = {}  # (vertex, signed letter) -> the dart leaving the vertex
+    out = {}  # the dart table: (vertex, signed letter) -> the dart leaving the vertex
     nv = 1
     for i, w in enumerate(words):
         r, u = 0, 0
@@ -161,7 +170,7 @@ def stallings_graph(alphabet, generators):
             u = nv
             nv += 1
         _add_edge(src, label, out, u, v, w[s - 1])
-    return PointedImmersion(LabeledGraph._trusted(alphabet, nv, src, label), 0)
+    return PointedImmersion(LabeledGraph._trusted(alphabet, nv, src, label, out), 0)
 
 
 def contains(h, word):
@@ -171,7 +180,13 @@ def contains(h, word):
 
 
 def attach_word(h, word):
-    """Glue a fresh path labeled by the word so it ends at the base, then fold.
+    """Glue a fresh path labeled by the word so it ends at the base, then fold:
+    the reduced word read by ``_attach``."""
+    return _attach(h, free_reduce(word))
+
+
+def _attach(h, w):
+    """attach_word for a reduced word w: read, not folded.
 
     The graph of h must be an immersion, and the glued path is reduced, so
     every fold happens where the path meets the graph: its last letters
@@ -186,18 +201,18 @@ def attach_word(h, word):
     and no two vertices of the immersion ever meet.
     """
     g = h.graph
-    w = free_reduce(word)
     _check_letters(g.alphabet, w)
     if not g.is_immersion():
         raise ValueError("attach_word requires an immersion")
+    out, src = g._dart_table(), g._src
     # read invert(w) from the base: w[k:] folds onto the graph, ending at cur
     k, cur = len(w), h.base
     while k:
-        d = g.out_dart(cur, -w[k - 1])
+        d = out.get((cur, -w[k - 1]))
         if d is None:
             break
         k -= 1
-        cur = g.dst(d)
+        cur = src[d ^ 1]
     if not k:
         return AttachedImmersion(g, h.base, cur)
     nv = g.num_vertices

@@ -28,8 +28,11 @@ class Alphabet:
         if len(set(symbols)) != len(symbols):
             raise ValueError(f"generator symbols must be distinct, got {''.join(symbols)!r}")
         self.symbols = symbols
-        self._index = {s: i for i, s in enumerate(symbols)}
         self._letters = tuple(l for i in range(len(symbols)) for l in (i + 1, -(i + 1)))
+        # the text encoding, both ways: exactly these characters are letters
+        self._char = {l: symbols[abs(l) - 1] if l > 0 else symbols[abs(l) - 1].upper()
+                      for l in self._letters}
+        self._letter = {c: l for l, c in self._char.items()}
 
     @property
     def size(self):
@@ -44,28 +47,27 @@ class Alphabet:
 
     def letter(self, char):
         """Letter for one text character (case encodes the sign)."""
-        low = char.lower()
-        if low not in self._index:
-            raise ValueError(f"unknown generator symbol {char!r}")
-        idx = self._index[low] + 1
-        return idx if char.islower() else -idx
+        try:
+            return self._letter[char]
+        except KeyError:
+            raise ValueError(f"unknown generator symbol {char!r}") from None
 
     def parse(self, text):
         """Parse a word from its text encoding ('1' is the empty word)."""
         text = text.strip()
         if text == "1" or text == "":
             return ()
-        return tuple(self.letter(c) for c in text)
+        try:
+            return tuple(map(self._letter.__getitem__, text))
+        except KeyError as exc:
+            raise ValueError(f"unknown generator symbol {exc.args[0]!r}") from None
 
     def format(self, word):
         """Inverse of parse."""
         if not word:
             return "1"
-        chars = []
-        for l in word:
-            s = self.symbols[abs(l) - 1]
-            chars.append(s if l > 0 else s.upper())
-        return "".join(chars)
+        char = self._char
+        return "".join([char[l] for l in word])
 
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.symbols == other.symbols

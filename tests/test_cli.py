@@ -378,8 +378,8 @@ class TestCliCommands:
             folds.append(1)
             return fold(self, *args, **kwargs)
 
-        for module in (cli, separators):
-            monkeypatch.setattr(module, "stallings_graph", built)
+        monkeypatch.setattr(cli, "stallings_graph", built)
+        monkeypatch.setattr(separators, "_read_graph", built)  # the construction's reader
         monkeypatch.setattr(LabeledGraph, "fold_all_tracked", folded)
         assert main(["separate", "hall", hall_file]) == 0
         assert len(builds) == 1  # S(H) once; attaching the word reads
@@ -435,6 +435,42 @@ class TestCliCommands:
         capsys.readouterr()
         assert main(["verify", str(cert)]) == 3
         assert f"line {line_no}: bad carrier: " in capsys.readouterr().err
+
+    def test_verify_non_ascii_digits_are_input_errors(self, tmp_path, capsys):
+        # int() reads ARABIC-INDIC digits; no emitted certificate contains them
+        hall = emit_certificate(
+            hall_separator(A, [A.parse("xyXY"), A.parse("yy")], A.parse("xyX")))
+        product = emit_certificate(
+            product_separator(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xy")))
+        edits = [(hall, "perm x: (0 1)(2 3)(4 5)", "perm x: (0 1)(2 3)(4 \u0663)"),
+                 (hall, "base: 0", "base: \u0660"),
+                 (hall, "carrier: 6", "carrier: \u0666"),
+                 (product, "primes: 2", "primes: \u0662"),
+                 (product, "image size 1: 2", "image size 1: \u0662"),
+                 (product, "product size: 4", "product size: \u0664"),
+                 (product, "subgroup H1:", "subgroup H\u0661:")]
+        cert = tmp_path / "digits.cert"
+        for text, old, new in edits:
+            assert old in text
+            cert.write_text(text, encoding="utf-8")
+            assert main(["verify", str(cert)]) == 0
+            line_no = text.splitlines().index(next(
+                l for l in text.splitlines() if l.startswith(old))) + 1
+            cert.write_text(text.replace(old, new), encoding="utf-8")
+            capsys.readouterr()
+            assert main(["verify", str(cert)]) == 3, new
+            assert f"line {line_no}: " in capsys.readouterr().err
+
+    def test_kelvin_sign_is_an_input_error(self, tmp_path, capsys):
+        # KELVIN SIGN lowercases to k
+        path = tmp_path / "kelvin.txt"
+        path.write_text("alphabet: kx\nH1: kx\n", encoding="utf-8")
+        assert main(["stallings", "member", str(path), "kx"]) == 0
+        capsys.readouterr()
+        assert main(["stallings", "member", str(path), "\u212ax"]) == 3
+        assert "unknown generator symbol" in capsys.readouterr().err
+        path.write_text("alphabet: kx\nH1: \u212ax\n", encoding="utf-8")
+        assert main(["stallings", "member", str(path), "kx"]) == 3
 
     def test_three_factor_product_cap_is_partial(self, tmp_path, capsys):
         # the meet-in-the-middle product set outgrows the cap although

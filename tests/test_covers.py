@@ -5,7 +5,13 @@ import time
 
 import pytest
 
-from prodsep.covers import _missing, enumerate_expansions, expand_to_cover, transition_group
+from prodsep.covers import (
+    _cover_group,
+    _missing,
+    enumerate_expansions,
+    expand_to_cover,
+    transition_group,
+)
 from prodsep.graphs import LabeledGraph
 from prodsep.stallings import attach_word, stallings_graph
 from prodsep.words import Alphabet
@@ -229,6 +235,7 @@ class TestCoverArraysAgainstStar:
                     for x in alphabet.positive_letters():
                         assert group.perm(x) == tuple(c.dst(c.out_dart(v, x))
                                                       for v in range(c.num_vertices))
+                    assert _cover_group(g)._perms == group._perms
 
     def test_random_graphs(self):
         rng = random.Random(47)
@@ -244,6 +251,8 @@ class TestCoverArraysAgainstStar:
                 else:
                     with pytest.raises(ValueError, match="requires an immersion"):
                         expand_to_cover(g)
+                    with pytest.raises(ValueError, match="requires an immersion"):
+                        _cover_group(g)
         assert immersions >= 100 and 800 - immersions >= 100
 
 

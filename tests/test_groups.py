@@ -119,6 +119,7 @@ class TestCayleyGraph:
 class TestDiagonal:
     def test_single_group_is_itself(self):
         d = diagonal_subgroup([KLEIN])
+        assert d is KLEIN
         assert d.order() == KLEIN.order()
 
     def test_two_copies_stay_diagonal(self):

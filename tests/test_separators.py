@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 import time
 from functools import reduce
 from operator import mul
@@ -17,9 +18,11 @@ from prodsep.certificates import (
     parse_certificate,
     verify_certificate,
 )
+from prodsep.covers import expand_to_cover, transition_group
 from prodsep.errors import CapExceeded, InternalInvariantError
 from prodsep.extensions import ExtensionChain, ExtensionLevel, iterated_extension
-from prodsep.groups import XGroup
+from prodsep.graphs import LabeledGraph
+from prodsep.groups import XGroup, diagonal_subgroup
 from prodsep.rational import member_product
 from prodsep.separators import (
     FactorizeStats,
@@ -34,7 +37,7 @@ from prodsep.separators import (
     span_of,
     trace_cayley,
 )
-from prodsep.stallings import contains, stallings_graph
+from prodsep.stallings import attach_word, contains, stallings_graph
 from prodsep.words import Alphabet, free_reduce, invert
 from tests.helpers import kernel_loop_word, two_ended_image_structure
 
@@ -125,6 +128,72 @@ class TestHallSeparator:
             w = random_reduced(rng, 0, 12)
             point = rng.randrange(group.carrier)
             assert _point_image(group, point, w) == group.evaluate(w)[point]
+
+
+def hall_pool(rng, count):
+    """Instances shaped like the hall benchmark: three generators sharing a
+    48-letter prefix, and non-member products of one to three of them whose
+    first letters are redrawn."""
+    prefix = random_reduced(rng, 48, 48)
+    gens = [prefix + random_reduced(rng, n, n) for n in (24, 32, 40)]
+    h = stallings_graph(A, gens)
+    pool = []
+    while len(pool) < count:
+        w = subgroup_word(rng, gens)
+        w = free_reduce(random_reduced(rng, 1, 4) + w[rng.randint(1, 4):])
+        if w and not contains(h, w):
+            pool.append((gens, w))
+    return pool
+
+
+class TestContextAgainstPublicPath:
+    """_build_context reads reduced words and its own immersions without the
+    public entries' reductions and checks, and gets what they give."""
+
+    def test_level_zero_is_the_public_diagonal(self):
+        rng = random.Random(73)
+        for n in (1, 2, 3):
+            for _ in range(80):
+                subgroups = [random_gens(rng, max_len=8) for _ in range(n)]
+                w = random_reduced(rng, 0, 10)
+                ctx = _build_context(A, subgroups, w, None)
+                graphs = [stallings_graph(A, gens).graph for gens in subgroups[:-1]]
+                graphs.append(attach_word(stallings_graph(A, subgroups[-1]), w).graph)
+                expected = diagonal_subgroup(
+                    [transition_group(expand_to_cover(g)) for g in graphs])
+                got = ctx.chain.levels[0]
+                assert (got.carrier, got._perms) == (expected.carrier, expected._perms)
+
+    def test_hall_lists_no_star_checks_no_orbit_and_reduces_once(self, monkeypatch):
+        pool = hall_pool(random.Random(102), 40)
+        calls = {"star": 0, "is_transitive": 0, "free_reduce": 0}
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(LabeledGraph, "star", counted("star", LabeledGraph.star))
+        monkeypatch.setattr(XGroup, "is_transitive",
+                            counted("is_transitive", XGroup.is_transitive))
+        reduce_word = counted("free_reduce", free_reduce)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("prodsep") and hasattr(module, "free_reduce"):
+                monkeypatch.setattr(module, "free_reduce", reduce_word)
+        for gens, w in pool:
+            calls["free_reduce"] = 0
+            cert = hall_separator(A, gens, w)
+            assert calls["free_reduce"] == len(gens) + 1  # each input word once
+            assert cert.word == free_reduce(w)
+        assert (calls["star"], calls["is_transitive"]) == (0, 0)
+
+    def test_public_transition_group_still_checks_connectedness(self):
+        two_roses = LabeledGraph(A, 2, [(0, 0, 1), (0, 0, 2), (1, 1, 1), (1, 1, 2)])
+        with pytest.raises(ValueError, match="requires a connected covering"):
+            transition_group(two_roses)
+        with pytest.raises(ValueError, match="requires a connected covering"):
+            transition_group(expand_to_cover(LabeledGraph(A, 2, [])))
 
 
 class TestProjectPath:

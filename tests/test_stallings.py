@@ -135,6 +135,64 @@ class TestReadAgainstFold:
         assert_same_graph(h, folded_wedge(A, gens))
 
 
+def assert_table_agrees_with_star(g):
+    """The dart table answers out_dart exactly as the star lists the darts."""
+    star = g.star()
+    assert all(len(darts) == 1 for darts in star.values())
+    for v in range(g.num_vertices):
+        for l in g.alphabet.letters():
+            darts = star.get((v, l))
+            assert g.out_dart(v, l) == (darts[0] if darts else None)
+
+
+class TestDartTable:
+    """The reader hands its (vertex, letter) -> dart table to the graph."""
+
+    def test_reader_table_agrees_with_star(self, monkeypatch):
+        folds = []
+        fold = LabeledGraph.fold_all_tracked
+        monkeypatch.setattr(LabeledGraph, "fold_all_tracked",
+                            lambda self: folds.append(1) or fold(self))
+        rng = random.Random(23)
+        handed = fallback = 0
+        for alphabet in (A, Alphabet("xyz")):
+            for _ in range(400):
+                gens = random_generators(rng, alphabet)
+                h = stallings_graph(alphabet, gens)
+                if folds:
+                    fallback += 1
+                    folds.clear()
+                else:
+                    # the graph keeps the reader's table, not one built anew
+                    assert h.graph._out is not None
+                    handed += 1
+                assert h.graph.is_immersion()
+                assert_table_agrees_with_star(h.graph)
+                for _ in range(3):
+                    att = attach_word(h, random_word(rng, 10, alphabet))
+                    assert att.graph.is_immersion()
+                    assert_table_agrees_with_star(att.graph)
+        assert handed >= 100 and fallback >= 50
+
+    def test_table_of_a_non_immersion_keeps_the_least_dart(self):
+        g = LabeledGraph(A, 3, [(0, 1, 1), (0, 2, 1), (2, 0, 2)])
+        assert not g.is_immersion()
+        for (v, l), darts in g.star().items():
+            assert g.out_dart(v, l) == darts[0]
+        assert g.out_dart(1, 2) is None
+
+    def test_reading_lists_no_star(self, monkeypatch):
+        def star(self):
+            raise AssertionError("star listed")
+
+        h = stallings_graph(A, [A.parse("xyXY"), A.parse("yy")])
+        monkeypatch.setattr(LabeledGraph, "star", star)
+        att = attach_word(h, A.parse("xyX"))
+        assert contains(h, A.parse("yyxyXY")) and not contains(h, A.parse("xyX"))
+        assert att.alpha != att.omega
+        assert att.graph.trace(att.alpha, A.parse("xyX")).end == att.omega
+
+
 class TestContains:
     def test_generator_and_identity(self):
         h = stallings_graph(A, [A.parse("xyXY"), A.parse("yy")])

@@ -24,6 +24,22 @@ def test_parse_rejects_unknown_symbols():
         Alphabet("x").parse("y")
 
 
+def test_only_the_symbols_and_their_ascii_capitals_are_letters():
+    # KELVIN SIGN lowercases to k, but no text this package writes contains it
+    B = Alphabet("kxy")
+    assert B.parse("Kkx") == (-1, 1, 2)
+    for text in ["\u212ax", "x\u212a"]:
+        with pytest.raises(ValueError, match="unknown generator symbol '\u212a'"):
+            B.parse(text)
+    with pytest.raises(ValueError, match="unknown generator symbol"):
+        B.letter("\u212a")
+
+
+@hypothesis.given(words)
+def test_format_parse_round_trip(w):
+    assert A.parse(A.format(w)) == w
+
+
 def test_alphabet_validation():
     with pytest.raises(ValueError):
         Alphabet("")
