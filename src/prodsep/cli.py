@@ -18,6 +18,7 @@ from .problems import (
     ProblemParseError,
     format_group_spec,
     parse_group_spec,
+    parse_int,
     parse_integers,
     parse_problem,
     parse_words,
@@ -235,22 +236,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(low, what):
-    """An argparse type: an integer of at least low (0 or 1).  argparse's
-    message names the flag."""
+def _integer(what, low=None):
+    """An argparse type: an integer in ASCII digits, at least low when given
+    (0 or 1).  argparse's message names the flag."""
     def parse(text):
         try:
-            value = int(text)
+            value = parse_int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
-        if value < low:
+        if low is not None and value < low:
             bound = "positive" if low else "non-negative"
             raise argparse.ArgumentTypeError(f"{what} must be {bound}, got {value}")
         return value
     return parse
 
 
-_cap = _int_at_least(1, "cap")
+_cap = _integer("cap", 1)
 
 
 def build_parser():
@@ -306,10 +307,10 @@ def build_parser():
     p.set_defaults(func=cmd_ext_eval)
     p = ex.add_parser("check-star", help="spot-check the traversal identity")
     p.add_argument("spec")
-    p.add_argument("--prime", type=int, default=2)
-    p.add_argument("--count", type=_int_at_least(1, "count"), default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len", type=_int_at_least(0, "length"), default=20)
+    p.add_argument("--prime", type=_integer("prime"), default=2)
+    p.add_argument("--count", type=_integer("count", 1), default=100)
+    p.add_argument("--seed", type=_integer("seed"), default=0)
+    p.add_argument("--max-len", type=_integer("length", 0), default=20)
     p.set_defaults(func=cmd_ext_check_star)
 
     # separate

@@ -10,9 +10,11 @@ An edge key (h, x) names the positive Cayley edge from h to h*x; the group
 acts on keys by left translation.  Element arithmetic is symbolic
 throughout -- materializing the extension is a separate, capped operation,
 because iterated extensions explode while their individual elements stay
-small.  A word is evaluated in place, not letter by letter through
-``mult``: each letter's generator vector, translated by the running
-element one level down, is added into one vector, sorted once at the end.
+small.  Walks by letters never take a general product: by the definition
+of ``gen``, a generator is one Cayley edge one level down, so ``step``
+multiplies by it by changing one coefficient of the sorted vector and
+stepping once below, and ``evaluate`` adds one edge per letter into one
+vector, sorted once at the end.
 
 The load-bearing identity (tested, and used by the separator machinery):
 the value of a word w at an extension level equals (sum of the signed
@@ -22,6 +24,7 @@ graph one level down.
 """
 
 import math
+from bisect import bisect_left
 
 from .errors import CapExceeded
 from .groups import DEFAULT_CAP, closure
@@ -31,8 +34,8 @@ class ExtensionLevel:
     """The universal p-elementary extension of the level below.
 
     The level below is an ``XGroup`` (level 0 of a chain) or another
-    extension; both offer identity, gen, mult, inv, evaluate, order and
-    elements.
+    extension; both offer identity, gen, step, mult, inv, evaluate, order
+    and elements.
     """
 
     def __init__(self, below, prime):
@@ -78,21 +81,56 @@ class ExtensionLevel:
         acc = {(self.below.mult(gi, src), x): (-c) % self.prime for (src, x), c in v}
         return (tuple(sorted(acc.items())), gi)
 
-    def evaluate(self, word):
-        """The product of the letters' generators, accumulated in place."""
+    def step(self, a, letter):
+        """a times the letter's generator, which is one Cayley edge below.
+
+        The generator x is (edge (1, x) with coefficient 1, x), and x^-1 is
+        (edge (x^-1, x) with coefficient -1, x^-1).  Translated by a's
+        element g below, x adds +1 at the key (g, x) and x^-1 adds -1 at
+        (g * x^-1, x); so one coefficient of the sorted vector changes, at
+        the place bisect finds, and g steps once below.
+        """
+        vec, g = a
         below = self.below
+        if letter > 0:
+            key, c, g = (g, letter), 1, below.step(g, letter)
+        else:
+            g = below.step(g, letter)
+            key, c = (g, -letter), self.prime - 1
+        # (key,) sorts just before the item (key, coefficient)
+        i = bisect_left(vec, (key,))
+        if i < len(vec) and vec[i][0] == key:
+            n = (vec[i][1] + c) % self.prime
+            tail = vec[i + 1:]
+        else:
+            n = c
+            tail = vec[i:]
+        if n:
+            return (vec[:i] + ((key, n),) + tail, g)
+        return (vec[:i] + tail, g)
+
+    def evaluate(self, word):
+        """The product of the letters' generators: one step below per letter.
+
+        Each letter adds its single edge (see ``step``) to one vector,
+        which is sorted once at the end.
+        """
+        below = self.below
+        minus = self.prime - 1
         acc = {}
         cur = below.identity
         for l in word:
-            vec, g = self.gen(l)
-            for (src, x), c in vec:
-                key = (below.mult(cur, src), x)
-                n = (acc.get(key, 0) + c) % self.prime
-                if n:
-                    acc[key] = n
-                elif key in acc:
-                    del acc[key]
-            cur = below.mult(cur, g)
+            if l > 0:
+                key, c = (cur, l), 1
+                cur = below.step(cur, l)
+            else:
+                cur = below.step(cur, l)
+                key, c = (cur, -l), minus
+            n = (acc.get(key, 0) + c) % self.prime
+            if n:
+                acc[key] = n
+            elif key in acc:
+                del acc[key]
         return (tuple(sorted(acc.items())), cur)
 
     def order(self, cap=DEFAULT_CAP):

@@ -57,11 +57,15 @@ class XGroup:
     def gen(self, letter):
         return self.perm(letter)
 
+    def step(self, a, letter):
+        """a times the letter's generator: one edge of the Cayley graph."""
+        return self.mult(a, self._by_letter[letter])
+
     def evaluate(self, word):
         """The value of the word: the product of its letter permutations."""
         out = self.identity
         for l in word:
-            out = self.mult(out, self.perm(l))
+            out = self.step(out, l)
         return out
 
     def elements(self, cap=DEFAULT_CAP):
@@ -99,7 +103,7 @@ def cayley_graph(level, cap=DEFAULT_CAP):
     src, label = [], []
     for i, e in enumerate(elems):
         for x in level.alphabet.positive_letters():
-            src += (i, index[level.mult(e, level.gen(x))])
+            src += (i, index[level.step(e, x)])
             label += (x, -x)
     graph = LabeledGraph._trusted(level.alphabet, len(elems), src, label)
     return CayleyGraph(graph, 0, tuple(elems))

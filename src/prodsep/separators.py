@@ -79,7 +79,7 @@ def trace_cayley(level, start, word):
     vertices = [start]
     cur = start
     for l in word:
-        cur = level.mult(cur, level.gen(l))
+        cur = level.step(cur, l)
         vertices.append(cur)
     return CayleyPath(level, start, tuple(word), tuple(vertices))
 
@@ -739,12 +739,8 @@ def factorize(alphabet, subgroups, word, seeds=None, primes=None,
         seeds = _search_seeds(ctx, cap, stats)
         if seeds is None:
             return None
-    else:
-        img = top.identity
-        for s in seeds:
-            img = top.mult(img, top.evaluate(s))
-        if img != top.evaluate(w):
-            raise ValueError("seed product does not match the word in the quotient")
+    elif top.evaluate(sum(seeds, ())) != top.evaluate(w):
+        raise ValueError("seed product does not match the word in the quotient")
     items = []
     for i in range(n - 1):
         path = ctx.gammas[i].trace(ctx.starts[i], seeds[i])

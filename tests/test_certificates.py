@@ -4,14 +4,16 @@ The oracle is `tests.helpers.enumerated_claims`, which lists every image
 as `verify` still does for three factors.
 """
 
+import ast
 import dataclasses
 import inspect
 import random
 import time
+from pathlib import Path
 
 import pytest
 
-from prodsep import separators
+from prodsep import certificates, separators
 from prodsep.certificates import (
     ProductCertificate,
     _decimal,
@@ -256,7 +258,6 @@ class TestIndependence:
                 raise AssertionError(f"verify called {name}")
             return call
 
-        from prodsep import certificates
         for name, value in vars(certificates).items():
             assert getattr(value, "__module__", None) != separators.__name__, name
         for name, fn in vars(separators).items():
@@ -276,3 +277,16 @@ class TestIndependence:
         assert kinds == [(2, "excluded", 4), (2, "member", 8), (1, "excluded", 2),
                          (1, "member", 2), (2, "excluded", 768), (3, "member", None),
                          (3, "excluded", None), (3, "excluded", 344)]
+
+    def test_the_verifier_imports_nothing_from_the_construction(self):
+        # the verifier's route is its own: no import of separators, in any form
+        tree = ast.parse(Path(certificates.__file__).read_text())
+        sources = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                sources |= {module} | {f"{module}.{a.name}" for a in node.names}
+            elif isinstance(node, ast.Import):
+                sources |= {a.name for a in node.names}
+        assert ".errors" in sources  # the walk sees the relative imports
+        assert not {s for s in sources if s.split(".")[-1] == "separators"}

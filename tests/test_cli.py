@@ -543,6 +543,29 @@ class TestCliCommands:
         out, err = capsys.readouterr()
         assert out == "" and "error:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["separate", "product", "FILE", "--cap", "١٠٠"],
+        ["factorize", "FILE", "--cap", "١٠٠"],
+        ["verify", "FILE", "--cap", "١٠٠"],
+        ["cover", "expand", "FILE", "--cap", "١٠٠"],
+        ["cover", "group", "FILE", "--cap", "١٠٠"],
+        ["group", "cayley", "SPEC", "--cap", "١٠٠"],
+        ["ext", "check-star", "SPEC", "--prime", "٣"],
+        ["ext", "check-star", "SPEC", "--count", "٣"],
+        ["ext", "check-star", "SPEC", "--seed", "٣"],
+        ["ext", "check-star", "SPEC", "--max-len", "٣"],
+    ], ids=lambda argv: "-".join(argv[:2] + [argv[-2]]))
+    def test_integer_flags_read_ascii_digits_only(self, product_file, tmp_path, argv,
+                                                  capsys):
+        # int() reads ARABIC-INDIC digits: --cap ١٠٠ ran with cap 100
+        spec = tmp_path / "spec.txt"
+        spec.write_text(format_group_spec(XGroup(A, [(1, 0), (0, 1)])))
+        subs = {"FILE": product_file, "SPEC": str(spec)}
+        flag = argv[-2]
+        assert main([subs.get(a, a) for a in argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {flag}: invalid" in err
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert main(["separate", "product", "--help"]) == 0

@@ -108,24 +108,49 @@ class TestTraversalIdentity:
             assert ext.evaluate(w) == traversal_element(ext, w)
 
     def test_evaluate_matches_the_group_law_at_levels_one_and_two(self):
-        # evaluate accumulates in place; the letter-by-letter product
-        # through mult is the reference, on empty, inverse-letter and
-        # unreduced words
+        # evaluate and step (one generator edge, no general product) both
+        # have the letter-by-letter product through mult as their reference,
+        # on empty, inverse-letter and unreduced words, at every level
         rng = random.Random(113)
         letters = A.letters()
         checked = set()
         for _ in range(30):
             group = random_cover_group(rng, max_order=12)
             primes = tuple(rng.choice([2, 3, 5]) for _ in range(rng.randint(1, 2)))
-            level = iterated_extension(group, primes).top
+            levels = iterated_extension(group, primes).levels
             words = [(), (-1,), (-2, -2), (1, -1, 2, 2, -2)]
             words += [tuple(rng.choice(letters) for _ in range(rng.randrange(25)))
                       for _ in range(8)]
             for w in words:
-                product = functools.reduce(level.mult, map(level.gen, w), level.identity)
-                assert level.evaluate(w) == product
-            checked.add(len(primes))
-        assert checked == {1, 2}
+                product = functools.reduce(levels[-1].mult, map(levels[-1].gen, w),
+                                           levels[-1].identity)
+                assert levels[-1].evaluate(w) == product
+            for m, level in enumerate(levels):
+                for w in words[-3:]:
+                    a = functools.reduce(level.mult, map(level.gen, w), level.identity)
+                    for l in letters:
+                        b = level.step(a, l)
+                        assert b == level.mult(a, level.gen(l))
+                        # the step back cancels the edge it added
+                        assert level.step(b, -l) == level.mult(b, level.gen(-l)) == a
+                checked.add((m, primes[m - 1] if m else None))
+            # p crossings of each edge of an l-cycle below, coefficients
+            # cancelling on the way, bring the top element back
+            top, below = levels[-1], levels[-2]
+            a = top.evaluate(words[-1])
+            for l in letters:
+                g, k = below.step(a[1], l), 1
+                while g != a[1]:
+                    g, k = below.step(g, l), k + 1
+                b = a
+                for _ in range(k * top.prime):
+                    nxt = top.step(b, l)
+                    assert nxt == top.mult(b, top.gen(l))
+                    b = nxt
+                assert b == a
+        assert {m for m, _ in checked} == {0, 1, 2}
+        assert {p for m, p in checked if m == 1} == {2, 3, 5}
+        assert {p for m, p in checked if m == 2} == {2, 3, 5}
 
     def test_well_defined_under_free_reduction(self):
         rng = random.Random(103)

@@ -432,6 +432,26 @@ class TestFactorize:
             factorize(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xxyy"),
                       seeds=[A.parse("xxxx"), A.parse("yy")])
 
+    def test_three_seeds_checked_at_the_top_level(self):
+        # the middle seed times a subgroup loop trivial at level 1 but not
+        # at level 2: only the top of the chain tells the products apart
+        H = [[A.parse("xx"), A.parse("y")], [A.parse("yy"), A.parse("x")],
+             [A.parse("x"), A.parse("y")]]
+        parts = [A.parse("xxy"), A.parse("xyy"), A.parse("yx")]
+        w = free_reduce(parts[0] + parts[1] + parts[2])
+        ctx = _build_context(A, H, w, None)
+        chain = ctx.chain
+        assert len(chain.levels) == 3
+        u = kernel_loop_word(ctx.pointed[1], chain.levels[1])
+        assert u is not None and chain.top.evaluate(u) != chain.top.identity
+        seeds = [parts[0], free_reduce(parts[1] + u), parts[2]]
+        assert contains(ctx.pointed[1], seeds[1])
+        assert chain.levels[1].evaluate(seeds[0] + seeds[1] + seeds[2]) == \
+            chain.levels[1].evaluate(w)
+        with pytest.raises(ValueError, match="does not match"):
+            factorize(A, H, w, seeds=seeds)
+        assert factorize(A, H, w, seeds=parts) is not None
+
     def test_seeds_checked_with_one_subgroup(self):
         H = [[A.parse("xx")]]
         w = A.parse("xxxx")
