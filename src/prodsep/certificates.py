@@ -6,17 +6,20 @@ is a line-oriented block that parses back to the same record.
 and code of its own: nothing here comes from ``separators``.
 
 A product certificate is re-checked by one claim sequence for every
-factor count (``_verify_product``).  With one or two factors the values
-come from the pullback graphs S(H_i) x Cay(G), G the permutation group
-the certificate states: one walk per factor yields the image one level
-down, the tree vectors over it and the span of the cycle vectors, from
-which image orders, the product size and membership follow by GF(p)
-elimination; no image is enumerated, and the cap bounds the base fibre
-of each walk, and also the image order when the certificate states no
-image sizes.  Three or more factors list every image by a capped
-closure and meet in the middle (``_product_member``).
+factor count (``_verify_product``).  The values come from the pullback
+graphs S(H_i) x Cay(G), G the chain level one below the top (the
+permutation group the certificate states, for one or two factors): one
+walk per factor yields the image one level down, the tree vectors over
+it and the span of the cycle vectors, from which image orders, a
+two-factor product size and membership follow by GF(p) elimination.  No
+image at the top is enumerated; the cap bounds the base fibre of each
+walk, and also the image order when the certificate states no image
+sizes.  Only a stated product size of three or more factors is checked
+by listing the product, a capped closure under each factor's generator
+images in turn.
 """
 
+import itertools
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -34,7 +37,7 @@ from .problems import (
     read_rows,
 )
 from .stallings import contains, stallings_graph
-from .words import Alphabet, free_reduce
+from .words import Alphabet, free_reduce, invert
 
 
 def _stated_group(cert):
@@ -209,53 +212,6 @@ def parse_certificate(text):
     raise ProblemParseError(rows[0][0], f"unknown certificate kind {kind!r}")
 
 
-# -- enumeration: three or more factors --------------------------------------
-
-
-def image_subgroup(level, generators, cap):
-    """The image subgroup listed by a capped closure: {element: BFS link}."""
-    steps = []
-    for g in generators:
-        img = level.evaluate(free_reduce(g))
-        steps += [img, level.inv(img)]
-    return closure(level.identity, steps, level.mult, cap, "subgroup image")
-
-
-def _product(level, images, cap):
-    """The set of products a_1 ... a_k, a_i from the i-th image, capped."""
-    if not images:
-        return {level.identity}
-    if len(images[0]) > cap:
-        raise CapExceeded(f"product image has more than {cap} elements", limit=cap)
-    out = set(images[0])
-    for img in images[1:]:
-        nxt = set()
-        for a in out:
-            for b in img:
-                e = level.mult(a, b)
-                if e not in nxt:
-                    if len(nxt) >= cap:
-                        raise CapExceeded(
-                            f"product image has more than {cap} elements", limit=cap)
-                    nxt.add(e)
-        out = nxt
-    return out
-
-
-def _product_member(level, images, target, cap):
-    """Does target lie in the product of the images?  Meet in the middle.
-
-    The products of the two halves of the factor list are listed, and
-    the search loops over the smaller one.
-    """
-    mid = max(1, len(images) // 2)
-    left = _product(level, images[:mid], cap)
-    right = _product(level, images[mid:], cap)
-    if len(left) <= len(right):
-        return any(level.mult(level.inv(l), target) in right for l in left)
-    return any(level.mult(target, level.inv(r)) in left for r in right)
-
-
 def _point_image(group, point, word):
     """Where the word sends one point: its letters act on the right."""
     perm = group._by_letter
@@ -285,19 +241,21 @@ def _membership_verdict(status, member):
     return True, [f"image product membership re-checked: {member}"]
 
 
-# -- pullback graphs: one and two factors -------------------------------------
+# -- pullback graphs ----------------------------------------------------------
 #
-# Let G be chain level 0 and P = S(H) x Cay(G) the pullback of the Stallings
-# graph and the Cayley graph: vertices (s, g), and for each dart of S(H)
-# from s to s' with label l an edge (s, g) -> (s', g*l).  The loops of S(H)
-# at its base are the words of H, so the image of H in G is the base fibre
-# {g : (base, g) lies in the component of (base, 1)}.  One level up, by the
-# traversal identity, a word's image is (its signed Cayley-edge traversal
-# vector mod p, its value in G); over the base fibre these vectors are the
-# spanning-tree vectors T(g) plus the span Z of the component's cycle
-# vectors, so the image is {(T(g) + z, g)} and has |fibre| * p^dim Z
-# elements (Stallings, "Topology of finite graphs", 1983; Kapovich and
-# Myasnikov, "Stallings foldings and subgroups of free groups", 2002).
+# Let G be the chain level one below the top (level 0, the permutation group,
+# for one or two factors; an extension level for more) and P = S(H) x Cay(G)
+# the pullback of the Stallings graph and the Cayley graph: vertices (s, g),
+# and for each dart of S(H) from s to s' with label l an edge (s, g) ->
+# (s', g*l).  The loops of S(H) at its base are the words of H, so the image
+# of H in G is the base fibre {g : (base, g) lies in the component of
+# (base, 1)}.  One level up, at the top, by the traversal identity a word's
+# image is (its signed Cayley-edge traversal vector mod p, its value in G);
+# over the base fibre these vectors are the spanning-tree vectors T(g) plus
+# the span Z of the component's cycle vectors, so the image is
+# {(T(g) + z, g)} and has |fibre| * p^dim Z elements (Stallings, "Topology of
+# finite graphs", 1983; Kapovich and Myasnikov, "Stallings foldings and
+# subgroups of free groups", 2002).
 
 
 @dataclass
@@ -468,25 +426,70 @@ def _pullback_member(group, walks, target):
     a^-1 g exactly when a lies in both the first fibre and g times the
     second, and v - T_1(a) + g T_2(g^-1 a) lies in Z_1 + g Z_2 (the second
     walk translated by g starts at (base, g)).
+
+    With n factors over fibre points a_i, and h_i = a_1 ... a_{i-1}, the
+    product's vector is sum h_i (T_i(a_i) + z_i); a_i fixes Z_i, so
+    h_i Z_i = h_{i+1} Z_i.  For each prefix (a_1, ..., a_{n-2}), with
+    h = h_{n-1}, translating by h^-1 leaves the two-factor test above for
+    the last two factors, the target (h^-1 (v - sum_{i<n-1} h_i T_i(a_i)),
+    h^-1 g) and the span with each h^-1 h_{i+1} Z_i, i < n-1, added.  For
+    i = n-2 that is Z_{n-2} itself, eliminated once with Z_{n-1}.
     """
     if len(walks) == 1:
         return target in walks[0].fibre
-    one, two = walks
+    *firsts, one, two = walks
     prime = one.prime
     v, g = target
-    gi = group.inv(g)
-    span = _span(one.rows, {k: _translate(row, group, g) for k, row in two.rows.items()},
-                 prime=prime)
-    for a, t1 in one.fibre.items():
-        t2 = two.fibre.get(group.mult(gi, a))
-        if t2 is None:
-            continue
-        diff = dict(v)
-        _add(diff, t1, -1, prime)
-        _add(diff, _translate(t2, group, g), 1, prime)
-        if not _reduce(diff, span, prime):
-            return True
+    fixed = _span(*(walk.rows for walk in firsts[-1:]), one.rows, prime=prime)
+    for prefix in itertools.product(*(walk.fibre for walk in firsts)):
+        u, gh, span = v, g, dict(fixed)
+        if prefix:
+            u, h, hs = dict(v), group.identity, []
+            for walk, a in zip(firsts, prefix):
+                _add(u, _translate(walk.fibre[a], group, h), -1, prime)
+                h = group.mult(h, a)
+                hs.append(h)
+            hinv = group.inv(h)
+            u, gh = _translate(u, group, hinv), group.mult(hinv, g)
+            for walk, hi in zip(firsts[:-1], hs):
+                shift = group.mult(hinv, hi)
+                for row in walk.rows.values():
+                    _insert(_translate(row, group, shift), span, prime)
+        for row in two.rows.values():
+            _insert(_translate(row, group, gh), span, prime)
+        gi = group.inv(gh)
+        for a, t1 in one.fibre.items():
+            t2 = two.fibre.get(group.mult(gi, a))
+            if t2 is None:
+                continue
+            diff = dict(u)
+            _add(diff, t1, -1, prime)
+            _add(diff, _translate(t2, group, gh), 1, prime)
+            if not _reduce(diff, span, prime):
+                return True
     return False
+
+
+def _listed_product_size(level, subgroups, cap):
+    """|A_1 ... A_n| by listing: {1} closed under each factor's generator
+    images in turn, since P A_i is the closure of P under A_i's generators.
+
+    A product by a generator image steps through its word, one Cayley
+    edge per letter, which costs less than the general product.
+    """
+    def read(a, word):
+        for l in word:
+            a = level.step(a, l)
+        return a
+
+    out = {level.identity: None}
+    for gens in subgroups:
+        words = []
+        for g in gens:
+            w = free_reduce(g)
+            words += [w, invert(w)]
+        out = closure(out, words, read, cap, "product image")
+    return len(out)
 
 
 def _decimal(n):
@@ -494,15 +497,12 @@ def _decimal(n):
     return str(n) if n.bit_length() < 10_000 else f"a {n.bit_length()}-bit number"
 
 
-def _walked_claims(cert, chain, cap):
-    """(orders, size, member) of one or two factors, from one walk per factor.
+def _walks(cert, group, prime, cap):
+    """One pullback walk per factor over the group.
 
-    The size and the membership are thunks, so a claim the certificate
-    does not make is not computed.  A walk that outgrows its stated image
-    size raises _SizeRefuted with the verdict's message.
+    A walk that outgrows its stated image size raises _SizeRefuted with the
+    verdict's message.
     """
-    group = chain.levels[0]
-    prime = chain.primes[0] if chain.primes else None
     stated = cert.image_sizes
     if stated is None or len(stated) != len(cert.subgroups):
         stated = (None,) * len(cert.subgroups)
@@ -516,56 +516,45 @@ def _walked_claims(cert, chain, cap):
                 raise _SizeRefuted(f"stated image size {i + 1} is {_decimal(stated[i])}, "
                                    f"but its pullback walk found at least "
                                    f"{_decimal(exc.args[0])} elements") from None
-
-    def member():
-        word = free_reduce(cert.word)
-        if prime is None:
-            target = group.evaluate(word)
-        else:
-            vec, g = traversal_element(chain.top, word)
-            target = (dict(vec), g)
-        return _pullback_member(group, walks, target)
-
-    return tuple(walk.order for walk in walks), lambda: _product_size(walks), member
-
-
-def _enumerated_claims(cert, chain, cap):
-    """(orders, size, member) of three or more factors, from every image listed."""
-    top = chain.top
-    with _stage("image enumeration"):
-        images = [image_subgroup(top, gens, cap) for gens in cert.subgroups]
-
-    def size():
-        with _stage("product size"):
-            return len(_product(top, images, cap))
-
-    def member():
-        with _stage("product membership"):
-            return _product_member(top, images, top.evaluate(free_reduce(cert.word)), cap)
-
-    return tuple(len(img) for img in images), size, member
+    return walks
 
 
 def _verify_product(cert, chain, cap):
-    """The claim sequence of a product certificate, for every factor count."""
+    """The claim sequence of a product certificate, for every factor count.
+
+    Each factor is walked one level below the top, and a claim the
+    certificate does not make is not computed.
+    """
     if cert.status == "partial" and cert.image_sizes is None and \
             cert.product_size is None:
         return True, [PARTIAL]
-    route = _walked_claims if len(cert.subgroups) <= 2 else _enumerated_claims
+    top = chain.top
+    group, prime = (top.below, top.prime) if chain.primes else (top, None)
     try:
-        orders, size, member = route(cert, chain, cap)
+        walks = _walks(cert, group, prime, cap)
     except _SizeRefuted as exc:
         return False, [exc.args[0]]
+    orders = tuple(walk.order for walk in walks)
     if cert.image_sizes is not None and orders != cert.image_sizes:
         shown = ", ".join(map(_decimal, orders)) + ("," if len(orders) == 1 else "")
         return False, [f"stated image sizes {cert.image_sizes} != ({shown})"]
     if cert.product_size is not None:
-        actual = size()
+        if len(walks) <= 2:
+            actual = _product_size(walks)
+        else:
+            with _stage("product size"):
+                actual = _listed_product_size(top, cert.subgroups, cap)
         if actual != cert.product_size:
             return False, [f"stated product size {cert.product_size} != {_decimal(actual)}"]
     if cert.status == "partial":
         return True, [PARTIAL]
-    return _membership_verdict(cert.status, member())
+    word = free_reduce(cert.word)
+    if prime is None:
+        target = group.evaluate(word)
+    else:
+        vec, g = traversal_element(top, word)
+        target = (dict(vec), g)
+    return _membership_verdict(cert.status, _pullback_member(group, walks, target))
 
 
 def verify_certificate(cert, cap=DEFAULT_CAP):

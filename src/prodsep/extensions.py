@@ -157,7 +157,7 @@ class ExtensionLevel:
         """All elements, in BFS discovery order from the identity."""
         self.order(cap=cap)
         gens = [self.gen(l) for l in self.alphabet.letters()]
-        return list(closure(self.identity, gens, self.mult, cap, "extension"))
+        return list(closure((self.identity,), gens, self.mult, cap, "extension"))
 
     def __repr__(self):
         return f"ExtensionLevel(p={self.prime}, over {self.below!r})"

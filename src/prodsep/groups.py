@@ -72,7 +72,7 @@ class XGroup:
         """All elements, in BFS discovery order from the identity."""
         if self._elements is None or len(self._elements) > cap:
             gens = [self.perm(l) for l in self.alphabet.letters()]
-            self._elements = list(closure(self.identity, gens, self.mult, cap, "group"))
+            self._elements = list(closure((self.identity,), gens, self.mult, cap, "group"))
         return self._elements
 
     def order(self, cap=DEFAULT_CAP):
@@ -81,7 +81,7 @@ class XGroup:
     def is_transitive(self):
         if self.carrier == 0:
             return True
-        orbit = closure(0, self._perms, lambda v, p: p[v], self.carrier, "orbit")
+        orbit = closure((0,), self._perms, lambda v, p: p[v], self.carrier, "orbit")
         return len(orbit) == self.carrier
 
     def __repr__(self):
@@ -109,14 +109,14 @@ def cayley_graph(level, cap=DEFAULT_CAP):
     return CayleyGraph(graph, 0, tuple(elems))
 
 
-def closure(first, steps, mult, cap, what):
-    """Capped BFS closure of first under right multiplication by the steps.
+def closure(starts, steps, mult, cap, what):
+    """Capped BFS closure of the starts under right multiplication by the steps.
 
-    Returns {element: (parent, step index)} in discovery order, with first
-    mapped to None; raises CapExceeded, naming what, past cap elements.
+    Returns {element: (parent, step index)} in discovery order, with each
+    start mapped to None; raises CapExceeded, naming what, past cap elements.
     """
-    tree = {first: None}
-    queue = deque([first])
+    tree = dict.fromkeys(starts)
+    queue = deque(tree)
     while queue:
         cur = queue.popleft()
         for i, step in enumerate(steps):

@@ -206,26 +206,17 @@ def _generator_steps(level, generators):
 def image_subgroup(level, generators, cap=DEFAULT_CAP):
     """The image subgroup listed by a capped closure: {element: BFS link}."""
     steps = [img for img, _ in _generator_steps(level, generators)]
-    return closure(level.identity, steps, level.mult, cap, "subgroup image")
+    return closure((level.identity,), steps, level.mult, cap, "subgroup image")
 
 
 def _image_product(level, subgroups, cap):
-    """The set A_1 ... A_k of the subgroups' images, capped: P A_i is the
-    closure of P under A_i's generator images, whose vectors are short."""
-    out = {level.identity}
+    """The set A_1 ... A_k of the subgroups' images as closure keys, capped:
+    P A_i is the closure of P under A_i's generator images, whose vectors
+    are short."""
+    out = {level.identity: None}
     for gens in subgroups:
         steps = [img for img, _ in _generator_steps(level, gens)]
-        queue = deque(out)
-        while queue:
-            a = queue.popleft()
-            for step in steps:
-                e = level.mult(a, step)
-                if e not in out:
-                    if len(out) >= cap:
-                        raise CapExceeded(f"product image has more than {cap} elements",
-                                          limit=cap)
-                    out.add(e)
-                    queue.append(e)
+        out = closure(out, steps, level.mult, cap, "product image")
     return out
 
 
@@ -373,7 +364,7 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
     words = tuple(w for _, w in steps)
     steps = [img for img, _ in steps]
     if isinstance(level, XGroup):
-        tree = closure(level.identity, steps, level.mult, cap, "subgroup image")
+        tree = closure((level.identity,), steps, level.mult, cap, "subgroup image")
         return ImageStructure(tree, {}, None, len(tree), tree, words, ())
     below = level.below
     prime = level.prime

@@ -4,7 +4,7 @@ meets every edge from both ends."""
 
 from collections import deque
 
-from prodsep.certificates import _product_member, image_subgroup
+from prodsep import image_subgroup
 from prodsep.errors import CapExceeded
 from prodsep.extensions import ExtensionChain
 from prodsep.graphs import LabeledGraph
@@ -119,13 +119,50 @@ def kernel_loop_word(h, level, cap=20000):
     return None
 
 
-def enumerated_claims(group, primes, subgroups, word, cap):
-    """(image orders, product size, member) of a one- or two-factor product.
+def _product(level, images, cap):
+    """The set of products a_1 ... a_k, a_i from the i-th image, capped."""
+    if not images:
+        return {level.identity}
+    if len(images[0]) > cap:
+        raise CapExceeded(f"product image has more than {cap} elements", limit=cap)
+    out = set(images[0])
+    for img in images[1:]:
+        nxt = set()
+        for a in out:
+            for b in img:
+                e = level.mult(a, b)
+                if e not in nxt:
+                    if len(nxt) >= cap:
+                        raise CapExceeded(
+                            f"product image has more than {cap} elements", limit=cap)
+                    nxt.add(e)
+        out = nxt
+    return out
+
+
+def _product_member(level, images, target, cap):
+    """Does target lie in the product of the images?  Meet in the middle.
+
+    The products of the two halves of the factor list are listed, and
+    the search loops over the smaller one.
+    """
+    mid = max(1, len(images) // 2)
+    left = _product(level, images[:mid], cap)
+    right = _product(level, images[mid:], cap)
+    if len(left) <= len(right):
+        return any(level.mult(level.inv(l), target) in right for l in left)
+    return any(level.mult(target, level.inv(r)) in left for r in right)
+
+
+def enumerated_claims(group, primes, subgroups, word, cap, sized=True):
+    """(image orders, product size, member) of a product of any factor count.
 
     Every image is listed (`image_subgroup`), membership is the
-    meet-in-the-middle (`_product_member`) and two images are sized by
-    the intersection of their key sets.  The construction's exact order
-    refuses an image above the cap, with CapExceeded, before it is listed.
+    meet-in-the-middle (`_product_member`), two images are sized by the
+    intersection of their key sets and three or more by the listed product
+    (`_product`), or not at all, the size None, unless sized.  The
+    construction's exact order refuses an image above the cap, with
+    CapExceeded, before it is listed.
     """
     top = ExtensionChain(group, primes).top
     for gens in subgroups:
@@ -133,8 +170,10 @@ def enumerated_claims(group, primes, subgroups, word, cap):
     images = [image_subgroup(top, gens, cap) for gens in subgroups]
     if len(images) == 1:
         size = len(images[0])
-    else:
+    elif len(images) == 2:
         size = len(images[0]) * len(images[1]) // len(images[0].keys() & images[1].keys())
+    else:
+        size = len(_product(top, images, cap)) if sized else None
     member = _product_member(top, images, top.evaluate(free_reduce(word)), cap)
     return tuple(len(img) for img in images), size, member
 

@@ -1,14 +1,16 @@
-"""The pullback route of `verify` for one- and two-factor product certificates.
+"""The pullback route of `verify` for product certificates of every factor count.
 
 The oracle is `tests.helpers.enumerated_claims`, which lists every image
-as `verify` still does for three factors.
+at the top and meets in the middle.
 """
 
 import ast
 import dataclasses
 import inspect
+import math
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,8 +25,9 @@ from prodsep.certificates import (
 )
 from prodsep.cli import main
 from prodsep.errors import CapExceeded
-from prodsep.extensions import ExtensionLevel
+from prodsep.extensions import ExtensionChain, ExtensionLevel
 from prodsep.groups import XGroup
+from prodsep.separators import image_subgroup_order
 from prodsep.words import Alphabet, free_reduce, invert
 from tests.helpers import enumerated_claims
 
@@ -41,8 +44,8 @@ def random_gens(rng):
     return tuple(g for g in gens if g) or ((1,),)
 
 
-def random_group(rng):
-    carrier = rng.randint(2, 4)
+def random_group(rng, carriers=(2, 4)):
+    carrier = rng.randint(*carriers)
     perms = []
     for _ in A.positive_letters():
         p = list(range(carrier))
@@ -59,6 +62,37 @@ def certificate(group, primes, subgroups, word, claims):
         status="member" if member else "excluded", image_sizes=orders, product_size=size)
 
 
+def random_product(rng, n):
+    """n subgroups and a word: half the time one generator (or its inverse)
+    per factor, otherwise a random reduced word."""
+    subgroups = [random_gens(rng) for _ in range(n)]
+    if rng.random() < 0.5:
+        parts = []
+        for gens in subgroups:
+            g = rng.choice(gens)
+            parts += g if rng.random() < 0.5 else invert(g)
+        return subgroups, free_reduce(tuple(parts))
+    return subgroups, random_word(rng, 0, 6)
+
+
+def assert_true_claims_verify(rng, group, primes, subgroups, word, claims, cap):
+    """The oracle's orders, product size and membership verify, and none of
+    them can change without a rejection."""
+    cert = certificate(group, primes, subgroups, word, claims)
+    assert verify_certificate(cert, cap=cap) == (
+        True, [f"image product membership re-checked: {claims[2]}"]), cert
+    flipped = "excluded" if claims[2] else "member"
+    i = rng.randrange(len(subgroups))
+    sizes = tuple(s + (k == i) for k, s in enumerate(claims[0]))
+    tampered = [dataclasses.replace(cert, status=flipped),
+                dataclasses.replace(cert, image_sizes=sizes)]
+    if claims[1] is not None:
+        tampered += [dataclasses.replace(cert, product_size=claims[1] + 1),
+                     dataclasses.replace(cert, product_size=claims[1] - 1)]
+    for cert in tampered:
+        assert not verify_certificate(cert, cap=cap)[0], cert
+
+
 class TestAgainstEnumeration:
     @pytest.mark.parametrize("prime", [2, 3, 5])
     def test_random_instances(self, prime):
@@ -68,36 +102,48 @@ class TestAgainstEnumeration:
             group = random_group(rng)
             n = 1 if decided % 4 == 0 else 2
             primes = (prime,) * (n - 1)
-            subgroups = [random_gens(rng) for _ in range(n)]
-            if rng.random() < 0.5:
-                parts = []
-                for gens in subgroups:
-                    g = rng.choice(gens)
-                    parts += g if rng.random() < 0.5 else invert(g)
-                word = free_reduce(tuple(parts))
-            else:
-                word = random_word(rng, 0, 6)
+            subgroups, word = random_product(rng, n)
             try:
                 claims = enumerated_claims(group, primes, subgroups, word, CAP)
             except CapExceeded:
                 continue
             decided += 1
             seen.add((n, claims[2]))
-            # the oracle's orders, product size and membership verify, and
-            # none of them can change without a rejection
-            cert = certificate(group, primes, subgroups, word, claims)
-            assert verify_certificate(cert, cap=CAP) == (
-                True, [f"image product membership re-checked: {claims[2]}"]), cert
-            flipped = "excluded" if claims[2] else "member"
-            i = rng.randrange(n)
-            sizes = tuple(s + (k == i) for k, s in enumerate(claims[0]))
-            for tampered in (dataclasses.replace(cert, status=flipped),
-                             dataclasses.replace(cert, image_sizes=sizes),
-                             dataclasses.replace(cert, product_size=claims[1] + 1),
-                             dataclasses.replace(cert, product_size=claims[1] - 1)):
-                assert not verify_certificate(tampered, cap=CAP)[0], tampered
+            assert_true_claims_verify(rng, group, primes, subgroups, word, claims, CAP)
         # members and non-members, with one factor and with two
         assert seen == {(n, m) for n in (1, 2) for m in (True, False)}
+
+    @pytest.mark.parametrize("n, prime, carriers, bound, sized, count", [
+        (3, 2, (2, 4), 2048, 2048, 25), (3, 3, (2, 4), 2048, 2048, 20),
+        (3, 5, (1, 2), 20000, 0, 12), (4, 2, (1, 2), 2048, 1024, 12)],
+        ids=["n3p2", "n3p3", "n3p5", "n4p2"])
+    def test_three_and_four_factors(self, n, prime, carriers, bound, sized, count):
+        # the walks run one level below the top, and with four factors the
+        # prefix is a pair whose first kernel is translated.  Draws whose
+        # image orders multiply past the bound are skipped, so that the
+        # oracle's listings stay small; the product size is stated, and
+        # listed, when that product is at most sized (at p = 5 it never is)
+        rng = random.Random(f"pullback/{n}/{prime}")
+        decided, seen, sizes = 0, set(), 0
+        while decided < count or len(seen) < 2:
+            group = random_group(rng, carriers)
+            primes = (prime,) * (n - 1)
+            subgroups, word = random_product(rng, n)
+            top = ExtensionChain(group, primes).top
+            try:
+                orders = [image_subgroup_order(top, gens, bound) for gens in subgroups]
+            except CapExceeded:
+                continue
+            if math.prod(orders) > bound:
+                continue
+            claims = enumerated_claims(group, primes, subgroups, word, bound,
+                                       sized=math.prod(orders) <= sized)
+            decided += 1
+            seen.add(claims[2])
+            sizes += claims[1] is not None
+            assert_true_claims_verify(rng, group, primes, subgroups, word, claims, bound)
+        # members and non-members, some with a stated product size
+        assert seen == {True, False} and bool(sizes) == bool(sized)
 
     def test_cap_counts_the_base_fibre(self):
         # over G = Z/2 at p = 2, <x, y> is the whole extension, 2 * 2^3
@@ -111,6 +157,52 @@ class TestAgainstEnumeration:
         assert verify_certificate(cert, cap=2)[0]
         with pytest.raises(CapExceeded, match="^verify, pullback walk: "):
             verify_certificate(cert, cap=1)
+
+
+# image orders 24, 84 and 80 at the second extension level: listing the
+# images at the top and meeting in the middle passed 1.2 GB below the
+# default cap
+MEMBER3 = """certificate: product-separator
+alphabet: xy
+subgroup H1: x
+subgroup H2: yyxy
+subgroup H3: xxY
+word: xYXYYxxY
+primes: 2, 2
+carrier: 12
+perm x: (3 4)(5 6 7)(8 9)(10 11)
+perm y: (1 2 3 4)(5 7 11 10 9 8 6)
+status: member
+image size 1: 24
+image size 2: 84
+image size 3: 80
+"""
+
+
+class TestThreeOrMoreFactors:
+    def test_member_verifies_in_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            verdict = verify_certificate(parse_certificate(MEMBER3))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict == (True, ["image product membership re-checked: True"])
+        assert elapsed < 5 and peak < 64 * 2 ** 20
+
+    def test_nothing_is_listed_without_a_stated_product_size(self, monkeypatch):
+        def listed(*args):
+            raise AssertionError("verify listed a product")
+
+        monkeypatch.setattr(certificates, "closure", listed)
+        assert verify_certificate(parse_certificate(MEMBER3))[0]
+        assert verify_certificate(parse_certificate(
+            MEMBER3.replace("member", "excluded"))) == (
+            False, ["word image found inside the image product"])
+        with pytest.raises(AssertionError, match="listed"):
+            verify_certificate(parse_certificate(MEMBER3 + "product size: 1\n"))
 
 
 def test_orders_too_long_to_print_show_their_bit_length():

@@ -493,9 +493,11 @@ class TestCliCommands:
         full = tmp_path / "full.cert"
         assert main(["separate", "product", str(path), "--out", str(full)]) == 1
         assert "product size: 132" in full.read_text()
-        for text, cap, stage in [(full.read_text(), "10", "image enumeration"),
-                                 (full.read_text(), "20", "product size"),
-                                 (cert.read_text(), "20", "product membership")]:
+        member = cert.read_text()
+        # the walks run one level below the top, whose base fibres reach 6;
+        # only a stated three-factor product size is listed
+        for text, cap, stage in [(full.read_text(), "5", "pullback walk"),
+                                 (full.read_text(), "20", "product size")]:
             cert.write_text(text)
             with pytest.raises(CapExceeded, match=f"^verify, {stage}: "):
                 verify_certificate(parse_certificate(text), cap=int(cap))
@@ -505,6 +507,9 @@ class TestCliCommands:
             assert f"verify, {stage}: " in captured.err
             assert "REJECTED" not in captured.out
         assert main(["verify", str(cert)]) == 0
+        # membership lists nothing: the cap-20 certificate verifies at cap 20
+        cert.write_text(member)
+        assert main(["verify", str(cert), "--cap", "20"]) == 0
 
     def test_factorize_verify_loop(self, product_file, tmp_path, capsys):
         cert = tmp_path / "f.cert"

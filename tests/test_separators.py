@@ -11,10 +11,7 @@ from prodsep import separators
 from prodsep.certificates import (
     HallCertificate,
     _point_image,
-    _product,
-    _product_member,
     emit_certificate,
-    image_subgroup as listed_image,
     parse_certificate,
     verify_certificate,
 )
@@ -39,7 +36,12 @@ from prodsep.separators import (
 )
 from prodsep.stallings import attach_word, contains, stallings_graph
 from prodsep.words import Alphabet, free_reduce, invert
-from tests.helpers import kernel_loop_word, two_ended_image_structure
+from tests.helpers import (
+    _product,
+    _product_member,
+    kernel_loop_word,
+    two_ended_image_structure,
+)
 
 A = Alphabet("xy")
 KLEIN = XGroup(A, [(1, 0, 2, 3), (0, 1, 3, 2)])
@@ -875,7 +877,7 @@ class TestProductAgainstEnumeration:
             if wit.excluded is None:
                 continue
             top = ExtensionChain(wit.group, wit.primes).top
-            images = [listed_image(top, g, cap) for g in subgroups]
+            images = [image_subgroup(top, g, cap) for g in subgroups]
             assert wit.image_sizes == tuple(len(img) for img in images)
             member = _product_member(top, images, top.evaluate(wit.word), 10 ** 6)
             assert wit.excluded == (not member)
@@ -983,7 +985,7 @@ class TestProductAgainstEnumeration:
             except CapExceeded:
                 continue
             target = level.evaluate(w)
-            images = [listed_image(level, g, 2000) for g in subgroups]
+            images = [image_subgroup(level, g, 2000) for g in subgroups]
             hit = separators._fibre_search(level, structures, target)
             assert (hit is not None) == _product_member(level, images, target, 10 ** 6)
             decided.add(hit is not None)
