@@ -149,4 +149,4 @@ def _cover_group(graph):
         for s, d in zip(_gaps(out), _gaps(back)):
             out[s] = d
         perms.append(out)
-    return XGroup(graph.alphabet, perms)
+    return XGroup._trusted(graph.alphabet, perms)

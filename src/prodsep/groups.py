@@ -3,6 +3,12 @@
 Elements are image tuples: point i maps to elem[i].  Words act on the
 right, letter by letter, so evaluate(u + v) == mult(evaluate(u),
 evaluate(v)).
+
+``XGroup(alphabet, perms)`` checks that each generator is a permutation;
+``XGroup._trusted`` checks nothing, for the permutations the construction
+builds itself (covering letter maps, diagonal blocks).  In text, as in
+certificates and group specs, a permutation is in cycle notation:
+``fmt_perm`` writes it and ``parse_perm`` reads it.
 """
 
 import re
@@ -29,8 +35,23 @@ class XGroup:
             if sorted(p) != list(range(n)):
                 raise ValueError(f"not a permutation of 0..{n - 1}: {p}")
             fixed.append(p)
+        self._setup(alphabet, fixed)
+
+    @classmethod
+    def _trusted(cls, alphabet, perms):
+        """The group of perms, one permutation per generator, unchecked.
+
+        Private to the package, for permutations the construction built
+        itself (a covering's letter maps, a diagonal's blocks); every group
+        read from outside input goes through the constructor.
+        """
+        g = cls.__new__(cls)
+        g._setup(alphabet, [tuple(p) for p in perms])
+        return g
+
+    def _setup(self, alphabet, fixed):
         self.alphabet = alphabet
-        self.carrier = n
+        self.carrier = len(fixed[0]) if fixed else 0
         self._perms = tuple(fixed)
         self._inv = tuple(inv_perm(p) for p in fixed)
         # signed letter -> its permutation, for reading words point by point
@@ -151,7 +172,7 @@ def diagonal_subgroup(groups):
             block.extend(offset + i for i in g.perm(x))
             offset += g.carrier
         perms.append(tuple(block))
-    return XGroup(alphabet, perms)
+    return XGroup._trusted(alphabet, perms)
 
 
 def inv_perm(p):
@@ -162,31 +183,68 @@ def inv_perm(p):
 
 
 def fmt_perm(p):
-    """Cycle notation; the identity is '()'."""
-    seen = set()
-    parts = []
-    for i in range(len(p)):
-        if i in seen or p[i] == i:
+    """Cycle notation: the disjoint cycles of p, each written from its least
+    point and in the order of that point, fixed points left out; the
+    identity is '()'.  Raises ValueError, naming p, unless p is a
+    permutation of 0..len(p)-1.
+    """
+    n = len(p)
+    if n and (min(p) < 0 or max(p) >= n or len(set(p)) != n):
+        raise ValueError(f"not a permutation of 0..{n - 1}: {p}")
+    seen = bytearray(n)
+    cycles = []
+    for i in range(n):
+        if seen[i] or p[i] == i:
             continue
         cycle = [i]
         j = p[i]
         while j != i:
-            seen.add(j)
+            seen[j] = 1
             cycle.append(j)
             j = p[j]
-        parts.append("(" + " ".join(map(str, cycle)) + ")")
-    return "".join(parts) if parts else "()"
+        cycles.append(" ".join(map(str, cycle)))
+    return "(" + ")(".join(cycles) + ")"
+
+
+_PERM_TEXT = re.compile(r"(?:\(\s*(?:[0-9]+(?:\s+[0-9]+)*)?\s*\)\s*)+")
+_CYCLE = re.compile(r"\(([^)]*)\)")
 
 
 def parse_perm(text, n):
-    """Parse cycle notation, points in ASCII digits, into an image tuple on 0..n-1."""
+    """Parse cycle notation into an image tuple on 0..n-1.
+
+    Points are ASCII digits and the cycles compose left to right, so
+    '(0 1)(1 2)' sends 0 to 2, 1 to 0 and 2 to 1; '()' is the identity.
+    Disjoint cycles with every point below n, the form ``fmt_perm``
+    writes, are read in one pass; any other text is composed cycle by
+    cycle by ``_compose_cycles``, which also rejects it where it must.
+    """
     text = text.strip()
-    if not re.fullmatch(r"(\(\s*([0-9]+(\s+[0-9]+)*)?\s*\)\s*)+", text):
+    if not _PERM_TEXT.fullmatch(text):
         raise ValueError(f"malformed permutation {text!r}")
-    # cycles compose left to right; where[v] is the point now sent to v
+    points, rotated = [], []
+    try:
+        for body in _CYCLE.findall(text):
+            cycle = list(map(int, body.split()))
+            points += cycle
+            rotated += cycle[1:]
+            rotated += cycle[:1]
+    except ValueError:  # a point past int's digit limit: fail where composing fails
+        return _compose_cycles(text, n)
+    if points and (max(points) >= n or len(set(points)) != len(points)):
+        return _compose_cycles(text, n)
+    image = dict(zip(points, rotated))
+    return tuple(map(image.get, range(n), range(n)))
+
+
+def _compose_cycles(text, n):
+    """The cycles of well-formed, stripped text composed left to right:
+    the general reader, and the one that rejects a point out of range or
+    repeated within a cycle."""
+    # where[v] is the point now sent to v
     out = list(range(n))
     where = list(range(n))
-    for body in re.findall(r"\(([^)]*)\)", text):
+    for body in _CYCLE.findall(text):
         cycle = [int(t) for t in body.split()]
         if any(i >= n for i in cycle):
             raise ValueError(f"point out of range in {text!r}")

@@ -211,12 +211,24 @@ def image_subgroup(level, generators, cap=DEFAULT_CAP):
 
 def _image_product(level, subgroups, cap):
     """The set A_1 ... A_k of the subgroups' images as closure keys, capped:
-    P A_i is the closure of P under A_i's generator images, whose vectors
-    are short."""
+    P A_i is the closure of P under A_i's generators and their inverses.
+
+    A product by a generator steps through its reduced word, one Cayley
+    edge per letter, which costs less than the general product.
+    """
+    def read(a, word):
+        for l in word:
+            a = level.step(a, l)
+        return a
+
     out = {level.identity: None}
     for gens in subgroups:
-        steps = [img for img, _ in _generator_steps(level, gens)]
-        out = closure(out, steps, level.mult, cap, "product image")
+        words = []
+        for g in gens:
+            w = free_reduce(g)
+            if w:
+                words += (w, invert(w))
+        out = closure(out, words, read, cap, "product image")
     return out
 
 

@@ -1,8 +1,10 @@
 """Test-only helpers: small-scale word generators over subgroup graphs, the
-enumeration oracle for product certificate claims, and the image walk that
-meets every edge from both ends."""
+enumeration oracle for product certificate claims, the image walk that
+meets every edge from both ends, and a time limit for code that could loop."""
 
+import signal
 from collections import deque
+from contextlib import contextmanager
 
 from prodsep import image_subgroup
 from prodsep.errors import CapExceeded
@@ -237,3 +239,17 @@ def two_ended_image_structure(level, generators, cap):
     if order > cap:
         raise CapExceeded(f"image order {order} exceeds {cap}", limit=cap)
     return ImageStructure(lifts, basis, prime, order, links, words, tuple(cycles))
+
+
+@contextmanager
+def within(seconds):
+    """Raise TimeoutError in the block once the seconds have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

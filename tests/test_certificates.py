@@ -17,6 +17,7 @@ import pytest
 
 from prodsep import certificates, separators
 from prodsep.certificates import (
+    HallCertificate,
     ProductCertificate,
     _decimal,
     emit_certificate,
@@ -29,7 +30,7 @@ from prodsep.extensions import ExtensionChain, ExtensionLevel
 from prodsep.groups import XGroup
 from prodsep.separators import image_subgroup_order
 from prodsep.words import Alphabet, free_reduce, invert
-from tests.helpers import enumerated_claims
+from tests.helpers import enumerated_claims, within
 
 A = Alphabet("xy")
 CAP = 4096
@@ -326,6 +327,11 @@ class TestRecords:
             None, "excluded", "member", "excluded", "partial", "partial", None, None]
         for cert in records:
             assert parse_certificate(emit_certificate(cert)) == cert, cert
+
+    def test_a_record_whose_perms_are_not_permutations_is_not_written(self):
+        cert = HallCertificate(A, ((1,),), (2,), 2, 0, ((0, 1), (1, 1)))
+        with within(0.5), pytest.raises(ValueError, match=r"not a permutation of 0..1: \(1, 1\)"):
+            emit_certificate(cert)
 
 
 class TestIndependence:

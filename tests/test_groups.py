@@ -4,16 +4,19 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
+from prodsep import groups
 from prodsep.covers import transition_group
 from prodsep.errors import CapExceeded
 from prodsep.groups import (
     XGroup,
+    _compose_cycles,
     cayley_graph,
     diagonal_subgroup,
     fmt_perm,
     parse_perm,
 )
 from prodsep.words import Alphabet
+from tests.helpers import within
 
 A = Alphabet("xy")
 
@@ -58,6 +61,21 @@ class TestMult:
             assert out == tuple(b[x] for x in a)
         w = (1, 1, -1, 1)
         assert group.evaluate(w) == group.mult(group.perm(1), group.perm(1))
+
+
+class TestTrusted:
+    def test_the_unchecked_group_is_the_checked_one(self):
+        rng = random.Random(11)
+        for n in (0, 1, 2, 7):
+            perms = [rng.sample(range(n), n) for _ in range(2)]  # lists, as covers pass them
+            checked, trusted = XGroup(A, perms), XGroup._trusted(A, perms)
+            assert (trusted.carrier, trusted._perms, trusted._inv, trusted._by_letter) == (
+                checked.carrier, checked._perms, checked._inv, checked._by_letter)
+            assert trusted.elements() == checked.elements()
+
+    def test_the_constructor_still_checks(self):
+        with pytest.raises(ValueError, match="not a permutation of 0..1"):
+            XGroup(A, [(1, 1), (0, 1)])
 
 
 class TestElements:
@@ -197,3 +215,72 @@ class TestCycleNotation:
             parse_perm("(0 1", 2)
         with pytest.raises(ValueError):
             parse_perm("(0 5)", 2)
+
+    @staticmethod
+    def read_both(text, n):
+        """parse_perm's answer and the composing reader's, each a tuple or
+        the ValueError message."""
+        out = []
+        for read in (lambda: parse_perm(text, n), lambda: _compose_cycles(text.strip(), n)):
+            try:
+                out.append(read())
+            except ValueError as e:
+                out.append(str(e))
+        return out
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 200])
+    def test_disjoint_cycles_read_as_the_composing_reader_reads_them(self, n, monkeypatch):
+        def composed(text, n):
+            raise AssertionError(f"{text!r} left the one-pass reader")
+
+        monkeypatch.setattr(groups, "_compose_cycles", composed)
+        rng = random.Random(f"disjoint/{n}")
+        gap = lambda: rng.choice(["", " ", "  ", "\t", "\n "])
+        for _ in range(40):
+            p = tuple(rng.sample(range(n), n))
+            cycles = [c.split() for c in fmt_perm(p)[1:-1].split(")(") if c]
+            # (k) cycles for fixed points, () cycles, in any order
+            cycles += [[str(i)] for i in range(n) if p[i] == i and rng.random() < 0.5]
+            cycles += [[] for _ in range(rng.randint(0, 2))]
+            rng.shuffle(cycles)
+            text = gap() + "".join(
+                "(" + gap() + (gap() + " ").join("0" * rng.randint(0, 2) + t for t in c)
+                + gap() + ")" + gap() for c in cycles) + gap()
+            if not cycles:
+                text += "()"
+            assert self.read_both(text, n) == [p, p], text
+
+    def test_other_texts_read_as_the_composing_reader_reads_them(self, monkeypatch):
+        # overlapping cycles, a point repeated within a cycle, a point out of range
+        cases = [("(0 1)(1 2)", 3), ("(0 1)(0 1)", 2), ("(1 2)(2 0)(0 1)", 3),
+                 ("(0 1 0)", 3), ("(2 2)", 3), ("(0 3)", 3), ("(0 1)(5)", 3),
+                 ("(0 0 7)", 3), ("(7 0 0)", 3), ("(0 1)(2 2)(1 9)", 4),
+                 # past int's digit limit, after and before a point out of range
+                 ("(5 5)(" + "1" * 5000 + ")", 3), ("(" + "1" * 5000 + ")(5 5)", 3)]
+        rng = random.Random("composing")
+        while len(cases) < 310:
+            n = rng.randint(1, 9)
+            cycles = [[rng.randint(0, n) for _ in range(rng.randint(1, 4))]
+                      for _ in range(rng.randint(2, 4))]
+            points = [i for c in cycles for i in c]
+            if max(points) >= n or len(set(points)) < len(points):
+                cases.append(("".join("(" + " ".join(map(str, c)) + ")" for c in cycles), n))
+        composed = []
+        monkeypatch.setattr(groups, "_compose_cycles",
+                            lambda text, n: composed.append(text) or _compose_cycles(text, n))
+        kinds = set()
+        for text, n in cases:
+            got, expected = self.read_both(text, n)
+            assert got == expected, text
+            kinds.add(type(got))
+        assert composed == [text for text, _ in cases]
+        assert kinds == {tuple, str}
+
+
+class TestFmtPermRejects:
+    @pytest.mark.parametrize("p", [(1, 1), (0, 0), (1, 0, 0), (2, 0, 0), (2, 0), (-1, 0), (0, 3, 1)])
+    def test_a_non_permutation_names_the_tuple(self, p):
+        # a walk that runs into a written point never returns to its start
+        with within(0.5), pytest.raises(ValueError, match="not a permutation") as err:
+            fmt_perm(p)
+        assert str(p) in str(err.value)

@@ -164,7 +164,25 @@ class TestContextAgainstPublicPath:
                 expected = diagonal_subgroup(
                     [transition_group(expand_to_cover(g)) for g in graphs])
                 got = ctx.chain.levels[0]
-                assert (got.carrier, got._perms) == (expected.carrier, expected._perms)
+                assert (got.carrier, got._perms, got._inv) == (
+                    expected.carrier, expected._perms, expected._inv)
+
+    def test_the_construction_checks_no_permutation_it_built(self, monkeypatch):
+        # covering and diagonal groups come from XGroup._trusted; only
+        # outside input goes through the checking constructor
+        def checked(self, alphabet, perms):
+            raise AssertionError("a constructed group was checked again")
+
+        monkeypatch.setattr(XGroup, "__init__", checked)
+        rng = random.Random(74)
+        for n in (1, 2, 3):
+            for _ in range(20):
+                subgroups = [random_gens(rng, max_gens=2, max_len=3) for _ in range(n)]
+                product_separator(A, subgroups, random_reduced(rng, 0, 6), cap=300)
+                w = free_reduce(sum((subgroup_word(rng, g, 1) for g in subgroups), ()))
+                factorize(A, subgroups, w, cap=300)
+        for gens, w in hall_pool(random.Random(75), 5):
+            hall_separator(A, gens, w)
 
     def test_hall_lists_no_star_checks_no_orbit_and_reduces_once(self, monkeypatch):
         pool = hall_pool(random.Random(102), 40)
@@ -852,6 +870,41 @@ class TestOneEndedWalk:
             checked += 1
             loops_seen += loops > 0
         assert checked >= 100 and loops_seen > 10
+
+
+class TestImageProduct:
+    # three images: n = 3 sizes all of them at level 2, and n = 4 gates on
+    # those other than an end factor at level 3
+    @pytest.mark.parametrize("n, carrier, cap, min_listed",
+                             [(3, 3, 2000, 10), (4, 2, 512, 4)], ids=["n3", "n4"])
+    def test_stepped_listing_is_the_mult_closure(self, n, carrier, cap, min_listed):
+        """_image_product steps each generator's letters; listing by each
+        generator image with the general product gives the same keys, in
+        the same order, and the same cap failure."""
+        def by_mult(level, subgroups, cap):
+            out = {level.identity: None}
+            for gens in subgroups:
+                steps = [img for img, _ in separators._generator_steps(level, gens)]
+                out = separators.closure(out, steps, level.mult, cap, "product image")
+            return out
+
+        rng = random.Random(f"image-product/{n}")
+        listed = capped = 0
+        for _ in range(30):
+            c = rng.randint(1, carrier)
+            group = XGroup(A, [tuple(rng.sample(range(c), c)) for _ in range(2)])
+            top = ExtensionChain(group, (rng.choice((2, 3)),) * (n - 1)).top
+            subgroups = [random_gens(rng, max_gens=2, max_len=5 - n) for _ in range(3)]
+            try:
+                expected = by_mult(top, subgroups, cap)
+            except CapExceeded as e:
+                with pytest.raises(CapExceeded, match=str(e)):
+                    separators._image_product(top, subgroups, cap)
+                capped += 1
+                continue
+            assert list(separators._image_product(top, subgroups, cap)) == list(expected)
+            listed += 1
+        assert listed >= min_listed and capped >= 1
 
 
 class TestProductAgainstEnumeration:
