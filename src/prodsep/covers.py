@@ -130,9 +130,10 @@ def transition_group(cover):
     return group
 
 
-def _cover_group(graph):
-    """``transition_group(expand_to_cover(graph))`` for a connected
-    immersion, read without building the covering.
+def _cover_perms(graph):
+    """The generators of ``transition_group(expand_to_cover(graph))``, one
+    list per positive letter, read without building the covering or the
+    group.
 
     Each letter's map is completed as the expansion completes it: its
     missing sources go to its missing targets, paired in id order.  The
@@ -149,4 +150,4 @@ def _cover_group(graph):
         for s, d in zip(_gaps(out), _gaps(back)):
             out[s] = d
         perms.append(out)
-    return XGroup._trusted(graph.alphabet, perms)
+    return perms

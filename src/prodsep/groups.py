@@ -164,14 +164,18 @@ def diagonal_subgroup(groups):
         raise ValueError("groups must share the alphabet")
     if len(groups) == 1:
         return groups[0]
+    return _diagonal(alphabet, [g._perms for g in groups])
+
+
+def _diagonal(alphabet, blocks):
+    """The diagonal, unchecked, of the groups generated by each block's
+    permutations, one per positive letter; no group is built per block."""
     perms = []
-    for x in alphabet.positive_letters():
-        block = []
-        offset = 0
-        for g in groups:
-            block.extend(offset + i for i in g.perm(x))
-            offset += g.carrier
-        perms.append(tuple(block))
+    for x in range(alphabet.size):
+        perm = []
+        for block in blocks:
+            perm += [len(perm) + i for i in block[x]]
+        perms.append(perm)
     return XGroup._trusted(alphabet, perms)
 
 

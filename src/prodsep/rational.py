@@ -1,10 +1,14 @@
-"""Independent membership oracle for products of subgroups.
+"""Membership in products of subgroups, by a rational automaton.
 
 A product H_1 ... H_n is a rational subset of the free group: chain the
 Stallings graphs base-to-base with epsilon transitions, then saturate with
 epsilon edges across cancelling letter pairs.  After saturation a reduced
-word belongs to the subset iff the automaton accepts it literally.
+word belongs to the subset iff the automaton accepts it literally.  The
+saturation records why each pair exists, so unseeded ``factorize`` reads
+factors off an accepting run; ``accepts`` reads none and is the reference.
 """
+
+from .errors import CapExceeded
 
 
 class Nfa:
@@ -64,48 +68,54 @@ def product_automaton(hs):
     return Nfa(offset, letter_edges, eps, bases[0], {bases[-1]})
 
 
-def cancellation_closure(nfa):
-    """Saturate: whenever q -x-> q1 =eps*=> q2 -x^-1-> q3, add q =eps=> q3.
-
-    Worklist over state pairs; the saturated automaton accepts a reduced
-    word literally iff some word in the original language freely reduces
-    to it.
+def _saturate(nfa, cap=None):
+    """Whenever q -x-> q1 =eps*=> q2 -x^-1-> q3, add q =eps=> q3: a worklist
+    over state pairs, capped at cap pairs.  Each new pair (x, y) maps to
+    the edge (a, b, edge) whose insertion added it: x =eps*=> a => b
+    =eps*=> y, the outer pairs trivial or older.  edge is None for an
+    epsilon edge of the automaton, (l, q1, q2) for a cancellation.
     """
     n = nfa.num_states
-    fw = [set([q]) for q in range(n)]
-    bw = [set([q]) for q in range(n)]
-    in_edges = {}
-    out_edges = {}
+    fw = [{q} for q in range(n)]
+    bw = [{q} for q in range(n)]
+    in_edges, out_edges = {}, {}
     for q, l, r in nfa.letter_edges:
         in_edges.setdefault(r, []).append((q, l))
         out_edges.setdefault(q, []).append((l, r))
+    why, pending = {}, []
 
-    pending = []
-
-    def insert(a, b):
+    def insert(a, b, edge):
         if b in fw[a]:
             return
         new = [(x, y) for x in bw[a] for y in fw[b] if y not in fw[x]]
         for x, y in new:
             fw[x].add(y)
             bw[y].add(x)
+            why[x, y] = (a, b, edge)
+        if cap is not None and len(why) > cap:
+            raise CapExceeded(f"product automaton has more than {cap} epsilon pairs",
+                              limit=cap)
         pending.extend(new)
 
     for a, b in nfa.eps_edges:
-        insert(a, b)
+        insert(a, b, None)
     # seed: every letter edge followed immediately by its inverse
     for q, l, r in nfa.letter_edges:
         for l2, q3 in out_edges.get(r, ()):
             if l2 == -l:
-                insert(q, q3)
+                insert(q, q3, (l, r, r))
     while pending:
         q1, q2 = pending.pop()
         for q, l in in_edges.get(q1, ()):
             for l2, q3 in out_edges.get(q2, ()):
                 if l2 == -l:
-                    insert(q, q3)
-    eps = {(a, b) for a in range(n) for b in fw[a] if a != b}
-    return Nfa(n, nfa.letter_edges, eps, nfa.initial, nfa.finals)
+                    insert(q, q3, (l, q1, q2))
+    return why
+
+
+def cancellation_closure(nfa):
+    """Saturated: accepts a reduced word iff some accepted word freely reduces to it."""
+    return Nfa(nfa.num_states, nfa.letter_edges, _saturate(nfa), nfa.initial, nfa.finals)
 
 
 def accepts(nfa, word):

@@ -33,11 +33,12 @@ from dataclasses import dataclass
 
 from .certificates import (FactorizationCertificate, HallCertificate, ProductCertificate,
                            _point_image)
-from .covers import _cover_group
+from .covers import _cover_perms
 from .errors import CapExceeded, InternalInvariantError, WordInSubgroup
 from .extensions import ExtensionChain
 from .graphs import reduce_path
-from .groups import DEFAULT_CAP, XGroup, closure, diagonal_subgroup
+from .groups import DEFAULT_CAP, XGroup, _diagonal, closure
+from .rational import _saturate, product_automaton
 from .stallings import _attach, _read_graph, contains
 from .words import free_reduce, invert, is_reduced, letter_sort_key
 
@@ -191,22 +192,20 @@ def project_path(eta, eta_prime, gamma_prime):
 
 
 def _generator_steps(level, generators):
-    """(image, word) for each nontrivial generator and for its inverse."""
+    """The image of each nontrivial generator and of its inverse."""
     steps = []
     for g in generators:
         w = free_reduce(g)
-        if not w:
-            continue
-        img = level.evaluate(w)
-        steps.append((img, w))
-        steps.append((level.inv(img), invert(w)))
+        if w:
+            img = level.evaluate(w)
+            steps += (img, level.inv(img))
     return steps
 
 
 def image_subgroup(level, generators, cap=DEFAULT_CAP):
     """The image subgroup listed by a capped closure: {element: BFS link}."""
-    steps = [img for img, _ in _generator_steps(level, generators)]
-    return closure((level.identity,), steps, level.mult, cap, "subgroup image")
+    return closure((level.identity,), _generator_steps(level, generators), level.mult, cap,
+                   "subgroup image")
 
 
 def _image_product(level, subgroups, cap):
@@ -289,73 +288,27 @@ class ImageStructure:
     At an extension level the image is {(lifts[b] + k, b)}: b runs over the
     image one level down, lifts[b] is the vector of one chosen lift of b,
     and k runs over the GF(p) span of the kernel rows in ``basis``, which
-    maps each pivot to (row, coefs): the row, normalized to pivot
-    coefficient 1, is sum coefs[j] * S_j over the Schreier vectors S_j of
-    the cycle edges.  At level 0 (a permutation group) ``lifts`` is the
-    closure itself, ``basis`` is empty and ``prime`` is None.
-
-    The walk that built it leaves what ``word`` needs: ``links`` maps each b
-    to its BFS tree link (parent, step index) or None, ``words`` holds the
-    step words, and ``cycles[j]`` is the cycle edge (b, i, nb) whose
-    Schreier vector S_j added the j-th kernel row.
+    maps each pivot to (row, {}), the row normalized to pivot coefficient
+    1 and spanned by the Schreier vectors of the walk's cycle edges (the
+    empty tag is the one ``_fibre_search`` replaces with its own).  At
+    level 0 (a permutation group) ``lifts`` is the closure itself,
+    ``basis`` is empty and ``prime`` is None.
     """
     lifts: dict
     basis: dict
     prime: int
     order: int
-    links: dict
-    words: tuple
-    cycles: tuple
-
-    def _steps(self, elem):
-        """The steps that reduce v - lifts[b] to zero, or None outside the image."""
-        vec, b = elem
-        lift = self.lifts.get(b)
-        if lift is None:
-            return None
-        diff = dict(vec)
-        _subtract(diff, lift, self.prime)
-        steps = _reduce(diff, self.basis, self.prime)
-        return None if diff else steps
 
     def __contains__(self, elem):
         if self.prime is None:
             return elem in self.lifts
-        return self._steps(elem) is not None
-
-    def _tree_word(self, b):
-        """The step words along the tree path to b: its image is (lifts[b], b)."""
-        steps = []
-        while self.links[b] is not None:
-            b, i = self.links[b]
-            steps.append(self.words[i])
-        return tuple(l for w in reversed(steps) for l in w)
-
-    def word(self, elem):
-        """A reduced word of the subgroup whose image is elem.
-
-        At level 0 it is the closure-tree path.  Above, elem = (v, b) is
-        (k, 1) * (lifts[b], b) with k = v - lifts[b] in the kernel, which is
-        abelian: one reduction writes k = sum c_j S_j through the rows'
-        coefficients, which gives the word prod S_j-word^c_j * W(b).  A
-        non-member raises InternalInvariantError.
-        """
-        if self.prime is None:
-            if elem not in self.links:
-                raise InternalInvariantError("no word for an element outside the image")
-            return free_reduce(self._tree_word(elem))
-        steps = self._steps(elem)
-        if steps is None:
-            raise InternalInvariantError("no word for an element outside the image")
-        coefs = {}
-        for pivot, c in steps:
-            _subtract(coefs, self.basis[pivot][1], self.prime, -c)
-        out = ()
-        for j, c in sorted(coefs.items()):
-            src, i, dst = self.cycles[j]
-            loop = self._tree_word(src) + self.words[i] + invert(self._tree_word(dst))
-            out += loop * c
-        return free_reduce(out + self._tree_word(elem[1]))
+        lift = self.lifts.get(elem[1])
+        if lift is None:
+            return False
+        diff = dict(elem[0])
+        _subtract(diff, lift, self.prime)
+        _reduce(diff, self.basis, self.prime)
+        return not diff
 
 
 def image_structure(level, generators, cap=DEFAULT_CAP):
@@ -369,29 +322,24 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
     meets each edge once, from the end it dequeues first: a step into an
     element whose steps were all walked is skipped, since that element's
     step i ^ 1 gave minus this Schreier vector (zero on a tree edge).
-    Each Schreier vector is reduced once: only one that adds a row turns
-    the reduction's steps into that row's coefficients.
+    Each Schreier vector is reduced once.
     """
     steps = _generator_steps(level, generators)
-    words = tuple(w for _, w in steps)
-    steps = [img for img, _ in steps]
     if isinstance(level, XGroup):
         tree = closure((level.identity,), steps, level.mult, cap, "subgroup image")
-        return ImageStructure(tree, {}, None, len(tree), tree, words, ())
+        return ImageStructure(tree, {}, None, len(tree))
     below = level.below
     prime = level.prime
     # walk the image one level down carrying a chosen lift vector per
     # element; edges that close a cycle contribute Schreier kernel vectors
     lifts = {below.identity: {}}
-    links = {below.identity: None}
     basis = {}
-    cycles = []
     done = set()
     queue = deque([below.identity])
     while queue:
         b = queue.popleft()
         vb = lifts[b]
-        for i, (vec, g) in enumerate(steps):
+        for vec, g in steps:
             nb = below.mult(b, g)
             if nb in done:
                 continue
@@ -408,15 +356,13 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
                 if len(lifts) >= cap:
                     raise CapExceeded(f"image order exceeds {cap}", limit=cap)
                 lifts[nb] = nvec
-                links[nb] = (b, i)
                 queue.append(nb)
                 continue
             _subtract(nvec, known, prime)
             reduced = _reduce(nvec, basis, prime)
             if not nvec:
                 continue
-            _insert(basis, nvec, reduced, {len(cycles): 1}, prime)
-            cycles.append((b, i, nb))
+            _insert(basis, nvec, reduced, {}, prime)
             if len(lifts) * prime ** len(basis) > cap:
                 raise CapExceeded(
                     f"image order exceeds {cap}: at least "
@@ -425,7 +371,7 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
     order = len(lifts) * prime ** len(basis)
     if order > cap:
         raise CapExceeded(f"image order {order} exceeds {cap}", limit=cap)
-    return ImageStructure(lifts, basis, prime, order, links, words, tuple(cycles))
+    return ImageStructure(lifts, basis, prime, order)
 
 
 def image_subgroup_order(level, generators, cap=DEFAULT_CAP):
@@ -567,25 +513,6 @@ def _fibre_product_size(structures):
     return one.order * two.order // common
 
 
-def _images_and_hit(level, subgroups, word, cap):
-    """The images' structures and the search's hit for the word, or CapExceeded.
-
-    With three or more factors the product of the images other than the
-    larger end factor (the last on a tie) must also be within the cap:
-    sized fibre by fibre for three, listed in reverse order for more.
-    """
-    structures = [image_structure(level, gens, cap) for gens in subgroups]
-    n = len(structures)
-    if n >= 3:
-        end = 0 if structures[0].order > structures[-1].order else n - 1
-        others = [i for i in reversed(range(n)) if i != end]
-        if n > 3:
-            _image_product(level, [subgroups[i] for i in others], cap)
-        elif _fibre_product_size([structures[i] for i in others]) > cap:
-            raise CapExceeded(f"product image has more than {cap} elements", limit=cap)
-    return structures, _fibre_search(level, structures, level.evaluate(word))
-
-
 # -- factorization counters ---------------------------------------------------
 
 
@@ -596,7 +523,6 @@ class FactorizeStats:
     spines: int = 0
     prefix_spines: int = 0
     bfs_spines: int = 0
-    capped_search: bool = False
 
 
 # -- construction contexts ----------------------------------------------------
@@ -620,8 +546,9 @@ def _build_context(alphabet, subgroups, word, primes):
     of the covers' transition groups.
 
     Every generator and the word are free-reduced once, here; the readers
-    take the reduced words, and the groups are read from the package's own
-    connected immersions without the public checks (``covers._cover_group``).
+    take the reduced words, and the diagonal's blocks are the completed letter
+    maps of the package's own immersions, with no check and no group per
+    factor (``covers._cover_perms``).
     """
     n = len(subgroups)
     if n < 1:
@@ -638,8 +565,7 @@ def _build_context(alphabet, subgroups, word, primes):
     gammas = tuple(h.graph for h in pointed[:-1]) + (attached.graph,)
     starts = tuple(h.base for h in pointed[:-1]) + (attached.omega,)
     ends = tuple(h.base for h in pointed[:-1]) + (attached.alpha,)
-    groups = tuple(_cover_group(g) for g in gammas)
-    chain = ExtensionChain(diagonal_subgroup(groups), primes)
+    chain = ExtensionChain(_diagonal(alphabet, [_cover_perms(g) for g in gammas]), primes)
     return _Context(alphabet, subgroups, word, pointed, attached, gammas,
                     starts, ends, chain)
 
@@ -680,7 +606,8 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
     Every factor count is decided by one search over the image
     structures (_fibre_search), which lists no image.  It is partial, with
     no sizes, when an image, or for three or more factors the product of
-    the images other than the larger end factor, outgrows the cap.  The
+    the images other than the larger end factor (the last on a tie, sized
+    fibre by fibre for three, listed for more), outgrows the cap.  The
     image product is sized when the product of the image orders is within
     the cap: fibre by fibre for one or two factors, listed for more.
     """
@@ -694,9 +621,18 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
                                   product_size)
 
     try:
-        structures, hit = _images_and_hit(top, ctx.subgroups, ctx.word, cap)
+        structures = [image_structure(top, gens, cap) for gens in ctx.subgroups]
+        n = len(structures)
+        if n >= 3:
+            end = 0 if structures[0].order > structures[-1].order else n - 1
+            others = [i for i in reversed(range(n)) if i != end]
+            if n > 3:
+                _image_product(top, [ctx.subgroups[i] for i in others], cap)
+            elif _fibre_product_size([structures[i] for i in others]) > cap:
+                raise CapExceeded(f"product image has more than {cap} elements", limit=cap)
     except CapExceeded:
         return certificate("partial")
+    hit = _fibre_search(top, structures, top.evaluate(ctx.word))
     size = None
     if math.prod(st.order for st in structures) <= cap:
         if len(structures) <= 2:
@@ -712,14 +648,14 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
 
 def factorize(alphabet, subgroups, word, seeds=None, primes=None,
               cap=DEFAULT_CAP, stats=None):
-    """Factor the word across the subgroups, or None when out of reach.
+    """Factor the word across the subgroups, or None outside their product.
 
     The factors come back in a ``FactorizationCertificate``.  With seeds
     given (words h_i' in H_i whose K-image product matches the word's),
     the construction is the recursive cut-and-project argument and cannot
-    fail.  Without seeds, a bounded search over the image
-    subgroups looks for them first; returning None then means the search
-    was exhausted or capped, not that the word is outside the product.
+    fail.  Without seeds, they are read from the saturated product
+    automaton (``_search_seeds``), whose size the cap bounds; None means
+    it rejects the word.  Either way the seeds are then pinched.
     """
     if stats is None:
         stats = FactorizeStats()
@@ -739,7 +675,7 @@ def factorize(alphabet, subgroups, word, seeds=None, primes=None,
         return None
     top = ctx.chain.top
     if seeds is None:
-        seeds = _search_seeds(ctx, cap, stats)
+        seeds = _search_seeds(ctx, cap)
         if seeds is None:
             return None
     elif top.evaluate(sum(seeds, ())) != top.evaluate(w):
@@ -773,20 +709,69 @@ def _check_factorization(ctx, factors):
         raise InternalInvariantError("factor product differs from the word")
 
 
-def _search_seeds(ctx, cap, stats):
-    """Words h_i in H_i whose images multiply to the word's, or None.
+def _search_seeds(ctx, cap):
+    """Words h_i in H_i whose product is the word in F, or None outside H_1 ... H_n.
 
-    The hit of product_separator's search, each element's word read from
-    its image structure (``ImageStructure.word``); None when capped.
+    A layered search with back pointers finds an accepting run of the
+    saturated product automaton (``_saturate``, capped) on the reduced
+    word; its epsilon pairs unfold through the edges that added them.  Only
+    the chain edge base_i -> base_{i+1} leads from S(H_i) to S(H_{i+1}), so
+    the run's part in S(H_i), the i-th seed, is a loop at base_i.
     """
-    try:
-        structures, hit = _images_and_hit(ctx.chain.top, ctx.subgroups, ctx.word, cap)
-    except CapExceeded:
-        stats.capped_search = True
+    nfa = product_automaton(ctx.pointed)
+    why = _saturate(nfa, cap)
+    reach = {q: [q] for q in range(nfa.num_states)}
+    for x, y in why:
+        reach[x].append(y)
+    by_source = nfa.by_source()
+    # after j letters: state -> (the state one epsilon pair back, one letter back)
+    layers = [{y: (nfa.initial, None) for y in reach[nfa.initial]}]
+    for l in ctx.word:
+        layers.append({})
+        for s in layers[-2]:
+            for r in by_source.get((s, l), ()):
+                for y in reach[r]:
+                    layers[-1].setdefault(y, (r, s))
+    (y,) = nfa.finals
+    if y not in layers[-1]:
         return None
-    if hit is None:
-        return None
-    return tuple(st.word(e) for st, e in zip(structures, hit))
+    pieces, memo = [], {}
+    for j in reversed(range(len(layers))):
+        r, s = layers[j][y]
+        pieces += [_unfold(why, (r, y), memo)] + [((l,),) for l in ctx.word[j - 1:j]]
+        y = s
+    return _glue(*reversed(pieces))
+
+
+def _unfold(why, pair, memo):
+    """The path an epsilon pair stands for, one reduced word per graph (a
+    chain edge starts the next), memoized; iterative, as nests run deep."""
+    stack = [pair] if pair[0] != pair[1] else []
+    while stack:
+        x, y = stack[-1]
+        a, b, edge = why[x, y]
+        inner = [(x, a), (b, y)] + ([edge[1:]] if edge else [])
+        todo = [p for p in inner if p[0] != p[1] and p not in memo]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        mid = ((), ()) if edge is None else \
+            _glue(((edge[0],),), memo.get(edge[1:], ((),)), ((-edge[0],),))
+        memo[x, y] = _glue(memo.get((x, a), ((),)), mid, memo.get((b, y), ((),)))
+    return memo.get(pair, ((),))
+
+
+def _glue(*parts):
+    """Per-graph reduced words, each part's last word joined to the next
+    part's first: only letters at the joint cancel."""
+    out = list(parts[0])
+    for part in parts[1:]:
+        u, v, k = out[-1], part[0], 0
+        while k < min(len(u), len(v)) and u[-1 - k] == -v[k]:
+            k += 1
+        out[-1:] = [u[:len(u) - k] + v[k:], *part[1:]]
+    return tuple(out)
 
 
 def _pinch(chain, items, stats):

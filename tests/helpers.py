@@ -189,19 +189,15 @@ def two_ended_image_structure(level, generators, cap):
     already in the span.  The oracle the one-ended walk is tested against.
     """
     steps = _generator_steps(level, generators)
-    words = tuple(w for _, w in steps)
-    steps = [img for img, _ in steps]
     below = level.below
     prime = level.prime
     lifts = {below.identity: {}}
-    links = {below.identity: None}
     basis = {}
-    cycles = []
     queue = deque([below.identity])
     while queue:
         b = queue.popleft()
         vb = lifts[b]
-        for i, (vec, g) in enumerate(steps):
+        for vec, g in steps:
             nb = below.mult(b, g)
             nvec = dict(vb)
             for (src, x), c in vec:
@@ -216,21 +212,15 @@ def two_ended_image_structure(level, generators, cap):
                 if len(lifts) >= cap:
                     raise CapExceeded(f"image order exceeds {cap}", limit=cap)
                 lifts[nb] = nvec
-                links[nb] = (b, i)
                 queue.append(nb)
                 continue
             _subtract(nvec, known, prime)
-            reduced = _reduce(nvec, basis, prime)
+            _reduce(nvec, basis, prime)
             if not nvec:
                 continue
-            coefs = {len(cycles): 1}
-            for pivot, c in reduced:
-                _subtract(coefs, {j: c * v for j, v in basis[pivot][1].items()}, prime)
             pivot = min(nvec)
             inv = pow(nvec[pivot], -1, prime)
-            basis[pivot] = ({k: v * inv % prime for k, v in nvec.items()},
-                            {j: c * inv % prime for j, c in coefs.items()})
-            cycles.append((b, i, nb))
+            basis[pivot] = ({k: v * inv % prime for k, v in nvec.items()}, {})
             if len(lifts) * prime ** len(basis) > cap:
                 raise CapExceeded(
                     f"image order exceeds {cap}: at least "
@@ -238,7 +228,7 @@ def two_ended_image_structure(level, generators, cap):
     order = len(lifts) * prime ** len(basis)
     if order > cap:
         raise CapExceeded(f"image order {order} exceeds {cap}", limit=cap)
-    return ImageStructure(lifts, basis, prime, order, links, words, tuple(cycles))
+    return ImageStructure(lifts, basis, prime, order)
 
 
 @contextmanager

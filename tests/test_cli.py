@@ -518,6 +518,14 @@ class TestCliCommands:
         assert main(["verify", str(cert)]) == 0
         assert main(["factorize", product_file, "xy"]) == 1
 
+    def test_factorize_cap_bounds_the_product_automaton(self, tmp_path, capsys):
+        # the saturation of S(xx) -> S(xx) adds two epsilon pairs
+        path = tmp_path / "xx.txt"
+        path.write_text("alphabet: xy\nH1: xx\nH2: xx\n")
+        assert main(["factorize", str(path), "xx", "--cap", "1"]) == 2
+        assert "product automaton has more than 1 " in capsys.readouterr().err
+        assert main(["factorize", str(path), "xx", "--cap", "2"]) == 0
+
     def test_oracle_member(self, product_file):
         assert main(["oracle", "member", product_file, "xxyy"]) == 0
         assert main(["oracle", "member", product_file, "xy"]) == 1

@@ -16,11 +16,11 @@ from prodsep.certificates import (
     verify_certificate,
 )
 from prodsep.covers import expand_to_cover, transition_group
-from prodsep.errors import CapExceeded, InternalInvariantError
+from prodsep.errors import CapExceeded
 from prodsep.extensions import ExtensionChain, ExtensionLevel, iterated_extension
 from prodsep.graphs import LabeledGraph
 from prodsep.groups import XGroup, diagonal_subgroup
-from prodsep.rational import member_product
+from prodsep.rational import accepts, cancellation_closure, member_product, product_automaton
 from prodsep.separators import (
     FactorizeStats,
     _build_context,
@@ -41,6 +41,7 @@ from tests.helpers import (
     _product_member,
     kernel_loop_word,
     two_ended_image_structure,
+    within,
 )
 
 A = Alphabet("xy")
@@ -394,8 +395,7 @@ class TestProductSeparator:
     def test_unseeded_factorize_enumerates_no_image(self, monkeypatch):
         enumerated, products = self.record_enumeration(monkeypatch)
         x, y, xx, yy = (A.parse(t) for t in ("x", "y", "xx", "yy"))
-        # every word is a member, so the search hits and reads every word
-        # from its image structure
+        # every word is a member; its seeds come from the product automaton
         for subgroups, w in [([[x], [xx]], "xxx"), ([[xx], [yy]], "xxyy"),
                              ([[xx], [x, y]], "xxy"), ([[xx], [y], [x]], "xxyx"),
                              ([[x], [y], [xx]], "xyxx")]:
@@ -535,46 +535,95 @@ class TestFactorize:
         assert img == top.evaluate(w)
 
     def test_oracle_agreement_randomized(self):
+        # None means exactly "not in the product": by the rational oracle,
+        # and by product_separator's fibre search wherever it decides
         rng = random.Random(229)
-        agree = 0
-        while agree < 15:
-            g1 = random_gens(rng, max_gens=2, max_len=4)
-            g2 = random_gens(rng, max_gens=2, max_len=4)
-            w = random_reduced(rng, 0, 6)
-            hs = [stallings_graph(A, g1), stallings_graph(A, g2)]
-            try:
-                f = factorize(A, [g1, g2], w, cap=30000)
-            except CapExceeded:
-                continue
-            if f is not None:
-                assert member_product(hs, w)
-            else:
-                # search-капped runs are inconclusive; exhausted ones are not
-                stats = FactorizeStats()
-                f2 = factorize(A, [g1, g2], w, cap=30000, stats=stats)
-                if not stats.capped_search:
-                    assert not member_product(hs, w)
-            agree += 1
-        # three factors, unseeded: the search enumerates the product of the
-        # two images other than the larger end factor
         outcomes = set()
-        for _ in range(24):
-            subgroups = [random_gens(rng, max_gens=2, max_len=3) for _ in range(3)]
-            w = random_reduced(rng, 0, 6)
-            if rng.random() < 0.5:
+        for n, count, cap in ((2, 15, 30000), (3, 24, 2000)):
+            for _ in range(count):
+                subgroups = [random_gens(rng, max_gens=2, max_len=5 - n) for _ in range(n)]
+                w = random_reduced(rng, 0, 6)
+                if n == 3 and rng.random() < 0.5:
+                    w = free_reduce(sum((subgroup_word(rng, g, 2) for g in subgroups), ()))
+                hs = [stallings_graph(A, g) for g in subgroups]
+                f = factorize(A, subgroups, w, cap=cap)
+                assert (f is None) == (not member_product(hs, w))
+                if f is not None:
+                    assert verify_certificate(f)[0]
+                excluded = product_separator(A, subgroups, w, cap=cap).excluded
+                if excluded is not None:
+                    assert excluded == (f is None)
+                outcomes.add((n, f is None, excluded))
+        assert {(n, none) for n, none, _ in outcomes} == {
+            (n, none) for n in (2, 3) for none in (True, False)}
+        assert {excluded for _, _, excluded in outcomes} == {True, False, None}
+
+
+class TestSeedsFromTheProductAutomaton:
+    """Unseeded factorize reads its seeds off one accepting run of the
+    saturated product automaton; plain ``accepts`` is the reference."""
+
+    @staticmethod
+    def assert_seeds(ctx, seeds):
+        assert len(seeds) == len(ctx.pointed)
+        assert all(contains(h, s) for h, s in zip(ctx.pointed, seeds))
+        assert free_reduce(sum(seeds, ())) == ctx.word
+
+    def test_seeds_exactly_when_accepted(self):
+        rng = random.Random(7)
+        seen = set()
+        for i in range(400):
+            n = rng.randint(1, 4)
+            subgroups = [random_gens(rng, max_gens=3, max_len=4) for _ in range(n)]
+            w = random_reduced(rng, 0, 8)
+            if i % 2:
                 w = free_reduce(sum((subgroup_word(rng, g, 2) for g in subgroups), ()))
-            hs = [stallings_graph(A, g) for g in subgroups]
-            stats = FactorizeStats()
-            f = factorize(A, subgroups, w, cap=2000, stats=stats)
-            if f is not None:
-                assert member_product(hs, w)
-                assert free_reduce(sum(f.factors, ())) == w
-                assert all(contains(h, x) for h, x in zip(hs, f.factors))
-                outcomes.add("found")
-            elif not stats.capped_search:
-                assert not member_product(hs, w)
-                outcomes.add("exhausted")
-        assert outcomes == {"found", "exhausted"}
+            ctx = _build_context(A, subgroups, w, None)
+            seeds = separators._search_seeds(ctx, 10 ** 6)
+            accepted = accepts(cancellation_closure(product_automaton(ctx.pointed)),
+                               ctx.word)
+            assert (seeds is not None) == accepted
+            if seeds is not None:
+                self.assert_seeds(ctx, seeds)
+                if i % 8 < 2:
+                    assert verify_certificate(factorize(A, subgroups, w))[0]
+            seen.add((n, accepted))
+        assert seen == {(n, a) for n in (1, 2, 3, 4) for a in (True, False)}
+
+    @pytest.mark.parametrize("k", [30, 100])
+    def test_long_power_is_factored_quickly(self, k):
+        # H = <y x^k>, <x^k>, w = y: the image search took 0.6 s at k = 30,
+        # and its memory ran out at k = 100
+        H = [[A.parse("y" + "x" * k)], [A.parse("x" * k)]]
+        with within(2):
+            f = factorize(A, H, A.parse("y"))
+        assert f.factors == (A.parse("y" + "x" * k), A.parse("X" * k))
+        assert verify_certificate(f)[0]
+
+    def test_three_factor_repro_is_factored_quickly(self):
+        # the image search gave up (None) here after half a minute
+        H = [[A.parse("XYxYY")], [A.parse("Xyxxy")], [A.parse("xxxxY")]]
+        with within(2):
+            f = factorize(A, H, A.parse("XYxYYXYxYYXyxxyXyxxyxxxxY"), cap=2000)
+        assert [A.format(x) for x in f.factors] == ["XYxYYXYxYY", "XyxxyXyxxy", "xxxxY"]
+        assert verify_certificate(f)[0]
+
+    def test_deep_cancellation_unfolds_without_recursion(self):
+        # the run's epsilon pair stands for x^k x^-k, nested k deep
+        k = 1500
+        assert k > sys.getrecursionlimit()
+        H = [[A.parse("y" + "x" * k)], [A.parse("x" * k)]]
+        ctx = _build_context(A, H, A.parse("y"), None)
+        with within(2):
+            seeds = separators._search_seeds(ctx, 10 ** 6)
+        assert seeds == (A.parse("y" + "x" * k), A.parse("X" * k))
+        self.assert_seeds(ctx, seeds)
+
+    def test_cap_bounds_the_product_automaton(self):
+        H = [[A.parse("y" + "x" * 30)], [A.parse("x" * 30)]]
+        with pytest.raises(CapExceeded, match="^product automaton has more than 5 "):
+            factorize(A, H, A.parse("y"), cap=5)
+        assert member_product([stallings_graph(A, g) for g in H], A.parse("y"))
 
 
 class TestKernelLoopWord:
@@ -714,74 +763,6 @@ class TestImageStructure:
         assert checked >= 40
         assert outside > 100
 
-    def test_word_matches_enumeration(self):
-        rng = random.Random(1009)
-        z2 = XGroup(A, [(1, 0), (1, 0)])
-        checked, levels, primes_seen, refused = 0, set(), set(), 0
-        for base in (KLEIN, z2):
-            for primes in ((), (2,), (3,), (5,), (2, 2), (3, 2), (2, 3), (2, 5)):
-                level = iterated_extension(base, primes).top
-                for _ in range(5):
-                    gens = random_gens(rng, max_gens=2, max_len=4)
-                    try:
-                        image = image_subgroup(level, gens, cap=3000)
-                    except CapExceeded:
-                        continue
-                    st = image_structure(level, gens, cap=3000)
-                    h = stallings_graph(A, gens)
-                    for elem in rng.sample(sorted(image, key=repr), min(25, len(image))):
-                        word = st.word(elem)
-                        assert level.evaluate(word) == elem
-                        assert contains(h, word)
-                        checked += 1
-                    levels.add(len(primes))
-                    primes_seen.update(primes)
-                    for _ in range(10):
-                        elem = level.evaluate(random_reduced(rng, 0, 8))
-                        if elem not in image:
-                            with pytest.raises(InternalInvariantError):
-                                st.word(elem)
-                            refused += 1
-        assert levels == {0, 1, 2} and primes_seen == {2, 3, 5}
-        assert checked > 500 and refused > 100
-
-    def test_rows_carry_their_coefficients(self):
-        # each kernel row is sum coefs[j] * S_j, where S_j is the Schreier
-        # vector of the cycle edge cycles[j], rebuilt here by the level's
-        # own arithmetic
-        rng = random.Random(419)
-        structures = rows = 0
-        for level in chain_levels():
-            if isinstance(level, XGroup):
-                continue
-            p = level.prime
-            for _ in range(24):
-                gens = random_gens(rng, max_gens=2, max_len=4)
-                try:
-                    st = image_structure(level, gens, cap=3000)
-                except CapExceeded:
-                    continue
-                schreier = []
-                for src, i, dst in st.cycles:
-                    vec, end = level.mult((st.lifts[src], src),
-                                          level.evaluate(st.words[i]))
-                    assert end == dst
-                    diff = dict(vec)
-                    for k, c in st.lifts[dst].items():
-                        diff[k] = (diff.get(k, 0) - c) % p
-                    schreier.append(diff)
-                assert len(schreier) == len(st.basis)
-                for pivot, (row, coefs) in st.basis.items():
-                    total = {}
-                    for j, c in coefs.items():
-                        for k, v in schreier[j].items():
-                            total[k] = (total.get(k, 0) + c * v) % p
-                    assert {k: v for k, v in total.items() if v} == row
-                    assert min(row) == pivot and row[pivot] == 1
-                    rows += 1
-                structures += 1
-        assert structures >= 300 and rows >= 500
-
     def test_base_level_structure_is_the_closure(self):
         st = image_structure(KLEIN, [A.parse("x")])
         assert st.basis == {} and st.prime is None
@@ -820,8 +801,7 @@ class TestOneEndedWalk:
                     two_ended_image_structure(level, gens, cap=3000)
                 continue
             ref = two_ended_image_structure(level, gens, cap=3000)
-            assert st.lifts == ref.lifts and st.links == ref.links
-            assert st.basis == ref.basis and st.cycles == ref.cycles
+            assert st.lifts == ref.lifts and st.basis == ref.basis
             assert st.order == ref.order
             kinds.add((level.prime, isinstance(level.below, XGroup), bool(st.basis)))
             checked += 1
@@ -863,7 +843,7 @@ class TestOneEndedWalk:
                 st = image_structure(level, gens, cap=3000)
             except CapExceeded:
                 continue
-            images = [img for img, _ in separators._generator_steps(level, gens)]
+            images = separators._generator_steps(level, gens)
             n, k = len(st.lifts), len(images) // 2
             loops = sum(level.below.mult(b, g) == b for b in st.lifts for _, g in images) // 2
             assert len(calls) == n * k - n + 1 + loops
@@ -884,7 +864,7 @@ class TestImageProduct:
         def by_mult(level, subgroups, cap):
             out = {level.identity: None}
             for gens in subgroups:
-                steps = [img for img, _ in separators._generator_steps(level, gens)]
+                steps = separators._generator_steps(level, gens)
                 out = separators.closure(out, steps, level.mult, cap, "product image")
             return out
 
@@ -961,14 +941,11 @@ class TestProductAgainstEnumeration:
         for _ in range(40):
             subgroups = [random_gens(rng, max_gens=2, max_len=3) for _ in range(2)]
             w = free_reduce(sum((subgroup_word(rng, g, 2) for g in subgroups), ()))
-            stats = FactorizeStats()
-            cert = factorize(A, subgroups, w, primes=(prime,), cap=4096, stats=stats)
-            # every word is a member, so only a capped search finds nothing
-            assert (cert is None) == stats.capped_search
-            if cert is not None:
-                assert verify_certificate(cert)[0]
-                found += 1
-        assert found >= 20
+            cert = factorize(A, subgroups, w, primes=(prime,), cap=4096)
+            # every word is a member, so every one is factored
+            assert cert is not None and verify_certificate(cert)[0]
+            found += 1
+        assert found == 40
 
     @pytest.mark.parametrize("n, count, cap, min_decided, min_sized",
                              [(1, 100, 4096, 90, 90), (3, 80, 300, 30, 8)],
