@@ -650,12 +650,11 @@ def factorize(alphabet, subgroups, word, seeds=None, primes=None,
               cap=DEFAULT_CAP, stats=None):
     """Factor the word across the subgroups, or None outside their product.
 
-    The factors come back in a ``FactorizationCertificate``.  With seeds
-    given (words h_i' in H_i whose K-image product matches the word's),
-    the construction is the recursive cut-and-project argument and cannot
-    fail.  Without seeds, they are read from the saturated product
-    automaton (``_search_seeds``), whose size the cap bounds; None means
-    it rejects the word.  Either way the seeds are then pinched.
+    Returns a ``FactorizationCertificate``.  Given seeds (h_i' in H_i whose
+    K-image product matches the word's), the recursive cut-and-project
+    construction cannot fail.  Else the saturated product automaton, sized
+    by the cap, gives exact seeds (``_search_seeds``) or rejects the word:
+    None.  They are pinched too, so the output is what ``seeds=`` would give.
     """
     if stats is None:
         stats = FactorizeStats()

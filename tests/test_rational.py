@@ -101,3 +101,36 @@ class TestMemberProduct:
                 # the bounded search can miss long factors, never the converse
                 continue
             assert claimed == truth
+
+    def test_agrees_with_exact_enumeration_without_base_loops(self):
+        # No base carries a self-loop, so a slip in the inverse-letter match
+        # of the saturation cannot hide behind a loop reading x both ways.
+        # w is in H1 H2 iff H1 meets w H2; a shortest u in both is a path of
+        # the pullback of S(H1) and the glued graph of w H2, so enumerating
+        # the loops of the cyclic H1 up to the pullback's size is exact.
+        from prodsep.words import invert
+        from tests.helpers import glue_word, loop_words_up_to
+
+        def base_loop(h):
+            g = h.graph
+            return any(g.src(d) == g.dst(d) == h.base for d in range(g.num_darts))
+
+        rng = random.Random(73)
+        outcomes = []
+        while len(outcomes) < 150:
+            h1 = stallings_graph(A, [free_reduce(random_word(rng, 5)) or A.parse("xy")])
+            gens = [free_reduce(random_word(rng, 4)) for _ in range(rng.randint(1, 2))]
+            h2 = stallings_graph(A, [g for g in gens if g] or [A.parse("yx")])
+            if base_loop(h1) or base_loop(h2):
+                continue
+            if rng.random() < 0.5:
+                w = free_reduce(random_word(rng, 7))
+            else:
+                w = free_reduce(rng.choice([()] + loop_words_up_to(h1, 6))
+                                + rng.choice([()] + loop_words_up_to(h2, 6)))
+            bound = h1.graph.num_vertices * glue_word(h2, w).graph.num_vertices
+            truth = any(contains(h2, free_reduce(invert(u) + w))
+                        for u in [()] + loop_words_up_to(h1, bound))
+            assert member_product([h1, h2], w) == truth
+            outcomes.append(truth)
+        assert 30 < sum(outcomes) < 120

@@ -541,7 +541,7 @@ class TestFactorize:
         outcomes = set()
         for n, count, cap in ((2, 15, 30000), (3, 24, 2000)):
             for _ in range(count):
-                subgroups = [random_gens(rng, max_gens=2, max_len=5 - n) for _ in range(n)]
+                subgroups = [random_gens(rng, max_gens=2, max_len=6 - n) for _ in range(n)]
                 w = random_reduced(rng, 0, 6)
                 if n == 3 and rng.random() < 0.5:
                     w = free_reduce(sum((subgroup_word(rng, g, 2) for g in subgroups), ()))
@@ -586,7 +586,10 @@ class TestSeedsFromTheProductAutomaton:
             if seeds is not None:
                 self.assert_seeds(ctx, seeds)
                 if i % 8 < 2:
-                    assert verify_certificate(factorize(A, subgroups, w))[0]
+                    f = factorize(A, subgroups, w)
+                    assert verify_certificate(f)[0]
+                    # the found seeds are pinched as given seeds would be
+                    assert f.factors == factorize(A, subgroups, w, seeds=seeds).factors
             seen.add((n, accepted))
         assert seen == {(n, a) for n in (1, 2, 3, 4) for a in (True, False)}
 
