@@ -179,7 +179,9 @@ class LabeledGraph:
                 return None
             darts.append(d)
             cur = src[d ^ 1]
-        return Path(self, v, tuple(darts))
+        path = Path(self, v, darts)
+        path._label = tuple(word)
+        return path
 
     # -- folding -------------------------------------------------------------
 
@@ -386,15 +388,19 @@ class Path:
         self.graph = graph
         self.start = start
         self.darts = tuple(darts)
+        src = graph._src
         cur = start
         for d in self.darts:
-            if graph.src(d) != cur:
+            if src[d] != cur:
                 raise ValueError("darts do not compose")
-            cur = graph.dst(d)
+            cur = src[d ^ 1]
         self.end = cur
+        self._label = None
 
     def label(self):
-        return tuple(self.graph.label(d) for d in self.darts)
+        if self._label is None:
+            self._label = tuple(map(self.graph._label.__getitem__, self.darts))
+        return self._label
 
     def reversed(self):
         return Path(self.graph, self.end, tuple(d ^ 1 for d in reversed(self.darts)))

@@ -94,13 +94,19 @@ class PathSpan:
 
 
 def span_of(path):
-    vertices = frozenset(path.vertices)
-    edges = {}
-    for i in range(len(path.word)):
-        key = path.step_key(i)
-        u, v = path.vertices[i], path.vertices[i + 1]
-        edges[key] = (u, v) if path.word[i] > 0 else (v, u)
-    return PathSpan(vertices, edges, path)
+    return _span(path, {})
+
+
+def _span(path, counts):
+    """The path's span; each step adds its crossing of its edge to counts,
+    +1 forwards (a positive letter) and -1 backwards."""
+    verts, edges = path.vertices, {}
+    for i, l in enumerate(path.word):
+        u, v = verts[i], verts[i + 1]
+        key, ends, c = ((u, l), (u, v), 1) if l > 0 else ((v, -l), (v, u), -1)
+        edges[key] = ends
+        counts[key] = counts.get(key, 0) + c
+    return PathSpan(frozenset(verts), edges, path)
 
 
 def _search(edges, start):
@@ -166,6 +172,12 @@ def project_path(eta, eta_prime, gamma_prime):
     matches them carries eta to a path in the immersion with eta's label,
     starting where gamma_prime starts.
     """
+    return _project(eta, eta_prime, span_of(eta_prime).edges, gamma_prime)
+
+
+def _project(eta, eta_prime, edges, gamma_prime):
+    """project_path, given the edges of eta_prime's span (those of its reverse
+    are the same)."""
     if eta.start != eta_prime.start:
         raise ValueError("eta and eta_prime must share their start vertex")
     if not is_reduced(eta.word):
@@ -176,9 +188,7 @@ def project_path(eta, eta_prime, gamma_prime):
         raise ValueError("gamma_prime must carry the same label as eta_prime")
     if not gamma_prime.is_reduced():
         raise ValueError("gamma_prime must be reduced")
-    allowed = set(span_of(eta_prime).edges)
-    missing = [k for k in eta.edge_keys() if k not in allowed]
-    if missing:
+    if any(k not in edges for k in eta.edge_keys()):
         raise ValueError("every geometric edge of eta must be traversed by eta_prime")
     out = gamma_prime.graph.trace(gamma_prime.start, eta.word)
     if out is None:
@@ -655,45 +665,57 @@ def factorize(alphabet, subgroups, word, seeds=None, primes=None,
     construction cannot fail.  Else the saturated product automaton, sized
     by the cap, gives exact seeds (``_search_seeds``) or rejects the word:
     None.  They are pinched too, so the output is what ``seeds=`` would give.
+
+    The pinch items (each seed's loop, read once for the membership check,
+    and seeds[-1] w^-1 read with the word attached) multiply to seeds w^-1
+    in F, so the seed check is the top pinch call's premise, read off the
+    items' walk (``_walk``); the walk is handed to the pinch.
     """
     if stats is None:
         stats = FactorizeStats()
     n = len(subgroups)
     ctx = _build_context(alphabet, subgroups, word, primes)
     w = ctx.word
-    if seeds is not None:
+    given = seeds is not None
+    if given:
         if len(seeds) != n:
             raise ValueError(f"need {n} seeds, got {len(seeds)}")
         seeds = tuple(free_reduce(s) for s in seeds)
-        for i, s in enumerate(seeds):
-            if not contains(ctx.pointed[i], s):
+        loops = _loops(ctx, seeds)
+        for i, loop in enumerate(loops):
+            if loop is None:
                 raise ValueError(f"seed {i + 1} is not in its subgroup")
     if n == 1:
         if contains(ctx.pointed[0], w):
             return FactorizationCertificate(alphabet, ctx.subgroups, w, (w,))
         return None
-    top = ctx.chain.top
-    if seeds is None:
+    if not given:
         seeds = _search_seeds(ctx, cap)
         if seeds is None:
             return None
-    elif top.evaluate(sum(seeds, ())) != top.evaluate(w):
-        raise ValueError("seed product does not match the word in the quotient")
-    items = []
-    for i in range(n - 1):
-        path = ctx.gammas[i].trace(ctx.starts[i], seeds[i])
-        if path is None or path.end != ctx.starts[i]:
+        loops = _loops(ctx, seeds[:-1])
+        if None in loops:
             raise InternalInvariantError("seed does not read a loop")
-        items.append(path)
+    items = loops[:n - 1]
     last = ctx.gammas[-1].trace(ctx.starts[-1], free_reduce(seeds[-1] + invert(w)))
     if last is None or last.end != ctx.ends[-1]:
         raise InternalInvariantError("attached path does not reach the free end")
     items.append(last)
-    out = _pinch(ctx.chain, items, stats)
+    walk = _walk(ctx.chain, items)
+    if given and walk[2] is not None:
+        raise ValueError("seed product does not match the word in the quotient")
+    out = _pinch(ctx.chain, items, stats, walk)
     factors = tuple(free_reduce(p.label()) for p in out[:-1])
     factors += (free_reduce(out[-1].label() + w),)
     _check_factorization(ctx, factors)
     return FactorizationCertificate(alphabet, ctx.subgroups, w, factors)
+
+
+def _loops(ctx, seeds):
+    """Each seed's loop at the base of S(H_i), or None if it is not in H_i."""
+    paths = [h.graph.trace(h.base, s) for h, s in zip(ctx.pointed, seeds)]
+    return [p if p is not None and p.end == h.base else None
+            for h, p in zip(ctx.pointed, paths)]
 
 
 def _check_factorization(ctx, factors):
@@ -773,77 +795,89 @@ def _glue(*parts):
     return tuple(out)
 
 
-def _pinch(chain, items, stats):
+def _walk(chain, items):
+    """The m labels traced tip to tail at chain level m-2: (Cayley paths,
+    their spans, what fails of the pinch premise or None).  By the
+    traversal identity (``extensions``) the labels' product at level m-1 is
+    (each Cayley edge's net signed crossing count mod p, the walk's end)."""
+    m = len(items)
+    level, prime = chain.levels[m - 2], chain.levels[m - 1].prime
+    etas, spans, counts = [], [], {}
+    cur = level.identity
+    for p in items:
+        etas.append(trace_cayley(level, cur, p.label()))
+        spans.append(_span(etas[-1], counts))
+        cur = etas[-1].end
+    if cur != level.identity:
+        return etas, spans, "tip-to-tail paths do not close up"
+    if any(c % prime for c in counts.values()):
+        return etas, spans, "pinch premise fails at the chain level"
+    return etas, spans, None
+
+
+def _pinch(chain, items, stats, walk=None):
     """The recursive core: same endpoints, labels now multiplying to 1 in F.
 
     items are reduced paths, one per immersion, whose labels multiply to
     the identity at chain level m-1.  Works in the Cayley graph of level
     m-2: find the spine (m = 2) or cut at a vertex of the identity
-    component shared with a middle span and recurse (m >= 3).
+    component shared with a middle span and recurse (m >= 3).  Each label
+    is walked once (``_walk``, or the caller's walk): the premise is read
+    off it and its spans serve every projection.  A failed projection or
+    reduction here is a broken invariant, never bad input.
     """
     m = len(items)
     if m < 2:
         raise InternalInvariantError("pinch needs at least two paths")
-    labels = [p.label() for p in items]
-    total = ()
-    for lab in labels:
-        total += lab
-    top = chain.levels[m - 1]
-    if top.evaluate(total) != top.identity:
-        raise InternalInvariantError("pinch premise fails at the chain level")
+    etas, spans, fault = walk if walk is not None else _walk(chain, items)
+    if fault is not None:
+        raise InternalInvariantError(fault)
     mid = chain.levels[m - 2]
-    etas = []
-    cur = mid.identity
-    for lab in labels:
-        eta = trace_cayley(mid, cur, lab)
-        etas.append(eta)
-        cur = eta.end
-    if cur != mid.identity:
-        raise InternalInvariantError("tip-to-tail paths do not close up")
 
-    if m == 2:
-        spine = common_spine(span_of(etas[0]), span_of(etas[1]),
-                             mid.identity, etas[0].end)
-        if spine is None:
-            raise InternalInvariantError("no common spine despite the premise")
-        stats.spines += 1
-        gamma1 = project_path(spine, etas[0], items[0])
-        beta2 = project_path(spine, etas[1].reversed(), items[1].reversed())
-        gamma2 = beta2.reversed()
-        out = [gamma1, gamma2]
-    else:
-        spans = [span_of(eta) for eta in etas]
-        inter_edges = {k: e for k, e in spans[0].edges.items() if k in spans[-1].edges}
-        omega = _search(inter_edges, mid.identity)
-        j = None
-        for cand in range(1, m - 1):
-            if omega.keys() & spans[cand].vertices:
-                j = cand
-                break
-        if j is None:
-            raise InternalInvariantError("no middle span meets the identity component")
-        g = min(omega.keys() & spans[j].vertices)
-        stats.cuts += 1
-        # a prefix from the identity inside the intersection stays in omega
-        eta = _prefix_in(etas[0], g, inter_edges)
-        if eta is not None:
-            stats.prefix_spines += 1
+    try:
+        if m == 2:
+            spine = common_spine(spans[0], spans[1], mid.identity, etas[0].end)
+            if spine is None:
+                raise InternalInvariantError("no common spine despite the premise")
+            stats.spines += 1
+            gamma1 = _project(spine, etas[0], spans[0].edges, items[0])
+            beta2 = _project(spine, etas[1].reversed(), spans[1].edges, items[1].reversed())
+            out = [gamma1, beta2.reversed()]
         else:
-            eta = _path_to(mid, omega, g)
-            stats.bfs_spines += 1
-        zeta = etas[j].prefix(etas[j].vertices.index(g))
-        delta_j1 = project_path(zeta, etas[j], items[j])
-        beta_first = project_path(eta, etas[0], items[0])
-        beta_last = project_path(eta, etas[-1].reversed(), items[-1].reversed())
-        delta_first = reduce_path(beta_first.reversed().concat(items[0]))
-        delta_j2 = reduce_path(delta_j1.reversed().concat(items[j]))
-        delta_last = reduce_path(items[-1].concat(beta_last))
-        out_a = _pinch(chain, [delta_first] + items[1:j] + [delta_j1], stats)
-        out_b = _pinch(chain, [delta_j2] + items[j + 1:-1] + [delta_last], stats)
-        gamma_first = reduce_path(beta_first.concat(out_a[0]))
-        gamma_j = reduce_path(out_a[-1].concat(out_b[0]))
-        gamma_last = reduce_path(out_b[-1].concat(beta_last.reversed()))
-        out = [gamma_first] + out_a[1:-1] + [gamma_j] + out_b[1:-1] + [gamma_last]
+            inter_edges = {k: e for k, e in spans[0].edges.items() if k in spans[-1].edges}
+            omega = _search(inter_edges, mid.identity)
+            j = None
+            for cand in range(1, m - 1):
+                if omega.keys() & spans[cand].vertices:
+                    j = cand
+                    break
+            if j is None:
+                raise InternalInvariantError("no middle span meets the identity component")
+            g = min(omega.keys() & spans[j].vertices)
+            stats.cuts += 1
+            # a prefix from the identity inside the intersection stays in omega
+            eta = _prefix_in(etas[0], g, inter_edges)
+            if eta is not None:
+                stats.prefix_spines += 1
+            else:
+                eta = _path_to(mid, omega, g)
+                stats.bfs_spines += 1
+            zeta = etas[j].prefix(etas[j].vertices.index(g))
+            delta_j1 = _project(zeta, etas[j], spans[j].edges, items[j])
+            beta_first = _project(eta, etas[0], spans[0].edges, items[0])
+            beta_last = _project(eta, etas[-1].reversed(), spans[-1].edges,
+                                 items[-1].reversed())
+            delta_first = reduce_path(beta_first.reversed().concat(items[0]))
+            delta_j2 = reduce_path(delta_j1.reversed().concat(items[j]))
+            delta_last = reduce_path(items[-1].concat(beta_last))
+            out_a = _pinch(chain, [delta_first] + items[1:j] + [delta_j1], stats)
+            out_b = _pinch(chain, [delta_j2] + items[j + 1:-1] + [delta_last], stats)
+            gamma_first = reduce_path(beta_first.concat(out_a[0]))
+            gamma_j = reduce_path(out_a[-1].concat(out_b[0]))
+            gamma_last = reduce_path(out_b[-1].concat(beta_last.reversed()))
+            out = [gamma_first] + out_a[1:-1] + [gamma_j] + out_b[1:-1] + [gamma_last]
+    except ValueError as exc:
+        raise InternalInvariantError(f"pinch step failed: {exc}") from exc
 
     joined = ()
     for p in out:

@@ -1,12 +1,13 @@
 """Test-only helpers: small-scale word generators over subgroup graphs, the
 enumeration oracle for product certificate claims, the image walk that
-meets every edge from both ends, and a time limit for code that could loop."""
+meets every edge from both ends, a time limit for code that could loop, and
+a common spine that doubles back, to fault the pinch."""
 
 import signal
 from collections import deque
 from contextlib import contextmanager
 
-from prodsep import image_subgroup
+from prodsep import image_subgroup, separators
 from prodsep.errors import CapExceeded
 from prodsep.extensions import ExtensionChain
 from prodsep.graphs import LabeledGraph
@@ -243,3 +244,15 @@ def within(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def spine_doubling_back(monkeypatch):
+    """Patch the pinch's common spine to one that steps x and back at its end,
+    so the spine is not reduced and its projection fails."""
+    spine_of = separators.common_spine
+
+    def doubled(*args):
+        spine = spine_of(*args)
+        return separators.trace_cayley(spine.level, spine.start, spine.word + (1, -1))
+
+    monkeypatch.setattr(separators, "common_spine", doubled)

@@ -15,7 +15,7 @@ from prodsep.certificates import (
 from prodsep import cli, separators
 from prodsep.cli import main
 from prodsep.covers import expand_to_cover, transition_group
-from prodsep.errors import CapExceeded
+from prodsep.errors import CapExceeded, InternalInvariantError
 from prodsep.extensions import ExtensionLevel
 from prodsep.graphs import LabeledGraph
 from prodsep.groups import DEFAULT_CAP, XGroup
@@ -28,7 +28,7 @@ from prodsep.problems import (
 from prodsep.separators import factorize, hall_separator, product_separator
 from prodsep.stallings import stallings_graph
 from prodsep.words import Alphabet
-from tests.helpers import enumerated_claims
+from tests.helpers import enumerated_claims, spine_doubling_back
 
 A = Alphabet("xy")
 
@@ -593,6 +593,18 @@ class TestFactorizeSeeds:
 
     def test_cli_bad_seeds(self, product_file, capsys):
         assert main(["factorize", product_file, "xxyy", "--seeds", "x,yy"]) == 3
+
+    def test_cli_seed_product_mismatch_is_an_input_error(self, product_file, capsys):
+        assert main(["factorize", product_file, "xxyy", "--seeds", "xxxx,yy"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: seed product does not match the word in the quotient\n"
+
+    def test_cli_pinch_fault_is_not_an_input_error(self, product_file, monkeypatch):
+        # a spine that doubles back fails its projection inside the pinch:
+        # a broken invariant, which no exit code for bad input may cover
+        spine_doubling_back(monkeypatch)
+        with pytest.raises(InternalInvariantError, match="eta must be reduced"):
+            main(["factorize", product_file, "xxyy"])
 
     def test_cli_seeds_checked_with_one_subgroup(self, tmp_path):
         path = tmp_path / "one.txt"

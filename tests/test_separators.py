@@ -16,7 +16,7 @@ from prodsep.certificates import (
     verify_certificate,
 )
 from prodsep.covers import expand_to_cover, transition_group
-from prodsep.errors import CapExceeded
+from prodsep.errors import CapExceeded, InternalInvariantError
 from prodsep.extensions import ExtensionChain, ExtensionLevel, iterated_extension
 from prodsep.graphs import LabeledGraph
 from prodsep.groups import XGroup, diagonal_subgroup
@@ -40,6 +40,7 @@ from tests.helpers import (
     _product,
     _product_member,
     kernel_loop_word,
+    spine_doubling_back,
     two_ended_image_structure,
     within,
 )
@@ -557,6 +558,99 @@ class TestFactorize:
         assert {(n, none) for n, none, _ in outcomes} == {
             (n, none) for n in (2, 3) for none in (True, False)}
         assert {excluded for _, _, excluded in outcomes} == {True, False, None}
+
+
+class TestPinchErrors:
+    """What the pinch and its premise raise: input faults are ValueError,
+    broken invariants InternalInvariantError."""
+
+    H = [[A.parse("xx")], [A.parse("yy")]]
+
+    def test_failed_projection_is_an_internal_fault(self, monkeypatch):
+        spine_doubling_back(monkeypatch)
+        with pytest.raises(InternalInvariantError, match="eta must be reduced"):
+            factorize(A, self.H, A.parse("xxyy"))
+        with pytest.raises(InternalInvariantError, match="eta must be reduced"):
+            factorize(A, self.H, A.parse("xxyy"), seeds=[A.parse("xx"), A.parse("yy")])
+        # the public projection still reports its precondition as bad input
+        level = _build_context(A, self.H, A.parse("xxyy"), None).chain.levels[0]
+        bad = trace_cayley(level, level.identity, (1, -1))
+        gamma = LabeledGraph(A, 1, [(0, 0, 1)]).trace(0, (1, -1))
+        with pytest.raises(ValueError, match="eta must be reduced"):
+            project_path(bad, bad, gamma)
+
+    @pytest.mark.parametrize("n, primes", [(2, (3,)), (3, (2, 2)), (3, (3, 2))])
+    def test_seeds_agreeing_one_level_down_are_bad_input(self, n, primes):
+        # the seeds agree with the word at level n-2 but not at the top
+        H = [[A.parse("xx"), A.parse("y")], [A.parse("yy"), A.parse("x")],
+             [A.parse("x"), A.parse("y")]][3 - n:]
+        parts = [A.parse("xxy"), A.parse("xyy"), A.parse("yx")][3 - n:]
+        w = free_reduce(sum(parts, ()))
+        ctx = _build_context(A, H, w, primes)
+        chain = ctx.chain
+        u = kernel_loop_word(ctx.pointed[0], chain.levels[n - 2])
+        seeds = [free_reduce(parts[0] + u)] + parts[1:]
+        assert contains(ctx.pointed[0], seeds[0])
+        below, top = chain.levels[n - 2], chain.top
+        assert below.evaluate(sum(seeds, ())) == below.evaluate(w)
+        assert top.evaluate(sum(seeds, ())) != top.evaluate(w)
+        with pytest.raises(ValueError, match="does not match"):
+            factorize(A, H, w, seeds=seeds, primes=primes)
+        assert factorize(A, H, w, seeds=parts, primes=primes) is not None
+
+    def test_unseeded_premise_failure_is_an_internal_fault(self, monkeypatch):
+        monkeypatch.setattr(separators, "_search_seeds",
+                            lambda ctx, cap: (A.parse("xxxx"), A.parse("yy")))
+        with pytest.raises(InternalInvariantError) as info:
+            factorize(A, self.H, A.parse("xxyy"))
+        assert not isinstance(info.value, ValueError)
+
+    @staticmethod
+    def random_chain(rng):
+        base = rng.choice([KLEIN, XGroup(A, [(1, 0), (1, 0)]),
+                           XGroup(A, [(1, 2, 0), (1, 0, 2)])])
+        return iterated_extension(base, [rng.choice((2, 3, 5))
+                                         for _ in range(rng.randint(1, 3))])
+
+    @staticmethod
+    def relator(rng, level):
+        """A word trivial at level: a random word to the power of its order."""
+        u = random_reduced(rng, 1, 3) or (1,)
+        e = level.evaluate(u)
+        power, k = e, 1
+        while power != level.identity:
+            power, k = level.mult(power, e), k + 1
+        return u * k
+
+    def test_walk_premise_matches_evaluate(self):
+        # the premise read off the walk against the product at level m-1
+        rng = random.Random(2203)
+        bouquet = stallings_graph(A, [A.parse("x"), A.parse("y")]).graph
+        seen = set()
+        for _ in range(240):
+            chain = self.random_chain(rng)
+            m = rng.randint(2, len(chain.levels))
+            labels = [random_reduced(rng, 0, 4) for _ in range(m)]
+            kind = rng.choice(("closes", "random", "closes below"))
+            if kind != "random":
+                labels[-1] = invert(free_reduce(sum(labels[:-1], ())))
+            if kind == "closes below":
+                labels[0] = labels[0] + self.relator(rng, chain.levels[m - 2])
+            items = [bouquet.trace(0, lab) for lab in labels]
+            etas, spans, fault = separators._walk(chain, items)
+            concat = sum(labels, ())
+            top, below = chain.levels[m - 1], chain.levels[m - 2]
+            holds = top.evaluate(concat) == top.identity
+            assert (fault is None) == holds
+            closes = below.evaluate(concat) == below.identity
+            assert (fault == "tip-to-tail paths do not close up") == (not closes)
+            assert [eta.word for eta in etas] == labels
+            assert [span.path for span in spans] == etas
+            if not holds:
+                with pytest.raises(InternalInvariantError, match=fault):
+                    separators._pinch(chain, items, FactorizeStats())
+            seen.add((closes, holds))
+        assert seen == {(False, False), (True, False), (True, True)}
 
 
 class TestSeedsFromTheProductAutomaton:
