@@ -10,7 +10,6 @@ from .stallings import (
     attach_word,
     contains,
     stallings_graph,
-    subgroup_basis,
 )
 from .covers import (
     CoveringExpansion,
@@ -32,7 +31,6 @@ from .separators import (
     common_spine,
     factorize,
     hall_separator,
-    image_subgroup,
     product_separator,
     project_path,
 )
@@ -42,7 +40,7 @@ __all__ = [
     "CapExceeded", "InternalInvariantError",
     "LabeledGraph", "Path", "reduce_path",
     "PointedImmersion", "AttachedImmersion",
-    "stallings_graph", "contains", "attach_word", "subgroup_basis",
+    "stallings_graph", "contains", "attach_word",
     "CoveringExpansion", "ExpansionEnumeration",
     "expand_to_cover", "enumerate_expansions", "transition_group",
     "XGroup", "CayleyGraph", "cayley_graph", "diagonal_subgroup", "DEFAULT_CAP",
@@ -50,5 +48,5 @@ __all__ = [
     "signed_traversals", "traversal_element",
     "product_automaton", "cancellation_closure", "member_product",
     "hall_separator", "product_separator", "factorize",
-    "project_path", "common_spine", "image_subgroup",
+    "project_path", "common_spine",
 ]

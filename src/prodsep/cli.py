@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 verified/true/found, 1 false/none, 2 resource cap exceeded,
-3 input error, a malformed command line included (``--help`` exits 0).
+3 input error, a malformed command line included (``--help`` exits 0),
+4 internal error: a broken invariant, a bug and never bad input.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import sys
 
 from .certificates import emit_certificate, parse_certificate, verify_certificate
 from .covers import enumerate_expansions, expand_to_cover, transition_group
-from .errors import CapExceeded, WordInSubgroup
+from .errors import CapExceeded, InternalInvariantError, WordInSubgroup
 from .extensions import ExtensionChain, traversal_element
 from .groups import DEFAULT_CAP, cayley_graph, fmt_perm
 from .problems import (
@@ -370,6 +371,9 @@ def main(argv=None):
     except (ProblemParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 def entry():

@@ -23,21 +23,19 @@ immersion exactly when the table has one entry per dart.  The table is
 handed to ``_trusted`` by the Stallings reader, which builds it as it
 goes, or built once from the dart arrays, the least dart of each (vertex,
 letter) winning.  ``star``, which lists every dart of each pair, is for
-graphs that may not be immersions: folding, covering checks, spanning
-trees.
+graphs that may not be immersions; ``bfs_tree`` reads it to number the
+vertices that ``to_dot`` prints.
 
 Folding to an immersion (``fold_all_tracked``) is one union-find pass,
 near-linear in the size of the graph.  Subgroup graphs are built by
 reading words into an immersion (``stallings``), so this fold is the
-fallback for a generator whose reading closes inside the graph, and the
-oracle the reading is tested against.  ``fold`` and ``fold_tracked`` fold
-the single admissible pair that ``find_admissible_pair`` picks; folding
-one pair at a time is the reference the one-pass fold is tested against.
+fallback for a generator whose reading closes inside the graph.  The
+tests check it against folding one admissible pair at a time.
 """
 
 from collections import deque
 
-from .words import free_reduce, letter_sort_key
+from .words import free_reduce
 
 
 class LabeledGraph:
@@ -145,26 +143,10 @@ class LabeledGraph:
         """Cycle rank |geometric edges| - |vertices| + 1 (connected graphs)."""
         return self.num_geometric_edges - self.num_vertices + 1
 
-    def component_of(self, v):
-        return set(self.bfs_tree(v))
-
-    def is_connected(self):
-        if self.num_vertices == 0:
-            return True
-        return len(self.component_of(0)) == self.num_vertices
-
-    # -- immersion / covering ----------------------------------------------
+    # -- immersions ----------------------------------------------------------
 
     def is_immersion(self):
         return len(self._dart_table()) == len(self._src)
-
-    def is_covering(self):
-        star = self.star()
-        for v in range(self.num_vertices):
-            for l in self.alphabet.letters():
-                if len(star.get((v, l), ())) != 1:
-                    return False
-        return True
 
     def trace(self, v, word):
         """The unique path from v labeled by word, or None if it cannot be read."""
@@ -184,68 +166,6 @@ class LabeledGraph:
         return path
 
     # -- folding -------------------------------------------------------------
-
-    def find_admissible_pair(self, policy="least"):
-        """A deterministic admissible pair, or None if the graph is an immersion.
-
-        The "least" policy picks the lexicographically least pair under
-        (source vertex, label, dart ids); "greatest" picks from the other
-        end.  Both exist only to let fold order be varied in tests.
-        """
-        buckets = [(v, l) for (v, l), darts in self.star().items() if len(darts) >= 2]
-        if not buckets:
-            return None
-        key = lambda vl: (vl[0], letter_sort_key(vl[1]))
-        if policy == "least":
-            v, l = min(buckets, key=key)
-            darts = self.star()[(v, l)]
-            return (darts[0], darts[1])
-        elif policy == "greatest":
-            v, l = max(buckets, key=key)
-            darts = self.star()[(v, l)]
-            return (darts[-2], darts[-1])
-        raise ValueError(f"unknown policy {policy!r}")
-
-    def check_admissible(self, pair):
-        e1, e2 = pair
-        if e1 == e2 or e2 == (e1 ^ 1):
-            raise ValueError("pair must be two distinct, non-inverse darts")
-        if self._src[e1] != self._src[e2]:
-            raise ValueError("pair must share its source vertex")
-        if self._label[e1] != self._label[e2]:
-            raise ValueError("pair must share its label")
-
-    def fold(self, pair):
-        """Fold one admissible pair, identifying the darts and their endpoints."""
-        return self.fold_tracked(pair)[0]
-
-    def fold_tracked(self, pair):
-        """Fold and also return the old-vertex -> new-vertex map."""
-        self.check_admissible(pair)
-        e1, e2 = pair
-        # vertex classes: keep the least id of each class
-        parent = list(range(self.num_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        a, b = find(self.dst(e1)), find(self.dst(e2))
-        if a != b:
-            lo, hi = min(a, b), max(a, b)
-            parent[hi] = lo
-        reps = sorted({find(v) for v in range(self.num_vertices)})
-        new_id = {r: i for i, r in enumerate(reps)}
-        vmap = [new_id[find(v)] for v in range(self.num_vertices)]
-        drop = max(e1, e2) >> 1
-        edges = [(vmap[s], vmap[d], l)
-                 for k, (s, d, l) in enumerate(self.geometric_edges()) if k != drop]
-        return LabeledGraph(self.alphabet, len(reps), edges), vmap
-
-    def fold_all(self):
-        return self.fold_all_tracked()[0]
 
     def fold_all_tracked(self):
         """Fold until no admissible pair remains; returns (graph, vertex map).
@@ -310,7 +230,7 @@ class LabeledGraph:
         new_label = [label[e] for k in kept for e in (2 * k, 2 * k + 1)]
         return LabeledGraph._trusted(self.alphabet, len(roots), new_src, new_label), vmap
 
-    # -- canonical forms ------------------------------------------------------
+    # -- spanning trees ------------------------------------------------------
 
     def bfs_tree(self, root):
         """BFS spanning tree: vertex -> dart used to enter it (root -> None).
@@ -318,8 +238,7 @@ class LabeledGraph:
         Letters go in canonical order, every dart of a (vertex, letter) star
         bucket in dart order, and the dict is in discovery order; its keys
         are the component of root.  In an immersion the induced numbering is
-        unique, which makes the derived canonical form a complete
-        isomorphism invariant of the component.
+        unique.
         """
         tree = {root: None}
         queue = deque([root])
@@ -334,26 +253,6 @@ class LabeledGraph:
                         tree[w] = d
                         queue.append(w)
         return tree
-
-    def canonical_form(self, root):
-        """Canonical form of the component of root (immersions only)."""
-        if not self.is_immersion():
-            raise ValueError("canonical_form requires an immersion")
-        order = {v: i for i, v in enumerate(self.bfs_tree(root))}
-        edges = sorted((order[s], order[d], l)
-                       for s, d, l in self.geometric_edges()
-                       if s in order and d in order)
-        return (len(order), tuple(edges))
-
-    def canonical_key(self):
-        """Basepoint-free canonical form: per-component minima, sorted."""
-        remaining = set(range(self.num_vertices))
-        forms = []
-        while remaining:
-            comp = self.component_of(min(remaining))
-            forms.append(min(self.canonical_form(v) for v in comp))
-            remaining -= comp
-        return tuple(sorted(forms))
 
     # -- output ----------------------------------------------------------------
 

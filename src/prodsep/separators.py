@@ -93,10 +93,6 @@ class PathSpan:
     path: CayleyPath
 
 
-def span_of(path):
-    return _span(path, {})
-
-
 def _span(path, counts):
     """The path's span; each step adds its crossing of its edge to counts,
     +1 forwards (a positive letter) and -1 backwards."""
@@ -172,7 +168,7 @@ def project_path(eta, eta_prime, gamma_prime):
     matches them carries eta to a path in the immersion with eta's label,
     starting where gamma_prime starts.
     """
-    return _project(eta, eta_prime, span_of(eta_prime).edges, gamma_prime)
+    return _project(eta, eta_prime, _span(eta_prime, {}).edges, gamma_prime)
 
 
 def _project(eta, eta_prime, edges, gamma_prime):
@@ -210,12 +206,6 @@ def _generator_steps(level, generators):
             img = level.evaluate(w)
             steps += (img, level.inv(img))
     return steps
-
-
-def image_subgroup(level, generators, cap=DEFAULT_CAP):
-    """The image subgroup listed by a capped closure: {element: BFS link}."""
-    return closure((level.identity,), _generator_steps(level, generators), level.mult, cap,
-                   "subgroup image")
 
 
 def _image_product(level, subgroups, cap):

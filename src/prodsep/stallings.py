@@ -9,8 +9,9 @@ pair, then a path of fresh vertices.  Only a generator whose two readings
 close inside the graph, at distinct vertices, needs a fold; then the raw
 cycles of it and of every later generator are appended and
 ``LabeledGraph.fold_all_tracked`` folds once.  ``attach_word`` reads the
-same way.  The result is always the graph the wedge's fold gives
-(``build_wedge``), which the tests keep as the oracle.
+same way.  The result is always the graph that folding the wedge of the
+generators' cycles gives; the tests build that wedge and fold it as the
+oracle.
 
 The reader's state is the dart table, (vertex, signed letter) -> the dart
 leaving the vertex with that label.  A graph the reader builds keeps its
@@ -24,7 +25,7 @@ constructions, which reduce every word once up front, call the readers
 from dataclasses import dataclass
 
 from .graphs import LabeledGraph
-from .words import free_reduce, invert
+from .words import free_reduce
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,6 @@ def _add_edge(src, label, out, a, b, l):
         out[a, l] = e + 1
 
 
-def build_wedge(alphabet, words):
-    """The unfolded wedge of labeled cycles, one per word, based at vertex 0."""
-    for w in words:
-        _check_letters(alphabet, w)
-    src, label = [], []
-    nv = _append_cycles(src, label, 1, words)
-    return LabeledGraph._trusted(alphabet, nv, src, label)
-
-
 def stallings_graph(alphabet, generators):
     """S(H) for H generated by the generators, based at vertex 0: the reduced
     generators read by ``_read_graph``."""
@@ -129,8 +121,9 @@ def _read_graph(alphabet, words):
     Fresh vertices and edges are made in the order of their ids in the
     wedge of the reduced, deduplicated generators, and a fold keeps each
     class's least vertex and least edge.  So the result is the graph and
-    base (vertex 0) of ``build_wedge(...).fold_all_tracked()``: the same
-    vertex ids, edge order and orientations.
+    base (vertex 0) that ``fold_all_tracked`` gives on that wedge, each
+    cycle based at vertex 0: the same vertex ids, edge order and
+    orientations.
     """
     words = [w for w in dict.fromkeys(words) if w]  # trivial and duplicate words are inert
     for w in words:
@@ -221,26 +214,3 @@ def _attach(h, w):
     edges = [(path[i], path[i + 1], l) if l > 0 else (path[i + 1], path[i], -l)
              for i, l in enumerate(w[:k])]
     return AttachedImmersion(g._extended(nv + k, edges), h.base, nv)
-
-
-def _word_to(graph, tree, v):
-    letters = []
-    while tree[v] is not None:
-        d = tree[v]
-        letters.append(graph.label(d))
-        v = graph.src(d)
-    return tuple(reversed(letters))
-
-
-def subgroup_basis(h):
-    """A free basis of the subgroup: one word per non-tree geometric edge."""
-    g = h.graph
-    tree = g.bfs_tree(h.base)
-    tree_edges = {d >> 1 for d in tree.values() if d is not None}
-    basis = []
-    for k, (s, d, l) in enumerate(g.geometric_edges()):
-        if k in tree_edges:
-            continue
-        word = _word_to(g, tree, s) + (l,) + invert(_word_to(g, tree, d))
-        basis.append(free_reduce(word))
-    return basis

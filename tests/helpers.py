@@ -1,4 +1,7 @@
-"""Test-only helpers: small-scale word generators over subgroup graphs, the
+"""Test-only helpers: the wedge of cycles and the fold that identifies one
+admissible pair at a time (the oracles for the one-pass fold and the
+Stallings reader), canonical forms and graph predicates, small-scale word
+generators over subgroup graphs, the listed image subgroup and the
 enumeration oracle for product certificate claims, the image walk that
 meets every edge from both ends, a time limit for code that could loop, and
 a common spine that doubles back, to fault the pinch."""
@@ -7,10 +10,11 @@ import signal
 from collections import deque
 from contextlib import contextmanager
 
-from prodsep import image_subgroup, separators
+from prodsep import separators
 from prodsep.errors import CapExceeded
 from prodsep.extensions import ExtensionChain
 from prodsep.graphs import LabeledGraph
+from prodsep.groups import DEFAULT_CAP, closure
 from prodsep.separators import (
     ImageStructure,
     _generator_steps,
@@ -18,8 +22,107 @@ from prodsep.separators import (
     _subtract,
     image_subgroup_order,
 )
-from prodsep.stallings import AttachedImmersion, PointedImmersion, build_wedge
+from prodsep.stallings import AttachedImmersion, PointedImmersion
 from prodsep.words import free_reduce, invert, letter_sort_key
+
+
+def build_wedge(alphabet, words):
+    """The unfolded wedge of labeled cycles, one per word, based at vertex 0;
+    each cycle's inner vertices take the next ids in order."""
+    edges = []
+    nv = 1
+    for w in words:
+        prev = 0
+        for i, l in enumerate(w):
+            nxt = 0 if i == len(w) - 1 else nv
+            if nxt:
+                nv += 1
+            edges.append((prev, nxt, l) if l > 0 else (nxt, prev, -l))
+            prev = nxt
+    return LabeledGraph(alphabet, nv, edges)
+
+
+def admissible_pair(g, policy="least"):
+    """A deterministic admissible pair of g, or None if g is an immersion.
+
+    "least" picks the lexicographically least pair under (source vertex,
+    label, dart ids); "greatest" picks from the other end, so that fold
+    order can be varied.
+    """
+    star = g.star()
+    buckets = [vl for vl, darts in star.items() if len(darts) >= 2]
+    if not buckets:
+        return None
+    key = lambda vl: (vl[0], letter_sort_key(vl[1]))
+    if policy == "least":
+        darts = star[min(buckets, key=key)]
+        return (darts[0], darts[1])
+    darts = star[max(buckets, key=key)]
+    return (darts[-2], darts[-1])
+
+
+def fold_pair(g, pair):
+    """Fold one admissible pair; returns (graph, old-vertex -> new-vertex map).
+
+    The endpoints' classes keep their least vertex id and the later of the
+    two edges is dropped.
+    """
+    e1, e2 = pair
+    a, b = sorted((g.dst(e1), g.dst(e2)))
+    vmap = list(range(g.num_vertices))
+    if a != b:
+        vmap = [a if v == b else v - (v > b) for v in vmap]
+    drop = max(e1, e2) >> 1
+    edges = [(vmap[s], vmap[d], l)
+             for k, (s, d, l) in enumerate(g.geometric_edges()) if k != drop]
+    return LabeledGraph(g.alphabet, g.num_vertices - (a != b), edges), vmap
+
+
+def step_fold_all_tracked(g, policy="least"):
+    """The fold oracle: one admissible pair at a time, composing vertex maps."""
+    total = list(range(g.num_vertices))
+    while True:
+        pair = admissible_pair(g, policy)
+        if pair is None:
+            return g, total
+        g, vmap = fold_pair(g, pair)
+        total = [vmap[t] for t in total]
+
+
+def component_of(g, v):
+    return set(g.bfs_tree(v))
+
+
+def is_connected(g):
+    return g.num_vertices == 0 or len(component_of(g, 0)) == g.num_vertices
+
+
+def is_covering(g):
+    """Every vertex has exactly one dart of each signed letter."""
+    star = g.star()
+    return all(len(star.get((v, l), ())) == 1
+               for v in range(g.num_vertices) for l in g.alphabet.letters())
+
+
+def canonical_form(g, root):
+    """Canonical form of the component of root in an immersion: its edges
+    renumbered by ``bfs_tree``, sorted."""
+    order = {v: i for i, v in enumerate(g.bfs_tree(root))}
+    edges = sorted((order[s], order[d], l)
+                   for s, d, l in g.geometric_edges()
+                   if s in order and d in order)
+    return (len(order), tuple(edges))
+
+
+def canonical_key(g):
+    """Basepoint-free canonical form: per-component minima, sorted."""
+    remaining = set(range(g.num_vertices))
+    forms = []
+    while remaining:
+        comp = component_of(g, min(remaining))
+        forms.append(min(canonical_form(g, v) for v in comp))
+        remaining -= comp
+    return tuple(sorted(forms))
 
 
 def folded_wedge(alphabet, generators):
@@ -120,6 +223,12 @@ def kernel_loop_word(h, level, cap=20000):
                 if cycle:
                     return cycle
     return None
+
+
+def image_subgroup(level, generators, cap=DEFAULT_CAP):
+    """The image subgroup listed by a capped closure: {element: BFS link}."""
+    return closure((level.identity,), _generator_steps(level, generators), level.mult, cap,
+                   "subgroup image")
 
 
 def _product(level, images, cap):

@@ -1,0 +1,218 @@
+"""Kept mutants: small faults in src/prodsep that named tests must catch.
+
+Each mutant replaces one exact text of one module with another, and lists
+the tests that must then fail.  The runner copies the repository to a
+temporary directory once, applies one mutant at a time to the copy, and
+runs that mutant's tests there in a pytest subprocess.  A mutant survives
+when one of its tests still passes; the runner names every survivor and
+exits 1, and exits 0 when every mutant is killed.
+
+    python -m tests.mutants              # every mutant
+    python -m tests.mutants fold pinch   # those whose name contains a word
+
+Each mutant costs a test run, so the runner is not part of the suite;
+``tests/test_mutants.py`` only checks that every old text occurs exactly
+once, so that a change which moves the code has to update this list.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path("src") / "prodsep"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: str  # file name under src/prodsep
+    old: str
+    new: str
+    tests: tuple  # pytest node ids, each of which must fail
+
+
+G = "tests/test_graphs.py::TestFoldAgainstStepLoop::"
+SEP = "tests/test_separators.py::"
+ENUM = SEP + "TestProductAgainstEnumeration::"
+SEEDS = SEP + "TestSeedsFromTheProductAutomaton::"
+PINCH = SEP + "TestPinchErrors::"
+CERT = "tests/test_certificates.py::"
+CYCLES = "tests/test_groups.py::TestCycleNotation::"
+EXT = "tests/test_extensions.py::"
+
+MUTANTS = (
+    # the one-pass fold against the step loop
+    Mutant("fold-edge-root-largest", "graphs.py",
+           "eparent[max(a, b)] = min(a, b)", "eparent[min(a, b)] = max(a, b)",
+           (G + "test_random_graphs",
+            G + "test_shared_prefix_wedges")),
+    Mutant("fold-vertex-root-largest", "graphs.py",
+           "lo, hi = min(a, b), max(a, b)", "hi, lo = min(a, b), max(a, b)",
+           (G + "test_random_graphs",
+            G + "test_shared_prefix_wedges")),
+    # the fibre search's prefixes
+    Mutant("fibre-prefix-lift-sign", "separators.py",
+           "_subtract(u, _translate(st.lifts[al], below, h), prime)",
+           "_subtract(u, _translate(st.lifts[al], below, h), prime, -1)",
+           (ENUM + "test_prefix_search_against_enumeration[n3p3]",
+            ENUM + "test_prefix_search_against_enumeration[n3p5]",
+            ENUM + "test_prefix_search_finds_every_member[3-3-30-400]")),
+    Mutant("fibre-tag-sign", "separators.py",
+           "_subtract(coefs, basis[pivot][1], level.prime, -c)",
+           "_subtract(coefs, basis[pivot][1], level.prime, c)",
+           (ENUM + "test_two_factor_exclusion_and_size[3]",
+            ENUM + "test_two_factor_exclusion_and_size[5]")),
+    Mutant("fibre-prefix-kernel-by-first-lift", "separators.py",
+           "_translate(row, below, below.mult(hinv, hs[i]))",
+           "_translate(row, below, hs[i])",
+           (ENUM + "test_four_factor_search_one_level_up",)),
+    # the verifier's pullback walks
+    Mutant("pullback-prefix-tree-sign", "certificates.py",
+           "_add(u, _translate(walk.fibre[a], group, h), -1, prime)",
+           "_add(u, _translate(walk.fibre[a], group, h), 1, prime)",
+           (CERT + "TestAgainstEnumeration::test_three_and_four_factors[n3p3]",
+            CERT + "TestAgainstEnumeration::test_three_and_four_factors[n3p5]")),
+    Mutant("pullback-prefix-kernel-by-h", "certificates.py",
+           "shift = group.mult(hinv, hi)", "shift = h",
+           (CERT + "TestAgainstEnumeration::test_three_and_four_factors[n4p2]",)),
+    # one Cayley edge per letter
+    Mutant("step-keeps-zero-coefficient", "extensions.py",
+           "        if n:\n            return (vec[:i] + ((key, n),) + tail, g)",
+           "        if True:\n            return (vec[:i] + ((key, n),) + tail, g)",
+           (EXT + "TestTraversalIdentity::"
+            "test_evaluate_matches_the_group_law_at_levels_one_and_two",
+            EXT + "TestIteratedExtension::test_traversal_identity_at_level_two")),
+    # cycle notation
+    Mutant("parse-perm-no-rotation", "groups.py",
+           "            rotated += cycle[1:]\n            rotated += cycle[:1]\n",
+           "            rotated += cycle\n",
+           (CYCLES + "test_round_trip",
+            CYCLES + "test_round_trip_random",
+            CYCLES + "test_overlapping_cycles_compose_left_to_right")),
+    Mutant("parse-perm-no-repeat-check", "groups.py",
+           "max(points) >= n or len(set(points)) != len(points)", "max(points) >= n",
+           (CYCLES + "test_overlapping_cycles_compose_left_to_right",
+            CYCLES + "test_other_texts_read_as_the_composing_reader_reads_them")),
+    Mutant("parse-perm-no-range-check", "groups.py",
+           "max(points) >= n or len(set(points)) != len(points)",
+           "len(set(points)) != len(points)",
+           (CYCLES + "test_malformed",
+            CYCLES + "test_other_texts_read_as_the_composing_reader_reads_them")),
+    Mutant("parse-perm-no-int-limit-fallback", "groups.py",
+           "fail where composing fails\n        return _compose_cycles(text, n)",
+           "fail where composing fails\n        raise",
+           (CYCLES + "test_other_texts_read_as_the_composing_reader_reads_them",)),
+    Mutant("fmt-perm-no-permutation-check", "groups.py",
+           "if n and (min(p) < 0 or max(p) >= n or len(set(p)) != n):",
+           "if False:",
+           ("tests/test_groups.py::TestFmtPermRejects::test_a_non_permutation_names_the_tuple[p0]",
+            CERT + "TestRecords::test_a_record_whose_perms_are_not_permutations_is_not_written")),
+    Mutant("image-product-no-inverse-generators", "separators.py",
+           "words += (w, invert(w))", "words += (w,)",
+           (SEP + "TestImageProduct::test_stepped_listing_is_the_mult_closure[n3]",
+            SEP + "TestImageProduct::test_stepped_listing_is_the_mult_closure[n4]")),
+    # unseeded seeds from the saturated product automaton
+    Mutant("unfold-drops-inverse-letter", "separators.py",
+           "memo.get(edge[1:], ((),)), ((-edge[0],),))",
+           "memo.get(edge[1:], ((),)))",
+           (SEEDS + "test_seeds_exactly_when_accepted",
+            SEEDS + "test_deep_cancellation_unfolds_without_recursion",
+            SEP + "TestFactorize::test_oracle_agreement_randomized")),
+    Mutant("saturate-matches-same-letter", "rational.py",
+           "                if l2 == -l:\n                    insert(q, q3, (l, q1, q2))",
+           "                if l2 == l:\n                    insert(q, q3, (l, q1, q2))",
+           ("tests/test_rational.py::TestMemberProduct::"
+            "test_agrees_with_exact_enumeration_without_base_loops",
+            SEEDS + "test_seeds_exactly_when_accepted")),
+    Mutant("unfold-no-split-at-chain-edge", "separators.py",
+           "mid = ((), ()) if edge is None else", "mid = ((),) if edge is None else",
+           (SEEDS + "test_seeds_exactly_when_accepted",
+            SEP + "TestFactorize::test_search_finds_seeds",
+            "tests/test_api.py::test_readme_tour_runs")),
+    Mutant("seeds-skip-initial-unfold", "separators.py",
+           "for j in reversed(range(len(layers))):", "for j in reversed(range(1, len(layers))):",
+           (SEEDS + "test_seeds_exactly_when_accepted",
+            SEP + "TestFactorize::test_oracle_agreement_randomized")),
+    # the pinch premise read off the walk
+    Mutant("premise-only-closes", "separators.py",
+           "if any(c % prime for c in counts.values()):", "if False:",
+           (SEP + "TestFactorize::test_three_seeds_checked_at_the_top_level",
+            PINCH + "test_seeds_agreeing_one_level_down_are_bad_input[2-primes0]",
+            PINCH + "test_walk_premise_matches_evaluate")),
+    Mutant("premise-counts-mod-2", "separators.py",
+           "if any(c % prime for c in counts.values()):",
+           "if any(c % 2 for c in counts.values()):",
+           (PINCH + "test_walk_premise_matches_evaluate",
+            ENUM + "test_prefix_search_against_enumeration[n3p3]")),
+    Mutant("span-inverse-letter-counts-plus-one", "separators.py",
+           "((v, -l), (v, u), -1)", "((v, -l), (v, u), 1)",
+           (PINCH + "test_seeds_agreeing_one_level_down_are_bad_input[2-primes0]",
+            PINCH + "test_seeds_agreeing_one_level_down_are_bad_input[3-primes2]",
+            PINCH + "test_walk_premise_matches_evaluate")),
+    Mutant("seed-mismatch-is-internal", "separators.py",
+           'raise ValueError("seed product does not match the word in the quotient")',
+           'raise InternalInvariantError("seed product does not match the word in the quotient")',
+           ("tests/test_cli.py::TestFactorizeSeeds::"
+            "test_cli_seed_product_mismatch_is_an_input_error",
+            SEP + "TestFactorize::test_invalid_seeds_rejected",
+            SEP + "TestFactorize::test_three_seeds_checked_at_the_top_level")),
+)
+
+
+def apply(mutant, root):
+    """Write the mutated module under root; return the original text."""
+    path = root / PACKAGE / mutant.module
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: the old text must occur once in {mutant.module}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+    return text
+
+
+def survivors(mutant, root):
+    """The mutant's tests that pass on the mutated copy at root."""
+    original = apply(mutant, root)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rp", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=root, capture_output=True, text=True)
+    finally:
+        (root / PACKAGE / mutant.module).write_text(original)
+    if run.returncode not in (0, 1):  # no test ran: a usage or collection error
+        raise RuntimeError(f"{mutant.name}: pytest exited {run.returncode}\n{run.stdout}")
+    passed = {line.split()[1] for line in run.stdout.splitlines()
+              if line.startswith("PASSED ")}
+    return [t for t in mutant.tests if t in passed]
+
+
+def main(argv=None):
+    words = sys.argv[1:] if argv is None else argv
+    chosen = [m for m in MUTANTS if not words or any(w in m.name for w in words)]
+    failed = []
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "repo"
+        shutil.copytree(ROOT, root, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        for m in chosen:
+            t0 = time.perf_counter()
+            alive = survivors(m, root)
+            verdict = "SURVIVED " + ", ".join(alive) if alive else "killed"
+            print(f"{m.name}: {verdict} ({time.perf_counter() - t0:.1f} s)", flush=True)
+            if alive:
+                failed.append(m.name)
+    print(f"{len(chosen) - len(failed)} of {len(chosen)} mutants killed "
+          f"in {time.perf_counter() - start:.1f} s")
+    if failed:
+        print("surviving: " + ", ".join(failed))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

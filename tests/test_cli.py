@@ -15,7 +15,7 @@ from prodsep.certificates import (
 from prodsep import cli, separators
 from prodsep.cli import main
 from prodsep.covers import expand_to_cover, transition_group
-from prodsep.errors import CapExceeded, InternalInvariantError
+from prodsep.errors import CapExceeded
 from prodsep.extensions import ExtensionLevel
 from prodsep.graphs import LabeledGraph
 from prodsep.groups import DEFAULT_CAP, XGroup
@@ -599,12 +599,15 @@ class TestFactorizeSeeds:
         err = capsys.readouterr().err
         assert err == "error: seed product does not match the word in the quotient\n"
 
-    def test_cli_pinch_fault_is_not_an_input_error(self, product_file, monkeypatch):
+    def test_cli_pinch_fault_is_not_an_input_error(self, product_file, monkeypatch, capsys):
         # a spine that doubles back fails its projection inside the pinch:
-        # a broken invariant, which no exit code for bad input may cover
+        # a broken invariant, which exits 4, not 3 (bad input) or 1 (none)
         spine_doubling_back(monkeypatch)
-        with pytest.raises(InternalInvariantError, match="eta must be reduced"):
-            main(["factorize", product_file, "xxyy"])
+        assert main(["factorize", product_file, "xxyy"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ("internal error: pinch step failed: "
+                                "eta must be reduced\n")
+        assert captured.out == ""
 
     def test_cli_seeds_checked_with_one_subgroup(self, tmp_path):
         path = tmp_path / "one.txt"

@@ -15,6 +15,7 @@ from prodsep.covers import (
 from prodsep.graphs import LabeledGraph
 from prodsep.stallings import attach_word, stallings_graph
 from prodsep.words import Alphabet
+from tests.helpers import is_connected, is_covering
 
 A = Alphabet("xy")
 Ax = Alphabet("x")
@@ -34,7 +35,7 @@ class TestExpandToCover:
     def test_adds_no_vertices_and_restricts_exactly(self):
         h = stallings_graph(A, [A.parse("xyXY"), A.parse("yy")])
         cover = expand_to_cover(h.graph)
-        assert cover.graph.is_covering()
+        assert is_covering(cover.graph)
         assert cover.graph.num_vertices == h.graph.num_vertices
         original = cover.graph.geometric_edges()[:cover.original_count]
         assert original == h.graph.geometric_edges()
@@ -51,7 +52,7 @@ class TestEnumerateExpansions:
         enum = enumerate_expansions(h.graph)
         assert enum.complete
         assert len(enum.expansions) == 2
-        assert all(e.graph.is_covering() for e in enum.expansions)
+        assert all(is_covering(e.graph) for e in enum.expansions)
 
     def test_covering_has_exactly_one(self):
         g = LabeledGraph(A, 1, [(0, 0, 1), (0, 0, 2)])
@@ -179,9 +180,9 @@ class TestTransitionGroupAgainstGraphChecks:
             for i in range(600):
                 kind = kinds[i % len(kinds)]
                 g = mutated_graph(rng, alphabet, kind)
-                if not g.is_covering():
+                if not is_covering(g):
                     expected = "transition_group requires a covering"
-                elif not g.is_connected():
+                elif not is_connected(g):
                     expected = "transition_group requires a connected covering"
                 else:
                     expected = None
@@ -220,7 +221,7 @@ class TestCoverArraysAgainstStar:
                     missing = _missing(g)
                     assert missing == star_missing(g)
                     cover = expand_to_cover(g)
-                    assert cover.graph.is_covering()
+                    assert is_covering(cover.graph)
                     assert cover.original_count == g.num_geometric_edges
                     edges = cover.graph.geometric_edges()
                     assert edges[:cover.original_count] == g.geometric_edges()
@@ -301,6 +302,6 @@ class TestTransitionGroup:
 
     def test_rejects_disconnected_covering(self):
         g = LabeledGraph(A, 2, [(0, 0, 1), (0, 0, 2), (1, 1, 1), (1, 1, 2)])
-        assert g.is_covering()
+        assert is_covering(g)
         with pytest.raises(ValueError, match="connected"):
             transition_group(g)

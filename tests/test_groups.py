@@ -16,7 +16,7 @@ from prodsep.groups import (
     parse_perm,
 )
 from prodsep.words import Alphabet
-from tests.helpers import within
+from tests.helpers import is_connected, is_covering, within
 
 A = Alphabet("xy")
 
@@ -111,8 +111,8 @@ class TestCayleyGraph:
     def test_klein_square(self):
         cg = cayley_graph(KLEIN)
         assert cg.graph.num_vertices == 4
-        assert cg.graph.is_covering()
-        assert cg.graph.is_connected()
+        assert is_covering(cg.graph)
+        assert is_connected(cg.graph)
         assert cg.base == 0
 
     def test_trace_matches_evaluate(self):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from prodsep.graphs import LabeledGraph
-from prodsep.stallings import attach_word, contains, stallings_graph, subgroup_basis
+from prodsep.stallings import attach_word, contains, stallings_graph
 from prodsep.words import Alphabet, free_reduce, invert
 from tests.helpers import assert_same_graph, folded_wedge, loop_words_up_to
 
@@ -253,31 +253,3 @@ class TestAttachWord:
             w = random_word(rng, 6)
             att = attach_word(h, w)
             assert (att.alpha == att.omega) == contains(h, w)
-
-
-class TestSubgroupBasis:
-    def test_rose_basis(self):
-        h = stallings_graph(A, [A.parse("x"), A.parse("y")])
-        assert sorted(subgroup_basis(h)) == sorted([A.parse("x"), A.parse("y")])
-
-    def test_x_squared(self):
-        h = stallings_graph(A, [A.parse("xx")])
-        assert subgroup_basis(h) == [A.parse("xx")]
-
-    def test_basis_size_is_graph_rank(self):
-        rng = random.Random(21)
-        for _ in range(30):
-            h = stallings_graph(A, random_subgroup(rng))
-            assert len(subgroup_basis(h)) == h.graph.rank()
-
-    def test_basis_generates_same_subgroup(self):
-        rng = random.Random(23)
-        for _ in range(20):
-            gens = random_subgroup(rng)
-            h = stallings_graph(A, gens)
-            basis = subgroup_basis(h)
-            h2 = stallings_graph(A, basis)
-            for g in gens:
-                assert contains(h2, g)
-            for b in basis:
-                assert contains(h, b)
