@@ -37,7 +37,7 @@ from .problems import (
     read_rows,
 )
 from .stallings import contains, stallings_graph
-from .words import Alphabet, free_reduce, invert
+from .words import Alphabet, free_reduce
 
 
 def _stated_group(cert):
@@ -472,7 +472,8 @@ def _pullback_member(group, walks, target):
 
 def _listed_product_size(level, subgroups, cap):
     """|A_1 ... A_n| by listing: {1} closed under each factor's generator
-    images in turn, since P A_i is the closure of P under A_i's generators.
+    images in turn: in a finite group an inverse is a positive power, so
+    P A_i is the closure of P under A_i's generators.
 
     A product by a generator image steps through its word, one Cayley
     edge per letter, which costs less than the general product.
@@ -484,11 +485,7 @@ def _listed_product_size(level, subgroups, cap):
 
     out = {level.identity: None}
     for gens in subgroups:
-        words = []
-        for g in gens:
-            w = free_reduce(g)
-            words += [w, invert(w)]
-        out = closure(out, words, read, cap, "product image")
+        out = closure(out, [free_reduce(g) for g in gens], read, cap, "product image")
     return len(out)
 
 

@@ -198,19 +198,15 @@ def _project(eta, eta_prime, edges, gamma_prime):
 
 
 def _generator_steps(level, generators):
-    """The image of each nontrivial generator and of its inverse."""
-    steps = []
-    for g in generators:
-        w = free_reduce(g)
-        if w:
-            img = level.evaluate(w)
-            steps += (img, level.inv(img))
-    return steps
+    """The image of each nontrivial generator: the level is a finite group,
+    so the images alone generate the image subgroup as a monoid."""
+    return [level.evaluate(w) for w in map(free_reduce, generators) if w]
 
 
 def _image_product(level, subgroups, cap):
     """The set A_1 ... A_k of the subgroups' images as closure keys, capped:
-    P A_i is the closure of P under A_i's generators and their inverses.
+    P A_i is the closure of P under A_i's generators, since in a finite
+    group an inverse is a positive power.
 
     A product by a generator steps through its reduced word, one Cayley
     edge per letter, which costs less than the general product.
@@ -222,12 +218,7 @@ def _image_product(level, subgroups, cap):
 
     out = {level.identity: None}
     for gens in subgroups:
-        words = []
-        for g in gens:
-            w = free_reduce(g)
-            if w:
-                words += (w, invert(w))
-        out = closure(out, words, read, cap, "product image")
+        out = closure(out, [w for w in map(free_reduce, gens) if w], read, cap, "product image")
     return out
 
 
@@ -290,9 +281,10 @@ class ImageStructure:
     and k runs over the GF(p) span of the kernel rows in ``basis``, which
     maps each pivot to (row, {}), the row normalized to pivot coefficient
     1 and spanned by the Schreier vectors of the walk's cycle edges (the
-    empty tag is the one ``_fibre_search`` replaces with its own).  At
-    level 0 (a permutation group) ``lifts`` is the closure itself,
-    ``basis`` is empty and ``prime`` is None.
+    empty tag is the one ``_fibre_search`` replaces with its own); the
+    order is len(lifts) * p^rank.  At level 0 (a permutation group)
+    ``lifts`` is the closure under the generator images, ``basis`` is
+    empty and ``prime`` is None.
     """
     lifts: dict
     basis: dict
@@ -317,23 +309,28 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
     At an extension level the image is an extension of the image one level
     down by the span of its Schreier-generator vectors, so the order is
     |image below| * p^rank.  The coset walk below is still explicit, but
-    its elements live one level down; orders above the cap raise early.
-    Steps come in (generator, inverse) pairs, i and i ^ 1, and the walk
-    meets each edge once, from the end it dequeues first: a step into an
-    element whose steps were all walked is skipped, since that element's
-    step i ^ 1 gave minus this Schreier vector (zero on a tree edge).
-    Each Schreier vector is reduced once.
+    its elements live one level down.  Lifts and rank only grow, so one
+    rule refuses the image: as soon as lifts * p^rank exceeds the cap.
+    Steps come in (generator image, inverse) pairs, i and i ^ 1 (the images
+    alone would close the image too), so the walk meets each edge once,
+    from the end it dequeues first: a step into an element whose steps
+    were all walked is skipped, since that element's step i ^ 1 gave
+    minus this Schreier vector (zero on a tree edge).  Each Schreier
+    vector is reduced once.
     """
-    steps = _generator_steps(level, generators)
+    images = _generator_steps(level, generators)
     if isinstance(level, XGroup):
-        tree = closure((level.identity,), steps, level.mult, cap, "subgroup image")
+        tree = closure((level.identity,), images, level.mult, cap, "subgroup image")
         return ImageStructure(tree, {}, None, len(tree))
     below = level.below
     prime = level.prime
+    # each image and its inverse, steps i and i ^ 1: a shallower tree, shorter lifts
+    steps = [s for img in images for s in (img, level.inv(img))]
     # walk the image one level down carrying a chosen lift vector per
     # element; edges that close a cycle contribute Schreier kernel vectors
     lifts = {below.identity: {}}
     basis = {}
+    scale = 1  # p^rank
     done = set()
     queue = deque([below.identity])
     while queue:
@@ -353,25 +350,20 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
                     del nvec[key]
             known = lifts.get(nb)
             if known is None:
-                if len(lifts) >= cap:
-                    raise CapExceeded(f"image order exceeds {cap}", limit=cap)
                 lifts[nb] = nvec
                 queue.append(nb)
-                continue
-            _subtract(nvec, known, prime)
-            reduced = _reduce(nvec, basis, prime)
-            if not nvec:
-                continue
-            _insert(basis, nvec, reduced, {}, prime)
-            if len(lifts) * prime ** len(basis) > cap:
-                raise CapExceeded(
-                    f"image order exceeds {cap}: at least "
-                    f"{len(lifts)} * {prime}^{len(basis)}", limit=cap)
+            else:
+                _subtract(nvec, known, prime)
+                reduced = _reduce(nvec, basis, prime)
+                if not nvec:
+                    continue
+                _insert(basis, nvec, reduced, {}, prime)
+                scale *= prime
+            if len(lifts) * scale > cap:
+                raise CapExceeded(f"image order exceeds {cap}: at least "
+                                  f"{len(lifts)} * {prime}^{len(basis)}", limit=cap)
         done.add(b)
-    order = len(lifts) * prime ** len(basis)
-    if order > cap:
-        raise CapExceeded(f"image order {order} exceeds {cap}", limit=cap)
-    return ImageStructure(lifts, basis, prime, order)
+    return ImageStructure(lifts, basis, prime, len(lifts) * scale)
 
 
 def image_subgroup_order(level, generators, cap=DEFAULT_CAP):
@@ -609,7 +601,8 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
     the images other than the larger end factor (the last on a tie, sized
     fibre by fibre for three, listed for more), outgrows the cap.  The
     image product is sized when the product of the image orders is within
-    the cap: fibre by fibre for one or two factors, listed for more.
+    the cap: fibre by fibre for one or two factors, listed under the
+    generators for more.
     """
     ctx = _build_context(alphabet, subgroups, word, primes)
     top = ctx.chain.top

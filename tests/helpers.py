@@ -17,7 +17,6 @@ from prodsep.graphs import LabeledGraph
 from prodsep.groups import DEFAULT_CAP, closure
 from prodsep.separators import (
     ImageStructure,
-    _generator_steps,
     _reduce,
     _subtract,
     image_subgroup_order,
@@ -226,9 +225,25 @@ def kernel_loop_word(h, level, cap=20000):
 
 
 def image_subgroup(level, generators, cap=DEFAULT_CAP):
-    """The image subgroup listed by a capped closure: {element: BFS link}."""
-    return closure((level.identity,), _generator_steps(level, generators), level.mult, cap,
-                   "subgroup image")
+    """The image subgroup listed by a capped closure: {element: BFS link}.
+
+    It closes under each generator image and its inverse, so it does not
+    rest on the finiteness by which the library closes under the images
+    alone.
+    """
+    return closure((level.identity,), steps_with_inverses(level, generators), level.mult,
+                   cap, "subgroup image")
+
+
+def steps_with_inverses(level, generators):
+    """The image of each nontrivial generator, each followed by its inverse."""
+    steps = []
+    for g in generators:
+        w = free_reduce(g)
+        if w:
+            img = level.evaluate(w)
+            steps += (img, level.inv(img))
+    return steps
 
 
 def _product(level, images, cap):
@@ -296,9 +311,10 @@ def two_ended_image_structure(level, generators, cap):
     Each element reduces the Schreier vector of each of its steps, so a
     non-tree edge is reduced twice and a tree edge once more in reverse;
     the second reduction of an edge is of minus the first vector, which is
-    already in the span.  The oracle the one-ended walk is tested against.
+    already in the span.  The refusal rule is the walk's: lifts * p^rank
+    above the cap.  The oracle the one-ended walk is tested against.
     """
-    steps = _generator_steps(level, generators)
+    steps = steps_with_inverses(level, generators)
     below = level.below
     prime = level.prime
     lifts = {below.identity: {}}
@@ -319,26 +335,21 @@ def two_ended_image_structure(level, generators, cap):
                     del nvec[key]
             known = lifts.get(nb)
             if known is None:
-                if len(lifts) >= cap:
-                    raise CapExceeded(f"image order exceeds {cap}", limit=cap)
                 lifts[nb] = nvec
                 queue.append(nb)
-                continue
-            _subtract(nvec, known, prime)
-            _reduce(nvec, basis, prime)
-            if not nvec:
-                continue
-            pivot = min(nvec)
-            inv = pow(nvec[pivot], -1, prime)
-            basis[pivot] = ({k: v * inv % prime for k, v in nvec.items()}, {})
+            else:
+                _subtract(nvec, known, prime)
+                _reduce(nvec, basis, prime)
+                if not nvec:
+                    continue
+                pivot = min(nvec)
+                inv = pow(nvec[pivot], -1, prime)
+                basis[pivot] = ({k: v * inv % prime for k, v in nvec.items()}, {})
             if len(lifts) * prime ** len(basis) > cap:
                 raise CapExceeded(
                     f"image order exceeds {cap}: at least "
                     f"{len(lifts)} * {prime}^{len(basis)}", limit=cap)
-    order = len(lifts) * prime ** len(basis)
-    if order > cap:
-        raise CapExceeded(f"image order {order} exceeds {cap}", limit=cap)
-    return ImageStructure(lifts, basis, prime, order)
+    return ImageStructure(lifts, basis, prime, len(lifts) * prime ** len(basis))
 
 
 @contextmanager

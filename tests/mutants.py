@@ -44,6 +44,12 @@ PINCH = SEP + "TestPinchErrors::"
 CERT = "tests/test_certificates.py::"
 CYCLES = "tests/test_groups.py::TestCycleNotation::"
 EXT = "tests/test_extensions.py::"
+CLI = "tests/test_cli.py::"
+# a disconnected covering must not pass as a transition group
+CONNECTED = ("tests/test_covers.py::TestTransitionGroup::test_rejects_disconnected_covering",
+             "tests/test_covers.py::TestTransitionGroupAgainstGraphChecks::test_random_graphs",
+             SEP + "TestContextAgainstPublicPath::"
+             "test_public_transition_group_still_checks_connectedness")
 
 MUTANTS = (
     # the one-pass fold against the step loop
@@ -112,10 +118,14 @@ MUTANTS = (
            "if False:",
            ("tests/test_groups.py::TestFmtPermRejects::test_a_non_permutation_names_the_tuple[p0]",
             CERT + "TestRecords::test_a_record_whose_perms_are_not_permutations_is_not_written")),
-    Mutant("image-product-no-inverse-generators", "separators.py",
-           "words += (w, invert(w))", "words += (w,)",
-           (SEP + "TestImageProduct::test_stepped_listing_is_the_mult_closure[n3]",
-            SEP + "TestImageProduct::test_stepped_listing_is_the_mult_closure[n4]")),
+    # one running order check refuses an image
+    Mutant("image-order-ignores-rank", "separators.py",
+           "scale *= prime", "scale *= 1",
+           (SEP + "TestImageStructure::test_cap",
+            SEP + "TestProductSeparator::test_partial_when_capped",
+            SEP + "TestOneEndedWalk::test_same_cap_message_as_the_two_ended_walk",
+            CERT + "TestPartialCertificates::test_stated_sizes_are_checked",
+            CERT + "TestAgainstEnumeration::test_three_and_four_factors[n3p2]")),
     # unseeded seeds from the saturated product automaton
     Mutant("unfold-drops-inverse-letter", "separators.py",
            "memo.get(edge[1:], ((),)), ((-edge[0],),))",
@@ -161,6 +171,24 @@ MUTANTS = (
             "test_cli_seed_product_mismatch_is_an_input_error",
             SEP + "TestFactorize::test_invalid_seeds_rejected",
             SEP + "TestFactorize::test_three_seeds_checked_at_the_top_level")),
+    # checks on input and on the group, carried over from earlier changes
+    Mutant("transitive-always", "groups.py",
+           "return len(orbit) == self.carrier", "return True",
+           ("tests/test_groups.py::TestTransitive::test_two_orbits",) + CONNECTED),
+    Mutant("cover-skips-transitivity-check", "covers.py",
+           "if not group.is_transitive():", "if False:",
+           CONNECTED),
+    Mutant("hall-skips-membership-check", "separators.py",
+           "if ctx.attached.alpha == base:", "if False:",
+           (SEP + "TestHallSeparator::test_rejects_member_word",
+            CLI + "TestCliCommands::test_separate_hall_builds_the_subgroup_once")),
+    Mutant("spec-allows-repeated-keys", "problems.py",
+           "if unique and key in seen:", "if False:",
+           (CLI + "TestGroupSpec::test_repeated_key_names_its_line",
+            CLI + "TestCliCommands::test_verify_repeated_key_is_input_error")),
+    Mutant("component-follows-first-dart-only", "graphs.py",
+           "for d in star.get((v, l), ()):", "for d in star.get((v, l), ())[:1]:",
+           ("tests/test_graphs.py::TestComponents::test_component_follows_every_dart_of_a_bucket",)),
 )
 
 

@@ -41,6 +41,7 @@ from tests.helpers import (
     image_subgroup,
     kernel_loop_word,
     spine_doubling_back,
+    steps_with_inverses,
     two_ended_image_structure,
     within,
 )
@@ -866,6 +867,28 @@ class TestImageStructure:
         with pytest.raises(CapExceeded):
             image_structure(level, [A.parse("x"), A.parse("y")], cap=100)
 
+    def test_base_level_closes_under_the_images_alone(self):
+        """At level 0 the closure under the generator images has the key set
+        and the cap failure of the closure under each image and its inverse."""
+        rng = random.Random(317)
+        listed = capped = 0
+        for _ in range(80):
+            c = rng.randint(1, 7)
+            group = XGroup(A, [tuple(rng.sample(range(c), c)) for _ in range(2)])
+            gens = random_gens(rng, max_gens=2, max_len=4)
+            cap = rng.choice((4, 16, 100))
+            try:
+                image = image_subgroup(group, gens, cap)
+            except CapExceeded as e:
+                with pytest.raises(CapExceeded, match=str(e)):
+                    image_structure(group, gens, cap)
+                capped += 1
+                continue
+            st = image_structure(group, gens, cap)
+            assert st.lifts.keys() == image.keys() and st.order == len(image)
+            listed += 1
+        assert listed >= 30 and capped >= 10
+
 
 class TestOneEndedWalk:
     """image_structure meets each edge once; the two-ended walk is the oracle."""
@@ -912,14 +935,14 @@ class TestOneEndedWalk:
                 with pytest.raises(CapExceeded) as ref:
                     two_ended_image_structure(level, gens, cap=cap)
                 assert str(exc) == str(ref.value)
-                refused.add("at least" in str(exc))
+                refused.add(int(str(exc).rsplit("^", 1)[1]) > 0)
             else:
                 two_ended_image_structure(level, gens, cap=cap)
-        # the rank bound and the lift count each refuse some draw
+        # refusals occur at rank 0 and at rank > 0
         assert refused == {True, False}
 
     def test_reduces_each_non_tree_edge_once(self, monkeypatch):
-        # k generator pairs over |A'| elements give |A'| k edges; the walk
+        # k generator images over |A'| elements give |A'| k edges; the walk
         # reduces all but the |A'| - 1 tree edges, and a self-loop edge
         # from both of its steps
         calls = []
@@ -935,8 +958,8 @@ class TestOneEndedWalk:
             except CapExceeded:
                 continue
             images = separators._generator_steps(level, gens)
-            n, k = len(st.lifts), len(images) // 2
-            loops = sum(level.below.mult(b, g) == b for b in st.lifts for _, g in images) // 2
+            n, k = len(st.lifts), len(images)
+            loops = sum(level.below.mult(b, g) == b for b in st.lifts for _, g in images)
             assert len(calls) == n * k - n + 1 + loops
             checked += 1
             loops_seen += loops > 0
@@ -951,11 +974,13 @@ class TestImageProduct:
     def test_stepped_listing_is_the_mult_closure(self, n, carrier, cap, min_listed):
         """_image_product steps each generator's letters; listing by each
         generator image with the general product gives the same keys, in
-        the same order, and the same cap failure."""
-        def by_mult(level, subgroups, cap):
+        the same order, and the same cap failure.  Closing also under each
+        image's inverse gives the same key set and cap failure: the
+        generators alone close a finite product."""
+        def by_mult(level, subgroups, cap, steps_of=separators._generator_steps):
             out = {level.identity: None}
             for gens in subgroups:
-                steps = separators._generator_steps(level, gens)
+                steps = steps_of(level, gens)
                 out = separators.closure(out, steps, level.mult, cap, "product image")
             return out
 
@@ -971,9 +996,13 @@ class TestImageProduct:
             except CapExceeded as e:
                 with pytest.raises(CapExceeded, match=str(e)):
                     separators._image_product(top, subgroups, cap)
+                with pytest.raises(CapExceeded, match=str(e)):
+                    by_mult(top, subgroups, cap, steps_with_inverses)
                 capped += 1
                 continue
-            assert list(separators._image_product(top, subgroups, cap)) == list(expected)
+            listing = separators._image_product(top, subgroups, cap)
+            assert list(listing) == list(expected)
+            assert listing.keys() == by_mult(top, subgroups, cap, steps_with_inverses).keys()
             listed += 1
         assert listed >= min_listed and capped >= 1
 
