@@ -510,11 +510,9 @@ def _fibre_product_size(structures):
 
 @dataclass
 class FactorizeStats:
-    """Counters for exercising the recursion in tests."""
+    """Counters of the pinch recursion: cuts (m >= 3) and spines (m = 2)."""
     cuts: int = 0
     spines: int = 0
-    prefix_spines: int = 0
-    bfs_spines: int = 0
 
 
 # -- construction contexts ----------------------------------------------------
@@ -522,14 +520,10 @@ class FactorizeStats:
 
 @dataclass
 class _Context:
-    alphabet: object
     subgroups: tuple
     word: tuple
     pointed: tuple       # S(H_i), all unattached
     attached: object     # S(H_n) with the word attached
-    gammas: tuple        # the immersions Gamma_i actually used
-    starts: tuple        # base of Gamma_i (omega for the last)
-    ends: tuple          # expected path targets (base, resp. alpha)
     chain: ExtensionChain  # level 0 is the diagonal of the transition groups
 
 
@@ -554,12 +548,9 @@ def _build_context(alphabet, subgroups, word, primes):
         raise ValueError(f"need {n - 1} primes for {n} subgroups, got {len(primes)}")
     pointed = tuple(_read_graph(alphabet, gens) for gens in subgroups)
     attached = _attach(pointed[-1], word)
-    gammas = tuple(h.graph for h in pointed[:-1]) + (attached.graph,)
-    starts = tuple(h.base for h in pointed[:-1]) + (attached.omega,)
-    ends = tuple(h.base for h in pointed[:-1]) + (attached.alpha,)
+    gammas = [h.graph for h in pointed[:-1]] + [attached.graph]
     chain = ExtensionChain(_diagonal(alphabet, [_cover_perms(g) for g in gammas]), primes)
-    return _Context(alphabet, subgroups, word, pointed, attached, gammas,
-                    starts, ends, chain)
+    return _Context(subgroups, word, pointed, attached, chain)
 
 
 def _perms(group):
@@ -597,12 +588,10 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
 
     Every factor count is decided by one search over the image
     structures (_fibre_search), which lists no image.  It is partial, with
-    no sizes, when an image, or for three or more factors the product of
-    the images other than the larger end factor (the last on a tie, sized
-    fibre by fibre for three, listed for more), outgrows the cap.  The
-    image product is sized when the product of the image orders is within
-    the cap: fibre by fibre for one or two factors, listed under the
-    generators for more.
+    no sizes, exactly when an image outgrows the cap (image_structure
+    refuses it).  The image product is sized when the product of the image
+    orders is within the cap: fibre by fibre for one or two factors, listed
+    under the generators for more.
     """
     ctx = _build_context(alphabet, subgroups, word, primes)
     top = ctx.chain.top
@@ -615,14 +604,6 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
 
     try:
         structures = [image_structure(top, gens, cap) for gens in ctx.subgroups]
-        n = len(structures)
-        if n >= 3:
-            end = 0 if structures[0].order > structures[-1].order else n - 1
-            others = [i for i in reversed(range(n)) if i != end]
-            if n > 3:
-                _image_product(top, [ctx.subgroups[i] for i in others], cap)
-            elif _fibre_product_size([structures[i] for i in others]) > cap:
-                raise CapExceeded(f"product image has more than {cap} elements", limit=cap)
     except CapExceeded:
         return certificate("partial")
     hit = _fibre_search(top, structures, top.evaluate(ctx.word))
@@ -680,8 +661,8 @@ def factorize(alphabet, subgroups, word, seeds=None, primes=None,
         if None in loops:
             raise InternalInvariantError("seed does not read a loop")
     items = loops[:n - 1]
-    last = ctx.gammas[-1].trace(ctx.starts[-1], free_reduce(seeds[-1] + invert(w)))
-    if last is None or last.end != ctx.ends[-1]:
+    last = ctx.attached.graph.trace(ctx.attached.omega, free_reduce(seeds[-1] + invert(w)))
+    if last is None or last.end != ctx.attached.alpha:
         raise InternalInvariantError("attached path does not reach the free end")
     items.append(last)
     walk = _walk(ctx.chain, items)
@@ -804,7 +785,8 @@ def _pinch(chain, items, stats, walk=None):
     items are reduced paths, one per immersion, whose labels multiply to
     the identity at chain level m-1.  Works in the Cayley graph of level
     m-2: find the spine (m = 2) or cut at a vertex of the identity
-    component shared with a middle span and recurse (m >= 3).  Each label
+    component shared with a middle span and recurse (m >= 3); the cut is
+    reached by the component's search path from the identity.  Each label
     is walked once (``_walk``, or the caller's walk): the premise is read
     off it and its spans serve every projection.  A failed projection or
     reduction here is a broken invariant, never bad input.
@@ -838,13 +820,7 @@ def _pinch(chain, items, stats, walk=None):
                 raise InternalInvariantError("no middle span meets the identity component")
             g = min(omega.keys() & spans[j].vertices)
             stats.cuts += 1
-            # a prefix from the identity inside the intersection stays in omega
-            eta = _prefix_in(etas[0], g, inter_edges)
-            if eta is not None:
-                stats.prefix_spines += 1
-            else:
-                eta = _path_to(mid, omega, g)
-                stats.bfs_spines += 1
+            eta = _path_to(mid, omega, g)
             zeta = etas[j].prefix(etas[j].vertices.index(g))
             delta_j1 = _project(zeta, etas[j], spans[j].edges, items[j])
             beta_first = _project(eta, etas[0], spans[0].edges, items[0])
@@ -871,13 +847,3 @@ def _pinch(chain, items, stats, walk=None):
         if before.start != after.start or before.end != after.end:
             raise InternalInvariantError("pinch moved a path endpoint")
     return out
-
-
-def _prefix_in(eta, g, allowed_edges):
-    """First reduced prefix of eta ending at g with all edges allowed, or None."""
-    for k, v in enumerate(eta.vertices):
-        if v != g:
-            continue
-        if all(eta.step_key(i) in allowed_edges for i in range(k)):
-            return eta.prefix(k)
-    return None

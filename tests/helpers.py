@@ -6,6 +6,7 @@ enumeration oracle for product certificate claims, the image walk that
 meets every edge from both ends, a time limit for code that could loop, and
 a common spine that doubles back, to fault the pinch."""
 
+import math
 import signal
 from collections import deque
 from contextlib import contextmanager
@@ -270,10 +271,16 @@ def _product(level, images, cap):
 def _product_member(level, images, target, cap):
     """Does target lie in the product of the images?  Meet in the middle.
 
-    The products of the two halves of the factor list are listed, and
-    the search loops over the smaller one.
+    The factor list is split where the two halves' order products sum
+    least, the middle on a tie: with images of orders 16, 84 and 84 the
+    middle split lists up to 7,056 products of long vectors, the other
+    1,344.  The products of the two halves are listed, and the search
+    loops over the smaller one.
     """
-    mid = max(1, len(images) // 2)
+    middle = max(1, len(images) // 2)
+    mid = min(range(1, max(2, len(images))),
+              key=lambda k: (math.prod(map(len, images[:k])) + math.prod(map(len, images[k:])),
+                             k != middle))
     left = _product(level, images[:mid], cap)
     right = _product(level, images[mid:], cap)
     if len(left) <= len(right):

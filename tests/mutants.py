@@ -181,7 +181,8 @@ MUTANTS = (
     Mutant("hall-skips-membership-check", "separators.py",
            "if ctx.attached.alpha == base:", "if False:",
            (SEP + "TestHallSeparator::test_rejects_member_word",
-            CLI + "TestCliCommands::test_separate_hall_builds_the_subgroup_once")),
+            CLI + "TestCliCommands::test_separate_hall_builds_the_subgroup_once",
+            CLI + "TestInputFuzz::test_commands_exit_cleanly")),
     Mutant("spec-allows-repeated-keys", "problems.py",
            "if unique and key in seen:", "if False:",
            (CLI + "TestGroupSpec::test_repeated_key_names_its_line",

@@ -28,7 +28,9 @@ from prodsep.cli import main
 from prodsep.errors import CapExceeded
 from prodsep.extensions import ExtensionChain, ExtensionLevel
 from prodsep.groups import XGroup
+from prodsep.rational import member_product
 from prodsep.separators import image_subgroup_order
+from prodsep.stallings import stallings_graph
 from prodsep.words import Alphabet, free_reduce, invert
 from tests.helpers import enumerated_claims, within
 
@@ -324,9 +326,18 @@ class TestRecords:
             separators.factorize(A, [[A.parse("xXxx")]], A.parse("xxxx")),
         ]
         assert [getattr(c, "status", None) for c in records] == [
-            None, "excluded", "member", "excluded", "partial", "partial", None, None]
+            None, "excluded", "member", "excluded", "partial", "member", None, None]
         for cert in records:
             assert parse_certificate(emit_certificate(cert)) == cert, cert
+        # the three-factor draw decides at cap 20 with images (8, 8, 8),
+        # verifies, and agrees with the rational oracle
+        three = records[5]
+        assert three.image_sizes == (8, 8, 8) and three.product_size is None
+        assert verify_certificate(three)[0]
+        assert member_product([stallings_graph(A, g) for g in three.subgroups], three.word)
+        partial = separators.product_separator(A, three.subgroups, three.word, cap=4)
+        assert partial.status == "partial"
+        assert parse_certificate(emit_certificate(partial)) == partial
 
     def test_a_record_whose_perms_are_not_permutations_is_not_written(self):
         cert = HallCertificate(A, ((1,),), (2,), 2, 0, ((0, 1), (1, 1)))

@@ -25,6 +25,7 @@ from prodsep.problems import (
     parse_group_spec,
     parse_problem,
 )
+from prodsep.rational import member_product
 from prodsep.separators import factorize, hall_separator, product_separator
 from prodsep.stallings import stallings_graph
 from prodsep.words import Alphabet
@@ -473,11 +474,21 @@ class TestCliCommands:
         assert main(["stallings", "member", str(path), "kx"]) == 3
 
     def test_three_factor_product_cap_is_partial(self, tmp_path, capsys):
-        # the meet-in-the-middle product set outgrows the cap although
-        # every factor image fits under it
+        # images of order 8: under cap 20 the search decides although the
+        # product of the image orders passes it; under cap 4 an image does not fit
         path = tmp_path / "three.txt"
         path.write_text("alphabet: xy\nH1: X\nH2: Yx\nH3: x\nword: XY\n")
-        assert main(["separate", "product", str(path), "--cap", "20"]) == 2
+        cert = tmp_path / "three.cert"
+        assert main(["separate", "product", str(path), "--cap", "20",
+                     "--out", str(cert)]) == 1
+        text = cert.read_text()
+        assert "status: member" in text and "image size 3: 8" in text
+        assert "product size:" not in text
+        assert main(["verify", str(cert)]) == 0
+        assert member_product([stallings_graph(A, [A.parse(g)]) for g in ("X", "Yx", "x")],
+                              A.parse("XY"))
+        capsys.readouterr()
+        assert main(["separate", "product", str(path), "--cap", "4"]) == 2
         out = capsys.readouterr().out
         assert "partial" in out and "status: partial" in out
 
@@ -753,6 +764,7 @@ class TestInputFuzz:
 
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(input_texts())
+    @hypothesis.example("alphabet: xy\nH1: xy\nword: xy\n")  # a member: hall refuses it
     def test_commands_exit_cleanly(self, text):
         # every reader exits 0-3; an exception other than an input error or
         # a cap hit would escape main as a traceback

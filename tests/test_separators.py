@@ -341,12 +341,23 @@ class TestProductSeparator:
         ok, _ = verify_certificate(parse_certificate(text))
         assert ok
 
-    def test_three_factor_product_over_cap_is_undecided(self):
-        # every image fits under the cap, the meet-in-the-middle product set does not
+    def test_three_factor_product_over_cap_is_decided(self):
+        # every image fits under the cap, and the fibre search decides although
+        # the product of the image orders, 512, does not fit
         H = [[A.parse("X")], [A.parse("Yx")], [A.parse("x")]]
         wit = product_separator(A, H, A.parse("XY"), cap=20)
-        assert wit.excluded is None
+        assert wit.status == "member"
+        assert wit.image_sizes == (8, 8, 8)
         assert wit.product_size is None
+        assert member_product([stallings_graph(A, g) for g in H], A.parse("XY"))
+        ok, _ = verify_certificate(parse_certificate(emit_certificate(wit)))
+        assert ok
+
+    def test_three_factor_image_over_cap_is_undecided(self):
+        H = [[A.parse("X")], [A.parse("Yx")], [A.parse("x")]]
+        wit = product_separator(A, H, A.parse("XY"), cap=4)
+        assert wit.excluded is None
+        assert wit.image_sizes is None and wit.product_size is None
         text = emit_certificate(wit)
         assert "status: partial" in text
         ok, _ = verify_certificate(parse_certificate(text))
@@ -377,16 +388,20 @@ class TestProductSeparator:
             assert product_separator(A, subgroups, A.parse("xy"),
                                      cap=300).excluded is not None
             assert products == []
-        # with four, the gate lists the product of the images other than the
-        # larger end factor (the last on a tie), in reverse order
-        for subgroups, status, others in [([[x], [y], [xx], [yy]], "member",
-                                           [(yy,), (xx,), (y,)]),
-                                          ([[xx], [y], [x], [yy]], "excluded",
-                                           [(x,), (y,), (xx,)])]:
+        # images (8, 8, 8) under cap 20: decided, with no product sized
+        H = [[A.parse("X")], [A.parse("Yx")], [A.parse("x")]]
+        assert product_separator(A, H, A.parse("XY"), cap=20).status == "member"
+        assert products == []
+        # with four, image orders (16, 16, 8, 8) and (8, 16, 16, 8): the
+        # product of the orders passes the cap, so nothing is listed
+        for subgroups, status in [([[x], [y], [xx], [yy]], "member"),
+                                  ([[xx], [y], [x], [yy]], "excluded")]:
             products.clear()
             wit = product_separator(A, subgroups, A.parse("xy"), cap=4096)
             assert wit.status == status and wit.product_size is None
-            assert products == [others]
+            assert member_product([stallings_graph(A, g) for g in subgroups],
+                                  A.parse("xy")) == (status == "member")
+            assert products == []
 
     def test_unseeded_factorize_enumerates_no_image(self, monkeypatch):
         products = self.record_enumeration(monkeypatch)
@@ -403,8 +418,8 @@ class TestProductSeparator:
     def test_sizing_three_factors_enumerates_each_image_once(self, monkeypatch):
         products = self.record_enumeration(monkeypatch)
         x, y, xx = (A.parse(t) for t in ("x", "y", "xx"))
-        # image orders 4, 12 and 8: the gate sizes 12 * 4 fibre by fibre, and
-        # sizing walks the product through each image's generators once
+        # image orders 4, 12 and 8: sizing walks the product through each
+        # image's generators once
         wit = product_separator(A, [[xx], [y], [x]], A.parse("xy"))
         assert products == [[(xx,), (y,), (x,)]]
         monkeypatch.undo()
@@ -766,10 +781,9 @@ class TestImageSubgroupOrder:
         assert order == len(image_subgroup(chain.top, gens, cap=10 ** 6))
 
 
-def test_three_factor_scramble_stress_exercises_both_eta_branches():
-    # across a seeded batch, the cut vertex is sometimes reachable by a
-    # prefix of the first Cayley path and sometimes only by a search
-    # inside the identity component; both constructions must verify
+def test_three_factor_scramble_stress_cuts_and_verifies():
+    # seeds scrambled by a kernel loop: each factorization cuts once, and
+    # every one verifies
     rng = random.Random(777)
     pool = [["x", "y"], ["xx", "y", "xyX"], ["yy", "x", "yxY"],
             ["xx", "yy", "xy"], ["xx", "yy", "xY"]]
@@ -782,13 +796,11 @@ def test_three_factor_scramble_stress_exercises_both_eta_branches():
         u = kernel_loop_word(ctx.pointed[0], ctx.chain.top, cap=3000)
         seeds = [free_reduce(parts[0] + u) if u else parts[0], parts[1], parts[2]]
         stats = FactorizeStats()
-        assert factorize(A, subgroups, w, seeds=seeds, stats=stats) is not None
+        cert = factorize(A, subgroups, w, seeds=seeds, stats=stats)
+        assert cert is not None
+        assert verify_certificate(cert)[0]
         total.cuts += stats.cuts
-        total.prefix_spines += stats.prefix_spines
-        total.bfs_spines += stats.bfs_spines
     assert total.cuts == 60
-    assert total.prefix_spines > 0
-    assert total.bfs_spines > 0
 
 
 def reference_product(level, images):
