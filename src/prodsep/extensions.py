@@ -48,6 +48,11 @@ class ExtensionLevel:
         self.prime = prime
         self.alphabet = below.alphabet
         self._gens = {}
+        # the column table: each Cayley edge (g, x) below, numbered in the
+        # order it is first seen, is one bit of a GF(2) vector; every image
+        # structure at this level shares it (``separators``)
+        self.columns = {}
+        self.column_keys = []
 
     @property
     def identity(self):

@@ -22,9 +22,10 @@ letter) -> dart, which is the whole state of a fold (Touikan 2006).
 immersion exactly when the table has one entry per dart.  The table is
 handed to ``_trusted`` by the Stallings reader, which builds it as it
 goes, or built once from the dart arrays, the least dart of each (vertex,
-letter) winning.  ``star``, which lists every dart of each pair, is for
-graphs that may not be immersions; ``bfs_tree`` reads it to number the
-vertices that ``to_dot`` prints.
+letter) winning; since a graph never changes, whether it is an immersion
+is worked out once, with its table.  ``star``, which lists every dart of
+each pair, is for graphs that may not be immersions; ``bfs_tree`` reads
+it to number the vertices that ``to_dot`` prints.
 
 Folding to an immersion (``fold_all_tracked``) is one union-find pass,
 near-linear in the size of the graph.  Subgroup graphs are built by
@@ -58,6 +59,7 @@ class LabeledGraph:
         self._label = label
         self._star = None
         self._out = None
+        self._immersion = None
 
     @classmethod
     def _trusted(cls, alphabet, num_vertices, src, label, out=None):
@@ -76,6 +78,7 @@ class LabeledGraph:
         g._label = label
         g._star = None
         g._out = out
+        g._immersion = None if out is None else len(out) == len(src)
         return g
 
     def _extended(self, num_vertices, edges):
@@ -133,6 +136,7 @@ class LabeledGraph:
             for e, key in enumerate(zip(self._src, self._label)):
                 out.setdefault(key, e)
             self._out = out
+            self._immersion = len(out) == len(self._src)
         return self._out
 
     def out_dart(self, v, letter):
@@ -146,13 +150,14 @@ class LabeledGraph:
     # -- immersions ----------------------------------------------------------
 
     def is_immersion(self):
-        return len(self._dart_table()) == len(self._src)
+        self._dart_table()
+        return self._immersion
 
     def trace(self, v, word):
         """The unique path from v labeled by word, or None if it cannot be read."""
-        if not self.is_immersion():
-            raise ValueError("trace requires an immersion")
         out, src = self._dart_table(), self._src
+        if not self._immersion:
+            raise ValueError("trace requires an immersion")
         darts = []
         cur = v
         for l in word:

@@ -222,6 +222,9 @@ def _image_product(level, subgroups, cap):
     return out
 
 
+# -- GF(p) vectors over Cayley edges -----------------------------------------
+
+
 def _subtract(vec, other, prime, c=1):
     """vec -= c * other over GF(p), in place on the dict vec."""
     for k, v in other.items():
@@ -232,44 +235,180 @@ def _subtract(vec, other, prime, c=1):
             del vec[k]
 
 
-def _reduce(vec, basis, prime):
-    """Reduce vec in place against the rows of basis; return the steps taken.
+def _bit_indices(v):
+    """The positions of the set bits of v >= 0, ascending.  Taking the low
+    bit off one at a time costs the length of v per bit, so a long v is
+    scanned once as text instead."""
+    if v.bit_length() <= 2048:
+        out = []
+        while v:
+            low = v & -v
+            out.append(low.bit_length() - 1)
+            v ^= low
+        return out
+    text = bin(v)[:1:-1]
+    out = []
+    i = text.find("1")
+    while i >= 0:
+        out.append(i)
+        i = text.find("1", i + 1)
+    return out
 
-    basis maps a pivot to (row, tag), the row normalized to pivot
-    coefficient 1 and the tag its coefficients over the source rows.  Each step (pivot, c)
-    subtracted c times that row, so vec is empty afterwards exactly when
-    it lies in the rows' span.
+
+class _KeyVectors:
+    """GF(p) vectors as dicts {Cayley edge (h, x): nonzero coefficient}.
+
+    Every method returns a new vector and leaves its arguments as they are.
+    A basis maps each pivot, the least key of its row, to (row, tag): the
+    row normalized to pivot coefficient 1, the tag its coefficients over
+    some source rows, by index, also a dict.
     """
-    steps = []
-    while vec:
-        pivot = min(vec)
-        entry = basis.get(pivot)
-        if entry is None:
-            break
-        c = vec[pivot]
-        for k, v in entry[0].items():
-            n = (vec.get(k, 0) - c * v) % prime
+
+    def __init__(self, level):
+        self.below = level.below
+        self.prime = level.prime
+
+    def vector(self, items, start=None):
+        """start, or zero, plus the (key, coefficient) pairs."""
+        out = {} if start is None else dict(start)
+        prime = self.prime
+        for k, c in items:
+            n = (out.get(k, 0) + c) % prime
             if n:
-                vec[k] = n
-            elif k in vec:
-                del vec[k]
-        steps.append((pivot, c))
-    return steps
+                out[k] = n
+            elif k in out:
+                del out[k]
+        return out
+
+    def terms(self, vec):
+        return vec.items()
+
+    def add(self, a, b, c=1):
+        """a + c * b."""
+        out = dict(a)
+        _subtract(out, b, self.prime, -c)
+        return out
+
+    def translate(self, vec, g):
+        """g acting on a vector over Cayley edges: the edge (h, x) goes to (g*h, x)."""
+        mult = self.below.mult
+        return {(mult(g, h), x): c for (h, x), c in vec.items()}
+
+    def reduce(self, vec, basis, tag=None):
+        """(vec, tag) after subtracting c times a row, and c times its tag,
+        while vec's least key is a pivot; vec is empty exactly when it lies
+        in the rows' span.  A tag of None is not followed."""
+        vec = dict(vec)
+        tag = None if tag is None else dict(tag)
+        prime = self.prime
+        while vec:
+            pivot = min(vec)
+            entry = basis.get(pivot)
+            if entry is None:
+                break
+            c = vec[pivot]
+            _subtract(vec, entry[0], prime, c)
+            if tag is not None:
+                _subtract(tag, entry[1], prime, c)
+        return vec, tag
+
+    def insert(self, basis, vec, tag):
+        """Add a reduced nonzero vec as a row, normalized with its tag."""
+        prime = self.prime
+        pivot = min(vec)
+        inv = pow(vec[pivot], -1, prime)
+        basis[pivot] = ({k: v * inv % prime for k, v in vec.items()},
+                        {j: c * inv % prime for j, c in tag.items()})
+
+    def unit(self, j):
+        """The tag of source row j alone."""
+        return {j: 1}
+
+    def sources(self, tag):
+        """(source row, coefficient) pairs of a tag."""
+        return tag.items()
 
 
-def _insert(basis, vec, steps, tag, prime):
-    """Add vec, reduced by steps and nonzero, to basis as a new row.
+class _BitVectors:
+    """GF(2) vectors as ints over the level's column table: bit i is the
+    coefficient of the i-th Cayley edge the level has seen
+    (``ExtensionLevel.columns``).
 
-    tag is the row's second component before the reduction; it goes
-    through the same steps, with the rows' second components, and is
-    normalized with the row to pivot coefficient 1.
+    Adding is one XOR, and a row's pivot is its lowest set bit, so a row
+    needs no normalizing.  A tag is an int too, bit j for source row j.
     """
-    for pivot, c in steps:
-        _subtract(tag, basis[pivot][1], prime, c)
-    pivot = min(vec)
-    inv = pow(vec[pivot], -1, prime)
-    basis[pivot] = ({k: v * inv % prime for k, v in vec.items()},
-                    {j: c * inv % prime for j, c in tag.items()})
+
+    prime = 2
+
+    def __init__(self, level):
+        self.below = level.below
+        self.columns = level.columns
+        self.keys = level.column_keys
+
+    def vector(self, items, start=0):
+        """start plus the (key, coefficient) pairs, each coefficient odd;
+        a key gets a column the first time it is seen."""
+        setdefault, keys = self.columns.setdefault, self.keys
+        out, n = start, len(keys)
+        for key, _ in items:
+            # one hash per key: an element far up the chain is slow to hash
+            i = setdefault(key, n)
+            if i == n:
+                keys.append(key)
+                n += 1
+            out ^= 1 << i
+        return out
+
+    def terms(self, vec):
+        keys = self.keys
+        return [(keys[i], 1) for i in _bit_indices(vec)]
+
+    def add(self, a, b, c=1):
+        """a + c * b, for c nonzero mod 2."""
+        return a ^ b
+
+    def translate(self, vec, g):
+        mult, keys = self.below.mult, self.keys
+        return self.vector([((mult(g, keys[i][0]), keys[i][1]), 1) for i in _bit_indices(vec)])
+
+    def reduce(self, vec, basis, tag=None):
+        while vec:
+            entry = basis.get(vec & -vec)
+            if entry is None:
+                break
+            vec ^= entry[0]
+            if tag is not None:
+                tag ^= entry[1]
+        return vec, tag
+
+    def insert(self, basis, vec, tag):
+        basis[vec & -vec] = (vec, tag)
+
+    def unit(self, j):
+        return 1 << j
+
+    def sources(self, tag):
+        return [(j, 1) for j in _bit_indices(tag)]
+
+
+def _vectors(level):
+    """The kernel arithmetic of an extension level: bits at p = 2, else dicts."""
+    return _BitVectors(level) if level.prime == 2 else _KeyVectors(level)
+
+
+def _extend(vectors, basis, rows):
+    """Insert each (tag, row) that is new to the span, the tag reduced alongside.
+
+    A tag holds coefficients over source rows, so a vector that a zero tag
+    follows to zero leaves in the tag minus its coefficients over them.
+    """
+    for tag, row in rows:
+        vec, tag = vectors.reduce(row, basis, tag)
+        if vec:
+            vectors.insert(basis, vec, tag)
+
+
+# -- image subgroups as structures --------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -279,28 +418,31 @@ class ImageStructure:
     At an extension level the image is {(lifts[b] + k, b)}: b runs over the
     image one level down, lifts[b] is the vector of one chosen lift of b,
     and k runs over the GF(p) span of the kernel rows in ``basis``, which
-    maps each pivot to (row, {}), the row normalized to pivot coefficient
-    1 and spanned by the Schreier vectors of the walk's cycle edges (the
-    empty tag is the one ``_fibre_search`` replaces with its own); the
-    order is len(lifts) * p^rank.  At level 0 (a permutation group)
+    maps each pivot to (row, empty tag), the rows spanned by the Schreier
+    vectors of the walk's cycle edges (the empty tag is the one
+    ``_fibre_search`` replaces with its own); the order is
+    len(lifts) * p^rank.  The vectors are those of ``vectors``: at p = 2
+    an int over the level's column table, bit i for the i-th Cayley edge
+    first seen at that level, a row's pivot its lowest set bit; at an odd
+    prime a dict {edge (h, x): coefficient}, a row's pivot its least key
+    and its coefficient there 1.  At level 0 (a permutation group)
     ``lifts`` is the closure under the generator images, ``basis`` is
-    empty and ``prime`` is None.
+    empty and ``vectors`` is None.
     """
     lifts: dict
     basis: dict
-    prime: int
+    vectors: object
     order: int
 
     def __contains__(self, elem):
-        if self.prime is None:
+        if self.vectors is None:
             return elem in self.lifts
         lift = self.lifts.get(elem[1])
         if lift is None:
             return False
-        diff = dict(elem[0])
-        _subtract(diff, lift, self.prime)
-        _reduce(diff, self.basis, self.prime)
-        return not diff
+        vectors = self.vectors
+        diff = vectors.add(vectors.vector(elem[0]), lift, -1)
+        return not vectors.reduce(diff, self.basis)[0]
 
 
 def image_structure(level, generators, cap=DEFAULT_CAP):
@@ -323,12 +465,13 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
         tree = closure((level.identity,), images, level.mult, cap, "subgroup image")
         return ImageStructure(tree, {}, None, len(tree))
     below = level.below
-    prime = level.prime
+    vectors = _vectors(level)
+    prime = vectors.prime
     # each image and its inverse, steps i and i ^ 1: a shallower tree, shorter lifts
     steps = [s for img in images for s in (img, level.inv(img))]
     # walk the image one level down carrying a chosen lift vector per
     # element; edges that close a cycle contribute Schreier kernel vectors
-    lifts = {below.identity: {}}
+    lifts = {below.identity: vectors.vector(())}
     basis = {}
     scale = 1  # p^rank
     done = set()
@@ -340,30 +483,22 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
             nb = below.mult(b, g)
             if nb in done:
                 continue
-            nvec = dict(vb)
-            for (src, x), c in vec:
-                key = (below.mult(b, src), x)
-                n = (nvec.get(key, 0) + c) % prime
-                if n:
-                    nvec[key] = n
-                elif key in nvec:
-                    del nvec[key]
+            nvec = vectors.vector([((below.mult(b, src), x), c) for (src, x), c in vec], vb)
             known = lifts.get(nb)
             if known is None:
                 lifts[nb] = nvec
                 queue.append(nb)
             else:
-                _subtract(nvec, known, prime)
-                reduced = _reduce(nvec, basis, prime)
+                nvec = vectors.reduce(vectors.add(nvec, known, -1), basis)[0]
                 if not nvec:
                     continue
-                _insert(basis, nvec, reduced, {}, prime)
+                vectors.insert(basis, nvec, vectors.vector(()))
                 scale *= prime
             if len(lifts) * scale > cap:
                 raise CapExceeded(f"image order exceeds {cap}: at least "
                                   f"{len(lifts)} * {prime}^{len(basis)}", limit=cap)
         done.add(b)
-    return ImageStructure(lifts, basis, prime, len(lifts) * scale)
+    return ImageStructure(lifts, basis, vectors, len(lifts) * scale)
 
 
 def image_subgroup_order(level, generators, cap=DEFAULT_CAP):
@@ -372,29 +507,6 @@ def image_subgroup_order(level, generators, cap=DEFAULT_CAP):
 
 
 # -- products of images, fibre by fibre --------------------------------------
-
-
-def _translate(vec, below, g):
-    """g acting on a vector over Cayley edges: the edge (h, x) goes to (g*h, x)."""
-    return {(below.mult(g, h), x): c for (h, x), c in vec.items()}
-
-
-def _tagged(st, i):
-    """The i-th image's kernel rows, each tagged {(i, its pivot): 1}."""
-    return [({(i, pivot): 1}, row) for pivot, (row, _) in st.basis.items()]
-
-
-def _extend(basis, rows, prime):
-    """Insert each (tag, row) that is new to the span, the tag reduced alongside.
-
-    A tag maps source rows (factor, pivot) to coefficients, so a vector
-    reduced to zero by steps (pivot, c) is sum c * tag in the source rows.
-    """
-    for tag, row in rows:
-        vec = dict(row)
-        steps = _reduce(vec, basis, prime)
-        if vec:
-            _insert(basis, vec, steps, dict(tag), prime)
 
 
 def _fibre_search(level, structures, target):
@@ -410,33 +522,37 @@ def _fibre_search(level, structures, target):
     translated by h⁻¹, and the smaller of their fibres is walked, one
     reduction per element.  Nothing at this level is enumerated.  The rows
     of K_{n-2} and K_{n-1} are the same for every prefix; with two factors
-    the prefix is empty and only g·K_n is translated.
+    the prefix is empty and only g·K_n is translated.  Every row but K_n's
+    is tagged with its index among the source rows (factor, row).
     """
     if len(structures) == 1:
         return (target,) if target in structures[0] else None
-    below, prime = level.below, level.prime
+    below = level.below
+    vectors = structures[0].vectors
     *firsts, one, two = structures
     m = len(firsts)
-    v, g = target
-    base = {pivot: (row, {(m, pivot): 1}) for pivot, (row, _) in one.basis.items()}
-    if firsts:
-        _extend(base, _tagged(firsts[-1], m - 1), prime)
+    sources = [(i, row) for i, st in enumerate(structures[:-1]) for row, _ in st.basis.values()]
+    # the rows of K_{n-1}, then of K_{n-2}, which every prefix shares
+    base = {}
+    _extend(vectors, base, [(vectors.unit(j), row)
+                            for i in (m, m - 1) for j, (f, row) in enumerate(sources) if f == i])
+    v, g = vectors.vector(target[0]), target[1]
     for prefix in itertools.product(*(st.lifts for st in firsts)):
         u, gh, basis = v, g, base
         if prefix:
-            u, h, hs = dict(v), below.identity, []
+            h, hs = below.identity, []
             for st, al in zip(firsts, prefix):
-                _subtract(u, _translate(st.lifts[al], below, h), prime)
+                u = vectors.add(u, vectors.translate(st.lifts[al], h), -1)
                 h = below.mult(h, al)
                 hs.append(h)
             hinv = below.inv(h)
-            u, gh, basis = _translate(u, below, hinv), below.mult(hinv, g), dict(base)
-            _extend(basis, [(tag, _translate(row, below, below.mult(hinv, hs[i])))
-                            for i in range(m - 1) for tag, row in _tagged(firsts[i], i)],
-                    prime)
+            u, gh, basis = vectors.translate(u, hinv), below.mult(hinv, g), dict(base)
+            _extend(vectors, basis,
+                    [(vectors.unit(j), vectors.translate(row, below.mult(hinv, hs[i])))
+                     for j, (i, row) in enumerate(sources) if i < m - 1])
         # the last factor's rows carry no tag: its element is read off the rest
-        _extend(basis, [({}, _translate(row, below, gh)) for row, _ in two.basis.values()],
-                prime)
+        _extend(vectors, basis, [(vectors.vector(()), vectors.translate(row, gh))
+                                 for row, _ in two.basis.values()])
         if len(one.lifts) <= len(two.lifts):
             pairs = ((al, below.mult(below.inv(al), gh)) for al in one.lifts)
         else:
@@ -445,33 +561,32 @@ def _fibre_search(level, structures, target):
             la, lb = one.lifts.get(al), two.lifts.get(be)
             if la is None or lb is None:
                 continue
-            rest = dict(u)
-            _subtract(rest, la, prime)
-            _subtract(rest, _translate(lb, below, al), prime)
-            steps = _reduce(rest, basis, prime)
-            if not rest:
-                return _read_hit(level, structures, prefix + (al,), basis, steps, target)
+            rest = vectors.add(vectors.add(u, la, -1), vectors.translate(lb, al), -1)
+            if not vectors.reduce(rest, basis)[0]:
+                return _read_hit(level, structures, prefix + (al,), basis, sources, rest,
+                                 target)
     return None
 
 
-def _read_hit(level, structures, alphas, basis, steps, target):
+def _read_hit(level, structures, alphas, basis, sources, rest, target):
     """The factors of a fibre hit, each checked against its structure.
 
-    The steps' tags give k_i = sum c * K_i[pivot].  A prefix row stood for
-    h_{i+1}·K_i, so there a_i = (l_i(α_i) + α_i·k_i, α_i); the next factor
-    is (l_{n-1}(α) + k_{n-1}, α), and the last (a_1 ... a_{n-1})⁻¹·target.
+    A zero tag reduced alongside rest comes back as minus its coefficients
+    over the source rows, which give k_i = sum c * K_i's rows.  A prefix
+    row stood for h_{i+1}·K_i, so there a_i = (l_i(α_i) + α_i·k_i, α_i);
+    the next factor is (l_{n-1}(α) + k_{n-1}, α), and the last
+    (a_1 ... a_{n-1})⁻¹·target.
     """
-    coefs = {}
-    for pivot, c in steps:
-        _subtract(coefs, basis[pivot][1], level.prime, -c)
+    vectors = structures[0].vectors
+    _, tag = vectors.reduce(rest, basis, vectors.vector(()))
     m = len(alphas) - 1
-    vecs = [{} for _ in range(m)] + [dict(structures[m].lifts[alphas[m]])]
-    for (i, pivot), c in coefs.items():
-        _subtract(vecs[i], structures[i].basis[pivot][0], level.prime, -c)
+    vecs = [vectors.vector(())] * m + [structures[m].lifts[alphas[m]]]
+    for j, c in vectors.sources(tag):
+        i, row = sources[j]
+        vecs[i] = vectors.add(vecs[i], row, -c)
     for i, al in enumerate(alphas[:m]):
-        vecs[i] = _translate(vecs[i], level.below, al)
-        _subtract(vecs[i], structures[i].lifts[al], level.prime, -1)
-    factors = [(tuple(sorted(vec.items())), al) for vec, al in zip(vecs, alphas)]
+        vecs[i] = vectors.add(vectors.translate(vecs[i], al), structures[i].lifts[al])
+    factors = [(tuple(sorted(vectors.terms(vec))), al) for vec, al in zip(vecs, alphas)]
     head = functools.reduce(level.mult, factors)
     last = level.mult(level.inv(head), target)
     if not all(a in st for a, st in zip(factors + [last], structures)) or \
@@ -489,19 +604,16 @@ def _fibre_product_size(structures):
     if len(structures) == 1:
         return structures[0].order
     one, two = structures
-    prime = one.prime
+    vectors = one.vectors
     basis = dict(one.basis)
-    _extend(basis, [({}, row) for row, _ in two.basis.values()], prime)
+    _extend(vectors, basis, [(vectors.vector(()), row) for row, _ in two.basis.values()])
     small, large = sorted(structures, key=lambda st: len(st.lifts))
     meet = 0
     for al, la in small.lifts.items():
         lb = large.lifts.get(al)
         if lb is not None:
-            diff = dict(la)
-            _subtract(diff, lb, prime)
-            _reduce(diff, basis, prime)
-            meet += not diff
-    common = meet * prime ** (len(one.basis) + len(two.basis) - len(basis))
+            meet += not vectors.reduce(vectors.add(la, lb, -1), basis)[0]
+    common = meet * vectors.prime ** (len(one.basis) + len(two.basis) - len(basis))
     return one.order * two.order // common
 
 

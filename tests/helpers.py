@@ -3,8 +3,9 @@ admissible pair at a time (the oracles for the one-pass fold and the
 Stallings reader), canonical forms and graph predicates, small-scale word
 generators over subgroup graphs, the listed image subgroup and the
 enumeration oracle for product certificate claims, the image walk that
-meets every edge from both ends, a time limit for code that could loop, and
-a common spine that doubles back, to fault the pinch."""
+meets every edge from both ends (the dict oracle) and the check that a
+GF(2) bit structure holds its image, a time limit for code that could
+loop, and a common spine that doubles back, to fault the pinch."""
 
 import math
 import signal
@@ -16,12 +17,7 @@ from prodsep.errors import CapExceeded
 from prodsep.extensions import ExtensionChain
 from prodsep.graphs import LabeledGraph
 from prodsep.groups import DEFAULT_CAP, closure
-from prodsep.separators import (
-    ImageStructure,
-    _reduce,
-    _subtract,
-    image_subgroup_order,
-)
+from prodsep.separators import ImageStructure, _KeyVectors, image_subgroup_order
 from prodsep.stallings import AttachedImmersion, PointedImmersion
 from prodsep.words import free_reduce, invert, letter_sort_key
 
@@ -319,11 +315,13 @@ def two_ended_image_structure(level, generators, cap):
     non-tree edge is reduced twice and a tree edge once more in reverse;
     the second reduction of an edge is of minus the first vector, which is
     already in the span.  The refusal rule is the walk's: lifts * p^rank
-    above the cap.  The oracle the one-ended walk is tested against.
+    above the cap.  The oracle the one-ended walk is tested against; its
+    vectors are dicts at every prime, p = 2 included.
     """
     steps = steps_with_inverses(level, generators)
     below = level.below
     prime = level.prime
+    vectors = _KeyVectors(level)
     lifts = {below.identity: {}}
     basis = {}
     queue = deque([below.identity])
@@ -345,8 +343,7 @@ def two_ended_image_structure(level, generators, cap):
                 lifts[nb] = nvec
                 queue.append(nb)
             else:
-                _subtract(nvec, known, prime)
-                _reduce(nvec, basis, prime)
+                nvec, _ = vectors.reduce(vectors.add(nvec, known, -1), basis)
                 if not nvec:
                     continue
                 pivot = min(nvec)
@@ -356,7 +353,20 @@ def two_ended_image_structure(level, generators, cap):
                 raise CapExceeded(
                     f"image order exceeds {cap}: at least "
                     f"{len(lifts)} * {prime}^{len(basis)}", limit=cap)
-    return ImageStructure(lifts, basis, prime, len(lifts) * prime ** len(basis))
+    return ImageStructure(lifts, basis, vectors, len(lifts) * prime ** len(basis))
+
+
+def assert_same_image(st, ref):
+    """The GF(2) bit structure st holds the image of the dict structure ref:
+    the same lifts once bits are read back as key dicts, the same rank and
+    order, and each row of either reduces to zero in the other's basis."""
+    bits, keys = st.vectors, ref.vectors
+    assert {b: dict(bits.terms(v)) for b, v in st.lifts.items()} == ref.lifts
+    assert len(st.basis) == len(ref.basis) and st.order == ref.order
+    for row, _ in st.basis.values():
+        assert not keys.reduce(dict(bits.terms(row)), ref.basis)[0]
+    for row, _ in ref.basis.values():
+        assert not bits.reduce(bits.vector(row.items()), st.basis)[0]
 
 
 @contextmanager

@@ -39,6 +39,7 @@ class Mutant:
 G = "tests/test_graphs.py::TestFoldAgainstStepLoop::"
 SEP = "tests/test_separators.py::"
 ENUM = SEP + "TestProductAgainstEnumeration::"
+BITS = SEP + "TestBitStructuresAgainstDicts::"
 SEEDS = SEP + "TestSeedsFromTheProductAutomaton::"
 PINCH = SEP + "TestPinchErrors::"
 CERT = "tests/test_certificates.py::"
@@ -61,22 +62,24 @@ MUTANTS = (
            "lo, hi = min(a, b), max(a, b)", "hi, lo = min(a, b), max(a, b)",
            (G + "test_random_graphs",
             G + "test_shared_prefix_wedges")),
-    # the fibre search's prefixes
+    # the fibre search's prefixes: each names tests at odd primes, where the
+    # dict vectors keep the signs that cancel at p = 2
     Mutant("fibre-prefix-lift-sign", "separators.py",
-           "_subtract(u, _translate(st.lifts[al], below, h), prime)",
-           "_subtract(u, _translate(st.lifts[al], below, h), prime, -1)",
+           "u = vectors.add(u, vectors.translate(st.lifts[al], h), -1)",
+           "u = vectors.add(u, vectors.translate(st.lifts[al], h), 1)",
            (ENUM + "test_prefix_search_against_enumeration[n3p3]",
             ENUM + "test_prefix_search_against_enumeration[n3p5]",
             ENUM + "test_prefix_search_finds_every_member[3-3-30-400]")),
     Mutant("fibre-tag-sign", "separators.py",
-           "_subtract(coefs, basis[pivot][1], level.prime, -c)",
-           "_subtract(coefs, basis[pivot][1], level.prime, c)",
+           "vecs[i] = vectors.add(vecs[i], row, -c)",
+           "vecs[i] = vectors.add(vecs[i], row, c)",
            (ENUM + "test_two_factor_exclusion_and_size[3]",
             ENUM + "test_two_factor_exclusion_and_size[5]")),
     Mutant("fibre-prefix-kernel-by-first-lift", "separators.py",
-           "_translate(row, below, below.mult(hinv, hs[i]))",
-           "_translate(row, below, hs[i])",
-           (ENUM + "test_four_factor_search_one_level_up",)),
+           "vectors.translate(row, below.mult(hinv, hs[i]))",
+           "vectors.translate(row, hs[i])",
+           (ENUM + "test_four_factor_search_one_level_up",
+            ENUM + "test_four_factor_search_one_level_up_at_p3")),
     # the verifier's pullback walks
     Mutant("pullback-prefix-tree-sign", "certificates.py",
            "_add(u, _translate(walk.fibre[a], group, h), -1, prime)",
@@ -125,7 +128,17 @@ MUTANTS = (
             SEP + "TestProductSeparator::test_partial_when_capped",
             SEP + "TestOneEndedWalk::test_same_cap_message_as_the_two_ended_walk",
             CERT + "TestPartialCertificates::test_stated_sizes_are_checked",
-            CERT + "TestAgainstEnumeration::test_three_and_four_factors[n3p2]")),
+            CERT + "TestAgainstEnumeration::test_three_and_four_factors[n3p2]",
+            ENUM + "test_two_factor_exclusion_and_size[3]")),
+    # GF(2) bitmask vectors (_BitVectors), against the dict oracle
+    Mutant("gf2-order-ignores-rank", "separators.py",
+           "    prime = 2\n", "    prime = 1\n",
+           (SEP + "TestImageStructure::test_cap",
+            BITS + "test_same_order_lifts_span_and_refusal")),
+    Mutant("gf2-reduce-skips-a-row", "separators.py",
+           "entry = basis.get(vec & -vec)", "entry = basis.get(vec & -vec & ~1)",
+           (BITS + "test_same_order_lifts_span_and_refusal",
+            BITS + "test_membership_agrees")),
     # unseeded seeds from the saturated product automaton
     Mutant("unfold-drops-inverse-letter", "separators.py",
            "memo.get(edge[1:], ((),)), ((-edge[0],),))",

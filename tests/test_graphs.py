@@ -310,6 +310,17 @@ class TestImmersionCovering:
         assert not g.is_immersion()
         assert not is_covering(g)
 
+    def test_trace_refuses_a_non_immersion_every_time(self):
+        # the flag is worked out once, with the dart table, and kept
+        g = LabeledGraph(A, 3, [(0, 1, 1), (0, 2, 1)])
+        g.out_dart(0, 1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="requires an immersion"):
+                g.trace(0, A.parse("x"))
+        assert not g.is_immersion()
+        h = stallings_graph(A, [A.parse("xy")]).graph
+        assert h.trace(0, A.parse("xy")).end == 0 and h.is_immersion()
+
     def test_covering_implies_immersion_randomized(self):
         rng = random.Random(3)
         for _ in range(40):

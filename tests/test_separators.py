@@ -38,6 +38,7 @@ from prodsep.words import Alphabet, free_reduce, invert
 from tests.helpers import (
     _product,
     _product_member,
+    assert_same_image,
     image_subgroup,
     kernel_loop_word,
     spine_doubling_back,
@@ -869,7 +870,7 @@ class TestImageStructure:
 
     def test_base_level_structure_is_the_closure(self):
         st = image_structure(KLEIN, [A.parse("x")])
-        assert st.basis == {} and st.prime is None
+        assert st.basis == {} and st.vectors is None
         assert set(st.lifts) == set(image_subgroup(KLEIN, [A.parse("x")]))
         assert KLEIN.evaluate(A.parse("X")) in st
         assert KLEIN.evaluate(A.parse("y")) not in st
@@ -927,7 +928,12 @@ class TestOneEndedWalk:
                     two_ended_image_structure(level, gens, cap=3000)
                 continue
             ref = two_ended_image_structure(level, gens, cap=3000)
-            assert st.lifts == ref.lifts and st.basis == ref.basis
+            if level.prime == 2:
+                # bits against the oracle's dicts: the pivots follow the
+                # column table, so the rows agree as a span
+                assert_same_image(st, ref)
+            else:
+                assert st.lifts == ref.lifts and st.basis == ref.basis
             assert st.order == ref.order
             kinds.add((level.prime, isinstance(level.below, XGroup), bool(st.basis)))
             checked += 1
@@ -958,9 +964,10 @@ class TestOneEndedWalk:
         # reduces all but the |A'| - 1 tree edges, and a self-loop edge
         # from both of its steps
         calls = []
-        reduce_ = separators._reduce
-        monkeypatch.setattr(separators, "_reduce",
-                            lambda *args: calls.append(1) or reduce_(*args))
+        for vectors in (separators._KeyVectors, separators._BitVectors):
+            monkeypatch.setattr(vectors, "reduce",
+                                lambda *args, reduce_=vectors.reduce:
+                                calls.append(1) or reduce_(*args))
         rng = random.Random(1223)
         checked = loops_seen = 0
         for level, gens in self.draws(rng, 160):
@@ -976,6 +983,90 @@ class TestOneEndedWalk:
             checked += 1
             loops_seen += loops > 0
         assert checked >= 100 and loops_seen > 10
+
+
+class TestBitStructuresAgainstDicts:
+    """At p = 2 the structures hold int bitmasks over the level's column
+    table; the dict oracle (the two-ended walk) holds the same image."""
+
+    @staticmethod
+    def levels(rng, count):
+        """(level, generators) at levels 1 and 2 over small groups, top prime 2."""
+        z2 = XGroup(A, [(1, 0), (1, 0)])
+        s3 = XGroup(A, [(1, 0, 2), (0, 2, 1)])
+        for _ in range(count):
+            base = rng.choice((KLEIN, z2, s3))
+            primes = (rng.choice((2, 3)),) * rng.randint(0, 1) + (2,)
+            gens = [random_reduced(rng, 0, 4) for _ in range(rng.randint(1, 3))]
+            yield iterated_extension(base, primes).top, gens
+
+    def test_same_order_lifts_span_and_refusal(self):
+        rng = random.Random(2701)
+        kinds, refused = set(), 0
+        for level, gens in self.levels(rng, 200):
+            cap = rng.choice((16, 256, 3000))
+            try:
+                st = image_structure(level, gens, cap=cap)
+            except CapExceeded as exc:
+                with pytest.raises(CapExceeded) as ref:
+                    two_ended_image_structure(level, gens, cap=cap)
+                assert str(exc) == str(ref.value)
+                refused += 1
+                continue
+            assert isinstance(st.vectors, separators._BitVectors)
+            assert_same_image(st, two_ended_image_structure(level, gens, cap=cap))
+            kinds.add((isinstance(level.below, XGroup), bool(st.basis)))
+        assert refused >= 20
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_membership_agrees(self):
+        rng = random.Random(2703)
+        outside = 0
+        for level, gens in self.levels(rng, 60):
+            try:
+                st = image_structure(level, gens, cap=3000)
+            except CapExceeded:
+                continue
+            ref = two_ended_image_structure(level, gens, cap=3000)
+            for _ in range(20):
+                if rng.random() < 0.4:
+                    w = subgroup_word(rng, gens, 3)
+                else:
+                    w = random_reduced(rng, 0, 8)
+                elem = level.evaluate(w)
+                assert (elem in st) == (elem in ref)
+                outside += elem not in ref
+        assert outside > 100
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fibre_search_against_enumeration(self, n):
+        """Hit or None exactly as the enumeration says, on bit structures and
+        on the dict oracle's; the hit's factors lie in the images."""
+        rng = random.Random(2710 + n)
+        decided = set()
+        for _ in range(80):
+            subgroups = [random_gens(rng, max_gens=2, max_len=4) for _ in range(n)]
+            w = free_reduce(sum((subgroup_word(rng, g, 2) for g in subgroups), ()))
+            if rng.random() < 0.5:
+                w = random_reduced(rng, 0, 8)
+            group = _build_context(A, subgroups[:2], w, (2,) * min(n - 1, 1)).chain.levels[0]
+            level = ExtensionLevel(group, 2)
+            try:
+                structures = [image_structure(level, g, 1000) for g in subgroups]
+            except CapExceeded:
+                continue
+            target = level.evaluate(w)
+            images = [image_subgroup(level, g, 1000) for g in subgroups]
+            member = _product_member(level, images, target, 10 ** 6)
+            hit = separators._fibre_search(level, structures, target)
+            assert (hit is not None) == member
+            if hit is not None:
+                assert reduce(level.mult, hit) == target
+                assert all(a in img for a, img in zip(hit, images))
+            oracle = [two_ended_image_structure(level, g, 1000) for g in subgroups]
+            assert (separators._fibre_search(level, oracle, target) is not None) == member
+            decided.add(member)
+        assert decided == {True, False}
 
 
 class TestImageProduct:
@@ -1129,19 +1220,20 @@ class TestProductAgainstEnumeration:
             searched += 1
         assert searched >= 10
 
-    def test_four_factor_search_one_level_up(self):
-        # the search at the first extension level over the diagonal group of
-        # two covers, where four images stay small and the prefix's
-        # translated kernel is seen: translating it wrongly fails here
-        rng = random.Random(5)
+    @staticmethod
+    def four_factors_one_level_up(rng, prime, draws, max_len):
+        """The search at the first extension level over the diagonal group of
+        two covers, where four images stay small and the prefix's
+        translated kernel is seen, against the enumeration; the set of
+        verdicts seen."""
         decided = set()
-        for _ in range(300):
-            subgroups = [random_gens(rng, max_gens=2, max_len=5) for _ in range(4)]
+        for _ in range(draws):
+            subgroups = [random_gens(rng, max_gens=2, max_len=max_len) for _ in range(4)]
             w = free_reduce(sum((subgroup_word(rng, g, 2) for g in subgroups), ()))
             if rng.random() < 0.5:
                 w = random_reduced(rng, 0, 8)
             group = _build_context(A, subgroups[:2], w, (2,)).chain.levels[0]
-            level = ExtensionLevel(group, 2)
+            level = ExtensionLevel(group, prime)
             try:
                 structures = [image_structure(level, g, 2000) for g in subgroups]
             except CapExceeded:
@@ -1151,7 +1243,15 @@ class TestProductAgainstEnumeration:
             hit = separators._fibre_search(level, structures, target)
             assert (hit is not None) == _product_member(level, images, target, 10 ** 6)
             decided.add(hit is not None)
-        assert decided == {True, False}
+        return decided
+
+    def test_four_factor_search_one_level_up(self):
+        # translating the prefix's kernel wrongly fails here
+        assert self.four_factors_one_level_up(random.Random(5), 2, 300, 5) == {True, False}
+
+    def test_four_factor_search_one_level_up_at_p3(self):
+        # the same with dict vectors, where a sign slip does not cancel
+        assert self.four_factors_one_level_up(random.Random(7), 3, 150, 3) == {True, False}
 
     def test_product_member_witness_matches_reference(self):
         rng = random.Random(313)
