@@ -236,22 +236,12 @@ def _subtract(vec, other, prime, c=1):
 
 
 def _bit_indices(v):
-    """The positions of the set bits of v >= 0, ascending.  Taking the low
-    bit off one at a time costs the length of v per bit, so a long v is
-    scanned once as text instead."""
-    if v.bit_length() <= 2048:
-        out = []
-        while v:
-            low = v & -v
-            out.append(low.bit_length() - 1)
-            v ^= low
-        return out
-    text = bin(v)[:1:-1]
+    """The positions of the set bits of v >= 0, ascending."""
     out = []
-    i = text.find("1")
-    while i >= 0:
-        out.append(i)
-        i = text.find("1", i + 1)
+    while v:
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
     return out
 
 
