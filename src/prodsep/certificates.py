@@ -19,6 +19,7 @@ by listing the product, a capped closure under each factor's generator
 images in turn.
 """
 
+import functools
 import itertools
 from collections import deque
 from contextlib import contextmanager
@@ -212,14 +213,6 @@ def parse_certificate(text):
     raise ProblemParseError(rows[0][0], f"unknown certificate kind {kind!r}")
 
 
-def _point_image(group, point, word):
-    """Where the word sends one point: its letters act on the right."""
-    perm = group._by_letter
-    for l in word:
-        point = perm[l][point]
-    return point
-
-
 @contextmanager
 def _stage(name):
     """Re-raise a cap hit as CapExceeded naming the verification stage."""
@@ -294,7 +287,6 @@ def _walk(group, h, prime, cap, stated=None):
     darts = [[] for _ in range(graph.num_vertices)]
     for d in range(graph.num_darts):
         darts[graph.src(d)].append((d, graph.label(d), graph.dst(d)))
-    steps = {l: group.gen(l) for l in group.alphabet.letters()}
     limit = graph.num_vertices * cap
     root = (base, group.identity)
     vectors = {root: {}}
@@ -315,7 +307,7 @@ def _walk(group, h, prime, cap, stated=None):
         s, g = u
         tu = vectors.get(u)
         for d, l, t in darts[s]:
-            hg = group.mult(g, steps[l])
+            hg = group.step(g, l)
             w = (t, hg)
             if w not in links:
                 if len(links) >= limit:
@@ -478,14 +470,10 @@ def _listed_product_size(level, subgroups, cap):
     A product by a generator image steps through its word, one Cayley
     edge per letter, which costs less than the general product.
     """
-    def read(a, word):
-        for l in word:
-            a = level.step(a, l)
-        return a
-
     out = {level.identity: None}
     for gens in subgroups:
-        out = closure(out, [free_reduce(g) for g in gens], read, cap, "product image")
+        out = closure(out, [free_reduce(g) for g in gens],
+                      lambda a, w: functools.reduce(level.step, w, a), cap, "product image")
     return len(out)
 
 
@@ -568,9 +556,9 @@ def verify_certificate(cert, cap=DEFAULT_CAP):
         if not 0 <= cert.base < group.carrier:
             return False, ["base vertex out of range"]
         for g in cert.generators:
-            if _point_image(group, cert.base, free_reduce(g)) != cert.base:
+            if group.point_image(cert.base, free_reduce(g)) != cert.base:
                 return False, [f"generator {a.format(g)} moves the base vertex"]
-        if _point_image(group, cert.base, free_reduce(cert.word)) == cert.base:
+        if group.point_image(cert.base, free_reduce(cert.word)) == cert.base:
             return False, ["word image fixes the base vertex; nothing is separated"]
         return True, ["base vertex fixed by all generators, moved by the word"]
     if isinstance(cert, ProductCertificate):

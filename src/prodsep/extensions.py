@@ -10,11 +10,11 @@ An edge key (h, x) names the positive Cayley edge from h to h*x; the group
 acts on keys by left translation.  Element arithmetic is symbolic
 throughout -- materializing the extension is a separate, capped operation,
 because iterated extensions explode while their individual elements stay
-small.  Walks by letters never take a general product: by the definition
-of ``gen``, a generator is one Cayley edge one level down, so ``step``
+small.  A generator is one Cayley edge one level down, so ``step``
 multiplies by it by changing one coefficient of the sorted vector and
-stepping once below, and ``evaluate`` adds one edge per letter into one
-vector, sorted once at the end.
+stepping once below.  ``step`` is the only reader of a letter: ``gen`` is
+one step from the identity, and ``evaluate``, ``elements`` and the walks
+by letters take one step per letter, never a general product.
 
 The load-bearing identity (tested, and used by the separator machinery):
 the value of a word w at an extension level equals (sum of the signed
@@ -23,6 +23,7 @@ counts are those of the path w traces from the identity in the Cayley
 graph one level down.
 """
 
+import functools
 import math
 from bisect import bisect_left
 
@@ -35,7 +36,7 @@ class ExtensionLevel:
 
     The level below is an ``XGroup`` (level 0 of a chain) or another
     extension; both offer identity, gen, step, mult, inv, evaluate, order
-    and elements.
+    and elements, and both read a letter only through ``step``.
     """
 
     def __init__(self, below, prime):
@@ -59,13 +60,10 @@ class ExtensionLevel:
         return ((), self.below.identity)
 
     def gen(self, letter):
+        """The letter's generator: one step from the identity."""
         g = self._gens.get(letter)
         if g is None:
-            if letter > 0:
-                g = ((((self.below.identity, letter), 1),), self.below.gen(letter))
-            else:
-                g = self.inv(self.gen(-letter))
-            self._gens[letter] = g
+            g = self._gens[letter] = self.step(self.identity, letter)
         return g
 
     def mult(self, a, b):
@@ -115,28 +113,8 @@ class ExtensionLevel:
         return (vec[:i] + tail, g)
 
     def evaluate(self, word):
-        """The product of the letters' generators: one step below per letter.
-
-        Each letter adds its single edge (see ``step``) to one vector,
-        which is sorted once at the end.
-        """
-        below = self.below
-        minus = self.prime - 1
-        acc = {}
-        cur = below.identity
-        for l in word:
-            if l > 0:
-                key, c = (cur, l), 1
-                cur = below.step(cur, l)
-            else:
-                cur = below.step(cur, l)
-                key, c = (cur, -l), minus
-            n = (acc.get(key, 0) + c) % self.prime
-            if n:
-                acc[key] = n
-            elif key in acc:
-                del acc[key]
-        return (tuple(sorted(acc.items())), cur)
+        """The product of the letters' generators: one ``step`` per letter."""
+        return functools.reduce(self.step, word, self.identity)
 
     def order(self, cap=DEFAULT_CAP):
         """Exact order, or raise if it exceeds the cap.
@@ -161,8 +139,8 @@ class ExtensionLevel:
     def elements(self, cap=DEFAULT_CAP):
         """All elements, in BFS discovery order from the identity."""
         self.order(cap=cap)
-        gens = [self.gen(l) for l in self.alphabet.letters()]
-        return list(closure((self.identity,), gens, self.mult, cap, "extension"))
+        return list(closure((self.identity,), self.alphabet.letters(), self.step, cap,
+                            "extension"))
 
     def __repr__(self):
         return f"ExtensionLevel(p={self.prime}, over {self.below!r})"
@@ -197,22 +175,20 @@ def iterated_extension(group, primes):
 def signed_traversals(level, word):
     """Net signed crossing count of each positive Cayley edge by the word's path.
 
-    Walks the Cayley graph from the identity: a positive letter x at h
-    crosses the edge (h, x) forwards (+1); a negative letter x^-1 at h
-    crosses (h * x^-1, x) backwards (-1).  Entries that cancel to zero are
-    dropped.
+    Walks the Cayley graph from the identity, one ``step`` per letter: a
+    positive letter x at h crosses the edge (h, x) forwards (+1); a
+    negative letter x^-1 at h crosses (h * x^-1, x) backwards (-1).
+    Entries that cancel to zero are dropped.
     """
     counts = {}
     cur = level.identity
     for l in word:
         if l > 0:
-            key = (cur, l)
-            delta = 1
-            cur = level.mult(cur, level.gen(l))
+            key, delta = (cur, l), 1
+            cur = level.step(cur, l)
         else:
-            cur = level.mult(cur, level.gen(l))
-            key = (cur, -l)
-            delta = -1
+            cur = level.step(cur, l)
+            key, delta = (cur, -l), -1
         n = counts.get(key, 0) + delta
         if n:
             counts[key] = n
@@ -224,9 +200,9 @@ def signed_traversals(level, word):
 def traversal_element(level, word):
     """The element the traversal identity predicts for the word.
 
-    Computed independently of the symbolic product: the signed traversal
-    counts of the word's Cayley path one level down, reduced mod p, paired
-    with the word's value one level down.
+    Read one level down only: the signed traversal counts of the word's
+    Cayley path there, reduced mod p, paired with the word's value there.
+    No letter is stepped at the level itself, so this checks its ``step``.
     """
     counts = signed_traversals(level.below, word)
     vec = {k: c % level.prime for k, c in counts.items() if c % level.prime}

@@ -11,6 +11,7 @@ certificates and group specs, a permutation is in cycle notation:
 ``fmt_perm`` writes it and ``parse_perm`` reads it.
 """
 
+import functools
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -83,17 +84,20 @@ class XGroup:
         return self.mult(a, self._by_letter[letter])
 
     def evaluate(self, word):
-        """The value of the word: the product of its letter permutations."""
-        out = self.identity
+        """The value of the word: one ``step`` per letter."""
+        return functools.reduce(self.step, word, self.identity)
+
+    def point_image(self, point, word):
+        """Where the word sends one point: its letters act on the right."""
         for l in word:
-            out = self.step(out, l)
-        return out
+            point = self._by_letter[l][point]
+        return point
 
     def elements(self, cap=DEFAULT_CAP):
         """All elements, in BFS discovery order from the identity."""
         if self._elements is None or len(self._elements) > cap:
-            gens = [self.perm(l) for l in self.alphabet.letters()]
-            self._elements = list(closure((self.identity,), gens, self.mult, cap, "group"))
+            self._elements = list(closure((self.identity,), self.alphabet.letters(),
+                                          self.step, cap, "group"))
         return self._elements
 
     def order(self, cap=DEFAULT_CAP):

@@ -31,8 +31,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .certificates import (FactorizationCertificate, HallCertificate, ProductCertificate,
-                           _point_image)
+from .certificates import FactorizationCertificate, HallCertificate, ProductCertificate
 from .covers import _cover_perms
 from .errors import CapExceeded, InternalInvariantError, WordInSubgroup
 from .extensions import ExtensionChain
@@ -57,16 +56,6 @@ class CayleyPath:
     @property
     def end(self):
         return self.vertices[-1]
-
-    def step_key(self, i):
-        """Canonical key of the i-th geometric edge: (source element, letter)."""
-        l = self.word[i]
-        if l > 0:
-            return (self.vertices[i], l)
-        return (self.vertices[i + 1], -l)
-
-    def edge_keys(self):
-        return tuple(self.step_key(i) for i in range(len(self.word)))
 
     def reversed(self):
         return CayleyPath(self.level, self.end, invert(self.word),
@@ -184,7 +173,7 @@ def _project(eta, eta_prime, edges, gamma_prime):
         raise ValueError("gamma_prime must carry the same label as eta_prime")
     if not gamma_prime.is_reduced():
         raise ValueError("gamma_prime must be reduced")
-    if any(k not in edges for k in eta.edge_keys()):
+    if any(k not in edges for k in _span(eta, {}).edges):
         raise ValueError("every geometric edge of eta must be traversed by eta_prime")
     out = gamma_prime.graph.trace(gamma_prime.start, eta.word)
     if out is None:
@@ -211,14 +200,10 @@ def _image_product(level, subgroups, cap):
     A product by a generator steps through its reduced word, one Cayley
     edge per letter, which costs less than the general product.
     """
-    def read(a, word):
-        for l in word:
-            a = level.step(a, l)
-        return a
-
     out = {level.identity: None}
     for gens in subgroups:
-        out = closure(out, [w for w in map(free_reduce, gens) if w], read, cap, "product image")
+        out = closure(out, [w for w in map(free_reduce, gens) if w],
+                      lambda a, w: functools.reduce(level.step, w, a), cap, "product image")
     return out
 
 
@@ -674,9 +659,9 @@ def hall_separator(alphabet, generators, word):
     if ctx.attached.alpha == base:
         raise WordInSubgroup("the word lies in the subgroup; nothing separates it")
     group = ctx.chain.top
-    if _point_image(group, base, ctx.word) == base:
+    if group.point_image(base, ctx.word) == base:
         raise InternalInvariantError("word image fixes the base vertex")
-    if any(_point_image(group, base, g) != base for g in ctx.subgroups[0]):
+    if any(group.point_image(base, g) != base for g in ctx.subgroups[0]):
         raise InternalInvariantError("a generator image moves the base vertex")
     return HallCertificate(alphabet, ctx.subgroups[0], ctx.word, group.carrier, base,
                            _perms(group))

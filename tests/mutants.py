@@ -96,6 +96,11 @@ MUTANTS = (
            (EXT + "TestTraversalIdentity::"
             "test_evaluate_matches_the_group_law_at_levels_one_and_two",
             EXT + "TestIteratedExtension::test_traversal_identity_at_level_two")),
+    Mutant("gen-negative-letter-steps-forward", "extensions.py",
+           "self.step(self.identity, letter)", "self.step(self.identity, abs(letter))",
+           (EXT + "TestBuildExtension::test_generators_are_one_cayley_edge_below",
+            EXT + "TestTraversalIdentity::"
+            "test_evaluate_matches_the_group_law_at_levels_one_and_two")),
     # cycle notation
     Mutant("parse-perm-no-rotation", "groups.py",
            "            rotated += cycle[1:]\n            rotated += cycle[:1]\n",

@@ -1,0 +1,148 @@
+"""Byte-identity hashes: the certificates and verdicts of fixed draws.
+
+Each line names a set of draws and prints the sha256 (first 16 hex
+digits) of the JSON list of [certificate text, [verify ok, messages]]
+per draw, with the count of each status.  A change that keeps every
+certificate, verdict and factorization the same prints the same lines.
+
+* The bench pools: ``separate``, ``factorize`` and ``hall`` of
+  ``bench/workloads.py`` at seeds 1 and 2, solved and verified at the
+  bench cap.  ``bench/`` is imported and read, never written.
+* Three product-separator sweeps over the alphabet xy (the recipe of
+  ``BENCH_27.json``): 300 three-factor draws of ``random.Random(21)`` at
+  cap 4096 and of ``Random(22)`` at cap 300, and 150 four-factor draws of
+  ``Random(41)`` at cap 512.  Each decided status is checked against
+  ``rational.member_product``.
+
+    python -m tests.sweeps               # every pool and sweep
+    python -m tests.sweeps hall n3       # those whose name contains a word
+
+The hashes depend on set iteration order, so the runner re-executes
+itself under PYTHONHASHSEED=0 when that is not already set.  A full run
+takes under a minute, so the runner is not part of the suite.
+"""
+
+import hashlib
+import json
+import os
+import random
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import prodsep  # noqa: E402
+from prodsep.certificates import emit_certificate, parse_certificate, verify_certificate  # noqa: E402
+from prodsep.rational import member_product  # noqa: E402
+from prodsep.stallings import stallings_graph  # noqa: E402
+from prodsep.words import Alphabet, free_reduce  # noqa: E402
+
+A = Alphabet("xy")
+SEEDS = (1, 2)
+# name: (random.Random seed, factors, draws, cap)
+SWEEPS = {
+    "n3 Random(21) cap 4096": (21, 3, 300, 4096),
+    "n3 Random(22) cap 300": (22, 3, 300, 300),
+    "n4 Random(41) cap 512": (41, 4, 150, 512),
+}
+
+
+def _digest(rows):
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+def _verdict(text, cap):
+    ok, messages = verify_certificate(parse_certificate(text), cap=cap)
+    return [ok, messages]
+
+
+def _workloads():
+    """bench/workloads.py, imported without writing a bytecode cache there."""
+    if str(ROOT / "bench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "bench"))
+    sys.dont_write_bytecode, before = True, sys.dont_write_bytecode
+    try:
+        import workloads
+    finally:
+        sys.dont_write_bytecode = before
+    return workloads
+
+
+def pool(name, seed):
+    """(hash, status counts) of one bench pool."""
+    workloads = _workloads()
+    load = workloads.WORKLOADS[name]
+    insts, _ = load.make(prodsep, seed)
+    rows, statuses = [], Counter()
+    for inst in insts:
+        result, _ = load.solve(prodsep, inst)
+        text = load.certificate(prodsep, inst, result)
+        if text is None:
+            rows.append([None, None])
+            statuses["none"] += 1
+            continue
+        rows.append([text, _verdict(text, workloads.CAP)])
+        statuses[getattr(result, "status", type(result).__name__)] += 1
+    return _digest(rows), statuses
+
+
+def _word(rng, lo, hi):
+    letters = A.letters()
+    return free_reduce(tuple(rng.choice(letters) for _ in range(rng.randint(lo, hi))))
+
+
+def sweep_draw(rng, factors):
+    """(subgroups, word): 1-2 generators of 1-3 letters per factor; the
+    word is random with probability 1/2, else one generator per factor."""
+    subgroups = tuple(tuple(_word(rng, 1, 3) or (1,) for _ in range(rng.randint(1, 2)))
+                      for _ in range(factors))
+    if rng.random() < 0.5:
+        return subgroups, _word(rng, 0, 6)
+    return subgroups, free_reduce(sum((rng.choice(gens) for gens in subgroups), ()))
+
+
+def sweep(seed, factors, draws, cap):
+    """(hash, status counts) of one sweep; raises if a decided status
+    disagrees with the rational oracle or a certificate fails to verify."""
+    rng = random.Random(seed)
+    rows, statuses = [], Counter()
+    for _ in range(draws):
+        subgroups, word = sweep_draw(rng, factors)
+        cert = prodsep.product_separator(A, subgroups, word, cap=cap)
+        text = emit_certificate(cert)
+        verdict = _verdict(text, cap)
+        if not verdict[0]:
+            raise AssertionError(f"certificate rejected: {verdict[1]}\n{text}")
+        if cert.status != "partial":
+            member = member_product([stallings_graph(A, g) for g in subgroups], word)
+            if member != (cert.status == "member"):
+                raise AssertionError(f"status {cert.status} but member_product {member}\n{text}")
+        rows.append([text, verdict])
+        statuses[cert.status] += 1
+    return _digest(rows), statuses
+
+
+def main(argv=None):
+    words = sys.argv[1:] if argv is None else argv
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        os.chdir(ROOT)
+        os.execve(sys.executable, [sys.executable, "-m", "tests.sweeps", *words], env)
+    jobs = [(f"{name}-{seed}", pool, (name, seed))
+            for name in ("separate", "factorize", "hall") for seed in SEEDS]
+    jobs += [(name, sweep, args) for name, args in SWEEPS.items()]
+    for name, run, args in jobs:
+        if words and not any(w in name for w in words):
+            continue
+        t0 = time.perf_counter()
+        digest, statuses = run(*args)
+        counts = ", ".join(f"{k} {v}" for k, v in sorted(statuses.items()))
+        print(f"{name}: {digest} ({counts}; {time.perf_counter() - t0:.1f} s)", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -60,6 +61,18 @@ class TestBuildExtension:
         assert sq == (tuple(sorted({(KLEIN.identity, 1): 1, (x, 1): 1}.items())),
                       KLEIN.mult(x, x))
 
+    def test_generators_are_one_cayley_edge_below(self):
+        # the convention written out, not read through step: x is the edge
+        # (1, x) with coefficient 1 over x below, and x^-1 is its inverse
+        rng = random.Random(137)
+        for group in (KLEIN, random_cover_group(rng, max_order=12)):
+            for primes in itertools.product((2, 3, 5), repeat=2):
+                levels = iterated_extension(group, primes).levels
+                for below, level in zip(levels, levels[1:]):
+                    for x in A.positive_letters():
+                        assert level.gen(x) == ((((below.identity, x), 1),), below.gen(x))
+                        assert level.gen(-x) == level.inv(level.gen(x))
+
     def test_rejects_non_prime(self):
         with pytest.raises(ValueError):
             ExtensionLevel(KLEIN, 4)
@@ -111,7 +124,8 @@ class TestTraversalIdentity:
     def test_evaluate_matches_the_group_law_at_levels_one_and_two(self):
         # evaluate and step (one generator edge, no general product) both
         # have the letter-by-letter product through mult as their reference,
-        # on empty, inverse-letter and unreduced words, at every level
+        # on empty, inverse-letter and unreduced words, at every level; gen
+        # is one step, pinned apart from step by the test above
         rng = random.Random(113)
         letters = A.letters()
         checked = set()

@@ -10,7 +10,6 @@ import pytest
 from prodsep import separators
 from prodsep.certificates import (
     HallCertificate,
-    _point_image,
     emit_certificate,
     parse_certificate,
     verify_certificate,
@@ -133,7 +132,7 @@ class TestHallSeparator:
         for _ in range(200):
             w = random_reduced(rng, 0, 12)
             point = rng.randrange(group.carrier)
-            assert _point_image(group, point, w) == group.evaluate(w)[point]
+            assert group.point_image(point, w) == group.evaluate(w)[point]
 
 
 def hall_pool(rng, count):
