@@ -101,22 +101,22 @@ def emit_certificate(cert, alphabet=None, subgroups=None, word=None):
     the signature because callers still pass them positionally.
     """
     a = cert.alphabet
-    lines = []
     if isinstance(cert, HallCertificate):
-        lines.append("certificate: hall")
-        lines.append(f"alphabet: {''.join(a.symbols)}")
-        lines.append("subgroup H1: " + ", ".join(a.format(g) for g in cert.generators))
-        lines.append(f"word: {a.format(cert.word)}")
+        kind, generator_sets = "hall", (cert.generators,)
+    elif isinstance(cert, ProductCertificate):
+        kind, generator_sets = "product-separator", cert.subgroups
+    else:
+        kind, generator_sets = "factorization", cert.subgroups
+    lines = [f"certificate: {kind}", f"alphabet: {''.join(a.symbols)}"]
+    for i, gens in enumerate(generator_sets, start=1):
+        lines.append(f"subgroup H{i}: " + ", ".join(a.format(g) for g in gens))
+    lines.append(f"word: {a.format(cert.word)}")
+    if isinstance(cert, HallCertificate):
         lines.append(f"carrier: {cert.carrier}")
         lines.append(f"base: {cert.base}")
         for s, p in zip(a.symbols, cert.perms):
             lines.append(f"perm {s}: {fmt_perm(p)}")
     elif isinstance(cert, ProductCertificate):
-        lines.append("certificate: product-separator")
-        lines.append(f"alphabet: {''.join(a.symbols)}")
-        for i, gens in enumerate(cert.subgroups, start=1):
-            lines.append(f"subgroup H{i}: " + ", ".join(a.format(g) for g in gens))
-        lines.append(f"word: {a.format(cert.word)}")
         lines.append("primes: " + ", ".join(str(p) for p in cert.primes))
         lines.append(f"carrier: {cert.carrier}")
         for s, p in zip(a.symbols, cert.perms):
@@ -128,11 +128,6 @@ def emit_certificate(cert, alphabet=None, subgroups=None, word=None):
         if cert.product_size is not None:
             lines.append(f"product size: {cert.product_size}")
     else:
-        lines.append("certificate: factorization")
-        lines.append(f"alphabet: {''.join(a.symbols)}")
-        for i, gens in enumerate(cert.subgroups, start=1):
-            lines.append(f"subgroup H{i}: " + ", ".join(a.format(g) for g in gens))
-        lines.append(f"word: {a.format(cert.word)}")
         for i, f in enumerate(cert.factors, start=1):
             lines.append(f"factor {i}: {a.format(f)}")
     return "\n".join(lines) + "\n"

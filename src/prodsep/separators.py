@@ -233,10 +233,9 @@ def _bit_indices(v):
 class _KeyVectors:
     """GF(p) vectors as dicts {Cayley edge (h, x): nonzero coefficient}.
 
-    Every method returns a new vector and leaves its arguments as they are.
-    A basis maps each pivot, the least key of its row, to (row, tag): the
-    row normalized to pivot coefficient 1, the tag its coefficients over
-    some source rows, by index, also a dict.
+    Every method but ``insert`` returns a new vector and leaves its
+    arguments as they are.  A basis maps each pivot, the least key of its row, to the row
+    normalized to pivot coefficient 1.
     """
 
     def __init__(self, level):
@@ -255,13 +254,10 @@ class _KeyVectors:
                 del out[k]
         return out
 
-    def terms(self, vec):
-        return vec.items()
-
-    def add(self, a, b, c=1):
-        """a + c * b."""
+    def sub(self, a, b):
+        """a - b."""
         out = dict(a)
-        _subtract(out, b, self.prime, -c)
+        _subtract(out, b, self.prime)
         return out
 
     def translate(self, vec, g):
@@ -269,39 +265,26 @@ class _KeyVectors:
         mult = self.below.mult
         return {(mult(g, h), x): c for (h, x), c in vec.items()}
 
-    def reduce(self, vec, basis, tag=None):
-        """(vec, tag) after subtracting c times a row, and c times its tag,
-        while vec's least key is a pivot; vec is empty exactly when it lies
-        in the rows' span.  A tag of None is not followed."""
+    def reduce(self, vec, basis):
+        """vec after subtracting c times a row while its least key is a
+        pivot, c its coefficient there; empty exactly when vec lies in the
+        rows' span."""
         vec = dict(vec)
-        tag = None if tag is None else dict(tag)
         prime = self.prime
         while vec:
             pivot = min(vec)
-            entry = basis.get(pivot)
-            if entry is None:
+            row = basis.get(pivot)
+            if row is None:
                 break
-            c = vec[pivot]
-            _subtract(vec, entry[0], prime, c)
-            if tag is not None:
-                _subtract(tag, entry[1], prime, c)
-        return vec, tag
+            _subtract(vec, row, prime, vec[pivot])
+        return vec
 
-    def insert(self, basis, vec, tag):
-        """Add a reduced nonzero vec as a row, normalized with its tag."""
+    def insert(self, basis, vec):
+        """Add a reduced nonzero vec as a row, normalized."""
         prime = self.prime
         pivot = min(vec)
         inv = pow(vec[pivot], -1, prime)
-        basis[pivot] = ({k: v * inv % prime for k, v in vec.items()},
-                        {j: c * inv % prime for j, c in tag.items()})
-
-    def unit(self, j):
-        """The tag of source row j alone."""
-        return {j: 1}
-
-    def sources(self, tag):
-        """(source row, coefficient) pairs of a tag."""
-        return tag.items()
+        basis[pivot] = {k: v * inv % prime for k, v in vec.items()}
 
 
 class _BitVectors:
@@ -310,7 +293,8 @@ class _BitVectors:
     (``ExtensionLevel.columns``).
 
     Adding is one XOR, and a row's pivot is its lowest set bit, so a row
-    needs no normalizing.  A tag is an int too, bit j for source row j.
+    needs no normalizing.  A basis maps each pivot, as a one-bit int, to
+    its row.
     """
 
     prime = 2
@@ -334,36 +318,24 @@ class _BitVectors:
             out ^= 1 << i
         return out
 
-    def terms(self, vec):
-        keys = self.keys
-        return [(keys[i], 1) for i in _bit_indices(vec)]
-
-    def add(self, a, b, c=1):
-        """a + c * b, for c nonzero mod 2."""
+    def sub(self, a, b):
+        """a - b, which mod 2 is a + b."""
         return a ^ b
 
     def translate(self, vec, g):
         mult, keys = self.below.mult, self.keys
         return self.vector([((mult(g, keys[i][0]), keys[i][1]), 1) for i in _bit_indices(vec)])
 
-    def reduce(self, vec, basis, tag=None):
+    def reduce(self, vec, basis):
         while vec:
-            entry = basis.get(vec & -vec)
-            if entry is None:
+            row = basis.get(vec & -vec)
+            if row is None:
                 break
-            vec ^= entry[0]
-            if tag is not None:
-                tag ^= entry[1]
-        return vec, tag
+            vec ^= row
+        return vec
 
-    def insert(self, basis, vec, tag):
-        basis[vec & -vec] = (vec, tag)
-
-    def unit(self, j):
-        return 1 << j
-
-    def sources(self, tag):
-        return [(j, 1) for j in _bit_indices(tag)]
+    def insert(self, basis, vec):
+        basis[vec & -vec] = vec
 
 
 def _vectors(level):
@@ -372,15 +344,11 @@ def _vectors(level):
 
 
 def _extend(vectors, basis, rows):
-    """Insert each (tag, row) that is new to the span, the tag reduced alongside.
-
-    A tag holds coefficients over source rows, so a vector that a zero tag
-    follows to zero leaves in the tag minus its coefficients over them.
-    """
-    for tag, row in rows:
-        vec, tag = vectors.reduce(row, basis, tag)
+    """Insert each row that is new to the span, reduced."""
+    for row in rows:
+        vec = vectors.reduce(row, basis)
         if vec:
-            vectors.insert(basis, vec, tag)
+            vectors.insert(basis, vec)
 
 
 # -- image subgroups as structures --------------------------------------------
@@ -393,14 +361,13 @@ class ImageStructure:
     At an extension level the image is {(lifts[b] + k, b)}: b runs over the
     image one level down, lifts[b] is the vector of one chosen lift of b,
     and k runs over the GF(p) span of the kernel rows in ``basis``, which
-    maps each pivot to (row, empty tag), the rows spanned by the Schreier
-    vectors of the walk's cycle edges (the empty tag is the one
-    ``_fibre_search`` replaces with its own); the order is
-    len(lifts) * p^rank.  The vectors are those of ``vectors``: at p = 2
-    an int over the level's column table, bit i for the i-th Cayley edge
-    first seen at that level, a row's pivot its lowest set bit; at an odd
-    prime a dict {edge (h, x): coefficient}, a row's pivot its least key
-    and its coefficient there 1.  At level 0 (a permutation group)
+    maps each pivot to its row, the rows spanned by the Schreier vectors
+    of the walk's cycle edges; the order is len(lifts) * p^rank.  The
+    vectors are those of ``vectors``: at p = 2 an int over the level's
+    column table, bit i for the i-th Cayley edge first seen at that level,
+    a row's pivot its lowest set bit; at an odd prime a dict
+    {edge (h, x): coefficient}, a row's pivot its least key and its
+    coefficient there 1.  At level 0 (a permutation group)
     ``lifts`` is the closure under the generator images, ``basis`` is
     empty and ``vectors`` is None.
     """
@@ -416,8 +383,7 @@ class ImageStructure:
         if lift is None:
             return False
         vectors = self.vectors
-        diff = vectors.add(vectors.vector(elem[0]), lift, -1)
-        return not vectors.reduce(diff, self.basis)[0]
+        return not vectors.reduce(vectors.sub(vectors.vector(elem[0]), lift), self.basis)
 
 
 def image_structure(level, generators, cap=DEFAULT_CAP):
@@ -464,10 +430,10 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
                 lifts[nb] = nvec
                 queue.append(nb)
             else:
-                nvec = vectors.reduce(vectors.add(nvec, known, -1), basis)[0]
+                nvec = vectors.reduce(vectors.sub(nvec, known), basis)
                 if not nvec:
                     continue
-                vectors.insert(basis, nvec, vectors.vector(()))
+                vectors.insert(basis, nvec)
                 scale *= prime
             if len(lifts) * scale > cap:
                 raise CapExceeded(f"image order exceeds {cap}: at least "
@@ -485,7 +451,7 @@ def image_subgroup_order(level, generators, cap=DEFAULT_CAP):
 
 
 def _fibre_search(level, structures, target):
-    """Elements of the images, one per image, multiplying to target, or None.
+    """Whether target lies in the product of the images, in order.
 
     The i-th image is A_i = {(l_i(α) + k, α)}, k in its kernel span K_i,
     and the target is (v, g).  With h_i = α_1 ... α_{i-1}, a_1 ... a_n is
@@ -495,39 +461,34 @@ def _fibre_search(level, structures, target):
     sum_{i<n-1} h⁻¹h_{i+1}·K_i + K_{n-1} + h⁻¹g·K_n is eliminated once:
     the last two factors are then the two-factor case for the target
     translated by h⁻¹, and the smaller of their fibres is walked, one
-    reduction per element.  Nothing at this level is enumerated.  The rows
-    of K_{n-2} and K_{n-1} are the same for every prefix; with two factors
-    the prefix is empty and only g·K_n is translated.  Every row but K_n's
-    is tagged with its index among the source rows (factor, row).
+    reduction per element.  The target is in the product exactly when one
+    residue reduces to zero.  Nothing at this level is enumerated.  The
+    rows of K_{n-2} and K_{n-1} are the same for every prefix; with two
+    factors the prefix is empty and only g·K_n is translated.
     """
     if len(structures) == 1:
-        return (target,) if target in structures[0] else None
+        return target in structures[0]
     below = level.below
     vectors = structures[0].vectors
     *firsts, one, two = structures
-    m = len(firsts)
-    sources = [(i, row) for i, st in enumerate(structures[:-1]) for row, _ in st.basis.values()]
     # the rows of K_{n-1}, then of K_{n-2}, which every prefix shares
     base = {}
-    _extend(vectors, base, [(vectors.unit(j), row)
-                            for i in (m, m - 1) for j, (f, row) in enumerate(sources) if f == i])
+    _extend(vectors, base, [row for st in [one] + firsts[-1:] for row in st.basis.values()])
     v, g = vectors.vector(target[0]), target[1]
     for prefix in itertools.product(*(st.lifts for st in firsts)):
         u, gh, basis = v, g, base
         if prefix:
             h, hs = below.identity, []
             for st, al in zip(firsts, prefix):
-                u = vectors.add(u, vectors.translate(st.lifts[al], h), -1)
+                u = vectors.sub(u, vectors.translate(st.lifts[al], h))
                 h = below.mult(h, al)
                 hs.append(h)
             hinv = below.inv(h)
             u, gh, basis = vectors.translate(u, hinv), below.mult(hinv, g), dict(base)
-            _extend(vectors, basis,
-                    [(vectors.unit(j), vectors.translate(row, below.mult(hinv, hs[i])))
-                     for j, (i, row) in enumerate(sources) if i < m - 1])
-        # the last factor's rows carry no tag: its element is read off the rest
-        _extend(vectors, basis, [(vectors.vector(()), vectors.translate(row, gh))
-                                 for row, _ in two.basis.values()])
+            _extend(vectors, basis, [vectors.translate(row, below.mult(hinv, hs[i]))
+                                     for i, st in enumerate(firsts[:-1])
+                                     for row in st.basis.values()])
+        _extend(vectors, basis, [vectors.translate(row, gh) for row in two.basis.values()])
         if len(one.lifts) <= len(two.lifts):
             pairs = ((al, below.mult(below.inv(al), gh)) for al in one.lifts)
         else:
@@ -536,38 +497,10 @@ def _fibre_search(level, structures, target):
             la, lb = one.lifts.get(al), two.lifts.get(be)
             if la is None or lb is None:
                 continue
-            rest = vectors.add(vectors.add(u, la, -1), vectors.translate(lb, al), -1)
-            if not vectors.reduce(rest, basis)[0]:
-                return _read_hit(level, structures, prefix + (al,), basis, sources, rest,
-                                 target)
-    return None
-
-
-def _read_hit(level, structures, alphas, basis, sources, rest, target):
-    """The factors of a fibre hit, each checked against its structure.
-
-    A zero tag reduced alongside rest comes back as minus its coefficients
-    over the source rows, which give k_i = sum c * K_i's rows.  A prefix
-    row stood for h_{i+1}·K_i, so there a_i = (l_i(α_i) + α_i·k_i, α_i);
-    the next factor is (l_{n-1}(α) + k_{n-1}, α), and the last
-    (a_1 ... a_{n-1})⁻¹·target.
-    """
-    vectors = structures[0].vectors
-    _, tag = vectors.reduce(rest, basis, vectors.vector(()))
-    m = len(alphas) - 1
-    vecs = [vectors.vector(())] * m + [structures[m].lifts[alphas[m]]]
-    for j, c in vectors.sources(tag):
-        i, row = sources[j]
-        vecs[i] = vectors.add(vecs[i], row, -c)
-    for i, al in enumerate(alphas[:m]):
-        vecs[i] = vectors.add(vectors.translate(vecs[i], al), structures[i].lifts[al])
-    factors = [(tuple(sorted(vectors.terms(vec))), al) for vec, al in zip(vecs, alphas)]
-    head = functools.reduce(level.mult, factors)
-    last = level.mult(level.inv(head), target)
-    if not all(a in st for a, st in zip(factors + [last], structures)) or \
-            level.mult(head, last) != target:
-        raise InternalInvariantError("fibre hit does not factor the target")
-    return tuple(factors) + (last,)
+            if not vectors.reduce(vectors.sub(vectors.sub(u, la), vectors.translate(lb, al)),
+                                  basis):
+                return True
+    return False
 
 
 def _fibre_product_size(structures):
@@ -581,13 +514,13 @@ def _fibre_product_size(structures):
     one, two = structures
     vectors = one.vectors
     basis = dict(one.basis)
-    _extend(vectors, basis, [(vectors.vector(()), row) for row, _ in two.basis.values()])
+    _extend(vectors, basis, two.basis.values())
     small, large = sorted(structures, key=lambda st: len(st.lifts))
     meet = 0
     for al, la in small.lifts.items():
         lb = large.lifts.get(al)
         if lb is not None:
-            meet += not vectors.reduce(vectors.add(la, lb, -1), basis)[0]
+            meet += not vectors.reduce(vectors.sub(la, lb), basis)
     common = meet * vectors.prime ** (len(one.basis) + len(two.basis) - len(basis))
     return one.order * two.order // common
 
@@ -693,14 +626,14 @@ def product_separator(alphabet, subgroups, word, primes=None, cap=DEFAULT_CAP):
         structures = [image_structure(top, gens, cap) for gens in ctx.subgroups]
     except CapExceeded:
         return certificate("partial")
-    hit = _fibre_search(top, structures, top.evaluate(ctx.word))
+    member = _fibre_search(top, structures, top.evaluate(ctx.word))
     size = None
     if math.prod(st.order for st in structures) <= cap:
         if len(structures) <= 2:
             size = _fibre_product_size(structures)
         else:
             size = len(_image_product(top, ctx.subgroups, cap))
-    return certificate("excluded" if hit is None else "member",
+    return certificate("member" if member else "excluded",
                        tuple(st.order for st in structures), size)
 
 

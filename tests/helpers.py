@@ -343,12 +343,12 @@ def two_ended_image_structure(level, generators, cap):
                 lifts[nb] = nvec
                 queue.append(nb)
             else:
-                nvec, _ = vectors.reduce(vectors.add(nvec, known, -1), basis)
+                nvec = vectors.reduce(vectors.sub(nvec, known), basis)
                 if not nvec:
                     continue
                 pivot = min(nvec)
                 inv = pow(nvec[pivot], -1, prime)
-                basis[pivot] = ({k: v * inv % prime for k, v in nvec.items()}, {})
+                basis[pivot] = {k: v * inv % prime for k, v in nvec.items()}
             if len(lifts) * prime ** len(basis) > cap:
                 raise CapExceeded(
                     f"image order exceeds {cap}: at least "
@@ -356,17 +356,22 @@ def two_ended_image_structure(level, generators, cap):
     return ImageStructure(lifts, basis, vectors, len(lifts) * prime ** len(basis))
 
 
-def assert_same_image(st, ref):
-    """The GF(2) bit structure st holds the image of the dict structure ref:
-    the same lifts once bits are read back as key dicts, the same rank and
-    order, and each row of either reduces to zero in the other's basis."""
+def assert_same_image(level, st, ref):
+    """The GF(2) bit structure st holds the image of the dict structure ref
+    at the level: the same lifts once bits are read back through the
+    level's column table as key dicts, the same rank and order, and each
+    row of either reduces to zero in the other's basis."""
     bits, keys = st.vectors, ref.vectors
-    assert {b: dict(bits.terms(v)) for b, v in st.lifts.items()} == ref.lifts
+
+    def as_dict(vec):
+        return {level.column_keys[i]: 1 for i in range(vec.bit_length()) if vec >> i & 1}
+
+    assert {b: as_dict(v) for b, v in st.lifts.items()} == ref.lifts
     assert len(st.basis) == len(ref.basis) and st.order == ref.order
-    for row, _ in st.basis.values():
-        assert not keys.reduce(dict(bits.terms(row)), ref.basis)[0]
-    for row, _ in ref.basis.values():
-        assert not bits.reduce(bits.vector(row.items()), st.basis)[0]
+    for row in st.basis.values():
+        assert not keys.reduce(as_dict(row), ref.basis)
+    for row in ref.basis.values():
+        assert not bits.reduce(bits.vector(row.items()), st.basis)
 
 
 @contextmanager

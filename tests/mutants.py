@@ -62,19 +62,20 @@ MUTANTS = (
            "lo, hi = min(a, b), max(a, b)", "hi, lo = min(a, b), max(a, b)",
            (G + "test_random_graphs",
             G + "test_shared_prefix_wedges")),
-    # the fibre search's prefixes: each names tests at odd primes, where the
+    # the fibre search: each names tests at odd primes, where the
     # dict vectors keep the signs that cancel at p = 2
     Mutant("fibre-prefix-lift-sign", "separators.py",
-           "u = vectors.add(u, vectors.translate(st.lifts[al], h), -1)",
-           "u = vectors.add(u, vectors.translate(st.lifts[al], h), 1)",
+           "u = vectors.sub(u, vectors.translate(st.lifts[al], h))",
+           "u = vectors.sub(vectors.translate(st.lifts[al], h), u)",
            (ENUM + "test_prefix_search_against_enumeration[n3p3]",
             ENUM + "test_prefix_search_against_enumeration[n3p5]",
             ENUM + "test_prefix_search_finds_every_member[3-3-30-400]")),
-    Mutant("fibre-tag-sign", "separators.py",
-           "vecs[i] = vectors.add(vecs[i], row, -c)",
-           "vecs[i] = vectors.add(vecs[i], row, c)",
+    Mutant("fibre-search-untranslated-last-kernel", "separators.py",
+           "vectors.translate(row, gh) for row in two.basis.values()",
+           "row for row in two.basis.values()",
            (ENUM + "test_two_factor_exclusion_and_size[3]",
-            ENUM + "test_two_factor_exclusion_and_size[5]")),
+            ENUM + "test_two_factor_exclusion_and_size[5]",
+            ENUM + "test_four_factor_search_one_level_up_at_p3")),
     Mutant("fibre-prefix-kernel-by-first-lift", "separators.py",
            "vectors.translate(row, below.mult(hinv, hs[i]))",
            "vectors.translate(row, hs[i])",
@@ -141,7 +142,7 @@ MUTANTS = (
            (SEP + "TestImageStructure::test_cap",
             BITS + "test_same_order_lifts_span_and_refusal")),
     Mutant("gf2-reduce-skips-a-row", "separators.py",
-           "entry = basis.get(vec & -vec)", "entry = basis.get(vec & -vec & ~1)",
+           "row = basis.get(vec & -vec)", "row = basis.get(vec & -vec & ~1)",
            (BITS + "test_same_order_lifts_span_and_refusal",
             BITS + "test_membership_agrees")),
     # unseeded seeds from the saturated product automaton

@@ -8,10 +8,13 @@ certificate, verdict and factorization the same prints the same lines.
 * The bench pools: ``separate``, ``factorize`` and ``hall`` of
   ``bench/workloads.py`` at seeds 1 and 2, solved and verified at the
   bench cap.  ``bench/`` is imported and read, never written.
-* Three product-separator sweeps over the alphabet xy (the recipe of
-  ``BENCH_27.json``): 300 three-factor draws of ``random.Random(21)`` at
-  cap 4096 and of ``Random(22)`` at cap 300, and 150 four-factor draws of
-  ``Random(41)`` at cap 512.  Each decided status is checked against
+* Five product-separator sweeps over the alphabet xy.  Three at p = 2
+  (the recipe of ``BENCH_27.json``): 300 three-factor draws of
+  ``random.Random(21)`` at cap 4096 and of ``Random(22)`` at cap 300, and
+  150 four-factor draws of ``Random(41)`` at cap 512.  Two at p = 3, where
+  the image structures hold dict vectors: 300 two-factor draws of
+  ``Random(13)`` at cap 16384 and 150 three-factor draws of ``Random(23)``
+  at cap 4096.  Each decided status is checked against
   ``rational.member_product``.
 
     python -m tests.sweeps               # every pool and sweep
@@ -42,11 +45,13 @@ from prodsep.words import Alphabet, free_reduce  # noqa: E402
 
 A = Alphabet("xy")
 SEEDS = (1, 2)
-# name: (random.Random seed, factors, draws, cap)
+# name: (random.Random seed, factors, draws, cap, prime of every level)
 SWEEPS = {
-    "n3 Random(21) cap 4096": (21, 3, 300, 4096),
-    "n3 Random(22) cap 300": (22, 3, 300, 300),
-    "n4 Random(41) cap 512": (41, 4, 150, 512),
+    "n3 Random(21) cap 4096": (21, 3, 300, 4096, 2),
+    "n3 Random(22) cap 300": (22, 3, 300, 300, 2),
+    "n4 Random(41) cap 512": (41, 4, 150, 512, 2),
+    "n2 p3 Random(13) cap 16384": (13, 2, 300, 16384, 3),
+    "n3 p3 Random(23) cap 4096": (23, 3, 150, 4096, 3),
 }
 
 
@@ -104,14 +109,15 @@ def sweep_draw(rng, factors):
     return subgroups, free_reduce(sum((rng.choice(gens) for gens in subgroups), ()))
 
 
-def sweep(seed, factors, draws, cap):
+def sweep(seed, factors, draws, cap, prime):
     """(hash, status counts) of one sweep; raises if a decided status
     disagrees with the rational oracle or a certificate fails to verify."""
     rng = random.Random(seed)
     rows, statuses = [], Counter()
     for _ in range(draws):
         subgroups, word = sweep_draw(rng, factors)
-        cert = prodsep.product_separator(A, subgroups, word, cap=cap)
+        cert = prodsep.product_separator(A, subgroups, word, primes=(prime,) * (factors - 1),
+                                         cap=cap)
         text = emit_certificate(cert)
         verdict = _verdict(text, cap)
         if not verdict[0]:
