@@ -373,7 +373,7 @@ def _translate(vec, group, g):
     return {(group.mult(g, h), x): c for (h, x), c in vec.items()}
 
 
-def _span(*row_sets, prime):
+def _span_sum(*row_sets, prime):
     """The sum of the spans, row-reduced."""
     rows = {}
     for row_set in row_sets:
@@ -393,7 +393,7 @@ def _product_size(walks):
         return walks[0].order
     one, two = walks
     prime = one.prime
-    both = _span(one.rows, two.rows, prime=prime)
+    both = _span_sum(one.rows, two.rows, prime=prime)
     meet = 0
     for a, t1 in one.fibre.items():
         t2 = two.fibre.get(a)
@@ -427,7 +427,7 @@ def _pullback_member(group, walks, target):
     *firsts, one, two = walks
     prime = one.prime
     v, g = target
-    fixed = _span(*(walk.rows for walk in firsts[-1:]), one.rows, prime=prime)
+    fixed = _span_sum(*(walk.rows for walk in firsts[-1:]), one.rows, prime=prime)
     for prefix in itertools.product(*(walk.fibre for walk in firsts)):
         u, gh, span = v, g, dict(fixed)
         if prefix:

@@ -7,7 +7,6 @@ covering with the same vertex set.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .graphs import LabeledGraph
@@ -77,23 +76,19 @@ def enumerate_expansions(graph, cap=1000):
     """All covering expansions, unless there are more than cap of them.
 
     The result's ``complete`` flag distinguishes exhaustion from hitting
-    the cap; the listed prefix is deterministic either way.  Pairings are
-    generated lazily, so the work stops at the cap.  Distinct pairings add
-    distinct edges, so no expansion is listed twice.
+    the cap; the listed prefix, the first cap expansions, is deterministic
+    either way.  Pairings are generated lazily, so the work stops one past
+    the cap.  Distinct pairings add distinct edges, so no expansion is
+    listed twice.
     """
     per_letter = _missing(graph)
     if per_letter is None:
         raise ValueError("enumerate_expansions requires an immersion")
-    total = 1
-    for _, no_out, _ in per_letter:
-        total *= math.factorial(len(no_out))
-    out = []
-    for added in _pairings(per_letter):
-        out.append(CoveringExpansion(graph._extended(graph.num_vertices, added),
-                                     graph.num_geometric_edges))
-        if len(out) >= cap and total > cap:
-            return ExpansionEnumeration(tuple(out), False)
-    return ExpansionEnumeration(tuple(out), True)
+    pairings = list(itertools.islice(_pairings(per_letter), cap + 1))
+    return ExpansionEnumeration(
+        tuple(CoveringExpansion(graph._extended(graph.num_vertices, added),
+                                graph.num_geometric_edges) for added in pairings[:cap]),
+        len(pairings) <= cap)
 
 
 def _pairings(per_letter):

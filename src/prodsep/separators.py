@@ -20,9 +20,9 @@ Each construction returns its certificate record (``certificates``):
 ``hall_separator`` a ``HallCertificate``, ``product_separator`` a
 ``ProductCertificate`` and ``factorize`` a ``FactorizationCertificate``.
 
-All Cayley-graph work (path spans, intersection components, spines) is
-done symbolically on traced paths, so the recursion never materializes an
-extension level.
+All Cayley-graph work (the edges a path crosses, the component of the
+edges two paths share, spines and cuts) is done symbolically on traced
+paths, so the recursion never materializes an extension level.
 """
 
 import functools
@@ -39,15 +39,22 @@ from .graphs import reduce_path
 from .groups import DEFAULT_CAP, XGroup, _diagonal, closure
 from .rational import _saturate, product_automaton
 from .stallings import _attach, _read_graph, contains
-from .words import free_reduce, invert, is_reduced, letter_sort_key
+from .words import free_reduce, invert, is_reduced
 
 
-# -- symbolic Cayley paths and spans -----------------------------------------
+# -- symbolic Cayley paths ----------------------------------------------------
+
+
+def _crossing(u, l, v):
+    """(key, ends, sign) of the edge a step u -l-> v crosses: a letter x at u
+    crosses (u, x) forwards, +1, and x^-1 at u crosses (u x^-1, x) backwards, -1."""
+    return ((u, l), (u, v), 1) if l > 0 else ((v, -l), (v, u), -1)
 
 
 @dataclass(frozen=True)
 class CayleyPath:
-    """A path in the Cayley graph of a chain level, traced symbolically."""
+    """A path in the Cayley graph of a chain level, traced symbolically,
+    with the edges it crosses."""
     level: object
     start: object
     word: tuple
@@ -56,6 +63,13 @@ class CayleyPath:
     @property
     def end(self):
         return self.vertices[-1]
+
+    @functools.cached_property
+    def edges(self):
+        """The edges the path crosses: key (src element, letter) -> (src
+        element, dst element); its reverse crosses the same."""
+        verts = self.vertices
+        return {key: ends for key, ends, _ in map(_crossing, verts, self.word, verts[1:])}
 
     def reversed(self):
         return CayleyPath(self.level, self.end, invert(self.word),
@@ -74,95 +88,58 @@ def trace_cayley(level, start, word):
     return CayleyPath(level, start, tuple(word), tuple(vertices))
 
 
-@dataclass(frozen=True)
-class PathSpan:
-    """The subgraph of a Cayley graph spanned by a traced path."""
-    vertices: frozenset
-    edges: dict  # key (src element, letter) -> (src element, dst element)
-    path: CayleyPath
-
-
-def _span(path, counts):
-    """The path's span; each step adds its crossing of its edge to counts,
-    +1 forwards (a positive letter) and -1 backwards."""
-    verts, edges = path.vertices, {}
-    for i, l in enumerate(path.word):
-        u, v = verts[i], verts[i + 1]
-        key, ends, c = ((u, l), (u, v), 1) if l > 0 else ((v, -l), (v, u), -1)
-        edges[key] = ends
-        counts[key] = counts.get(key, 0) + c
-    return PathSpan(frozenset(verts), edges, path)
-
-
-def _search(edges, start):
-    """BFS of the subgraph spanned by edges: vertex -> (previous vertex, letter).
-
-    start maps to None and the keys are the component of start.  Steps go
-    in canonical letter order, so the path _path_to reads back is a
-    deterministic shortest path.
-    """
-    adj = {}
-    for (_, x), (u, v) in edges.items():
-        adj.setdefault(u, []).append((x, v))
-        adj.setdefault(v, []).append((-x, u))
-    back = {start: None}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for l, v in sorted(adj.get(u, ()),
-                           key=lambda step: (letter_sort_key(step[0]), step[1])):
-            if v not in back:
-                back[v] = (u, l)
-                queue.append(v)
-    return back
+def _component(eta1, eta2, start):
+    """The component of start in the edges both paths cross, by ``closure``:
+    vertex -> (previous vertex, index of the letter in canonical order),
+    start -> None.  A Cayley graph has at most one edge per vertex and
+    signed letter, so the path _path_to reads back is a deterministic
+    shortest path."""
+    other, adj = eta2.edges, {}
+    for (u, x), (_, v) in eta1.edges.items():
+        if (u, x) in other:
+            adj[u, x] = v
+            adj[v, -x] = u
+    return closure((start,), eta1.level.alphabet.letters(),
+                   lambda u, l: adj.get((u, l), u), math.inf, "component")
 
 
 def _path_to(level, back, end):
-    """The search's path to end, as a CayleyPath."""
-    letters = []
+    """The component's path to end, as a CayleyPath."""
+    letters = level.alphabet.letters()
+    word = []
     verts = [end]
     while back[verts[-1]] is not None:
-        prev, l = back[verts[-1]]
-        letters.append(l)
+        prev, i = back[verts[-1]]
+        word.append(letters[i])
         verts.append(prev)
-    return CayleyPath(level, verts[-1], tuple(reversed(letters)), tuple(reversed(verts)))
+    return CayleyPath(level, verts[-1], tuple(reversed(word)), tuple(reversed(verts)))
 
 
-# -- common spine -------------------------------------------------------------
+# -- common spine and projection ---------------------------------------------
 
 
-def common_spine(delta1, delta2, start, end):
-    """A reduced path from start to end inside both spans, or None.
+def common_spine(eta1, eta2, start, end):
+    """A reduced path from start to end inside the edges both paths cross,
+    or None.
 
-    The search runs on the intersection subgraph.  When the spans' paths
-    agree in the p-elementary extension one level up (the premise of
-    ``_pinch``), the counting argument guarantees a spine, so ``_pinch``
-    treats None as a broken invariant.
+    When the paths agree in the p-elementary extension one level up (the
+    premise of ``_pinch``), the counting argument guarantees a spine, so
+    ``_pinch`` treats None as a broken invariant.
     """
-    common_edges = {k: ends for k, ends in delta1.edges.items() if k in delta2.edges}
-    omega = _search(common_edges, start)
+    omega = _component(eta1, eta2, start)
     if end not in omega:
         return None
-    return _path_to(delta1.path.level, omega, end)
-
-
-# -- path projection ----------------------------------------------------------
+    return _path_to(eta1.level, omega, end)
 
 
 def project_path(eta, eta_prime, gamma_prime):
     """Project a Cayley path into an immersion along a matching read path.
 
     gamma_prime reads the label of eta_prime in the immersion; since every
-    geometric edge of eta is traversed by eta_prime, the covering map that
+    geometric edge of eta is crossed by eta_prime, the covering map that
     matches them carries eta to a path in the immersion with eta's label,
     starting where gamma_prime starts.
     """
-    return _project(eta, eta_prime, _span(eta_prime, {}).edges, gamma_prime)
-
-
-def _project(eta, eta_prime, edges, gamma_prime):
-    """project_path, given the edges of eta_prime's span (those of its reverse
-    are the same)."""
     if eta.start != eta_prime.start:
         raise ValueError("eta and eta_prime must share their start vertex")
     if not is_reduced(eta.word):
@@ -173,7 +150,7 @@ def _project(eta, eta_prime, edges, gamma_prime):
         raise ValueError("gamma_prime must carry the same label as eta_prime")
     if not gamma_prime.is_reduced():
         raise ValueError("gamma_prime must be reduced")
-    if any(k not in edges for k in _span(eta, {}).edges):
+    if any(k not in eta_prime.edges for k in eta.edges):
         raise ValueError("every geometric edge of eta must be traversed by eta_prime")
     out = gamma_prime.graph.trace(gamma_prime.start, eta.word)
     if out is None:
@@ -686,7 +663,7 @@ def factorize(alphabet, subgroups, word, seeds=None, primes=None,
         raise InternalInvariantError("attached path does not reach the free end")
     items.append(last)
     walk = _walk(ctx.chain, items)
-    if given and walk[2] is not None:
+    if given and walk[1] is not None:
         raise ValueError("seed product does not match the word in the quotient")
     out = _pinch(ctx.chain, items, stats, walk)
     factors = tuple(free_reduce(p.label()) for p in out[:-1])
@@ -781,22 +758,24 @@ def _glue(*parts):
 
 def _walk(chain, items):
     """The m labels traced tip to tail at chain level m-2: (Cayley paths,
-    their spans, what fails of the pinch premise or None).  By the
-    traversal identity (``extensions``) the labels' product at level m-1 is
-    (each Cayley edge's net signed crossing count mod p, the walk's end)."""
+    what fails of the pinch premise or None).  By the traversal identity
+    (``extensions``) the labels' product at level m-1 is (each Cayley edge's
+    net signed crossing count mod p, the walk's end)."""
     m = len(items)
     level, prime = chain.levels[m - 2], chain.levels[m - 1].prime
-    etas, spans, counts = [], [], {}
+    etas, counts = [], {}
     cur = level.identity
     for p in items:
-        etas.append(trace_cayley(level, cur, p.label()))
-        spans.append(_span(etas[-1], counts))
-        cur = etas[-1].end
+        eta = trace_cayley(level, cur, p.label())
+        for key, _, sign in map(_crossing, eta.vertices, eta.word, eta.vertices[1:]):
+            counts[key] = counts.get(key, 0) + sign
+        etas.append(eta)
+        cur = eta.end
     if cur != level.identity:
-        return etas, spans, "tip-to-tail paths do not close up"
+        return etas, "tip-to-tail paths do not close up"
     if any(c % prime for c in counts.values()):
-        return etas, spans, "pinch premise fails at the chain level"
-    return etas, spans, None
+        return etas, "pinch premise fails at the chain level"
+    return etas, None
 
 
 def _pinch(chain, items, stats, walk=None):
@@ -805,47 +784,46 @@ def _pinch(chain, items, stats, walk=None):
     items are reduced paths, one per immersion, whose labels multiply to
     the identity at chain level m-1.  Works in the Cayley graph of level
     m-2: find the spine (m = 2) or cut at a vertex of the identity
-    component shared with a middle span and recurse (m >= 3); the cut is
-    reached by the component's search path from the identity.  Each label
-    is walked once (``_walk``, or the caller's walk): the premise is read
-    off it and its spans serve every projection.  A failed projection or
-    reduction here is a broken invariant, never bad input.
+    component shared with a middle path and recurse (m >= 3); the cut is
+    reached by the component's path from the identity.  Each label is
+    walked once (``_walk``, or the caller's walk): the premise is read off
+    it, and its Cayley paths carry the edges that the spine, the cut and
+    every projection read.  A failed projection or reduction here is a
+    broken invariant, never bad input.
     """
     m = len(items)
     if m < 2:
         raise InternalInvariantError("pinch needs at least two paths")
-    etas, spans, fault = walk if walk is not None else _walk(chain, items)
+    etas, fault = walk if walk is not None else _walk(chain, items)
     if fault is not None:
         raise InternalInvariantError(fault)
     mid = chain.levels[m - 2]
 
     try:
         if m == 2:
-            spine = common_spine(spans[0], spans[1], mid.identity, etas[0].end)
+            spine = common_spine(etas[0], etas[1], mid.identity, etas[0].end)
             if spine is None:
                 raise InternalInvariantError("no common spine despite the premise")
             stats.spines += 1
-            gamma1 = _project(spine, etas[0], spans[0].edges, items[0])
-            beta2 = _project(spine, etas[1].reversed(), spans[1].edges, items[1].reversed())
+            gamma1 = project_path(spine, etas[0], items[0])
+            beta2 = project_path(spine, etas[1].reversed(), items[1].reversed())
             out = [gamma1, beta2.reversed()]
         else:
-            inter_edges = {k: e for k, e in spans[0].edges.items() if k in spans[-1].edges}
-            omega = _search(inter_edges, mid.identity)
+            omega = _component(etas[0], etas[-1], mid.identity)
             j = None
             for cand in range(1, m - 1):
-                if omega.keys() & spans[cand].vertices:
+                if omega.keys() & etas[cand].vertices:
                     j = cand
                     break
             if j is None:
-                raise InternalInvariantError("no middle span meets the identity component")
-            g = min(omega.keys() & spans[j].vertices)
+                raise InternalInvariantError("no middle path meets the identity component")
+            g = min(omega.keys() & etas[j].vertices)
             stats.cuts += 1
             eta = _path_to(mid, omega, g)
             zeta = etas[j].prefix(etas[j].vertices.index(g))
-            delta_j1 = _project(zeta, etas[j], spans[j].edges, items[j])
-            beta_first = _project(eta, etas[0], spans[0].edges, items[0])
-            beta_last = _project(eta, etas[-1].reversed(), spans[-1].edges,
-                                 items[-1].reversed())
+            delta_j1 = project_path(zeta, etas[j], items[j])
+            beta_first = project_path(eta, etas[0], items[0])
+            beta_last = project_path(eta, etas[-1].reversed(), items[-1].reversed())
             delta_first = reduce_path(beta_first.reversed().concat(items[0]))
             delta_j2 = reduce_path(delta_j1.reversed().concat(items[j]))
             delta_last = reduce_path(items[-1].concat(beta_last))

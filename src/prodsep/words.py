@@ -79,11 +79,6 @@ class Alphabet:
         return f"Alphabet({''.join(self.symbols)!r})"
 
 
-def letter_sort_key(letter):
-    """Canonical order on signed letters: +1 < -1 < +2 < -2 < ..."""
-    return (abs(letter), 0 if letter > 0 else 1)
-
-
 def free_reduce(word):
     """The unique reduced word equal to ``word`` in the free group."""
     out = []

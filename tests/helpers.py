@@ -5,7 +5,9 @@ generators over subgroup graphs, the listed image subgroup and the
 enumeration oracle for product certificate claims, the image walk that
 meets every edge from both ends (the dict oracle) and the check that a
 GF(2) bit structure holds its image, a time limit for code that could
-loop, and a common spine that doubles back, to fault the pinch."""
+loop, the component search of the edges two Cayley paths share (the oracle
+for the pinch's closure-based component), and a common spine that doubles
+back, to fault the pinch."""
 
 import math
 import signal
@@ -19,7 +21,7 @@ from prodsep.graphs import LabeledGraph
 from prodsep.groups import DEFAULT_CAP, closure
 from prodsep.separators import ImageStructure, _KeyVectors, image_subgroup_order
 from prodsep.stallings import AttachedImmersion, PointedImmersion
-from prodsep.words import free_reduce, invert, letter_sort_key
+from prodsep.words import free_reduce, invert
 
 
 def build_wedge(alphabet, words):
@@ -49,7 +51,7 @@ def admissible_pair(g, policy="least"):
     buckets = [vl for vl, darts in star.items() if len(darts) >= 2]
     if not buckets:
         return None
-    key = lambda vl: (vl[0], letter_sort_key(vl[1]))
+    key = lambda vl: (vl[0], g.alphabet.letters().index(vl[1]))
     if policy == "least":
         darts = star[min(buckets, key=key)]
         return (darts[0], darts[1])
@@ -168,7 +170,7 @@ def loop_words_up_to(h, max_len):
     """
     g = h.graph
     out = []
-    letters = sorted(g.alphabet.letters(), key=letter_sort_key)
+    letters = g.alphabet.letters()
 
     def walk(v, word):
         if len(word) >= max_len:
@@ -200,7 +202,7 @@ def kernel_loop_word(h, level, cap=20000):
     start = (h.base, level.identity)
     witness = {start: ()}
     queue = deque([start])
-    letters = sorted(g.alphabet.letters(), key=letter_sort_key)
+    letters = g.alphabet.letters()
     while queue:
         state = queue.popleft()
         v, k = state
@@ -386,6 +388,27 @@ def within(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def sorted_search(edges, start):
+    """BFS of the subgraph spanned by edges, {key (src, letter): (src, dst)}:
+    vertex -> (previous vertex, signed letter), start -> None.  Each
+    vertex's neighbours are sorted by letter in canonical order, +1 < -1 <
+    +2 < -2 < ..., then by vertex."""
+    adj = {}
+    for (_, x), (u, v) in edges.items():
+        adj.setdefault(u, []).append((x, v))
+        adj.setdefault(v, []).append((-x, u))
+    back = {start: None}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for l, v in sorted(adj.get(u, ()),
+                           key=lambda step: (abs(step[0]), step[0] < 0, step[1])):
+            if v not in back:
+                back[v] = (u, l)
+                queue.append(v)
+    return back
 
 
 def spine_doubling_back(monkeypatch):

@@ -178,11 +178,19 @@ MUTANTS = (
            "if any(c % 2 for c in counts.values()):",
            (PINCH + "test_walk_premise_matches_evaluate",
             ENUM + "test_prefix_search_against_enumeration[n3p3]")),
+    # the crossing rule (_crossing) that the walk's counts and each path's edges read
     Mutant("span-inverse-letter-counts-plus-one", "separators.py",
            "((v, -l), (v, u), -1)", "((v, -l), (v, u), 1)",
            (PINCH + "test_seeds_agreeing_one_level_down_are_bad_input[2-primes0]",
             PINCH + "test_seeds_agreeing_one_level_down_are_bad_input[3-primes2]",
             PINCH + "test_walk_premise_matches_evaluate")),
+    # the component of the edges two paths share, searched by closure
+    Mutant("component-drops-reverse-edges", "separators.py",
+           "            adj[v, -x] = u\n", "",
+           (SEP + "TestComponentAgainstSortedSearch::test_same_order_and_back_pointers",
+            SEP + "TestFactorize::test_oracle_agreement_randomized",
+            SEEDS + "test_seeds_exactly_when_accepted",
+            SEP + "test_three_factor_scramble_stress_cuts_and_verifies")),
     Mutant("seed-mismatch-is-internal", "separators.py",
            'raise ValueError("seed product does not match the word in the quotient")',
            'raise InternalInvariantError("seed product does not match the word in the quotient")',

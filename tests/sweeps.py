@@ -16,6 +16,12 @@ certificate, verdict and factorization the same prints the same lines.
   ``Random(13)`` at cap 16384 and 150 three-factor draws of ``Random(23)``
   at cap 4096.  Each decided status is checked against
   ``rational.member_product``.
+* Three seeded factorization sweeps, which pinch at m = 4 and 5 and at
+  p = 3: 150 four-factor draws of ``Random(44)`` and 60 five-factor draws
+  of ``Random(45)`` at p = 2, and 150 three-factor draws of ``Random(43)``
+  at p = 3.  Each draw's seeds are products of one to three of their
+  subgroup's generators or inverses, and its word is theirs reduced;
+  ``factorize`` runs at the default cap and each certificate must verify.
 
     python -m tests.sweeps               # every pool and sweep
     python -m tests.sweeps hall n3       # those whose name contains a word
@@ -40,8 +46,9 @@ sys.path.insert(0, str(ROOT / "src"))
 import prodsep  # noqa: E402
 from prodsep.certificates import emit_certificate, parse_certificate, verify_certificate  # noqa: E402
 from prodsep.rational import member_product  # noqa: E402
+from prodsep.separators import FactorizeStats  # noqa: E402
 from prodsep.stallings import stallings_graph  # noqa: E402
-from prodsep.words import Alphabet, free_reduce  # noqa: E402
+from prodsep.words import Alphabet, free_reduce, invert  # noqa: E402
 
 A = Alphabet("xy")
 SEEDS = (1, 2)
@@ -52,6 +59,12 @@ SWEEPS = {
     "n4 Random(41) cap 512": (41, 4, 150, 512, 2),
     "n2 p3 Random(13) cap 16384": (13, 2, 300, 16384, 3),
     "n3 p3 Random(23) cap 4096": (23, 3, 150, 4096, 3),
+}
+# name: (random.Random seed, factors, draws, prime of every level)
+SEEDED = {
+    "seeded n4 Random(44)": (44, 4, 150, 2),
+    "seeded n5 Random(45)": (45, 5, 60, 2),
+    "seeded n3 p3 Random(43)": (43, 3, 150, 3),
 }
 
 
@@ -99,11 +112,16 @@ def _word(rng, lo, hi):
     return free_reduce(tuple(rng.choice(letters) for _ in range(rng.randint(lo, hi))))
 
 
+def _subgroups(rng, factors):
+    """1-2 generators of 1-3 letters per factor."""
+    return tuple(tuple(_word(rng, 1, 3) or (1,) for _ in range(rng.randint(1, 2)))
+                 for _ in range(factors))
+
+
 def sweep_draw(rng, factors):
-    """(subgroups, word): 1-2 generators of 1-3 letters per factor; the
-    word is random with probability 1/2, else one generator per factor."""
-    subgroups = tuple(tuple(_word(rng, 1, 3) or (1,) for _ in range(rng.randint(1, 2)))
-                      for _ in range(factors))
+    """(subgroups, word): the word is random with probability 1/2, else
+    one generator per factor."""
+    subgroups = _subgroups(rng, factors)
     if rng.random() < 0.5:
         return subgroups, _word(rng, 0, 6)
     return subgroups, free_reduce(sum((rng.choice(gens) for gens in subgroups), ()))
@@ -131,6 +149,38 @@ def sweep(seed, factors, draws, cap, prime):
     return _digest(rows), statuses
 
 
+def seeded_draw(rng, factors):
+    """(subgroups, seeds, word): each seed a product of one to three of its
+    subgroup's generators or their inverses, and the word the seeds'
+    product reduced."""
+    subgroups = _subgroups(rng, factors)
+    seeds = []
+    for gens in subgroups:
+        w = ()
+        for _ in range(rng.randint(1, 3)):
+            x = rng.choice(gens)
+            w += x if rng.random() < 0.5 else invert(x)
+        seeds.append(free_reduce(w))
+    return subgroups, seeds, free_reduce(sum(seeds, ()))
+
+
+def seeded_sweep(seed, factors, draws, prime):
+    """(hash, pinch counts) of one seeded factorization sweep; raises if a
+    certificate fails to verify."""
+    rng = random.Random(seed)
+    rows, stats = [], FactorizeStats()
+    for _ in range(draws):
+        subgroups, seeds, word = seeded_draw(rng, factors)
+        cert = prodsep.factorize(A, subgroups, word, seeds=seeds,
+                                 primes=(prime,) * (factors - 1), stats=stats)
+        text = emit_certificate(cert)
+        verdict = _verdict(text, prodsep.DEFAULT_CAP)
+        if not verdict[0]:
+            raise AssertionError(f"certificate rejected: {verdict[1]}\n{text}")
+        rows.append([text, verdict])
+    return _digest(rows), Counter(cuts=stats.cuts, spines=stats.spines)
+
+
 def main(argv=None):
     words = sys.argv[1:] if argv is None else argv
     if os.environ.get("PYTHONHASHSEED") != "0":
@@ -140,6 +190,7 @@ def main(argv=None):
     jobs = [(f"{name}-{seed}", pool, (name, seed))
             for name in ("separate", "factorize", "hall") for seed in SEEDS]
     jobs += [(name, sweep, args) for name, args in SWEEPS.items()]
+    jobs += [(name, seeded_sweep, args) for name, args in SEEDED.items()]
     for name, run, args in jobs:
         if words and not any(w in name for w in words):
             continue

@@ -70,6 +70,8 @@ class TestEnumerateExpansions:
         assert not enum.complete
         assert len(enum.expansions) == 5
         assert enumerate_expansions(g, cap=24).complete
+        none = enumerate_expansions(g, cap=0)
+        assert none.expansions == () and not none.complete
 
     def test_cap_stops_the_work(self):
         # 12! pairings of the missing x-edges; only the first five are made

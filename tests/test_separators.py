@@ -23,7 +23,6 @@ from prodsep.rational import accepts, cancellation_closure, member_product, prod
 from prodsep.separators import (
     FactorizeStats,
     _build_context,
-    _span,
     common_spine,
     factorize,
     hall_separator,
@@ -40,6 +39,7 @@ from tests.helpers import (
     assert_same_image,
     image_subgroup,
     kernel_loop_word,
+    sorted_search,
     spine_doubling_back,
     steps_with_inverses,
     two_ended_image_structure,
@@ -271,7 +271,7 @@ class TestCommonSpine:
     def test_identical_spans_give_the_path(self):
         level = iterated_extension(KLEIN, []).top
         p = trace_cayley(level, level.identity, A.parse("xy"))
-        spine = common_spine(_span(p, {}), _span(p, {}), p.start, p.end)
+        spine = common_spine(p, p, p.start, p.end)
         assert spine.word == A.parse("xy")
 
     def test_disjoint_interior_bigon_has_no_spine(self):
@@ -280,14 +280,42 @@ class TestCommonSpine:
         p1 = trace_cayley(level, level.identity, A.parse("xy"))
         p2 = trace_cayley(level, level.identity, A.parse("yx"))
         assert p1.end == p2.end
-        assert common_spine(_span(p1, {}), _span(p2, {}), p1.start, p1.end) is None
+        assert common_spine(p1, p2, p1.start, p1.end) is None
 
     def test_spine_within_overlapping_spans(self):
         level = iterated_extension(KLEIN, []).top
         p1 = trace_cayley(level, level.identity, A.parse("xxy"))
         p2 = trace_cayley(level, level.identity, A.parse("xxy"))
-        spine = common_spine(_span(p1, {}), _span(p2, {}), p1.start, p1.end)
+        spine = common_spine(p1, p2, p1.start, p1.end)
         assert spine.end == p1.end
+
+
+class TestComponentAgainstSortedSearch:
+    """The pinch's closure-based component of the edges two paths share
+    visits, and links, exactly as the sorted-adjacency search does."""
+
+    def test_same_order_and_back_pointers(self):
+        rng = random.Random(3001)
+        chains = [iterated_extension(KLEIN, [p, q]) for p in (2, 3) for q in (2, 3)]
+        letters = A.letters()
+        grown = 0
+        for _ in range(400):
+            level = rng.choice(chains).levels[rng.randint(0, 2)]
+            w1 = random_reduced(rng, 0, 10)
+            tail = random_reduced(rng, 0, 8)
+            eta1 = trace_cayley(level, level.identity, w1)
+            eta2 = trace_cayley(level, level.identity,
+                                free_reduce(w1[:rng.randint(0, len(w1))] + tail))
+            if rng.random() < 0.5:
+                eta2 = eta2.reversed()
+            assert eta2.reversed().edges == eta2.edges
+            common = {k: e for k, e in eta1.edges.items() if k in eta2.edges}
+            expected = sorted_search(common, level.identity)
+            got = separators._component(eta1, eta2, level.identity)
+            assert [(v, b and (b[0], letters[b[1]])) for v, b in got.items()] == \
+                list(expected.items())
+            grown += len(got) > 2
+        assert grown > 100
 
 
 class TestImageSubgroup:
@@ -647,7 +675,7 @@ class TestPinchErrors:
             if kind == "closes below":
                 labels[0] = labels[0] + self.relator(rng, chain.levels[m - 2])
             items = [bouquet.trace(0, lab) for lab in labels]
-            etas, spans, fault = separators._walk(chain, items)
+            etas, fault = separators._walk(chain, items)
             concat = sum(labels, ())
             top, below = chain.levels[m - 1], chain.levels[m - 2]
             holds = top.evaluate(concat) == top.identity
@@ -655,7 +683,6 @@ class TestPinchErrors:
             closes = below.evaluate(concat) == below.identity
             assert (fault == "tip-to-tail paths do not close up") == (not closes)
             assert [eta.word for eta in etas] == labels
-            assert [span.path for span in spans] == etas
             if not holds:
                 with pytest.raises(InternalInvariantError, match=fault):
                     separators._pinch(chain, items, FactorizeStats())
