@@ -214,7 +214,7 @@ def _stage(name):
     try:
         yield
     except CapExceeded as exc:
-        raise CapExceeded(f"verify, {name}: {exc}", limit=exc.limit) from None
+        raise CapExceeded(f"verify, {name}: {exc}") from None
 
 
 PARTIAL = "partial certificate: exclusion claim not checked"
@@ -294,7 +294,7 @@ def _walk(group, h, prime, cap, stated=None):
             if found * scale > stated:
                 raise _SizeRefuted(found * scale)
         elif found * scale > cap:
-            raise CapExceeded(f"pullback image has more than {cap} elements", limit=cap)
+            raise CapExceeded(f"pullback image has more than {cap} elements")
 
     queue = deque([root])
     while queue:
@@ -306,8 +306,7 @@ def _walk(group, h, prime, cap, stated=None):
             w = (t, hg)
             if w not in links:
                 if len(links) >= limit:
-                    raise CapExceeded(f"pullback base fibre has more than {cap} "
-                                      f"elements", limit=cap)
+                    raise CapExceeded(f"pullback base fibre has more than {cap} elements")
                 links[w] = (u, d)
                 queue.append(w)
                 if prime is not None:
@@ -538,21 +537,18 @@ def _verify_product(cert, chain, cap):
 
 
 def verify_certificate(cert, cap=DEFAULT_CAP):
-    """Re-check every claim; returns (ok, messages).
+    """Re-check every claim of a parsed certificate; returns (ok, messages).
 
-    A cap hit raises CapExceeded: a claim that was not checked is never
-    rejected.
+    Text goes through ``parse_certificate`` first, or is rejected as an unknown
+    type.  A cap hit raises CapExceeded: an unchecked claim is never rejected.
     """
-    if isinstance(cert, str):
-        cert = parse_certificate(cert)
-    a = cert.alphabet
     if isinstance(cert, HallCertificate):
         group = cert.group
         if not 0 <= cert.base < group.carrier:
             return False, ["base vertex out of range"]
         for g in cert.generators:
             if group.point_image(cert.base, free_reduce(g)) != cert.base:
-                return False, [f"generator {a.format(g)} moves the base vertex"]
+                return False, [f"generator {cert.alphabet.format(g)} moves the base vertex"]
         if group.point_image(cert.base, free_reduce(cert.word)) == cert.base:
             return False, ["word image fixes the base vertex; nothing is separated"]
         return True, ["base vertex fixed by all generators, moved by the word"]
@@ -565,7 +561,7 @@ def verify_certificate(cert, cap=DEFAULT_CAP):
         if len(cert.factors) != len(cert.subgroups):
             return False, ["factor count does not match the subgroup count"]
         for i, (gens, factor) in enumerate(zip(cert.subgroups, cert.factors), start=1):
-            h = stallings_graph(a, gens)
+            h = stallings_graph(cert.alphabet, gens)
             if not contains(h, factor):
                 return False, [f"factor {i} is not in subgroup {i}"]
         product = ()

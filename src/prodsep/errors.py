@@ -4,13 +4,9 @@
 class CapExceeded(RuntimeError):
     """An enumeration outgrew its resource cap.
 
-    Never a silent truncation: the message says what was being enumerated
-    and how large it was allowed to get.
+    Never a silent truncation: the message, its only content, says what
+    was being enumerated and how large it was allowed to get.
     """
-
-    def __init__(self, message, limit=None):
-        super().__init__(message)
-        self.limit = limit
 
 
 class InternalInvariantError(AssertionError):

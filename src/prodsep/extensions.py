@@ -48,7 +48,6 @@ class ExtensionLevel:
         self.below = below
         self.prime = prime
         self.alphabet = below.alphabet
-        self._gens = {}
         # the column table: each Cayley edge (g, x) below, numbered in the
         # order it is first seen, is one bit of a GF(2) vector; every image
         # structure at this level shares it (``separators``)
@@ -61,10 +60,7 @@ class ExtensionLevel:
 
     def gen(self, letter):
         """The letter's generator: one step from the identity."""
-        g = self._gens.get(letter)
-        if g is None:
-            g = self._gens[letter] = self.step(self.identity, letter)
-        return g
+        return self.step(self.identity, letter)
 
     def mult(self, a, b):
         (v1, g1), (v2, g2) = a, b
@@ -127,13 +123,11 @@ class ExtensionLevel:
         k = (self.alphabet.size - 1) * below + 1
         if math.log(below) + k * math.log(self.prime) > math.log(cap) + 1e-9:
             raise CapExceeded(
-                f"extension order {below} * {self.prime}^{k} exceeds cap {cap}",
-                limit=cap)
+                f"extension order {below} * {self.prime}^{k} exceeds cap {cap}")
         order = below * self.prime ** k
         if order > cap:
             raise CapExceeded(
-                f"extension order {order} = {below} * {self.prime}^{k} exceeds cap {cap}",
-                limit=cap)
+                f"extension order {order} = {below} * {self.prime}^{k} exceeds cap {cap}")
         return order
 
     def elements(self, cap=DEFAULT_CAP):

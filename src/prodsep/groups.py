@@ -58,7 +58,6 @@ class XGroup:
         # signed letter -> its permutation, for reading words point by point
         self._by_letter = {l: self._perms[l - 1] if l > 0 else self._inv[-l - 1]
                            for l in alphabet.letters()}
-        self._elements = None
 
     @property
     def identity(self):
@@ -95,10 +94,7 @@ class XGroup:
 
     def elements(self, cap=DEFAULT_CAP):
         """All elements, in BFS discovery order from the identity."""
-        if self._elements is None or len(self._elements) > cap:
-            self._elements = list(closure((self.identity,), self.alphabet.letters(),
-                                          self.step, cap, "group"))
-        return self._elements
+        return list(closure((self.identity,), self.alphabet.letters(), self.step, cap, "group"))
 
     def order(self, cap=DEFAULT_CAP):
         return len(self.elements(cap=cap))
@@ -148,7 +144,7 @@ def closure(starts, steps, mult, cap, what):
             nxt = mult(cur, step)
             if nxt not in tree:
                 if len(tree) >= cap:
-                    raise CapExceeded(f"{what} has more than {cap} elements", limit=cap)
+                    raise CapExceeded(f"{what} has more than {cap} elements")
                 tree[nxt] = (cur, i)
                 queue.append(nxt)
     return tree

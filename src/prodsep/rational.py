@@ -93,8 +93,7 @@ def _saturate(nfa, cap=None):
             bw[y].add(x)
             why[x, y] = (a, b, edge)
         if cap is not None and len(why) > cap:
-            raise CapExceeded(f"product automaton has more than {cap} epsilon pairs",
-                              limit=cap)
+            raise CapExceeded(f"product automaton has more than {cap} epsilon pairs")
         pending.extend(new)
 
     for a, b in nfa.eps_edges:

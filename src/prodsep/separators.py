@@ -222,13 +222,7 @@ class _KeyVectors:
     def vector(self, items, start=None):
         """start, or zero, plus the (key, coefficient) pairs."""
         out = {} if start is None else dict(start)
-        prime = self.prime
-        for k, c in items:
-            n = (out.get(k, 0) + c) % prime
-            if n:
-                out[k] = n
-            elif k in out:
-                del out[k]
+        _subtract(out, dict(items), self.prime, -1)
         return out
 
     def sub(self, a, b):
@@ -414,7 +408,7 @@ def image_structure(level, generators, cap=DEFAULT_CAP):
                 scale *= prime
             if len(lifts) * scale > cap:
                 raise CapExceeded(f"image order exceeds {cap}: at least "
-                                  f"{len(lifts)} * {prime}^{len(basis)}", limit=cap)
+                                  f"{len(lifts)} * {prime}^{len(basis)}")
         done.add(b)
     return ImageStructure(lifts, basis, vectors, len(lifts) * scale)
 

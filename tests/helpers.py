@@ -250,7 +250,7 @@ def _product(level, images, cap):
     if not images:
         return {level.identity}
     if len(images[0]) > cap:
-        raise CapExceeded(f"product image has more than {cap} elements", limit=cap)
+        raise CapExceeded(f"product image has more than {cap} elements")
     out = set(images[0])
     for img in images[1:]:
         nxt = set()
@@ -260,7 +260,7 @@ def _product(level, images, cap):
                 if e not in nxt:
                     if len(nxt) >= cap:
                         raise CapExceeded(
-                            f"product image has more than {cap} elements", limit=cap)
+                            f"product image has more than {cap} elements")
                     nxt.add(e)
         out = nxt
     return out
@@ -354,7 +354,7 @@ def two_ended_image_structure(level, generators, cap):
             if len(lifts) * prime ** len(basis) > cap:
                 raise CapExceeded(
                     f"image order exceeds {cap}: at least "
-                    f"{len(lifts)} * {prime}^{len(basis)}", limit=cap)
+                    f"{len(lifts)} * {prime}^{len(basis)}")
     return ImageStructure(lifts, basis, vectors, len(lifts) * prime ** len(basis))
 
 

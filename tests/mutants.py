@@ -46,6 +46,8 @@ CERT = "tests/test_certificates.py::"
 CYCLES = "tests/test_groups.py::TestCycleNotation::"
 EXT = "tests/test_extensions.py::"
 CLI = "tests/test_cli.py::"
+# the byte-identity gate, one set of fixed draws per id
+GATE = "tests/test_sweeps.py::test_decided_draws_keep_their_certificates["
 # a disconnected covering must not pass as a transition group
 CONNECTED = ("tests/test_covers.py::TestTransitionGroup::test_rejects_disconnected_covering",
              "tests/test_covers.py::TestTransitionGroupAgainstGraphChecks::test_random_graphs",
@@ -75,7 +77,9 @@ MUTANTS = (
            "row for row in two.basis.values()",
            (ENUM + "test_two_factor_exclusion_and_size[3]",
             ENUM + "test_two_factor_exclusion_and_size[5]",
-            ENUM + "test_four_factor_search_one_level_up_at_p3")),
+            ENUM + "test_four_factor_search_one_level_up_at_p3",
+            GATE + "separate-1]",
+            GATE + "n2-p3-Random(13)-cap-16384]")),
     Mutant("fibre-prefix-kernel-by-first-lift", "separators.py",
            "vectors.translate(row, below.mult(hinv, hs[i]))",
            "vectors.translate(row, hs[i])",
@@ -135,12 +139,16 @@ MUTANTS = (
             SEP + "TestOneEndedWalk::test_same_cap_message_as_the_two_ended_walk",
             CERT + "TestPartialCertificates::test_stated_sizes_are_checked",
             CERT + "TestAgainstEnumeration::test_three_and_four_factors[n3p2]",
-            ENUM + "test_two_factor_exclusion_and_size[3]")),
+            ENUM + "test_two_factor_exclusion_and_size[3]",
+            GATE + "n3-Random(22)-cap-300]",
+            GATE + "n2-p3-Random(13)-cap-16384]",
+            GATE + "n3-p3-Random(23)-cap-4096]")),
     # GF(2) bitmask vectors (_BitVectors), against the dict oracle
     Mutant("gf2-order-ignores-rank", "separators.py",
            "    prime = 2\n", "    prime = 1\n",
            (SEP + "TestImageStructure::test_cap",
-            BITS + "test_same_order_lifts_span_and_refusal")),
+            BITS + "test_same_order_lifts_span_and_refusal",
+            GATE + "n3-Random(22)-cap-300]")),
     Mutant("gf2-reduce-skips-a-row", "separators.py",
            "row = basis.get(vec & -vec)", "row = basis.get(vec & -vec & ~1)",
            (BITS + "test_same_order_lifts_span_and_refusal",
@@ -151,7 +159,8 @@ MUTANTS = (
            "memo.get(edge[1:], ((),)))",
            (SEEDS + "test_seeds_exactly_when_accepted",
             SEEDS + "test_deep_cancellation_unfolds_without_recursion",
-            SEP + "TestFactorize::test_oracle_agreement_randomized")),
+            SEP + "TestFactorize::test_oracle_agreement_randomized",
+            GATE + "factorize-1]")),
     Mutant("saturate-matches-same-letter", "rational.py",
            "                if l2 == -l:\n                    insert(q, q3, (l, q1, q2))",
            "                if l2 == l:\n                    insert(q, q3, (l, q1, q2))",
@@ -210,6 +219,10 @@ MUTANTS = (
            (SEP + "TestHallSeparator::test_rejects_member_word",
             CLI + "TestCliCommands::test_separate_hall_builds_the_subgroup_once",
             CLI + "TestInputFuzz::test_commands_exit_cleanly")),
+    Mutant("hall-verify-skips-base-range", "certificates.py",
+           "if not 0 <= cert.base < group.carrier:", "if False:",
+           (CLI + "TestCertificates::test_hall_base_out_of_range_rejected[-1]",
+            CLI + "TestCertificates::test_hall_base_out_of_range_rejected[3]")),
     Mutant("spec-allows-repeated-keys", "problems.py",
            "if unique and key in seen:", "if False:",
            (CLI + "TestGroupSpec::test_repeated_key_names_its_line",

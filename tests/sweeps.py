@@ -4,6 +4,8 @@ Each line names a set of draws and prints the sha256 (first 16 hex
 digits) of the JSON list of [certificate text, [verify ok, messages]]
 per draw, with the count of each status.  A change that keeps every
 certificate, verdict and factorization the same prints the same lines.
+The runner also checks that every certificate verifies and that
+``rational.member_product`` agrees with every decided status.
 
 * The bench pools: ``separate``, ``factorize`` and ``hall`` of
   ``bench/workloads.py`` at seeds 1 and 2, solved and verified at the
@@ -14,26 +16,26 @@ certificate, verdict and factorization the same prints the same lines.
   150 four-factor draws of ``Random(41)`` at cap 512.  Two at p = 3, where
   the image structures hold dict vectors: 300 two-factor draws of
   ``Random(13)`` at cap 16384 and 150 three-factor draws of ``Random(23)``
-  at cap 4096.  Each decided status is checked against
-  ``rational.member_product``.
+  at cap 4096.
 * Three seeded factorization sweeps, which pinch at m = 4 and 5 and at
   p = 3: 150 four-factor draws of ``Random(44)`` and 60 five-factor draws
   of ``Random(45)`` at p = 2, and 150 three-factor draws of ``Random(43)``
   at p = 3.  Each draw's seeds are products of one to three of their
   subgroup's generators or inverses, and its word is theirs reduced;
-  ``factorize`` runs at the default cap and each certificate must verify.
+  ``factorize`` runs at the default cap.
 
     python -m tests.sweeps               # every pool and sweep
     python -m tests.sweeps hall n3       # those whose name contains a word
 
-The hashes depend on set iteration order, so the runner re-executes
-itself under PYTHONHASHSEED=0 when that is not already set.  A full run
-takes under a minute, so the runner is not part of the suite.
+``pool_rows``, ``sweep_rows`` and ``seeded_rows`` give each set's rows,
+[certificate text, verdict, status] per draw, and ``SETS`` names them.
+A full run takes under a minute, so the runner is not part of the suite;
+``tests/test_sweeps.py`` holds the decided draws of the cheaper sets to
+their texts and verdicts there.
 """
 
 import hashlib
 import json
-import os
 import random
 import sys
 import time
@@ -44,7 +46,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import prodsep  # noqa: E402
-from prodsep.certificates import emit_certificate, parse_certificate, verify_certificate  # noqa: E402
+from prodsep.certificates import (  # noqa: E402
+    HallCertificate,
+    ProductCertificate,
+    emit_certificate,
+    parse_certificate,
+    verify_certificate,
+)
 from prodsep.rational import member_product  # noqa: E402
 from prodsep.separators import FactorizeStats  # noqa: E402
 from prodsep.stallings import stallings_graph  # noqa: E402
@@ -52,6 +60,7 @@ from prodsep.words import Alphabet, free_reduce, invert  # noqa: E402
 
 A = Alphabet("xy")
 SEEDS = (1, 2)
+UNDECIDED = ("partial", "none")  # the statuses that claim nothing
 # name: (random.Random seed, factors, draws, cap, prime of every level)
 SWEEPS = {
     "n3 Random(21) cap 4096": (21, 3, 300, 4096, 2),
@@ -68,8 +77,9 @@ SEEDED = {
 }
 
 
-def _digest(rows):
-    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+def digest(value):
+    """The first 16 hex digits of the sha256 of value as JSON."""
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
 
 
 def _verdict(text, cap):
@@ -89,22 +99,22 @@ def _workloads():
     return workloads
 
 
-def pool(name, seed):
-    """(hash, status counts) of one bench pool."""
+def pool_rows(name, seed):
+    """[certificate text, verdict, status] per draw of one bench pool;
+    [None, None, "none"] for a draw without a certificate."""
     workloads = _workloads()
     load = workloads.WORKLOADS[name]
     insts, _ = load.make(prodsep, seed)
-    rows, statuses = [], Counter()
+    rows = []
     for inst in insts:
         result, _ = load.solve(prodsep, inst)
         text = load.certificate(prodsep, inst, result)
         if text is None:
-            rows.append([None, None])
-            statuses["none"] += 1
-            continue
-        rows.append([text, _verdict(text, workloads.CAP)])
-        statuses[getattr(result, "status", type(result).__name__)] += 1
-    return _digest(rows), statuses
+            rows.append([None, None, "none"])
+        else:
+            rows.append([text, _verdict(text, workloads.CAP),
+                         getattr(result, "status", type(result).__name__)])
+    return rows
 
 
 def _word(rng, lo, hi):
@@ -127,26 +137,18 @@ def sweep_draw(rng, factors):
     return subgroups, free_reduce(sum((rng.choice(gens) for gens in subgroups), ()))
 
 
-def sweep(seed, factors, draws, cap, prime):
-    """(hash, status counts) of one sweep; raises if a decided status
-    disagrees with the rational oracle or a certificate fails to verify."""
+def sweep_rows(seed, factors, draws, cap, prime):
+    """[certificate text, verdict, status] per draw of one product-separator
+    sweep."""
     rng = random.Random(seed)
-    rows, statuses = [], Counter()
+    rows = []
     for _ in range(draws):
         subgroups, word = sweep_draw(rng, factors)
         cert = prodsep.product_separator(A, subgroups, word, primes=(prime,) * (factors - 1),
                                          cap=cap)
         text = emit_certificate(cert)
-        verdict = _verdict(text, cap)
-        if not verdict[0]:
-            raise AssertionError(f"certificate rejected: {verdict[1]}\n{text}")
-        if cert.status != "partial":
-            member = member_product([stallings_graph(A, g) for g in subgroups], word)
-            if member != (cert.status == "member"):
-                raise AssertionError(f"status {cert.status} but member_product {member}\n{text}")
-        rows.append([text, verdict])
-        statuses[cert.status] += 1
-    return _digest(rows), statuses
+        rows.append([text, _verdict(text, cap), cert.status])
+    return rows
 
 
 def seeded_draw(rng, factors):
@@ -164,40 +166,64 @@ def seeded_draw(rng, factors):
     return subgroups, seeds, free_reduce(sum(seeds, ()))
 
 
-def seeded_sweep(seed, factors, draws, prime):
-    """(hash, pinch counts) of one seeded factorization sweep; raises if a
-    certificate fails to verify."""
+def seeded_rows(seed, factors, draws, prime, stats=None):
+    """[certificate text, verdict, status] per draw of one seeded
+    factorization sweep; stats, a FactorizeStats, counts its pinches."""
     rng = random.Random(seed)
-    rows, stats = [], FactorizeStats()
+    rows = []
     for _ in range(draws):
         subgroups, seeds, word = seeded_draw(rng, factors)
         cert = prodsep.factorize(A, subgroups, word, seeds=seeds,
                                  primes=(prime,) * (factors - 1), stats=stats)
         text = emit_certificate(cert)
-        verdict = _verdict(text, prodsep.DEFAULT_CAP)
-        if not verdict[0]:
-            raise AssertionError(f"certificate rejected: {verdict[1]}\n{text}")
-        rows.append([text, verdict])
-    return _digest(rows), Counter(cuts=stats.cuts, spines=stats.spines)
+        rows.append([text, _verdict(text, prodsep.DEFAULT_CAP), type(cert).__name__])
+    return rows
+
+
+# name: (rows function, its arguments), in the runner's order
+SETS = {f"{name}-{seed}": (pool_rows, (name, seed))
+        for name in ("separate", "factorize", "hall") for seed in SEEDS}
+SETS.update((name, (sweep_rows, args)) for name, args in SWEEPS.items())
+SETS.update((name, (seeded_rows, args)) for name, args in SEEDED.items())
+
+
+def check(text, verdict, status):
+    """Raise unless the certificate verifies and, if its status is decided,
+    ``rational.member_product`` agrees with what it claims."""
+    if not verdict[0]:
+        raise AssertionError(f"certificate rejected: {verdict[1]}\n{text}")
+    if status in UNDECIDED:
+        return
+    cert = parse_certificate(text)
+    if isinstance(cert, HallCertificate):
+        subgroups, member = [cert.generators], False
+    else:
+        subgroups = cert.subgroups
+        member = not isinstance(cert, ProductCertificate) or cert.status == "member"
+    if member_product([stallings_graph(cert.alphabet, g) for g in subgroups],
+                      cert.word) != member:
+        raise AssertionError(f"status {status} but member_product {not member}\n{text}")
 
 
 def main(argv=None):
     words = sys.argv[1:] if argv is None else argv
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        env = dict(os.environ, PYTHONHASHSEED="0")
-        os.chdir(ROOT)
-        os.execve(sys.executable, [sys.executable, "-m", "tests.sweeps", *words], env)
-    jobs = [(f"{name}-{seed}", pool, (name, seed))
-            for name in ("separate", "factorize", "hall") for seed in SEEDS]
-    jobs += [(name, sweep, args) for name, args in SWEEPS.items()]
-    jobs += [(name, seeded_sweep, args) for name, args in SEEDED.items()]
-    for name, run, args in jobs:
+    for name, (rows_of, args) in SETS.items():
         if words and not any(w in name for w in words):
             continue
         t0 = time.perf_counter()
-        digest, statuses = run(*args)
-        counts = ", ".join(f"{k} {v}" for k, v in sorted(statuses.items()))
-        print(f"{name}: {digest} ({counts}; {time.perf_counter() - t0:.1f} s)", flush=True)
+        stats = FactorizeStats()
+        seeded = rows_of is seeded_rows
+        rows = rows_of(*args, stats=stats) if seeded else rows_of(*args)
+        for row in rows:
+            if row[0] is not None:
+                check(*row)
+        counts = Counter(status for _, _, status in rows)
+        if seeded:
+            counts.update(cuts=stats.cuts, spines=stats.spines)
+        shown = ", ".join(f"{k} {v}" for k, v in sorted(counts.items()))
+        elapsed = time.perf_counter() - t0
+        print(f"{name}: {digest([row[:2] for row in rows])} ({shown}; {elapsed:.1f} s)",
+              flush=True)
     return 0
 
 

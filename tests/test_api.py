@@ -1,7 +1,13 @@
 import pathlib
 import re
 
+import pytest
+
 import prodsep
+from prodsep.covers import enumerate_expansions
+from prodsep.graphs import LabeledGraph
+from prodsep.groups import XGroup, diagonal_subgroup
+from prodsep.words import Alphabet
 
 ROOT = pathlib.Path(__file__).parent.parent
 README = ROOT / "README.md"
@@ -55,3 +61,19 @@ def test_what_the_bench_calls_resolves():
                        "separators.expand_to_cover", "separators.transition_group",
                        "separators.image_subgroup",
                        "certificates.image_subgroup", "certificates._product_member"}
+
+
+A = Alphabet("xy")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: XGroup(A, [(1, 0)]), "need exactly one permutation per generator"),
+    (lambda: diagonal_subgroup([]), "need at least one group"),
+    (lambda: diagonal_subgroup([XGroup(A, [(0,), (0,)]), XGroup(Alphabet("x"), [(0,)])]),
+     "groups must share the alphabet"),
+    (lambda: enumerate_expansions(LabeledGraph(A, 3, [(0, 1, 1), (0, 2, 1)])),
+     "enumerate_expansions requires an immersion"),
+], ids=["one-perm-for-xy", "empty-diagonal", "two-alphabets", "non-immersion"])
+def test_bad_arguments_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -256,8 +256,8 @@ class TestPartialCertificates:
         assert "stated image size 1 is 16, but its pullback walk found at least" in out
         # the first size true (30 = 15 * 2^1): the second walk stops early
         start = time.perf_counter()
-        assert verify_certificate(text + "image size 1: 30\nimage size 2: 16\n",
-                                  cap=16384) == (
+        assert verify_certificate(parse_certificate(
+            text + "image size 1: 30\nimage size 2: 16\n"), cap=16384) == (
             False, ["stated image size 2 is 16, but its pullback walk found at least "
                     "17 elements"])
         assert time.perf_counter() - start < 1
@@ -280,12 +280,14 @@ class TestPartialCertificates:
         text = emit_certificate(separators.product_separator(
             A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xy")))
         sizeless = "".join(l for l in text.splitlines(keepends=True) if "size" not in l)
-        assert verify_certificate(sizeless) == (
+        assert verify_certificate(parse_certificate(sizeless)) == (
             True, ["image product membership re-checked: False"])
-        assert verify_certificate(sizeless.replace("excluded", "member")) == (
+        assert verify_certificate(parse_certificate(sizeless.replace("excluded", "member"))) == (
             False, ["word image not found in the image product"])
         with pytest.raises(CapExceeded, match="^verify, pullback walk: "):
-            verify_certificate(sizeless, cap=1)
+            verify_certificate(parse_certificate(sizeless), cap=1)
+        # text is not a certificate: the caller parses it first
+        assert verify_certificate(sizeless) == (False, ["unknown certificate type str"])
 
     def test_honest_partial_certificate_verifies(self):
         # the construction states no sizes when the cap kept it from deciding

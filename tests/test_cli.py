@@ -168,6 +168,16 @@ class TestCertificates:
             ok, _ = verify_certificate(parse_certificate(mutated))
             assert not ok, repl
 
+    @pytest.mark.parametrize("base", ["-1", "3"])
+    def test_hall_base_out_of_range_rejected(self, tmp_path, capsys, base):
+        # the word x fixes every point: read unchecked, base -1 indexes
+        # from the end and verifies, and base 3 raises IndexError
+        path = tmp_path / "hall.cert"
+        path.write_text("certificate: hall\nalphabet: x\nsubgroup H1: 1\nword: x\n"
+                        f"carrier: 3\nbase: {base}\nperm x: ()\n")
+        assert main(["verify", str(path)]) == 1
+        assert capsys.readouterr().out == "base vertex out of range\nREJECTED\n"
+
     def test_hall_tampering_rejected(self):
         wit = hall_separator(A, [A.parse("x")], A.parse("y"))
         text = emit_certificate(wit)
@@ -546,6 +556,29 @@ class TestCliCommands:
         bad.write_text("alphabet: x\nH: z\n")
         assert main(["stallings", "build", str(bad)]) == 3
         assert main(["stallings", "build", str(tmp_path / "missing.txt")]) == 3
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("stallings build", "alphabet: xy\nalphabet: xy\nH1: x\n",
+         "line 2: alphabet declared twice"),
+        ("stallings build", "alphabet: xy\nH1: x\nword: x\nword: y\n",
+         "line 4: word declared twice"),
+        ("stallings build", "alphabet: xy\nH1: x\nprimes: 2\nprimes: 3\n",
+         "line 4: primes declared twice"),
+        ("stallings build", "alphabet: xy\n1H: x\n", "line 2: bad subgroup name '1H'"),
+        ("stallings build", "# no rows\n", "missing alphabet declaration"),
+        ("stallings build", "alphabet: xy\nH1: x\nH1: y\n",
+         "line 3: duplicate subgroup name 'H1'"),
+        ("stallings build", "alphabet: xy\nword: x\n", "the file declares no subgroup"),
+        ("group cayley", "alphabet: xy\ncarrier: 2\nx: (0 1)\n",
+         "missing permutation for 'y'"),
+        ("separate product", "alphabet: xy\nword: x\n", "need at least one subgroup"),
+    ], ids=["alphabet-twice", "word-twice", "primes-twice", "bad-name", "no-alphabet",
+            "duplicate-name", "no-subgroup", "missing-perm", "product-no-subgroup"])
+    def test_malformed_input_exits_3(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        assert main([*command.split(), str(path)]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_cap_exit_code(self, product_file):
         assert main(["separate", "product", product_file, "--cap", "1"]) == 2
