@@ -17,6 +17,14 @@ walk, and also the image order when the certificate states no image
 sizes.  Only a stated product size of three or more factors is checked
 by listing the product, a capped closure under each factor's generator
 images in turn.
+
+The vectors over Cayley edges take the form the walked level's prime
+picks (``_form``).  At p = 2 they are int bitmasks over one column table
+per certificate, shared by its walks, the word's image and every
+translation, so that any two of them can be added: one XOR, with the
+lowest set bit as pivot.  Odd primes keep dict vectors.  The span, its
+rank, the fibre and the point at which a walk refutes a stated size do
+not depend on the form, so neither does any verdict.
 """
 
 import functools
@@ -267,7 +275,164 @@ class _SizeRefuted(Exception):
     """A walk found more image elements than the certificate states."""
 
 
-def _walk(group, h, prime, cap, stated=None):
+# -- the two vector forms -------------------------------------------------------
+#
+# A vector over the Cayley edges (h, x) of G, x a positive letter, is held in
+# one of two forms with the same methods.  Every method returns a new vector
+# and leaves its arguments as they are; ``insert`` adds to a span in place.
+
+
+class _DictForm:
+    """GF(p) vectors as dicts {Cayley edge (h, x): nonzero coefficient}.
+
+    A row's pivot is its least key, with coefficient 1.
+    """
+
+    zero = {}
+
+    def __init__(self, group, prime):
+        self.group, self.prime = group, prime
+
+    def vector(self, items):
+        return dict(items)
+
+    def step(self, vec, g, l, hg):
+        """vec after crossing the Cayley edge of letter l from g to hg."""
+        key, c = ((g, l), 1) if l > 0 else ((hg, -l), -1)
+        return self.add(vec, {key: c})
+
+    def cycle(self, vec, g, l, hg, far):
+        """The cycle vector of a non-tree edge, l > 0: vec across it, minus far."""
+        return self.sub(self.step(vec, g, l, hg), far)
+
+    def add(self, vec, other, scale=1):
+        out = dict(vec)
+        _add_into(out, other, scale, self.prime)
+        return out
+
+    def sub(self, vec, other):
+        return self.add(vec, other, -1)
+
+    def translate(self, vec, g):
+        """g acting on a vector: the edge (h, x) goes to (g*h, x)."""
+        mult = self.group.mult
+        return {(mult(g, h), x): c for (h, x), c in vec.items()}
+
+    def reduce(self, vec, rows):
+        """vec reduced until its least key is no pivot; empty iff in the span."""
+        vec, prime = dict(vec), self.prime
+        while vec:
+            pivot = min(vec)
+            row = rows.get(pivot)
+            if row is None:
+                break
+            _add_into(vec, row, -vec[pivot], prime)
+        return vec
+
+    def insert(self, vec, rows):
+        """Add vec to the span, and say whether it grew."""
+        vec, prime = self.reduce(vec, rows), self.prime
+        if not vec:
+            return False
+        pivot = min(vec)
+        scale = pow(vec[pivot], -1, prime)
+        rows[pivot] = {k: c * scale % prime for k, c in vec.items()}
+        return True
+
+
+def _add_into(vec, other, scale, prime):
+    """vec += scale * other over GF(p), in place."""
+    for k, c in other.items():
+        n = (vec.get(k, 0) + scale * c) % prime
+        if n:
+            vec[k] = n
+        else:
+            vec.pop(k, None)
+
+
+class _BitForm:
+    """GF(2) vectors as ints over one column table per certificate: bit i
+    is the coefficient of the i-th Cayley edge the certificate's walks,
+    target and translations have seen.
+
+    Adding is one XOR, and a row's pivot is its lowest set bit, so a row
+    needs no normalizing; a span maps each pivot, as a one-bit int, to its
+    row.
+    """
+
+    prime = 2
+    zero = 0
+
+    def __init__(self, group):
+        self.group = group
+        self.columns = {}  # Cayley edge -> its bit's position
+        self.keys = []  # position -> Cayley edge
+
+    def column(self, key):
+        """The one-bit vector of a Cayley edge, numbered when first seen."""
+        n = len(self.keys)
+        i = self.columns.setdefault(key, n)  # one hash per lookup
+        if i == n:
+            self.keys.append(key)
+        return 1 << i
+
+    def vector(self, items):
+        out = 0
+        for key, _ in items:
+            out ^= self.column(key)
+        return out
+
+    def step(self, vec, g, l, hg):
+        return vec ^ self.column((g, l) if l > 0 else (hg, -l))
+
+    def cycle(self, vec, g, l, hg, far):
+        return vec ^ self.column((g, l)) ^ far
+
+    def add(self, vec, other):
+        return vec ^ other
+
+    sub = add
+
+    def translate(self, vec, g):
+        mult, keys, out = self.group.mult, self.keys, 0
+        for i in _bit_positions(vec):
+            h, x = keys[i]
+            out ^= self.column((mult(g, h), x))
+        return out
+
+    def reduce(self, vec, rows):
+        while vec:
+            row = rows.get(vec & -vec)
+            if row is None:
+                break
+            vec ^= row
+        return vec
+
+    def insert(self, vec, rows):
+        vec = self.reduce(vec, rows)
+        if vec:
+            rows[vec & -vec] = vec
+        return bool(vec)
+
+
+def _bit_positions(v):
+    """The positions of the set bits of v >= 0, ascending."""
+    digits = bin(v)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
+def _form(group, prime):
+    """The vector form of walks over group, one level below a level of this
+    prime: int bitmasks at p = 2, dicts at an odd prime, none without one."""
+    if prime is None:
+        return None
+    return _BitForm(group) if prime == 2 else _DictForm(group, prime)
+
+
+def _walk(group, h, form, cap, stated=None):
     """BFS of S(H) x Cay(G) from (base, 1); CapExceeded past cap fibre points.
 
     S(H) is connected, so the component meets every vertex's fibre in as
@@ -276,7 +441,8 @@ def _walk(group, h, prime, cap, stated=None):
     of the span only grow, so once (fibre points) * p^rank exceeds a
     stated order the walk stops with _SizeRefuted.  With no stated order
     the same product is held to cap, so the rank is bounded too: past it
-    the walk raises CapExceeded.
+    the walk raises CapExceeded.  The tree and cycle vectors are in form,
+    none when form is None.
     """
     graph, base = h.graph, h.base
     darts = [[] for _ in range(graph.num_vertices)]
@@ -284,9 +450,10 @@ def _walk(group, h, prime, cap, stated=None):
         darts[graph.src(d)].append((d, graph.label(d), graph.dst(d)))
     limit = graph.num_vertices * cap
     root = (base, group.identity)
-    vectors = {root: {}}
+    vectors = {root: form.zero} if form else {}
     links = {root: None}  # vertex -> (tree parent, dart from it)
     rows = {}
+    prime = form.prime if form else None
     found, scale = 1, 1  # base fibre points so far, p^rank
 
     def grown():
@@ -309,79 +476,30 @@ def _walk(group, h, prime, cap, stated=None):
                     raise CapExceeded(f"pullback base fibre has more than {cap} elements")
                 links[w] = (u, d)
                 queue.append(w)
-                if prime is not None:
-                    vectors[w] = _step(tu, g, l, hg, prime)
+                if form:
+                    vectors[w] = form.step(tu, g, l, hg)
                 if t == base:
                     found += 1
                     grown()
-            elif prime is not None and l > 0 and links[u] != (w, d ^ 1):
+            elif form and l > 0 and links[u] != (w, d ^ 1):
                 # a non-tree edge, met once from its positive end
-                cycle = _step(tu, g, l, hg, prime)
-                _add(cycle, vectors[w], -1, prime)
-                if _insert(cycle, rows, prime):
+                if form.insert(form.cycle(tu, g, l, hg, vectors[w]), rows):
                     scale *= prime
                     grown()
-    fibre = {g: vectors.get((s, g)) if prime else None for s, g in links if s == base}
+    fibre = {g: vectors.get((s, g)) for s, g in links if s == base}
     return _Pullback(fibre, rows, prime)
 
 
-def _step(vec, g, l, hg, prime):
-    """A copy of vec after crossing the Cayley edge of letter l from g to hg."""
-    key, c = ((g, l), 1) if l > 0 else ((hg, -l), -1)
-    out = dict(vec)
-    _add(out, {key: c}, 1, prime)
-    return out
-
-
-def _add(vec, other, scale, prime):
-    """vec += scale * other over GF(p), in place."""
-    for k, c in other.items():
-        n = (vec.get(k, 0) + scale * c) % prime
-        if n:
-            vec[k] = n
-        else:
-            vec.pop(k, None)
-
-
-def _reduce(vec, rows, prime):
-    """vec reduced in place until its least key is no pivot; empty iff in the span."""
-    while vec:
-        pivot = min(vec)
-        row = rows.get(pivot)
-        if row is None:
-            return vec
-        _add(vec, row, -vec[pivot], prime)
-    return vec
-
-
-def _insert(vec, rows, prime):
-    """Add vec to the span, and say whether it grew.
-
-    Rows keep their least key as pivot, with coefficient 1.
-    """
-    if not _reduce(vec, rows, prime):
-        return False
-    pivot = min(vec)
-    scale = pow(vec[pivot], -1, prime)
-    rows[pivot] = {k: c * scale % prime for k, c in vec.items()}
-    return True
-
-
-def _translate(vec, group, g):
-    """g acting on a vector over Cayley edges: the edge (h, x) goes to (g*h, x)."""
-    return {(group.mult(g, h), x): c for (h, x), c in vec.items()}
-
-
-def _span_sum(*row_sets, prime):
+def _span_sum(form, *row_sets):
     """The sum of the spans, row-reduced."""
     rows = {}
     for row_set in row_sets:
         for row in row_set.values():
-            _insert(dict(row), rows, prime)
+            form.insert(row, rows)
     return rows
 
 
-def _product_size(walks):
+def _product_size(form, walks):
     """|A_1 A_2| = |A_1| |A_2| / |A_1 & A_2|; with one factor, |A_1|.
 
     (v, a) lies in both images when a lies in both fibres and v in both
@@ -391,20 +509,17 @@ def _product_size(walks):
     if len(walks) == 1:
         return walks[0].order
     one, two = walks
-    prime = one.prime
-    both = _span_sum(one.rows, two.rows, prime=prime)
+    both = _span_sum(form, one.rows, two.rows)
     meet = 0
     for a, t1 in one.fibre.items():
         t2 = two.fibre.get(a)
         if t2 is not None:
-            diff = dict(t1)
-            _add(diff, t2, -1, prime)
-            meet += not _reduce(diff, both, prime)
-    common = meet * prime ** (len(one.rows) + len(two.rows) - len(both))
+            meet += not form.reduce(form.sub(t1, t2), both)
+    common = meet * form.prime ** (len(one.rows) + len(two.rows) - len(both))
     return one.order * two.order // common
 
 
-def _pullback_member(group, walks, target):
+def _pullback_member(form, walks, target):
     """Does target lie in the image product?
 
     With one factor, when its G-part lies in the fibre.  With two and
@@ -424,34 +539,31 @@ def _pullback_member(group, walks, target):
     if len(walks) == 1:
         return target in walks[0].fibre
     *firsts, one, two = walks
-    prime = one.prime
+    group = form.group
     v, g = target
-    fixed = _span_sum(*(walk.rows for walk in firsts[-1:]), one.rows, prime=prime)
+    fixed = _span_sum(form, *(walk.rows for walk in firsts[-1:]), one.rows)
     for prefix in itertools.product(*(walk.fibre for walk in firsts)):
         u, gh, span = v, g, dict(fixed)
         if prefix:
-            u, h, hs = dict(v), group.identity, []
+            h, hs = group.identity, []
             for walk, a in zip(firsts, prefix):
-                _add(u, _translate(walk.fibre[a], group, h), -1, prime)
+                u = form.sub(u, form.translate(walk.fibre[a], h))
                 h = group.mult(h, a)
                 hs.append(h)
             hinv = group.inv(h)
-            u, gh = _translate(u, group, hinv), group.mult(hinv, g)
+            u, gh = form.translate(u, hinv), group.mult(hinv, g)
             for walk, hi in zip(firsts[:-1], hs):
                 shift = group.mult(hinv, hi)
                 for row in walk.rows.values():
-                    _insert(_translate(row, group, shift), span, prime)
+                    form.insert(form.translate(row, shift), span)
         for row in two.rows.values():
-            _insert(_translate(row, group, gh), span, prime)
+            form.insert(form.translate(row, gh), span)
         gi = group.inv(gh)
         for a, t1 in one.fibre.items():
             t2 = two.fibre.get(group.mult(gi, a))
             if t2 is None:
                 continue
-            diff = dict(u)
-            _add(diff, t1, -1, prime)
-            _add(diff, _translate(t2, group, gh), 1, prime)
-            if not _reduce(diff, span, prime):
+            if not form.reduce(form.add(form.sub(u, t1), form.translate(t2, gh)), span):
                 return True
     return False
 
@@ -476,8 +588,8 @@ def _decimal(n):
     return str(n) if n.bit_length() < 10_000 else f"a {n.bit_length()}-bit number"
 
 
-def _walks(cert, group, prime, cap):
-    """One pullback walk per factor over the group.
+def _walks(cert, group, form, cap):
+    """One pullback walk per factor over the group, all in one vector form.
 
     A walk that outgrows its stated image size raises _SizeRefuted with the
     verdict's message.
@@ -489,7 +601,7 @@ def _walks(cert, group, prime, cap):
     with _stage("pullback walk"):
         for i, gens in enumerate(cert.subgroups):
             try:
-                walks.append(_walk(group, stallings_graph(cert.alphabet, gens), prime,
+                walks.append(_walk(group, stallings_graph(cert.alphabet, gens), form,
                                    cap, stated[i]))
             except _SizeRefuted as exc:
                 raise _SizeRefuted(f"stated image size {i + 1} is {_decimal(stated[i])}, "
@@ -509,8 +621,9 @@ def _verify_product(cert, chain, cap):
         return True, [PARTIAL]
     top = chain.top
     group, prime = (top.below, top.prime) if chain.primes else (top, None)
+    form = _form(group, prime)
     try:
-        walks = _walks(cert, group, prime, cap)
+        walks = _walks(cert, group, form, cap)
     except _SizeRefuted as exc:
         return False, [exc.args[0]]
     orders = tuple(walk.order for walk in walks)
@@ -519,7 +632,7 @@ def _verify_product(cert, chain, cap):
         return False, [f"stated image sizes {cert.image_sizes} != ({shown})"]
     if cert.product_size is not None:
         if len(walks) <= 2:
-            actual = _product_size(walks)
+            actual = _product_size(form, walks)
         else:
             with _stage("product size"):
                 actual = _listed_product_size(top, cert.subgroups, cap)
@@ -528,12 +641,12 @@ def _verify_product(cert, chain, cap):
     if cert.status == "partial":
         return True, [PARTIAL]
     word = free_reduce(cert.word)
-    if prime is None:
+    if form is None:
         target = group.evaluate(word)
     else:
         vec, g = traversal_element(top, word)
-        target = (dict(vec), g)
-    return _membership_verdict(cert.status, _pullback_member(group, walks, target))
+        target = (form.vector(vec), g)
+    return _membership_verdict(cert.status, _pullback_member(form, walks, target))
 
 
 def verify_certificate(cert, cap=DEFAULT_CAP):
@@ -547,9 +660,9 @@ def verify_certificate(cert, cap=DEFAULT_CAP):
         if not 0 <= cert.base < group.carrier:
             return False, ["base vertex out of range"]
         for g in cert.generators:
-            if group.point_image(cert.base, free_reduce(g)) != cert.base:
+            if group.point_image(cert.base, g) != cert.base:
                 return False, [f"generator {cert.alphabet.format(g)} moves the base vertex"]
-        if group.point_image(cert.base, free_reduce(cert.word)) == cert.base:
+        if group.point_image(cert.base, cert.word) == cert.base:
             return False, ["word image fixes the base vertex; nothing is separated"]
         return True, ["base vertex fixed by all generators, moved by the word"]
     if isinstance(cert, ProductCertificate):

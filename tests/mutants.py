@@ -43,6 +43,7 @@ BITS = SEP + "TestBitStructuresAgainstDicts::"
 SEEDS = SEP + "TestSeedsFromTheProductAutomaton::"
 PINCH = SEP + "TestPinchErrors::"
 CERT = "tests/test_certificates.py::"
+VBITS = CERT + "TestBitFormAgainstDicts::"
 CYCLES = "tests/test_groups.py::TestCycleNotation::"
 EXT = "tests/test_extensions.py::"
 CLI = "tests/test_cli.py::"
@@ -85,15 +86,38 @@ MUTANTS = (
            "vectors.translate(row, hs[i])",
            (ENUM + "test_four_factor_search_one_level_up",
             ENUM + "test_four_factor_search_one_level_up_at_p3")),
-    # the verifier's pullback walks
+    # the verifier's pullback walks; the prefix sign shows at odd primes only
     Mutant("pullback-prefix-tree-sign", "certificates.py",
-           "_add(u, _translate(walk.fibre[a], group, h), -1, prime)",
-           "_add(u, _translate(walk.fibre[a], group, h), 1, prime)",
+           "u = form.sub(u, form.translate(walk.fibre[a], h))",
+           "u = form.add(u, form.translate(walk.fibre[a], h))",
            (CERT + "TestAgainstEnumeration::test_three_and_four_factors[n3p3]",
             CERT + "TestAgainstEnumeration::test_three_and_four_factors[n3p5]")),
     Mutant("pullback-prefix-kernel-by-h", "certificates.py",
            "shift = group.mult(hinv, hi)", "shift = h",
            (CERT + "TestAgainstEnumeration::test_three_and_four_factors[n4p2]",)),
+    # the verifier's GF(2) bitmask form, against the dict form and the gate
+    Mutant("pullback-gf2-cycle-drops-far-end", "certificates.py",
+           "return vec ^ self.column((g, l)) ^ far", "return vec ^ self.column((g, l))",
+           (VBITS + "test_same_verdicts_messages_and_walks[n2]",
+            VBITS + "test_same_verdicts_messages_and_walks[n3]",
+            VBITS + "test_same_verdicts_messages_and_walks[n4]",
+            CERT + "TestAgainstEnumeration::test_random_instances[2]",
+            CERT + "TestAgainstEnumeration::test_three_and_four_factors[n3p2]",
+            CERT + "TestAgainstEnumeration::test_three_and_four_factors[n4p2]",
+            GATE + "separate-1]",
+            GATE + "n3-Random(22)-cap-300]")),
+    Mutant("pullback-gf2-columns-per-walk", "certificates.py",
+           "walks.append(_walk(group, stallings_graph(cert.alphabet, gens), form,",
+           "walks.append(_walk(group, stallings_graph(cert.alphabet, gens),\n"
+           "                                   form and _form(group, form.prime),",
+           (VBITS + "test_same_verdicts_messages_and_walks[n2]",
+            VBITS + "test_same_verdicts_messages_and_walks[n3]",
+            VBITS + "test_same_verdicts_messages_and_walks[n4]",
+            CERT + "TestAgainstEnumeration::test_random_instances[2]",
+            CERT + "TestAgainstEnumeration::test_three_and_four_factors[n3p2]",
+            CERT + "TestAgainstEnumeration::test_three_and_four_factors[n4p2]",
+            GATE + "separate-1]",
+            GATE + "n3-Random(22)-cap-300]")),
     # one Cayley edge per letter
     Mutant("step-keeps-zero-coefficient", "extensions.py",
            "        if n:\n            return (vec[:i] + ((key, n),) + tail, g)",

@@ -162,6 +162,96 @@ class TestAgainstEnumeration:
             verify_certificate(cert, cap=1)
 
 
+def dict_form(group, prime):
+    """The form picker with dict vectors at every prime."""
+    return prime and certificates._DictForm(group, prime)
+
+
+def bit_edges(form, vec):
+    """The Cayley edges of the set bits of a bitmask vector."""
+    return {key for i, key in enumerate(form.keys) if vec >> i & 1}
+
+
+class TestBitFormAgainstDicts:
+    @staticmethod
+    def both_ways(monkeypatch, cert, cap):
+        """The verdict, or the CapExceeded text, with the form the prime picks
+        and with dicts forced; the two must agree."""
+        out = []
+        for picker in (certificates._form, dict_form):
+            with monkeypatch.context() as m:
+                m.setattr(certificates, "_form", picker)
+                try:
+                    out.append(verify_certificate(cert, cap=cap))
+                except CapExceeded as exc:
+                    out.append(str(exc))
+        assert out[0] == out[1], cert
+        return out[0]
+
+    @staticmethod
+    def same_walks(cert, cap):
+        """Per walk, the same fibre keys in the same order, the same span
+        dimension and order, and each tree vector on the same edges."""
+        group = ExtensionChain(cert.group, cert.primes).top.below
+        bits = certificates._form(group, 2)
+        assert isinstance(bits, certificates._BitForm)
+        dicts = certificates._DictForm(group, 2)
+        sizeless = dataclasses.replace(cert, image_sizes=None)
+        walks = [certificates._walks(sizeless, group, form, cap) for form in (bits, dicts)]
+        for b, d in zip(*walks):
+            assert list(b.fibre) == list(d.fibre)
+            assert (b.order, len(b.rows)) == (d.order, len(d.rows))
+            for a, vec in d.fibre.items():
+                assert set(vec.values()) <= {1}
+                assert bit_edges(bits, b.fibre[a]) == set(vec)
+        return tuple(walk.order for walk in walks[1])
+
+    @pytest.mark.parametrize("n, carriers, count", [(2, (2, 4), 40), (3, (2, 4), 16),
+                                                    (4, (1, 2), 8)], ids=["n2", "n3", "n4"])
+    def test_same_verdicts_messages_and_walks(self, monkeypatch, n, carriers, count):
+        # p = 2 certificates with the dict form's image orders, a product
+        # size when it is small, and a random status; each also tampered,
+        # and each verified at the cap and just below its largest image order
+        rng = random.Random(f"bits/{n}")
+        seen, decided, cap = set(), 0, 2048
+        while decided < count:
+            group = random_group(rng, carriers)
+            subgroups, word = random_product(rng, n)
+            cert = certificate(group, (2,) * (n - 1), subgroups, word,
+                               (None, None, rng.random() < 0.5))
+            try:
+                orders = self.same_walks(cert, cap)
+            except CapExceeded:
+                seen.add(self.both_ways(monkeypatch, cert, cap))
+                continue
+            decided += 1
+            sizeless = cert
+            cert = dataclasses.replace(cert, image_sizes=orders)
+            if math.prod(orders) <= cap:
+                top = ExtensionChain(group, cert.primes).top
+                if n == 2:
+                    form = dict_form(top.below, 2)
+                    size = certificates._product_size(
+                        form, certificates._walks(cert, top.below, form, cap))
+                else:
+                    size = certificates._listed_product_size(top, cert.subgroups, cap)
+                cert = dataclasses.replace(cert, product_size=size)
+            i = rng.randrange(n)
+            flipped = "excluded" if cert.status == "member" else "member"
+            variants = [cert, sizeless, dataclasses.replace(cert, status=flipped)]
+            for scale in (2, 0.5):
+                sizes = tuple(int(s * scale) if k == i else s for k, s in enumerate(orders))
+                variants.append(dataclasses.replace(cert, image_sizes=sizes))
+            if cert.product_size is not None:
+                variants.append(dataclasses.replace(cert, product_size=cert.product_size + 1))
+            for variant in variants:
+                for at in (cap, max(orders) - 1):
+                    verdict = self.both_ways(monkeypatch, variant, at)
+                    seen.add(verdict if isinstance(verdict, str) else verdict[0])
+        # accepted, rejected and cap hits all occur
+        assert {True, False} <= seen and any(isinstance(v, str) for v in seen)
+
+
 # image orders 24, 84 and 80 at the second extension level: listing the
 # images at the top and meeting in the middle passed 1.2 GB below the
 # default cap

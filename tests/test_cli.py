@@ -1,3 +1,4 @@
+import dataclasses
 import tempfile
 from functools import cache
 from pathlib import Path
@@ -184,6 +185,21 @@ class TestCertificates:
         mutated = text.replace("word: y", "word: x")
         ok, _ = verify_certificate(parse_certificate(mutated))
         assert not ok
+
+    def test_hall_cancelling_pairs_keep_the_verdict(self):
+        # a permutation sends a point where the word's free reduction does,
+        # so a read word needs no reduction: accepted and rejected alike
+        accepted = hall_separator(A, [A.parse("xyXY"), A.parse("yy")], A.parse("xyX"))
+        rejected = dataclasses.replace(hall_separator(A, [A.parse("x")], A.parse("y")),
+                                       word=A.parse("xx"))
+        for cert, verdict in [
+                (accepted, (True, ["base vertex fixed by all generators, moved by the word"])),
+                (rejected, (False, ["word image fixes the base vertex; nothing is separated"]))]:
+            assert verify_certificate(cert) == verdict
+            padded = dataclasses.replace(
+                cert, generators=tuple((1, -1) + g + (2, -2) for g in cert.generators),
+                word=cert.word[:1] + (-2, 2) + cert.word[1:])
+            assert verify_certificate(parse_certificate(emit_certificate(padded))) == verdict
 
     def test_tampered_image_sizes_rejected(self):
         wit = product_separator(A, [[A.parse("xx")], [A.parse("yy")]], A.parse("xy"))
