@@ -11,7 +11,9 @@ graphs S(H_i) x Cay(G), G the chain level one below the top (the
 permutation group the certificate states, for one or two factors): one
 walk per factor yields the image one level down, the tree vectors over
 it and the span of the cycle vectors, from which image orders, a
-two-factor product size and membership follow by GF(p) elimination.  No
+two-factor product size and membership follow by GF(p) elimination.  The
+word's image is stepped one level down through the same vector forms
+(``_word_image``), so the verifier states the crossing rule once.  No
 image at the top is enumerated; the cap bounds the base fibre of each
 walk, and also the image order when the certificate states no image
 sizes.  Only a stated product size of three or more factors is checked
@@ -34,7 +36,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import CapExceeded
-from .extensions import ExtensionChain, traversal_element
+from .extensions import ExtensionChain
 from .groups import DEFAULT_CAP, XGroup, closure, fmt_perm, parse_perm
 from .problems import (
     ProblemParseError,
@@ -278,7 +280,8 @@ class _SizeRefuted(Exception):
 # -- the two vector forms -------------------------------------------------------
 #
 # A vector over the Cayley edges (h, x) of G, x a positive letter, is held in
-# one of two forms with the same methods.  Every method returns a new vector
+# one of two forms with the same methods; ``step``, the crossing rule, is read
+# by the walks and the word's image alike.  Every method returns a new vector
 # and leaves its arguments as they are; ``insert`` adds to a span in place.
 
 
@@ -293,17 +296,10 @@ class _DictForm:
     def __init__(self, group, prime):
         self.group, self.prime = group, prime
 
-    def vector(self, items):
-        return dict(items)
-
     def step(self, vec, g, l, hg):
         """vec after crossing the Cayley edge of letter l from g to hg."""
         key, c = ((g, l), 1) if l > 0 else ((hg, -l), -1)
         return self.add(vec, {key: c})
-
-    def cycle(self, vec, g, l, hg, far):
-        """The cycle vector of a non-tree edge, l > 0: vec across it, minus far."""
-        return self.sub(self.step(vec, g, l, hg), far)
 
     def add(self, vec, other, scale=1):
         out = dict(vec)
@@ -376,17 +372,8 @@ class _BitForm:
             self.keys.append(key)
         return 1 << i
 
-    def vector(self, items):
-        out = 0
-        for key, _ in items:
-            out ^= self.column(key)
-        return out
-
     def step(self, vec, g, l, hg):
         return vec ^ self.column((g, l) if l > 0 else (hg, -l))
-
-    def cycle(self, vec, g, l, hg, far):
-        return vec ^ self.column((g, l)) ^ far
 
     def add(self, vec, other):
         return vec ^ other
@@ -482,12 +469,23 @@ def _walk(group, h, form, cap, stated=None):
                     found += 1
                     grown()
             elif form and l > 0 and links[u] != (w, d ^ 1):
-                # a non-tree edge, met once from its positive end
-                if form.insert(form.cycle(tu, g, l, hg, vectors[w]), rows):
+                # a non-tree edge, met once from its positive end: its cycle
+                # vector is tu across it, minus the far end's tree vector
+                if form.insert(form.sub(form.step(tu, g, l, hg), vectors[w]), rows):
                     scale *= prime
                     grown()
     fibre = {g: vectors.get((s, g)) for s, g in links if s == base}
     return _Pullback(fibre, rows, prime)
+
+
+def _word_image(group, form, word):
+    """The word's image one level up: (its Cayley-edge vector in form, its
+    value in group), stepped one letter at a time from (0, identity)."""
+    vec, g = form.zero, group.identity
+    for l in word:
+        hg = group.step(g, l)
+        vec, g = form.step(vec, g, l, hg), hg
+    return vec, g
 
 
 def _span_sum(form, *row_sets):
@@ -641,11 +639,7 @@ def _verify_product(cert, chain, cap):
     if cert.status == "partial":
         return True, [PARTIAL]
     word = free_reduce(cert.word)
-    if form is None:
-        target = group.evaluate(word)
-    else:
-        vec, g = traversal_element(top, word)
-        target = (form.vector(vec), g)
+    target = group.evaluate(word) if form is None else _word_image(group, form, word)
     return _membership_verdict(cert.status, _pullback_member(form, walks, target))
 
 

@@ -626,8 +626,6 @@ def factorize(alphabet, subgroups, word, seeds=None, primes=None,
     in F, so the seed check is the top pinch call's premise, read off the
     items' walk (``_walk``); the walk is handed to the pinch.
     """
-    if stats is None:
-        stats = FactorizeStats()
     n = len(subgroups)
     ctx = _build_context(alphabet, subgroups, word, primes)
     w = ctx.word
@@ -659,7 +657,11 @@ def factorize(alphabet, subgroups, word, seeds=None, primes=None,
     walk = _walk(ctx.chain, items)
     if given and walk[1] is not None:
         raise ValueError("seed product does not match the word in the quotient")
-    out = _pinch(ctx.chain, items, stats, walk)
+    out = _pinch(ctx.chain, items, walk)
+    if stats is not None:
+        # a pinch on m paths makes m - 1 spines and m - 2 cuts, whatever it cuts
+        stats.cuts += n - 2
+        stats.spines += n - 1
     factors = tuple(free_reduce(p.label()) for p in out[:-1])
     factors += (free_reduce(out[-1].label() + w),)
     _check_factorization(ctx, factors)
@@ -772,7 +774,7 @@ def _walk(chain, items):
     return etas, None
 
 
-def _pinch(chain, items, stats, walk=None):
+def _pinch(chain, items, walk=None):
     """The recursive core: same endpoints, labels now multiplying to 1 in F.
 
     items are reduced paths, one per immersion, whose labels multiply to
@@ -798,7 +800,6 @@ def _pinch(chain, items, stats, walk=None):
             spine = common_spine(etas[0], etas[1], mid.identity, etas[0].end)
             if spine is None:
                 raise InternalInvariantError("no common spine despite the premise")
-            stats.spines += 1
             gamma1 = project_path(spine, etas[0], items[0])
             beta2 = project_path(spine, etas[1].reversed(), items[1].reversed())
             out = [gamma1, beta2.reversed()]
@@ -812,7 +813,6 @@ def _pinch(chain, items, stats, walk=None):
             if j is None:
                 raise InternalInvariantError("no middle path meets the identity component")
             g = min(omega.keys() & etas[j].vertices)
-            stats.cuts += 1
             eta = _path_to(mid, omega, g)
             zeta = etas[j].prefix(etas[j].vertices.index(g))
             delta_j1 = project_path(zeta, etas[j], items[j])
@@ -821,8 +821,8 @@ def _pinch(chain, items, stats, walk=None):
             delta_first = reduce_path(beta_first.reversed().concat(items[0]))
             delta_j2 = reduce_path(delta_j1.reversed().concat(items[j]))
             delta_last = reduce_path(items[-1].concat(beta_last))
-            out_a = _pinch(chain, [delta_first] + items[1:j] + [delta_j1], stats)
-            out_b = _pinch(chain, [delta_j2] + items[j + 1:-1] + [delta_last], stats)
+            out_a = _pinch(chain, [delta_first] + items[1:j] + [delta_j1])
+            out_b = _pinch(chain, [delta_j2] + items[j + 1:-1] + [delta_last])
             gamma_first = reduce_path(beta_first.concat(out_a[0]))
             gamma_j = reduce_path(out_a[-1].concat(out_b[0]))
             gamma_last = reduce_path(out_b[-1].concat(beta_last.reversed()))

@@ -45,13 +45,6 @@ class Alphabet:
     def positive_letters(self):
         return tuple(range(1, len(self.symbols) + 1))
 
-    def letter(self, char):
-        """Letter for one text character (case encodes the sign)."""
-        try:
-            return self._letter[char]
-        except KeyError:
-            raise ValueError(f"unknown generator symbol {char!r}") from None
-
     def parse(self, text):
         """Parse a word from its text encoding ('1' is the empty word)."""
         text = text.strip()

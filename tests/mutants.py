@@ -95,17 +95,29 @@ MUTANTS = (
     Mutant("pullback-prefix-kernel-by-h", "certificates.py",
            "shift = group.mult(hinv, hi)", "shift = h",
            (CERT + "TestAgainstEnumeration::test_three_and_four_factors[n4p2]",)),
-    # the verifier's GF(2) bitmask form, against the dict form and the gate
-    Mutant("pullback-gf2-cycle-drops-far-end", "certificates.py",
-           "return vec ^ self.column((g, l)) ^ far", "return vec ^ self.column((g, l))",
-           (VBITS + "test_same_verdicts_messages_and_walks[n2]",
-            VBITS + "test_same_verdicts_messages_and_walks[n3]",
-            VBITS + "test_same_verdicts_messages_and_walks[n4]",
-            CERT + "TestAgainstEnumeration::test_random_instances[2]",
+    # a cycle vector in either form, against enumeration and the gate
+    Mutant("pullback-cycle-drops-far-end", "certificates.py",
+           "form.sub(form.step(tu, g, l, hg), vectors[w])", "form.step(tu, g, l, hg)",
+           (CERT + "TestAgainstEnumeration::test_random_instances[2]",
+            CERT + "TestAgainstEnumeration::test_random_instances[3]",
+            CERT + "TestAgainstEnumeration::test_random_instances[5]",
             CERT + "TestAgainstEnumeration::test_three_and_four_factors[n3p2]",
+            CERT + "TestAgainstEnumeration::test_three_and_four_factors[n3p3]",
+            CERT + "TestAgainstEnumeration::test_three_and_four_factors[n3p5]",
             CERT + "TestAgainstEnumeration::test_three_and_four_factors[n4p2]",
             GATE + "separate-1]",
-            GATE + "n3-Random(22)-cap-300]")),
+            GATE + "n3-Random(22)-cap-300]",
+            GATE + "n2-p3-Random(13)-cap-16384]",
+            GATE + "n3-p3-Random(23)-cap-4096]")),
+    # the word's image, stepped one level down, against the traversal identity
+    Mutant("word-image-steps-from-far-end", "certificates.py",
+           "vec, g = form.step(vec, g, l, hg), hg", "vec, g = form.step(vec, hg, l, hg), hg",
+           tuple(CERT + f"TestWordImage::test_matches_the_traversal_identity[{g}-{p}]"
+                 for g in ("klein", "s3") for p in (2, 3, 5))
+           + tuple(CERT + f"TestAgainstEnumeration::test_random_instances[{p}]"
+                   for p in (2, 3, 5))
+           + (GATE + "separate-1]",)),
+    # the verifier's GF(2) bitmask form, against the dict form and the gate
     Mutant("pullback-gf2-columns-per-walk", "certificates.py",
            "walks.append(_walk(group, stallings_graph(cert.alphabet, gens), form,",
            "walks.append(_walk(group, stallings_graph(cert.alphabet, gens),\n"

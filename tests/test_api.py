@@ -1,3 +1,4 @@
+import ast
 import pathlib
 import re
 
@@ -77,3 +78,22 @@ A = Alphabet("xy")
 def test_bad_arguments_raise_value_error(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def test_the_verifier_reads_only_primitives_from_the_package():
+    # certificates re-checks claims with words, graphs and groups; from the
+    # chain it takes only the tower of levels, whose constructor checks the
+    # primes, and from the Stallings layer only the folding and membership
+    tree = ast.parse((ROOT / "src" / "prodsep" / "certificates.py").read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.setdefault(module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update({a.name: set() for a in node.names})
+    assert ".errors" in imported  # the walk sees the relative imports
+    assert not {m for m in imported
+                if m.split(".")[-1] in ("separators", "covers", "rational")}
+    assert imported[".extensions"] == {"ExtensionChain"}
+    assert imported[".stallings"] == {"contains", "stallings_graph"}

@@ -26,7 +26,7 @@ from prodsep.certificates import (
 )
 from prodsep.cli import main
 from prodsep.errors import CapExceeded
-from prodsep.extensions import ExtensionChain, ExtensionLevel
+from prodsep.extensions import ExtensionChain, ExtensionLevel, traversal_element
 from prodsep.groups import XGroup
 from prodsep.rational import member_product
 from prodsep.separators import image_subgroup_order
@@ -250,6 +250,35 @@ class TestBitFormAgainstDicts:
                     seen.add(verdict if isinstance(verdict, str) else verdict[0])
         # accepted, rejected and cap hits all occur
         assert {True, False} <= seen and any(isinstance(v, str) for v in seen)
+
+
+KLEIN = XGroup(A, [(1, 0, 2, 3), (0, 1, 3, 2)])
+S3 = XGroup(A, [(1, 0, 2), (1, 2, 0)])
+
+
+class TestWordImage:
+    @pytest.mark.parametrize("prime", [2, 3, 5])
+    @pytest.mark.parametrize("group", [KLEIN, S3], ids=["klein", "s3"])
+    def test_matches_the_traversal_identity(self, group, prime):
+        # the verifier steps the word one level down through its own forms;
+        # the construction's traversal_element is the reference, at levels
+        # one and two, in every form the prime allows
+        rng = random.Random(f"image/{group.order()}/{prime}")
+        chain = ExtensionChain(group, (prime, prime))
+        for level in chain.levels[1:]:
+            below = level.below
+            forms = [certificates._DictForm(below, prime)]
+            if prime == 2:
+                forms.append(certificates._form(below, 2))
+            words = [random_word(rng, 0, 12) for _ in range(200)]
+            assert max(map(len, words)) > 8
+            for form in forms:
+                for word in words:
+                    vec, g = certificates._word_image(below, form, word)
+                    if isinstance(form, certificates._BitForm):
+                        vec = {key: 1 for key in bit_edges(form, vec)}
+                    assert (tuple(sorted(vec.items())), g) == \
+                        traversal_element(level, word), word
 
 
 # image orders 24, 84 and 80 at the second extension level: listing the

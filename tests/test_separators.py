@@ -685,7 +685,7 @@ class TestPinchErrors:
             assert [eta.word for eta in etas] == labels
             if not holds:
                 with pytest.raises(InternalInvariantError, match=fault):
-                    separators._pinch(chain, items, FactorizeStats())
+                    separators._pinch(chain, items)
             seen.add((closes, holds))
         assert seen == {(False, False), (True, False), (True, True)}
 

@@ -31,8 +31,6 @@ def test_only_the_symbols_and_their_ascii_capitals_are_letters():
     for text in ["\u212ax", "x\u212a"]:
         with pytest.raises(ValueError, match="unknown generator symbol '\u212a'"):
             B.parse(text)
-    with pytest.raises(ValueError, match="unknown generator symbol"):
-        B.letter("\u212a")
 
 
 @hypothesis.given(words)
