@@ -194,6 +194,9 @@ def parse_certificate(text):
         subgroups = subgroup_rows()
         if not subgroups:
             raise ProblemParseError(None, "missing field 'subgroup H1'")
+        if len(subgroups) > 1:
+            raise ProblemParseError(fields["subgroup H2"][0],
+                                    "a hall certificate states one subgroup, 'subgroup H1'")
         carrier = one("carrier", parse_carrier)
         return HallCertificate(alphabet, subgroups[0], word, carrier,
                                one("base", parse_int), perm_rows(carrier))

@@ -429,13 +429,15 @@ def _fibre_search(level, structures, target):
     (sum h_i·(l_i(α_i) + k_i), h_{n+1}); α_i fixes K_i, so
     h_i·K_i = h_{i+1}·K_i and h_n·K_n = g·K_n.  For each prefix
     (α_1, ..., α_{n-2}) of lifts one level down, with h = h_{n-1}, the span
-    sum_{i<n-1} h⁻¹h_{i+1}·K_i + K_{n-1} + h⁻¹g·K_n is eliminated once:
+    S = sum_{i<n-1} h⁻¹h_{i+1}·K_i + K_{n-1} + h⁻¹g·K_n is eliminated once:
     the last two factors are then the two-factor case for the target
-    translated by h⁻¹, and the smaller of their fibres is walked, one
-    reduction per element.  The target is in the product exactly when one
-    residue reduces to zero.  Nothing at this level is enumerated.  The
-    rows of K_{n-2} and K_{n-1} are the same for every prefix; with two
-    factors the prefix is empty and only g·K_n is translated.
+    translated by h⁻¹, (v', g').  The fibre of A_{n-1} is walked, g'
+    inverted once: the target is in the product exactly when some
+    residue l_{n-1}(α) − v' − g'·l_n(g'⁻¹α) reduces to zero modulo S.
+    With β = α⁻¹g', that is v' − l_{n-1}(α) − α·l_n(β) negated, as
+    l_n(β) + β·l_n(β⁻¹) lies in K_n and α·K_n = g'·K_n.  Nothing here is
+    enumerated.  Every prefix shares the rows of K_{n-2} and K_{n-1}; with
+    two factors the prefix is empty and only g·K_n is translated.
     """
     if len(structures) == 1:
         return target in structures[0]
@@ -460,15 +462,12 @@ def _fibre_search(level, structures, target):
                                      for i, st in enumerate(firsts[:-1])
                                      for row in st.basis.values()])
         _extend(vectors, basis, [vectors.translate(row, gh) for row in two.basis.values()])
-        if len(one.lifts) <= len(two.lifts):
-            pairs = ((al, below.mult(below.inv(al), gh)) for al in one.lifts)
-        else:
-            pairs = ((below.mult(gh, below.inv(be)), be) for be in two.lifts)
-        for al, be in pairs:
-            la, lb = one.lifts.get(al), two.lifts.get(be)
-            if la is None or lb is None:
+        gi = below.inv(gh)
+        for al, la in one.lifts.items():
+            lb = two.lifts.get(below.mult(gi, al))
+            if lb is None:
                 continue
-            if not vectors.reduce(vectors.sub(vectors.sub(u, la), vectors.translate(lb, al)),
+            if not vectors.reduce(vectors.sub(vectors.sub(la, u), vectors.translate(lb, gh)),
                                   basis):
                 return True
     return False
@@ -478,7 +477,8 @@ def _fibre_product_size(structures):
     """|A| with one image; |A B| = |A| |B| / |A & B| with two.
 
     (v, α) lies in both images when α lies in both fibres and la(α) − lb(α)
-    in K_A + K_B; then it does for p^dim(K_A & K_B) vectors v.
+    in K_A + K_B; then it does for p^dim(K_A & K_B) vectors v.  The fibre
+    of A is walked and each point looked up in B's.
     """
     if len(structures) == 1:
         return structures[0].order
@@ -486,10 +486,9 @@ def _fibre_product_size(structures):
     vectors = one.vectors
     basis = dict(one.basis)
     _extend(vectors, basis, two.basis.values())
-    small, large = sorted(structures, key=lambda st: len(st.lifts))
     meet = 0
-    for al, la in small.lifts.items():
-        lb = large.lifts.get(al)
+    for al, la in one.lifts.items():
+        lb = two.lifts.get(al)
         if lb is not None:
             meet += not vectors.reduce(vectors.sub(la, lb), basis)
     common = meet * vectors.prime ** (len(one.basis) + len(two.basis) - len(basis))

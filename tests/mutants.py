@@ -81,6 +81,21 @@ MUTANTS = (
             ENUM + "test_four_factor_search_one_level_up_at_p3",
             GATE + "separate-1]",
             GATE + "n2-p3-Random(13)-cap-16384]")),
+    # the one-fibre walk: the partner's lookup and the last lift's translate
+    Mutant("fibre-lookup-right-inverse", "separators.py",
+           "below.mult(gi, al)", "below.mult(al, gi)",
+           (ENUM + "test_two_factor_exclusion_and_size[2]",
+            ENUM + "test_two_factor_exclusion_and_size[3]",
+            ENUM + "test_two_factor_exclusion_and_size[5]",
+            ENUM + "test_prefix_search_against_enumeration[n3p3]",
+            GATE + "separate-1]")),
+    Mutant("fibre-last-lift-by-point", "separators.py",
+           "vectors.translate(lb, gh))", "vectors.translate(lb, al))",
+           (ENUM + "test_two_factor_exclusion_and_size[2]",
+            ENUM + "test_two_factor_exclusion_and_size[3]",
+            ENUM + "test_two_factor_exclusion_and_size[5]",
+            ENUM + "test_prefix_search_against_enumeration[n3p3]",
+            GATE + "separate-1]")),
     Mutant("fibre-prefix-kernel-by-first-lift", "separators.py",
            "vectors.translate(row, below.mult(hinv, hs[i]))",
            "vectors.translate(row, hs[i])",

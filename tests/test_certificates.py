@@ -4,14 +4,12 @@ The oracle is `tests.helpers.enumerated_claims`, which lists every image
 at the top and meets in the middle.
 """
 
-import ast
 import dataclasses
 import inspect
 import math
 import random
 import time
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -507,16 +505,3 @@ class TestIndependence:
         assert kinds == [(2, "excluded", 4), (2, "member", 8), (1, "excluded", 2),
                          (1, "member", 2), (2, "excluded", 768), (3, "member", None),
                          (3, "excluded", None), (3, "excluded", 344)]
-
-    def test_the_verifier_imports_nothing_from_the_construction(self):
-        # the verifier's route is its own: no import of separators, in any form
-        tree = ast.parse(Path(certificates.__file__).read_text())
-        sources = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                module = "." * node.level + (node.module or "")
-                sources |= {module} | {f"{module}.{a.name}" for a in node.names}
-            elif isinstance(node, ast.Import):
-                sources |= {a.name for a in node.names}
-        assert ".errors" in sources  # the walk sees the relative imports
-        assert not {s for s in sources if s.split(".")[-1] == "separators"}

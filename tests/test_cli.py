@@ -424,6 +424,22 @@ class TestCliCommands:
         assert main(["verify", str(cert)]) == 3
         assert "subgroup" in capsys.readouterr().err
 
+    def test_verify_hall_with_a_second_subgroup_is_input_error(self, tmp_path, capsys):
+        # the parser kept H1 and dropped H2, so a certificate whose H2 moves
+        # the base was verified
+        problem, cert = tmp_path / "hall.txt", tmp_path / "hall.cert"
+        problem.write_text("alphabet: xy\nH: xx\nword: xy\n")
+        assert main(["separate", "hall", str(problem), "--out", str(cert)]) == 0
+        lines = cert.read_text().splitlines(keepends=True)
+        line_no = next(i for i, l in enumerate(lines) if l.startswith("subgroup H1:")) + 2
+        lines.insert(line_no - 1, "subgroup H2: y\n")
+        cert.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["verify", str(cert)]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: line {line_no}: a hall certificate states one subgroup, "
+                "'subgroup H1'\n")
+
     def test_verify_repeated_key_is_input_error(self, tmp_path, capsys):
         hall = emit_certificate(hall_separator(A, [A.parse("x")], A.parse("y")))
         excluded = emit_certificate(

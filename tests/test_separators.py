@@ -1137,15 +1137,17 @@ class TestProductAgainstEnumeration:
 
     @staticmethod
     def against_enumeration(rng, n, count, cap, max_len, prime=2, members=False):
-        """Decided and sized counts, and the (excluded, end factor first) pairs.
+        """Decided and sized counts, the (excluded, end factor first) pairs,
+        and which end fibre was at least 4 times the other ("first", "last").
 
-        Every image is listed and multiplied by the verifier's code
-        (``certificates``).  With three or more factors, unseeded
-        ``factorize`` must find every member, and its factorization verify.
-        With members, every other word is a product of subgroup words.
+        A fibre is an image's projection one level down.  Every image is
+        listed and multiplied by the verifier's code (``certificates``).
+        With three or more factors, unseeded ``factorize`` must find every
+        member, and its factorization verify.  With members, every other
+        word is a product of subgroup words.
         """
         decided = sized = 0
-        seen, sized_firsts = set(), set()
+        seen, sized_firsts, skews = set(), set(), set()
         for _ in range(count):
             subgroups = [random_gens(rng, max_gens=2, max_len=max_len) for _ in range(n)]
             w = random_reduced(rng, 0, 6)
@@ -1164,20 +1166,27 @@ class TestProductAgainstEnumeration:
                 assert cert is not None and verify_certificate(cert)[0]
             decided += 1
             seen.add((wit.excluded, len(images[0]) > len(images[-1])))
+            if n >= 2:
+                first, last = ({b for _, b in img} for img in (images[0], images[-1]))
+                skews |= {"first"} if len(first) >= 4 * len(last) else set()
+                skews |= {"last"} if len(last) >= 4 * len(first) else set()
             if wit.product_size is not None:
                 assert wit.product_size == len(_product(top, images, 10 ** 6))
                 sized += 1
                 sized_firsts.add(len(images[0]) > len(images[-1]))
-        return decided, sized, seen, sized_firsts
+        return decided, sized, seen, sized_firsts, skews
 
     @pytest.mark.parametrize("prime", [2, 3, 5])
     def test_two_factor_exclusion_and_size(self, prime):
         # at p = 2 a sign slip in the fibre test cancels; 3 and 5 expose it
-        decided, sized, seen, _ = self.against_enumeration(random.Random(311), 2, 120,
-                                                           4096, 4, prime)
+        decided, sized, seen, _, skews = self.against_enumeration(random.Random(311), 2, 120,
+                                                                  4096, 4, prime)
         assert decided >= 80 and sized >= 60
         # members and non-members, with the larger image first and second
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
+        # the search walks the first fibre: also where it is at least 4 times
+        # the last and at most a quarter of it (p = 5 draws only the latter)
+        assert skews >= ({"first", "last"} if prime < 5 else {"last"})
 
     @pytest.mark.parametrize("prime", [3, 5])
     def test_unseeded_two_factor_factorizations_verify(self, prime):
@@ -1199,7 +1208,7 @@ class TestProductAgainstEnumeration:
                                                      min_decided, min_sized):
         # the membership test t in A (n = 1) and the search over prefixes
         # (n = 3)
-        decided, sized, seen, sized_firsts = self.against_enumeration(
+        decided, sized, seen, sized_firsts, _ = self.against_enumeration(
             random.Random(330 + n), n, count, cap, 3)
         assert decided >= min_decided and sized >= min_sized
         # members and non-members; for n >= 3 the end factor first and last,
@@ -1215,7 +1224,7 @@ class TestProductAgainstEnumeration:
     def test_prefix_search_against_enumeration(self, n, prime, cap, max_len, min_decided):
         # at p = 2 a sign slip in the search cancels; 3 and 5 expose it.  With
         # four factors the prefix is a pair and the first kernel is translated
-        decided, _, seen, _ = self.against_enumeration(
+        decided, _, seen, _, _ = self.against_enumeration(
             random.Random(330 + n + 10 * prime), n, 40 if n == 4 else 60, cap, max_len,
             prime, members=True)
         assert decided >= min_decided
