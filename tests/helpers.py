@@ -6,13 +6,15 @@ enumeration oracle for product certificate claims, the image walk that
 meets every edge from both ends (the dict oracle) and the check that a
 GF(2) bit structure holds its image, a time limit for code that could
 loop, the component search of the edges two Cayley paths share (the oracle
-for the pinch's closure-based component), and a common spine that doubles
-back, to fault the pinch."""
+for the pinch's closure-based component), a common spine that doubles
+back, to fault the pinch, and the import table of a module's source."""
 
+import ast
 import math
 import signal
 from collections import deque
 from contextlib import contextmanager
+from pathlib import Path
 
 from prodsep import separators
 from prodsep.errors import CapExceeded
@@ -421,3 +423,17 @@ def spine_doubling_back(monkeypatch):
         return separators.trace_cayley(spine.level, spine.start, spine.word + (1, -1))
 
     monkeypatch.setattr(separators, "common_spine", doubled)
+
+
+def source_imports(module):
+    """Map each module that `module`'s source imports from (relative ones
+    with their leading dots) to the names it takes; a plain `import m`
+    maps m to no names."""
+    imported = {}
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            imported.setdefault(source, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update({a.name: set() for a in node.names})
+    return imported

