@@ -28,7 +28,6 @@ from .extensions import (
 )
 from .rational import cancellation_closure, member_product, product_automaton
 from .separators import (
-    common_spine,
     factorize,
     hall_separator,
     product_separator,
@@ -48,5 +47,5 @@ __all__ = [
     "signed_traversals", "traversal_element",
     "product_automaton", "cancellation_closure", "member_product",
     "hall_separator", "product_separator", "factorize",
-    "project_path", "common_spine",
+    "project_path",
 ]

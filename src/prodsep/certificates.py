@@ -153,9 +153,11 @@ def parse_certificate(text):
                                 "certificate files start with 'certificate: <kind>'")
     kind = rows[0][2]
     fields = {key: (line_no, value) for line_no, key, value in rows[1:]}
+    read = set()
 
     def one(key, parse=str, required=True):
         """The field's value through parse; errors name its line."""
+        read.add(key)
         if key not in fields:
             if required:
                 raise ProblemParseError(None, f"missing field {key!r}")
@@ -198,9 +200,9 @@ def parse_certificate(text):
             raise ProblemParseError(fields["subgroup H2"][0],
                                     "a hall certificate states one subgroup, 'subgroup H1'")
         carrier = one("carrier", parse_carrier)
-        return HallCertificate(alphabet, subgroups[0], word, carrier,
+        cert = HallCertificate(alphabet, subgroups[0], word, carrier,
                                one("base", parse_int), perm_rows(carrier))
-    if kind == "product-separator":
+    elif kind == "product-separator":
         carrier = one("carrier", parse_carrier)
         primes = one("primes", parse_integers)
 
@@ -210,15 +212,19 @@ def parse_certificate(text):
             return value
 
         sizes = indexed("image size ", parse_int)
-        return ProductCertificate(
+        cert = ProductCertificate(
             alphabet, subgroup_rows(), word, primes, carrier, perm_rows(carrier),
             one("status", status), sizes or None,
             one("product size", parse_int, required=False))
-    if kind == "factorization":
-        subgroups = subgroup_rows()
-        return FactorizationCertificate(alphabet, subgroups, word,
+    elif kind == "factorization":
+        cert = FactorizationCertificate(alphabet, subgroup_rows(), word,
                                         indexed("factor ", alphabet.parse))
-    raise ProblemParseError(rows[0][0], f"unknown certificate kind {kind!r}")
+    else:
+        raise ProblemParseError(rows[0][0], f"unknown certificate kind {kind!r}")
+    for key in fields:
+        if key not in read:
+            raise ProblemParseError(fields[key][0], f"{key}: not a field of a {kind} certificate")
+    return cert
 
 
 @contextmanager

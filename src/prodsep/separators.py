@@ -35,7 +35,7 @@ from .certificates import FactorizationCertificate, HallCertificate, ProductCert
 from .covers import _cover_perms
 from .errors import CapExceeded, InternalInvariantError, WordInSubgroup
 from .extensions import ExtensionChain
-from .graphs import reduce_path
+from .graphs import Path, reduce_path
 from .groups import DEFAULT_CAP, XGroup, _diagonal, closure
 from .rational import _saturate, product_automaton
 from .stallings import _attach, _read_graph, contains
@@ -75,9 +75,6 @@ class CayleyPath:
         return CayleyPath(self.level, self.end, invert(self.word),
                           tuple(reversed(self.vertices)))
 
-    def prefix(self, k):
-        return CayleyPath(self.level, self.start, self.word[:k], self.vertices[:k + 1])
-
 
 def trace_cayley(level, start, word):
     vertices = [start]
@@ -115,21 +112,7 @@ def _path_to(level, back, end):
     return CayleyPath(level, verts[-1], tuple(reversed(word)), tuple(reversed(verts)))
 
 
-# -- common spine and projection ---------------------------------------------
-
-
-def common_spine(eta1, eta2, start, end):
-    """A reduced path from start to end inside the edges both paths cross,
-    or None.
-
-    When the paths agree in the p-elementary extension one level up (the
-    premise of ``_pinch``), the counting argument guarantees a spine, so
-    ``_pinch`` treats None as a broken invariant.
-    """
-    omega = _component(eta1, eta2, start)
-    if end not in omega:
-        return None
-    return _path_to(eta1.level, omega, end)
+# -- projection ---------------------------------------------------------------
 
 
 def project_path(eta, eta_prime, gamma_prime):
@@ -778,13 +761,16 @@ def _pinch(chain, items, walk=None):
 
     items are reduced paths, one per immersion, whose labels multiply to
     the identity at chain level m-1.  Works in the Cayley graph of level
-    m-2: find the spine (m = 2) or cut at a vertex of the identity
-    component shared with a middle path and recurse (m >= 3); the cut is
-    reached by the component's path from the identity.  Each label is
-    walked once (``_walk``, or the caller's walk): the premise is read off
-    it, and its Cayley paths carry the edges that the spine, the cut and
-    every projection read.  A failed projection or reduction here is a
-    broken invariant, never bad input.
+    m-2, in the component of the identity in the edges the first and last
+    paths both cross.  The cut vertex is where two paths meet, or for more
+    the least vertex of the first middle path that the component reaches;
+    the premise's counting argument puts it in the component.  The
+    component's path to the cut is projected into the first and last
+    immersions, a middle path is split at the cut, and each side recurses
+    (m >= 3).  Each label is walked once (``_walk``, or the caller's walk):
+    the premise is read off it, and its Cayley paths carry the edges that
+    the component and every projection read.  A failed projection or
+    reduction here is a broken invariant, never bad input.
     """
     m = len(items)
     if m < 2:
@@ -793,32 +779,29 @@ def _pinch(chain, items, walk=None):
     if fault is not None:
         raise InternalInvariantError(fault)
     mid = chain.levels[m - 2]
+    omega = _component(etas[0], etas[-1], mid.identity)
+    if m == 2:
+        g = etas[0].end
+        if g not in omega:
+            raise InternalInvariantError("no common spine despite the premise")
+    else:
+        j = next((c for c in range(1, m - 1) if omega.keys() & etas[c].vertices), None)
+        if j is None:
+            raise InternalInvariantError("no middle path meets the identity component")
+        g = min(omega.keys() & etas[j].vertices)
+    eta = _path_to(mid, omega, g)
 
     try:
+        beta_first = project_path(eta, etas[0], items[0])
+        beta_last = project_path(eta, etas[-1].reversed(), items[-1].reversed())
         if m == 2:
-            spine = common_spine(etas[0], etas[1], mid.identity, etas[0].end)
-            if spine is None:
-                raise InternalInvariantError("no common spine despite the premise")
-            gamma1 = project_path(spine, etas[0], items[0])
-            beta2 = project_path(spine, etas[1].reversed(), items[1].reversed())
-            out = [gamma1, beta2.reversed()]
+            out = [beta_first, beta_last.reversed()]
         else:
-            omega = _component(etas[0], etas[-1], mid.identity)
-            j = None
-            for cand in range(1, m - 1):
-                if omega.keys() & etas[cand].vertices:
-                    j = cand
-                    break
-            if j is None:
-                raise InternalInvariantError("no middle path meets the identity component")
-            g = min(omega.keys() & etas[j].vertices)
-            eta = _path_to(mid, omega, g)
-            zeta = etas[j].prefix(etas[j].vertices.index(g))
-            delta_j1 = project_path(zeta, etas[j], items[j])
-            beta_first = project_path(eta, etas[0], items[0])
-            beta_last = project_path(eta, etas[-1].reversed(), items[-1].reversed())
+            # items[j] reads etas[j]'s label, so its first k darts reach the cut
+            k, darts = etas[j].vertices.index(g), items[j].darts
+            delta_j1 = Path(items[j].graph, items[j].start, darts[:k])
+            delta_j2 = Path(items[j].graph, delta_j1.end, darts[k:])
             delta_first = reduce_path(beta_first.reversed().concat(items[0]))
-            delta_j2 = reduce_path(delta_j1.reversed().concat(items[j]))
             delta_last = reduce_path(items[-1].concat(beta_last))
             out_a = _pinch(chain, [delta_first] + items[1:j] + [delta_j1])
             out_b = _pinch(chain, [delta_j2] + items[j + 1:-1] + [delta_last])

@@ -6,8 +6,8 @@ enumeration oracle for product certificate claims, the image walk that
 meets every edge from both ends (the dict oracle) and the check that a
 GF(2) bit structure holds its image, a time limit for code that could
 loop, the component search of the edges two Cayley paths share (the oracle
-for the pinch's closure-based component), a common spine that doubles
-back, to fault the pinch, and the import table of a module's source."""
+for the pinch's closure-based component), a path to the pinch's cut that
+doubles back, to fault the pinch, and the import table of a module's source."""
 
 import ast
 import math
@@ -414,15 +414,15 @@ def sorted_search(edges, start):
 
 
 def spine_doubling_back(monkeypatch):
-    """Patch the pinch's common spine to one that steps x and back at its end,
-    so the spine is not reduced and its projection fails."""
-    spine_of = separators.common_spine
+    """Patch the pinch's path to its cut to one that steps x and back at its
+    end, so the path is not reduced and its projection fails."""
+    path_to = separators._path_to
 
     def doubled(*args):
-        spine = spine_of(*args)
+        spine = path_to(*args)
         return separators.trace_cayley(spine.level, spine.start, spine.word + (1, -1))
 
-    monkeypatch.setattr(separators, "common_spine", doubled)
+    monkeypatch.setattr(separators, "_path_to", doubled)
 
 
 def source_imports(module):

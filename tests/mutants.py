@@ -49,6 +49,8 @@ EXT = "tests/test_extensions.py::"
 CLI = "tests/test_cli.py::"
 # the byte-identity gate, one set of fixed draws per id
 GATE = "tests/test_sweeps.py::test_decided_draws_keep_their_certificates["
+SEEDED = tuple(GATE + f"seeded-{name}]"
+               for name in ("n4-Random(44)", "n5-Random(45)", "n3-p3-Random(43)"))
 # a disconnected covering must not pass as a transition group
 CONNECTED = ("tests/test_covers.py::TestTransitionGroup::test_rejects_disconnected_covering",
              "tests/test_covers.py::TestTransitionGroupAgainstGraphChecks::test_random_graphs",
@@ -238,6 +240,18 @@ MUTANTS = (
            "if any(c % 2 for c in counts.values()):",
            (PINCH + "test_walk_premise_matches_evaluate",
             ENUM + "test_prefix_search_against_enumeration[n3p3]")),
+    # the pinch's one cut rule: two paths are cut where they meet, a middle
+    # path is sliced at the cut vertex
+    Mutant("pinch-middle-cut-one-dart-late", "separators.py",
+           "darts[:k]", "darts[:k + 1]",
+           (PINCH + "test_seeds_agreeing_one_level_down_are_bad_input[3-primes1]",
+            PINCH + "test_seeds_agreeing_one_level_down_are_bad_input[3-primes2]",
+            SEP + "test_three_factor_scramble_stress_cuts_and_verifies") + SEEDED),
+    Mutant("pinch-two-paths-cut-at-start", "separators.py",
+           "g = etas[0].end", "g = etas[0].start",
+           ("tests/test_acceptance.py::test_criterion_5_two_factor_theorem_suite",
+            "tests/test_acceptance.py::test_criterion_7_three_factor_smoke",
+            GATE + "factorize-1]") + SEEDED),
     # the crossing rule (_crossing) that the walk's counts and each path's edges read
     Mutant("span-inverse-letter-counts-plus-one", "separators.py",
            "((v, -l), (v, u), -1)", "((v, -l), (v, u), 1)",

@@ -440,6 +440,39 @@ class TestCliCommands:
             "", f"error: line {line_no}: a hall certificate states one subgroup, "
                 "'subgroup H1'\n")
 
+    @staticmethod
+    def assert_unread_lines_rejected(cert, extra, kind, capsys):
+        """verify exits 3 on cert with extra appended, naming its first line:
+        the parser read only the keys it asked for, so such a file verified."""
+        text = cert.read_text()
+        line_no = len(text.splitlines()) + 1
+        cert.write_text(text + "".join(line + "\n" for line in extra))
+        capsys.readouterr()
+        assert main(["verify", str(cert)]) == 3
+        key = extra[0].split(":")[0]
+        assert capsys.readouterr() == (
+            "", f"error: line {line_no}: {key}: not a field of a {kind} certificate\n")
+        cert.write_text(text)
+
+    def test_verify_product_with_an_unread_field_is_input_error(self, product_file,
+                                                               tmp_path, capsys):
+        cert = tmp_path / "prod.cert"
+        assert main(["separate", "product", product_file, "--out", str(cert)]) == 0
+        for extra in ["product_size: 999"], ["factor 1: xx"]:
+            self.assert_unread_lines_rejected(cert, extra, "product-separator", capsys)
+
+    def test_verify_hall_with_an_unread_field_is_input_error(self, tmp_path, capsys):
+        problem, cert = tmp_path / "hall.txt", tmp_path / "hall.cert"
+        problem.write_text("alphabet: xy\nH: xx\nword: xy\n")
+        assert main(["separate", "hall", str(problem), "--out", str(cert)]) == 0
+        self.assert_unread_lines_rejected(cert, ["primes: 2", "status: member"], "hall", capsys)
+
+    def test_verify_factorization_with_an_unread_field_is_input_error(self, product_file,
+                                                                     tmp_path, capsys):
+        cert = tmp_path / "fact.cert"
+        assert main(["factorize", product_file, "xxyy", "--out", str(cert)]) == 0
+        self.assert_unread_lines_rejected(cert, ["status: member"], "factorization", capsys)
+
     def test_verify_repeated_key_is_input_error(self, tmp_path, capsys):
         hall = emit_certificate(hall_separator(A, [A.parse("x")], A.parse("y")))
         excluded = emit_certificate(

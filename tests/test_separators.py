@@ -23,7 +23,6 @@ from prodsep.rational import accepts, cancellation_closure, member_product, prod
 from prodsep.separators import (
     FactorizeStats,
     _build_context,
-    common_spine,
     factorize,
     hall_separator,
     image_structure,
@@ -232,12 +231,16 @@ class TestProjectPath:
         assert out.darts == gamma_prime.darts
 
     def test_prefix_projects_to_prefix(self):
+        # the identity the pinch's cut of a middle path rests on: a prefix
+        # of eta_prime projects to gamma_prime's first k darts
         w = A.parse("xyXY")
         eta_prime = trace_cayley(self.level, self.level.identity, w)
-        eta = eta_prime.prefix(2)
         gamma_prime = self.h.graph.trace(self.h.base, w)
-        out = project_path(eta, eta_prime, gamma_prime)
-        assert out.darts == gamma_prime.darts[:2]
+        for k in range(len(w) + 1):
+            eta = trace_cayley(self.level, self.level.identity, w[:k])
+            assert eta.vertices == eta_prime.vertices[:k + 1]
+            out = project_path(eta, eta_prime, gamma_prime)
+            assert out.darts == gamma_prime.darts[:k]
 
     def test_backtracking_spine_projects(self):
         # eta revisits edges of eta_prime in a different order
@@ -268,11 +271,18 @@ class TestProjectPath:
 
 
 class TestCommonSpine:
+    """The pinch's spine: the path from the identity to a vertex inside the
+    component of the identity in the edges both paths cross."""
+
+    @staticmethod
+    def spine(p1, p2):
+        omega = separators._component(p1, p2, p1.start)
+        return separators._path_to(p1.level, omega, p1.end) if p1.end in omega else None
+
     def test_identical_spans_give_the_path(self):
         level = iterated_extension(KLEIN, []).top
         p = trace_cayley(level, level.identity, A.parse("xy"))
-        spine = common_spine(p, p, p.start, p.end)
-        assert spine.word == A.parse("xy")
+        assert self.spine(p, p).word == A.parse("xy")
 
     def test_disjoint_interior_bigon_has_no_spine(self):
         # xy and yx join 1 to the same Klein element along disjoint interiors
@@ -280,14 +290,14 @@ class TestCommonSpine:
         p1 = trace_cayley(level, level.identity, A.parse("xy"))
         p2 = trace_cayley(level, level.identity, A.parse("yx"))
         assert p1.end == p2.end
-        assert common_spine(p1, p2, p1.start, p1.end) is None
+        assert self.spine(p1, p2) is None
 
     def test_spine_within_overlapping_spans(self):
         level = iterated_extension(KLEIN, []).top
         p1 = trace_cayley(level, level.identity, A.parse("xxy"))
         p2 = trace_cayley(level, level.identity, A.parse("xxy"))
-        spine = common_spine(p1, p2, p1.start, p1.end)
-        assert spine.end == p1.end
+        spine = self.spine(p1, p2)
+        assert (spine.start, spine.end) == (p1.start, p1.end)
 
 
 class TestComponentAgainstSortedSearch:
